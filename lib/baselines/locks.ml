@@ -71,17 +71,16 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
     Rt.label t.rt holder_label
 
   let tas_acquire t flag =
-    let b = Backoff.create t.rt in
-    let rec go attempts contended =
+    let rec go spins attempts contended =
       if Rt.Atomic.get flag = 0 && Rt.Atomic.compare_and_set flag 0 1 then
         note t ~contended
       else begin
-        Backoff.once b;
+        let spins = Backoff.spin t.rt spins in
         if attempts mod yield_every = yield_every - 1 then Rt.yield t.rt;
-        go (attempts + 1) true
+        go spins (attempts + 1) true
       end
     in
-    go 0 false;
+    go Backoff.initial 0 false;
     Rt.fence t.rt (* entry instruction fence *)
 
   let tas_release t flag =
@@ -104,15 +103,14 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
         Rt.fence t.rt
     | Some pred ->
         Rt.Atomic.set pred.next (Some my);
-        let b = Backoff.create t.rt in
-        let rec wait attempts =
+        let rec wait spins attempts =
           if Rt.Atomic.get my.locked = 1 then begin
-            Backoff.once b;
+            let spins = Backoff.spin t.rt spins in
             if attempts mod yield_every = yield_every - 1 then Rt.yield t.rt;
-            wait (attempts + 1)
+            wait spins (attempts + 1)
           end
         in
-        wait 0;
+        wait Backoff.initial 0;
         note t ~contended:true;
         Rt.fence t.rt
 
@@ -148,16 +146,15 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
         tas_acquire t flag
     | Ticket { next; serving } ->
         let mine = Rt.Atomic.fetch_and_add next 1 in
-        let b = Backoff.create t.rt in
-        let rec wait attempts contended =
+        let rec wait spins attempts contended =
           if Rt.Atomic.get serving = mine then note t ~contended
           else begin
-            Backoff.once b;
+            let spins = Backoff.spin t.rt spins in
             if attempts mod yield_every = yield_every - 1 then Rt.yield t.rt;
-            wait (attempts + 1) true
+            wait spins (attempts + 1) true
           end
         in
-        wait 0 false;
+        wait Backoff.initial 0 false;
         Rt.fence t.rt
 
   let try_acquire t =

@@ -106,15 +106,14 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
      reappear at the head after passing a hazard scan, which our published
      pointer prevents. *)
   let hazard_pop t p =
-    let b = Backoff.create t.rt in
-    let rec go () =
+    let rec go spins =
       match Rt.Atomic.get p.head with
       | None -> None
       | Some d as old ->
           Hp.protect p.hp ~slot:0 d;
           if Rt.Atomic.get p.head != old then begin
             Hp.clear p.hp ~slot:0;
-            go ()
+            go spins
           end
           else begin
             let next = d.Descriptor.next_d in
@@ -125,12 +124,11 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
             end
             else begin
               Hp.clear p.hp ~slot:0;
-              Backoff.once b;
-              go ()
+              go (Backoff.spin t.rt spins)
             end
           end
     in
-    go ()
+    go Backoff.initial
 
   (* Stock the freelist with a fresh batch, keeping one descriptor. Mirrors
      Fig. 7 lines 5-9: if some other thread stocked the list first, discard
@@ -194,8 +192,7 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
      can complete erroneously under ABA (same argument as the anchor's
      tag field and Tagged_id_stack.push). *)
   let spill_push t r (d : Descriptor.t) =
-    let b = Backoff.create t.rt in
-    let rec go () =
+    let rec go spins =
       let old = Rt.Atomic.get r.spill_head in
       d.Descriptor.next_id <- spill_unpack_id old;
       Rt.fence t.rt;
@@ -205,11 +202,10 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
       Rt.label t.rt Labels.desc_spill;
       if not (Rt.Atomic.compare_and_set r.spill_head old desired) then begin
         r.on_spill_retry ();
-        Backoff.once b;
-        go ()
+        go (Backoff.spin t.rt spins)
       end
     in
-    go ()
+    go Backoff.initial
 
   (* Steal a spilled descriptor: a tag-bumping pop, so a head that was
      popped and re-pushed between our read and our CAS cannot be confused
@@ -217,8 +213,7 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
      descriptors are immortal under Reuse, so the slot is always readable,
      and a stale link only makes the CAS fail on the bumped tag. *)
   let steal_pop t r =
-    let b = Backoff.create t.rt in
-    let rec go () =
+    let rec go spins =
       let old = Rt.Atomic.get r.spill_head in
       let id = spill_unpack_id old in
       if id < 0 then None
@@ -230,12 +225,11 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
           Some (Descriptor.get t.table id)
         else begin
           r.on_steal_retry ();
-          Backoff.once b;
-          go ()
+          go (Backoff.spin t.rt spins)
         end
       end
     in
-    go ()
+    go Backoff.initial
 
   (* Fresh descriptors go straight onto the private LIFO: they have never
      been shared, so no other thread can be stocking the same list — the

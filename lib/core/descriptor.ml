@@ -13,7 +13,6 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
     mutable heap_gid : int;
     mutable sz : int;
     mutable maxcount : int;
-    mutable owner : int;
     mutable priv_head : int;
     mutable priv_count : int;
   }
@@ -60,7 +59,6 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
             heap_gid = -1;
             sz = 0;
             maxcount = 0;
-            owner = -1;
             priv_head = 0;
             priv_count = 0;
           }

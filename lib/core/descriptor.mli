@@ -29,12 +29,6 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) : sig
     mutable heap_gid : int;  (** owning processor heap (global index) *)
     mutable sz : int;  (** block size (payload + prefix) *)
     mutable maxcount : int;  (** blocks per superblock *)
-    mutable owner : int;
-        (** owner-biased mode: dense thread id of the current owner, -1
-            when unowned. Debug/introspection only — the authoritative
-            ownership test is the owner's own [owned] slot in
-            [Lf_alloc] (always coherent for the reading thread) plus
-            the [pub] word's owned bit. *)
     mutable priv_head : int;
         (** owner-biased mode: head block index of the private LIFO.
             Garbage when [priv_count = 0]; read and written only by the

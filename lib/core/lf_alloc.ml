@@ -34,26 +34,12 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
     pool : Desc_pool.t;
     sbc : Sb_cache.t;  (* warm EMPTY-superblock cache, DESIGN.md §14 *)
     pm : Pm.t option;  (* span reservoir + buddy backend, DESIGN.md §15 *)
-    mallocs : int array;  (* striped per-thread op counters *)
-    frees : int array;
-    (* CAS-retry counters per contention site (striped per thread):
-       quantifies where interference lands, cf. the paper's §4.2.3
-       discussion of overlapping read-modify-write segments. *)
-    retry_reserve : int array;
-    retry_pop : int array;
-    retry_free : int array;
-    retry_update_active : int array;
-    retry_partial_slot : int array;
-    retry_park : int array;
-    retry_adopt : int array;
-    retry_buddy_acquire : int array;
-    retry_buddy_release : int array;
-    retry_buddy_coalesce : int array;
-    retry_span_reserve : int array;
-    retry_desc_spill : int array;
-    retry_desc_steal : int array;
-    retry_pub_push : int array;
-    retry_pub_claim : int array;
+    counts : int array array;
+        (* Striped counters, one row per thread: column [i] counts failed
+           CASes at the [i]th of [retry_sites] — quantifies where
+           interference lands, cf. the paper's §4.2.3 discussion of
+           overlapping read-modify-write segments — and the last two
+           columns count mallocs and frees. *)
     (* Owner-biased free lists (DESIGN.md §19): [ob] caches the mode
        test off the config; [owned.(tid).(sc)] is the id of the
        superblock thread [tid] currently owns for size class [sc] (0 =
@@ -66,12 +52,29 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
 
   (* The contention-site row set is the label registry's census grouping
      (this layer's followed by the page layer's) — a new labeled site
-     added to [Labels.census_sites] appears here, in the harness table
-     and in the obs equality proof automatically, and one without a
-     striped counter fails loudly in [retry_counts]. *)
+     added to [Labels.census_sites] gets a counter column here, a row in
+     the harness table and in the obs equality proof automatically, and
+     a counter named after no census site fails loudly at start-up. *)
   let retry_sites =
     List.map fst Labels.census_sites
     @ List.map fst Mm_pages.Pg_labels.census_sites
+
+  let column site =
+    let rec go i = function
+      | [] -> invalid_arg ("Lf_alloc: no census site " ^ site)
+      | s :: rest -> if s = site then i else go (i + 1) rest
+    in
+    go 0 retry_sites
+
+  let c_reserve = column "active.reserve"
+  let c_pop = column "anchor.pop"
+  let c_free = column "anchor.free"
+  let c_update_active = column "update_active"
+  let c_partial_slot = column "partial.slot"
+  let c_pub_push = column "pub.push"
+  let c_pub_claim = column "pub.claim"
+  let c_mallocs = List.length retry_sites
+  let c_frees = c_mallocs + 1
 
   let name = "new"
 
@@ -83,16 +86,22 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
         ~hyperblocks:cfg.hyperblocks ()
     in
     let table = Descriptor.create_table rt ~capacity:(2 * cfg.store_capacity) in
-    let stripe arr () = arr.(Rt.self rt) <- arr.(Rt.self rt) + 1 in
-    let retry_desc_spill = Array.make Rt.max_threads 0 in
-    let retry_desc_steal = Array.make Rt.max_threads 0 in
+    let counts =
+      Array.init Rt.max_threads (fun _ -> Array.make (c_frees + 1) 0)
+    in
+    let stripe site =
+      let c = column site in
+      fun () ->
+        let row = counts.(Rt.self rt) in
+        row.(c) <- row.(c) + 1
+    in
     let pool =
       Desc_pool.create rt table ~kind:cfg.desc_pool
         ?scan_threshold:
           (if cfg.desc_scan_threshold > 0 then Some cfg.desc_scan_threshold
            else None)
-        ~on_spill_retry:(stripe retry_desc_spill)
-        ~on_steal_retry:(stripe retry_desc_steal) ()
+        ~on_spill_retry:(stripe "desc.spill")
+        ~on_steal_retry:(stripe "desc.steal") ()
     in
     let nclasses = Sc.count classes in
     let heaps =
@@ -108,28 +117,19 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
     let lists =
       Array.init nclasses (fun _ -> Partial_list.create rt cfg.partial_policy)
     in
-    let retry_park = Array.make Rt.max_threads 0 in
-    let retry_adopt = Array.make Rt.max_threads 0 in
     let sbc =
       Sb_cache.create rt ~depth:cfg.sb_cache_depth ~nclasses ~table
-        ~on_park_retry:(fun () ->
-          retry_park.(Rt.self rt) <- retry_park.(Rt.self rt) + 1)
-        ~on_adopt_retry:(fun () ->
-          retry_adopt.(Rt.self rt) <- retry_adopt.(Rt.self rt) + 1)
-        ()
+        ~on_park_retry:(stripe "sbc.park")
+        ~on_adopt_retry:(stripe "sbc.adopt") ()
     in
-    let retry_buddy_acquire = Array.make Rt.max_threads 0 in
-    let retry_buddy_release = Array.make Rt.max_threads 0 in
-    let retry_buddy_coalesce = Array.make Rt.max_threads 0 in
-    let retry_span_reserve = Array.make Rt.max_threads 0 in
     let pm =
       if cfg.page_manager then
         Some
           (Pm.create rt store ~span_pages:cfg.span_pages
-             ~on_acquire_retry:(stripe retry_buddy_acquire)
-             ~on_release_retry:(stripe retry_buddy_release)
-             ~on_coalesce_retry:(stripe retry_buddy_coalesce)
-             ~on_span_retry:(stripe retry_span_reserve) ())
+             ~on_acquire_retry:(stripe "buddy.acquire")
+             ~on_release_retry:(stripe "buddy.release")
+             ~on_coalesce_retry:(stripe "buddy.coalesce")
+             ~on_span_retry:(stripe "span.reserve") ())
       else None
     in
     {
@@ -144,55 +144,22 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
       pool;
       sbc;
       pm;
-      mallocs = Array.make Rt.max_threads 0;
-      frees = Array.make Rt.max_threads 0;
-      retry_reserve = Array.make Rt.max_threads 0;
-      retry_pop = Array.make Rt.max_threads 0;
-      retry_free = Array.make Rt.max_threads 0;
-      retry_update_active = Array.make Rt.max_threads 0;
-      retry_partial_slot = Array.make Rt.max_threads 0;
-      retry_park;
-      retry_adopt;
-      retry_buddy_acquire;
-      retry_buddy_release;
-      retry_buddy_coalesce;
-      retry_span_reserve;
-      retry_desc_spill;
-      retry_desc_steal;
-      retry_pub_push = Array.make Rt.max_threads 0;
-      retry_pub_claim = Array.make Rt.max_threads 0;
+      counts;
       ob = cfg.free_lists = `Owner_biased;
       owned = Array.init Rt.max_threads (fun _ -> Array.make nclasses 0);
     }
 
-  let bump t arr = arr.(Rt.self t.rt) <- arr.(Rt.self t.rt) + 1
-  let fail fmt = Format.kasprintf failwith fmt
+  let count_at t tid c =
+    let row = t.counts.(tid) in
+    row.(c) <- row.(c) + 1
 
-  let site_counter t = function
-    | "active.reserve" -> t.retry_reserve
-    | "anchor.pop" -> t.retry_pop
-    | "anchor.free" -> t.retry_free
-    | "update_active" -> t.retry_update_active
-    | "partial.slot" -> t.retry_partial_slot
-    | "sbc.park" -> t.retry_park
-    | "sbc.adopt" -> t.retry_adopt
-    | "buddy.acquire" -> t.retry_buddy_acquire
-    | "buddy.release" -> t.retry_buddy_release
-    | "buddy.coalesce" -> t.retry_buddy_coalesce
-    | "span.reserve" -> t.retry_span_reserve
-    | "desc.spill" -> t.retry_desc_spill
-    | "desc.steal" -> t.retry_desc_steal
-    | "pub.push" -> t.retry_pub_push
-    | "pub.claim" -> t.retry_pub_claim
-    | site ->
-        invalid_arg
-          (Printf.sprintf
-             "Lf_alloc: census site %S has no striped retry counter" site)
+  let bump t c = count_at t (Rt.self t.rt) c
+  let fail fmt = Format.kasprintf failwith fmt
+  let column_total t c = Array.fold_left (fun n row -> n + row.(c)) 0 t.counts
+  let op_counts t = (column_total t c_mallocs, column_total t c_frees)
 
   let retry_counts t =
-    List.map
-      (fun site -> (site, Array.fold_left ( + ) 0 (site_counter t site)))
-      retry_sites
+    List.mapi (fun c site -> (site, column_total t c)) retry_sites
 
   let rt t = t.rt
   let store t = t.store
@@ -229,46 +196,76 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
      domain-local lookup on the real runtime, so the hot entry points
      resolve it once per operation and thread it through. *)
   let heap_at t sc tid = t.heaps.(sc).(tid mod t.nheaps_)
-  let my_heap t sc = heap_at t sc (Rt.self t.rt)
+
+  (* ------------------------------------------------------------------ *)
+  (* Blocks of a superblock. *)
+
+  let clamp_index next = next land Anchor.max_count
+  let block_addr (desc : Descriptor.t) idx = desc.sb + (idx * desc.sz)
+
+  (* Wild-pointer guard (cheap, one division): [base] must be a block
+     boundary of the descriptor's superblock. Catches frees of interior
+     pointers and of addresses never returned by malloc before they can
+     corrupt a free list. Returns the block's index. *)
+  let block_index (desc : Descriptor.t) base =
+    let off = base - desc.sb in
+    let idx = off / desc.sz in
+    if off < 0 || idx >= desc.maxcount || idx * desc.sz <> off then
+      invalid_arg "Lf_alloc.free: not a block address";
+    idx
+
+  let finish_block t (desc : Descriptor.t) addr =
+    (* line 21: store the descriptor in the block prefix. *)
+    Store.write_word t.store addr (Prefix.small ~desc_id:desc.id);
+    addr + Prefix.prefix_bytes
+
+  (* Unmap a superblock no structure references any more and retire its
+     descriptor, resetting the anchor to [anchor] when given (it must
+     rest EMPTY, its tag moved forward). The reset sits between the
+     unmap and the retire: simulated schedules depend on the order of
+     these shared-memory events, and the golden traces pin it. *)
+  let retire_sb ?anchor t (desc : Descriptor.t) =
+    release_sb t desc.sb;
+    Option.iter (Rt.Atomic.set desc.anchor) anchor;
+    desc.sb <- Addr.null;
+    Desc_pool.retire t.pool desc
+
+  (* Park an EMPTY superblock whose free list threads all its blocks on
+     the warm cache; a refused park (watermark, or the cache disabled)
+     genuinely unmaps and retires, keeping the paper's space accounting
+     honest. *)
+  let park_or_retire t ~sc desc =
+    if Sb_cache.park t.sbc ~sc desc then
+      Rt.obs_event t.rt Rt.Obs.Transition "sb.empty->cached"
+    else retire_sb t desc
 
   (* ------------------------------------------------------------------ *)
   (* HeapPutPartial / HeapGetPartial / RemoveEmptyDesc (Figs. 4 & 6). *)
 
   let heap_put_partial t desc =
     let heap = heap_of_gid t desc.Descriptor.heap_gid in
-    let b = Backoff.create t.rt in
-    let rec swap () =
+    let rec swap spins =
       let prev = Rt.Atomic.get heap.partial in
       Rt.label t.rt Labels.free_put_partial;
       if Rt.Atomic.compare_and_set heap.partial prev desc.Descriptor.id then prev
       else begin
-        bump t t.retry_partial_slot;
-        Backoff.once b;
-        swap ()
+        bump t c_partial_slot;
+        swap (Backoff.spin t.rt spins)
       end
     in
-    let prev = swap () in
+    let prev = swap Backoff.initial in
     if prev <> 0 then
       Partial_list.put t.lists.(heap.sc) (Descriptor.get t.table prev)
 
   (* Release an EMPTY descriptor whose last reference the caller just
      removed — the Desc_pool.retire precondition, which is exactly the
      exclusivity Sb_cache.park requires. With the warm cache enabled the
-     superblock is still mapped here (finish_push skips the unmap, below),
-     so the whole descriptor — bytes, intact free list, anchor tag — parks
-     on the size-class cache; a refused park (watermark) genuinely unmaps
-     and retires, keeping the paper's space accounting honest. *)
+     superblock is still mapped here (the EMPTY push skips the unmap,
+     below), so the whole descriptor — bytes, intact free list, anchor
+     tag — parks on the size-class cache. *)
   let release_empty t desc =
-    if Sb_cache.enabled t.sbc && desc.Descriptor.sb <> Addr.null then begin
-      let sc = desc.Descriptor.heap_gid / t.nheaps_ in
-      if Sb_cache.park t.sbc ~sc desc then
-        Rt.obs_event t.rt Rt.Obs.Transition "sb.empty->cached"
-      else begin
-        release_sb t desc.Descriptor.sb;
-        desc.Descriptor.sb <- Addr.null;
-        Desc_pool.retire t.pool desc
-      end
-    end
+    if Sb_cache.enabled t.sbc && desc.Descriptor.sb <> Addr.null then
+      park_or_retire t ~sc:(desc.Descriptor.heap_gid / t.nheaps_) desc
     else Desc_pool.retire t.pool desc
 
   let heap_get_partial t heap =
@@ -302,6 +299,21 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
       Partial_list.remove_empty t.lists.(heap.sc)
         ~retire:(fun d -> release_empty t d)
 
+  (* Release a superblock that just went EMPTY from [oldstate] (Fig. 6
+     lines 19-21). With the warm cache enabled the superblock stays
+     mapped: the thread that later removes the descriptor's last
+     reference parks bytes + free list + anchor together
+     (release_empty), or unmaps there if the cache is full. Unmapping
+     here would tear the superblock away before ownership of the
+     descriptor settles. A PARTIAL superblock may sit in the partial
+     structures, so it is removed with the slot-ABA guard above; a FULL
+     one is in none — only a run of all its blocks empties it at once —
+     so it is exclusively ours to release. *)
+  let release_emptied t desc ~oldstate ~heap_gid =
+    if not (Sb_cache.enabled t.sbc) then release_sb t desc.Descriptor.sb;
+    if oldstate = Anchor.Full then release_empty t desc
+    else remove_empty_desc t (heap_of_gid t heap_gid) desc
+
   (* ------------------------------------------------------------------ *)
   (* UpdateActive (Fig. 4). *)
 
@@ -315,8 +327,7 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
     else begin
       (* Someone installed another active superblock: return the credits to
          the anchor and make the superblock PARTIAL (lines 4-8). *)
-      let b = Backoff.create t.rt in
-      let rec return_credits () =
+      let rec return_credits spins =
         let oldanchor = Rt.Atomic.get desc.Descriptor.anchor in
         let newanchor =
           Anchor.set_state
@@ -329,23 +340,51 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
             (Rt.Atomic.compare_and_set desc.Descriptor.anchor oldanchor
                newanchor)
         then begin
-          bump t t.retry_update_active;
-          Backoff.once b;
-          return_credits ()
+          bump t c_update_active;
+          return_credits (Backoff.spin t.rt spins)
         end
       in
-      return_credits ();
+      return_credits Backoff.initial;
       Rt.obs_event t.rt Rt.Obs.Transition "sb.active->partial";
       Rt.label t.rt Labels.ua_return_credits;
       heap_put_partial t desc
     end
 
   (* ------------------------------------------------------------------ *)
-  (* The in-superblock pop shared by MallocFromActive (lines 7-18) and
-     MallocFromPartial (lines 11-15). [on_anchor] lets the active variant
-     fold its credit/state bookkeeping into the same CAS. *)
+  (* MallocFromActive's two steps (Fig. 4) for [want] blocks at once.
+     MallocFromActive is the size-one case; the block-cache refill
+     (below) takes a whole batch through the same two CASes. *)
 
-  let clamp_index next = next land Anchor.max_count
+  (* First step: reserve (lines 1-6). An Active word with c credits
+     entitles its takers to c + 1 pops, so taking min want (c + 1)
+     reservations at once just subtracts them (emptying the word when
+     all c + 1 go), and the free-list-length invariant (length >= count
+     + outstanding reservations) guarantees the pop below finds them
+     linked. Returns the replaced word, or NULL when there is no active
+     superblock. *)
+  let reserve_active t heap ~want ~label =
+    let rec go spins =
+      let oldactive = Rt.Atomic.get heap.active in
+      if Active_word.is_null oldactive then oldactive
+      else begin
+        let credits = Active_word.credits oldactive in
+        let newactive =
+          if want > credits then Active_word.null
+          else
+            Active_word.make
+              ~desc_id:(Active_word.desc_id oldactive)
+              ~credits:(credits - want)
+        in
+        Rt.label t.rt label;
+        if Rt.Atomic.compare_and_set heap.active oldactive newactive then
+          oldactive
+        else begin
+          bump t c_reserve;
+          go (Backoff.spin t.rt spins)
+        end
+      end
+    in
+    go Backoff.initial
 
   (* The paper's pop CAS bumps the anchor tag to defeat ABA on the
      in-superblock free list. [anchor_tag = false] (check subsystem's
@@ -353,109 +392,93 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
      the tag exists to kill; the schedule explorer must find it. *)
   let pop_tag t a = if t.cfg.anchor_tag then Anchor.incr_tag a else a
 
-  let pop_block t (desc : Descriptor.t) ~label ~on_anchor =
+  (* Second step: pop [n] reserved blocks in one tag-bumping anchor CAS
+     (lines 7-18; MallocFromPartial's lines 11-15 with [took_last =
+     false]). Each link read may return garbage when racing — line 10's
+     racy read, [n] times — and the tag bump in the CAS rejects any walk
+     that observed a mutated list. [took_last] folds the credit/state
+     bookkeeping into the same CAS. The addresses of the first
+     [Array.length addrs] blocks are left in [addrs]; the first block is
+     also at the returned anchor's [avail]. *)
+  let pop_blocks t (desc : Descriptor.t) ~n ~took_last ~label ~addrs =
     let rec go spins =
       let oldanchor = Rt.Atomic.get desc.anchor in
-      let addr = desc.sb + (Anchor.avail oldanchor * desc.sz) in
-      (* line 10: may read garbage when racing; the tag CAS rejects it.
-         [clamp_index] only keeps the value representable. *)
-      let next = Store.read_word ~racy:true t.store addr in
+      let idx = ref (Anchor.avail oldanchor) in
+      for i = 0 to n - 1 do
+        let addr = block_addr desc !idx in
+        if i < Array.length addrs then addrs.(i) <- addr;
+        (* [clamp_index] only keeps a racy value representable. *)
+        idx := clamp_index (Store.read_word ~racy:true t.store addr)
+      done;
+      let newanchor = pop_tag t (Anchor.set_avail oldanchor !idx) in
+      let count = Anchor.count oldanchor in
       let newanchor =
-        pop_tag t (Anchor.set_avail oldanchor (clamp_index next))
+        if not took_last then newanchor
+        else if count = 0 then
+          (* line 15: out of blocks entirely. *)
+          Anchor.set_state newanchor Anchor.Full
+        else
+          (* lines 16-17: grab more credits for UpdateActive. *)
+          Anchor.set_count newanchor (count - min count t.cfg.maxcredits)
       in
-      let newanchor, extra = on_anchor ~oldanchor ~newanchor in
       Rt.label t.rt label;
       if Rt.Atomic.compare_and_set desc.anchor oldanchor newanchor then
-        (addr, oldanchor, extra)
+        oldanchor
       else begin
-        bump t t.retry_pop;
+        bump t c_pop;
         go (Backoff.spin t.rt spins)
       end
     in
     go Backoff.initial
 
-  let finish_block t (desc : Descriptor.t) addr =
-    (* line 21: store the descriptor in the block prefix. *)
-    Store.write_word t.store addr (Prefix.small ~desc_id:desc.id);
-    addr + Prefix.prefix_bytes
+  (* lines 19-20: whoever took the last reservation reinstalls the
+     superblock with the credits its pop grabbed. *)
+  let settle_active t heap desc ~took_last oldanchor =
+    if took_last then
+      let count = Anchor.count oldanchor in
+      if count > 0 then update_active t heap desc (min count t.cfg.maxcredits)
+      else Rt.obs_event t.rt Rt.Obs.Transition "sb.active->full"
 
-  (* ------------------------------------------------------------------ *)
-  (* MallocFromActive (Fig. 4). *)
-
+  (* MallocFromActive (Fig. 4); NULL when the heap has no active
+     superblock. *)
   let malloc_from_active t heap =
-    (* First step: reserve a block (lines 1-6). *)
-    let rec reserve spins =
-      let oldactive = Rt.Atomic.get heap.active in
-      if Active_word.is_null oldactive then None
-      else begin
-        let newactive =
-          if Active_word.credits oldactive = 0 then Active_word.null
-          else Active_word.dec_credits oldactive
-        in
-        Rt.label t.rt Labels.ma_read_active;
-        if Rt.Atomic.compare_and_set heap.active oldactive newactive then
-          Some oldactive
-        else begin
-          bump t t.retry_reserve;
-          reserve (Backoff.spin t.rt spins)
-        end
-      end
+    let oldactive =
+      reserve_active t heap ~want:1 ~label:Labels.ma_read_active
     in
-    match reserve Backoff.initial with
-    | None -> None
-    | Some oldactive ->
-        Rt.label t.rt Labels.ma_reserved;
-        let desc = Descriptor.get t.table (Active_word.desc_id oldactive) in
-        let took_last = Active_word.credits oldactive = 0 in
-        (* Second step: pop the reserved block (lines 7-18). *)
-        let on_anchor ~oldanchor ~newanchor =
-          if took_last then
-            if Anchor.count oldanchor = 0 then
-              (* line 15: out of blocks entirely. *)
-              (Anchor.set_state newanchor Anchor.Full, 0)
-            else begin
-              (* lines 16-17: grab more credits for UpdateActive. *)
-              let morecredits =
-                min (Anchor.count oldanchor) t.cfg.maxcredits
-              in
-              ( Anchor.set_count newanchor
-                  (Anchor.count oldanchor - morecredits),
-                morecredits )
-            end
-          else (newanchor, 0)
-        in
-        let addr, oldanchor, morecredits =
-          pop_block t desc ~label:Labels.ma_pop_cas ~on_anchor
-        in
-        Rt.label t.rt Labels.ma_popped;
-        (* lines 19-20 *)
-        if took_last then
-          if Anchor.count oldanchor > 0 then
-            update_active t heap desc morecredits
-          else Rt.obs_event t.rt Rt.Obs.Transition "sb.active->full";
-        Some (finish_block t desc addr)
+    if Active_word.is_null oldactive then Addr.null
+    else begin
+      Rt.label t.rt Labels.ma_reserved;
+      let desc = Descriptor.get t.table (Active_word.desc_id oldactive) in
+      let took_last = Active_word.credits oldactive = 0 in
+      let oldanchor =
+        pop_blocks t desc ~n:1 ~took_last ~label:Labels.ma_pop_cas ~addrs:[||]
+      in
+      Rt.label t.rt Labels.ma_popped;
+      settle_active t heap desc ~took_last oldanchor;
+      finish_block t desc (block_addr desc (Anchor.avail oldanchor))
+    end
 
   (* ------------------------------------------------------------------ *)
   (* MallocFromPartial (Fig. 4). *)
 
   let rec malloc_from_partial t heap =
     match heap_get_partial t heap with
-    | None -> None
-    | Some desc -> (
+    | None -> Addr.null
+    | Some desc ->
         Rt.label t.rt Labels.mp_got_partial;
         (* mm-sa: allow write-before-publish: the reserve CAS below only
            moves anchor credits; it publishes no block memory. heap_gid is
            read by remote frees that synchronize through this descriptor's
            anchor anyway, and the CAS itself orders the store. Explicit
            fences are reserved for link words that remote pops read with
-           racy loads (flush_group, hazard_refill). *)
+           racy loads (flush_batch, hazard_refill). *)
         desc.Descriptor.heap_gid <- heap.gid;
         (* line 3 *)
-        (* Reserve blocks (lines 4-10). *)
-        let b = Backoff.create t.rt in
-        let rec reserve () =
+        (* Reserve blocks (lines 4-10): -1 when the superblock became
+           EMPTY under us. *)
+        let rec reserve spins =
           let oldanchor = Rt.Atomic.get desc.Descriptor.anchor in
-          if Anchor.state oldanchor = Anchor.Empty then None
+          if Anchor.state oldanchor = Anchor.Empty then -1
           else begin
             (* state must be PARTIAL and count > 0 here. *)
             let count = Anchor.count oldanchor in
@@ -469,85 +492,39 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
             if
               Rt.Atomic.compare_and_set desc.Descriptor.anchor oldanchor
                 newanchor
-            then Some morecredits
+            then morecredits
             else begin
-              bump t t.retry_reserve;
-              Backoff.once b;
-              reserve ()
+              bump t c_reserve;
+              reserve (Backoff.spin t.rt spins)
             end
           end
         in
-        match reserve () with
-        | None ->
-            (* lines 5-6: became EMPTY under us — release and retry. *)
-            release_empty t desc;
-            malloc_from_partial t heap
-        | Some morecredits ->
-            Rt.obs_event t.rt Rt.Obs.Transition
-              (if morecredits > 0 then "sb.partial->active"
-               else "sb.partial->full");
-            (* Pop the reserved block (lines 11-15). *)
-            let addr, _, () =
-              pop_block t desc ~label:Labels.mp_pop_cas
-                ~on_anchor:(fun ~oldanchor:_ ~newanchor -> (newanchor, ()))
-            in
-            (* lines 16-17 *)
-            if morecredits > 0 then update_active t heap desc morecredits;
-            Some (finish_block t desc addr))
-
-  (* ------------------------------------------------------------------ *)
-  (* MallocFromNewSB (Fig. 4), preceded by warm adoption (DESIGN.md §14). *)
-
-  (* Adopt a parked EMPTY superblock instead of mapping a fresh one. The
-     tag-bumping pop of the cache stack made the descriptor private to us,
-     so the anchor read and the head-link read below are non-racy; the
-     free list survived the park intact (all [maxcount] blocks chained
-     from [avail]), so the whole of Fig. 4's line 2-3 work — the mmap and
-     the O(maxcount) free-list initialization — is skipped. The anchor
-     install continues the descriptor's own tag sequence, so a stale CAS
-     from the superblock's previous life still fails. *)
-  let adopt_parked t heap =
-    match Sb_cache.adopt t.sbc ~sc:heap.sc with
-    | None -> None
-    | Some desc ->
-        desc.Descriptor.heap_gid <- heap.gid;
-        let maxcount = desc.Descriptor.maxcount in
-        let a0 = Rt.Atomic.get desc.Descriptor.anchor in
-        let avail0 = Anchor.avail a0 in
-        let head = desc.Descriptor.sb + (avail0 * desc.Descriptor.sz) in
-        let next = clamp_index (Store.read_word t.store head) in
-        (* Same credits arithmetic as the fresh-superblock path below. *)
-        let credits = min (maxcount - 1) t.cfg.maxcredits - 1 in
-        let newactive = Active_word.make ~desc_id:desc.Descriptor.id ~credits in
-        Rt.Atomic.set desc.Descriptor.anchor
-          (Anchor.make ~avail:next
-             ~count:(maxcount - 1 - (credits + 1))
-             ~state:Anchor.Active ~tag:(Anchor.tag a0 + 1));
-        Rt.fence t.rt;
-        Rt.label t.rt Labels.mnsb_install;
-        if Rt.Atomic.compare_and_set heap.active Active_word.null newactive
-        then begin
-          Rt.obs_event t.rt Rt.Obs.Transition "sb.cached->active";
-          Some (finish_block t desc head)
+        let morecredits = reserve Backoff.initial in
+        if morecredits < 0 then begin
+          (* lines 5-6: release and retry. *)
+          release_empty t desc;
+          malloc_from_partial t heap
         end
         else begin
-          (* Lost the install race: nothing was handed out, the links are
-             untouched — restore the parked EMPTY anchor (tag moves
-             forward, never back) and re-park. *)
-          Rt.Atomic.set desc.Descriptor.anchor
-            (Anchor.make ~avail:avail0 ~count:(maxcount - 1)
-               ~state:Anchor.Empty ~tag:(Anchor.tag a0 + 2));
-          if Sb_cache.park t.sbc ~sc:heap.sc desc then
-            Rt.obs_event t.rt Rt.Obs.Transition "sb.empty->cached"
-          else begin
-            release_sb t desc.Descriptor.sb;
-            desc.Descriptor.sb <- Addr.null;
-            Desc_pool.retire t.pool desc
-          end;
-          None
+          Rt.obs_event t.rt Rt.Obs.Transition
+            (if morecredits > 0 then "sb.partial->active"
+             else "sb.partial->full");
+          (* Pop the reserved block (lines 11-15). *)
+          let oldanchor =
+            pop_blocks t desc ~n:1 ~took_last:false ~label:Labels.mp_pop_cas
+              ~addrs:[||]
+          in
+          (* lines 16-17 *)
+          if morecredits > 0 then update_active t heap desc morecredits;
+          finish_block t desc (block_addr desc (Anchor.avail oldanchor))
         end
 
-  let malloc_from_new_sb_fresh t heap =
+  (* ------------------------------------------------------------------ *)
+  (* A new superblock for [heap]'s class. *)
+
+  (* MallocFromNewSB lines 1-3: a descriptor and a superblock whose
+     blocks are chained 0 -> 1 -> ... -> maxcount - 1. *)
+  let carve_sb t heap =
     let desc = Desc_pool.alloc t.pool in
     (* line 1 *)
     let sz = Sc.block_size t.classes heap.sc in
@@ -562,55 +539,130 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
     desc.Descriptor.maxcount <- maxcount;
     Store.init_free_list ~limit:t.cfg.sbsize t.store sb ~sz ~maxcount;
     (* line 3 *)
+    desc
+
+  (* A warm parked EMPTY superblock (DESIGN.md §14) when the cache has
+     one — [true] — else a freshly carved one. Adoption skips the whole
+     of Fig. 4's line 2-3 work, the mmap and the O(maxcount) free-list
+     initialization: the tag-bumping pop of the cache stack made the
+     descriptor private to us, so the callers' anchor and link reads are
+     non-racy, and the free list survived the park intact (all
+     [maxcount] blocks chained from [avail]). The callers' anchor
+     installs continue the descriptor's own tag sequence, so a stale CAS
+     from the superblock's previous life still fails. *)
+  let new_sb t heap =
+    match Sb_cache.adopt t.sbc ~sc:heap.sc with
+    | Some desc ->
+        desc.Descriptor.heap_gid <- heap.gid;
+        (desc, true)
+    | None -> (carve_sb t heap, false)
+
+  (* MallocFromNewSB (Fig. 4); NULL when another thread installed an
+     active superblock first. *)
+  let malloc_from_new_sb t heap =
+    let desc, adopted = new_sb t heap in
+    let maxcount = desc.Descriptor.maxcount in
+    (* The anchor keeps its tag across descriptor reuse, preserving the
+       ABA argument over the descriptor's whole history. *)
+    let a0 = Rt.Atomic.get desc.Descriptor.anchor in
+    let avail0 = if adopted then Anchor.avail a0 else 0 in
+    let head = block_addr desc avail0 in
+    let next =
+      if adopted then clamp_index (Store.read_word t.store head) else 1
+    in
     (* line 9: newactive.credits = min(maxcount-1, MAXCREDITS) - 1 *)
     let credits = min (maxcount - 1) t.cfg.maxcredits - 1 in
     let newactive = Active_word.make ~desc_id:desc.Descriptor.id ~credits in
-    (* lines 5, 10, 11 — the anchor keeps its tag across descriptor reuse,
-       preserving the ABA argument over the descriptor's whole history. *)
-    let oldtag = Anchor.tag (Rt.Atomic.get desc.Descriptor.anchor) in
+    (* lines 5, 10, 11 *)
     Rt.Atomic.set desc.Descriptor.anchor
-      (Anchor.make ~avail:1
+      (Anchor.make ~avail:next
          ~count:(maxcount - 1 - (credits + 1))
-         ~state:Anchor.Active ~tag:(oldtag + 1));
+         ~state:Anchor.Active ~tag:(Anchor.tag a0 + 1));
     Rt.fence t.rt;
     (* line 12 *)
     Rt.label t.rt Labels.mnsb_install;
     (* line 13 *)
     if Rt.Atomic.compare_and_set heap.active Active_word.null newactive then begin
-      (* lines 14-15: take block 0. *)
-      Rt.obs_event t.rt Rt.Obs.Transition "sb.new->active";
-      Some (finish_block t desc sb)
+      (* lines 14-15: take the head block. *)
+      Rt.obs_event t.rt Rt.Obs.Transition
+        (if adopted then "sb.cached->active" else "sb.new->active");
+      finish_block t desc head
     end
     else begin
-      (* lines 16-17: another thread won the race; release everything.
-         With the warm cache enabled the just-initialized superblock is a
-         perfect parking candidate — its free list threads all [maxcount]
-         blocks from index 0 and nothing was handed out — so park it
-         instead of throwing the mmap and free-list work away. *)
+      (* lines 16-17: another thread won the race. Nothing was handed
+         out and the links are untouched, so the superblock is a perfect
+         parking candidate: restore the parked EMPTY anchor (tag moves
+         forward, never back) and park it, or release it when the cache
+         refuses. *)
       let parked =
-        Sb_cache.enabled t.sbc
-        && begin
-             Rt.Atomic.set desc.Descriptor.anchor
-               (Anchor.make ~avail:0 ~count:(maxcount - 1) ~state:Anchor.Empty
-                  ~tag:(oldtag + 2));
-             Sb_cache.park t.sbc ~sc:heap.sc desc
-           end
+        Anchor.make ~avail:avail0 ~count:(maxcount - 1) ~state:Anchor.Empty
+          ~tag:(Anchor.tag a0 + 2)
       in
-      if parked then Rt.obs_event t.rt Rt.Obs.Transition "sb.empty->cached"
-      else begin
-        release_sb t sb;
-        Rt.Atomic.set desc.Descriptor.anchor
-          (Anchor.make ~avail:0 ~count:0 ~state:Anchor.Empty ~tag:(oldtag + 2));
-        desc.Descriptor.sb <- Addr.null;
-        Desc_pool.retire t.pool desc
-      end;
-      None
+      if Sb_cache.enabled t.sbc then begin
+        Rt.Atomic.set desc.Descriptor.anchor parked;
+        park_or_retire t ~sc:heap.sc desc
+      end
+      else retire_sb t desc ~anchor:parked;
+      Addr.null
     end
 
-  let malloc_from_new_sb t heap =
-    match adopt_parked t heap with
-    | Some _ as r -> r
-    | None -> malloc_from_new_sb_fresh t heap
+  (* ------------------------------------------------------------------ *)
+  (* free (Fig. 6): push a run of [n] blocks of one superblock. [free] is
+     the size-one case; the block-cache flush pushes a whole group. The
+     caller has chained the run first -> ... -> last through the blocks'
+     link words (nothing to write when n = 1); only the tail's link is
+     rewritten per attempt. *)
+
+  (* The anchor push, with the EMPTY and FULL->PARTIAL transitions.
+     [count = maxcount - n] at the CAS means the run's blocks were the
+     only allocated ones (so no Active word can reference the
+     descriptor), generalizing the paper's n = 1 emptiness test. *)
+  let anchor_push t (desc : Descriptor.t) ~first_idx ~last ~n ~label =
+    let rec push spins =
+      let oldanchor = Rt.Atomic.get desc.anchor in
+      (* line 8: thread the run onto the available list. *)
+      Store.write_word t.store last (Anchor.avail oldanchor);
+      (* line 9 *)
+      let with_avail = Anchor.set_avail oldanchor first_idx in
+      let oldstate = Anchor.state oldanchor in
+      (* lines 12-15: the superblock empties. *)
+      let empties = Anchor.count oldanchor = desc.maxcount - n in
+      (* line 13 *)
+      let heap_gid = desc.heap_gid in
+      let newanchor =
+        if empties then begin
+          Rt.fence t.rt;
+          (* line 14: instruction fence *)
+          Anchor.set_state with_avail Anchor.Empty
+        end
+        else
+          (* lines 10-11, 16 *)
+          let st = if oldstate = Anchor.Full then Anchor.Partial else oldstate in
+          Anchor.set_count (Anchor.set_state with_avail st)
+            (Anchor.count oldanchor + n)
+      in
+      Rt.fence t.rt;
+      (* line 17: memory fence *)
+      Rt.label t.rt label;
+      if Rt.Atomic.compare_and_set desc.anchor oldanchor newanchor then begin
+        if empties then begin
+          (* lines 19-21 *)
+          Rt.obs_event t.rt Rt.Obs.Transition "sb.empty";
+          Rt.label t.rt Labels.free_empty;
+          release_emptied t desc ~oldstate ~heap_gid
+        end
+        else if oldstate = Anchor.Full then begin
+          (* lines 22-23 *)
+          Rt.obs_event t.rt Rt.Obs.Transition "sb.full->partial";
+          heap_put_partial t desc
+        end
+      end
+      else begin
+        bump t c_free;
+        push (Backoff.spin t.rt spins)
+      end
+    in
+    push Backoff.initial
 
   (* ------------------------------------------------------------------ *)
   (* Owner-biased private/public free lists (DESIGN.md §19),
@@ -630,49 +682,20 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
      EMPTY/FULL state machine, [Sb_cache] parking and [Partial_list]
      publication are shared with the anchor path unchanged. *)
 
-  let ob_block_addr (desc : Descriptor.t) idx =
-    desc.Descriptor.sb + (idx * desc.Descriptor.sz)
-
   (* Private-LIFO pop; caller guarantees [priv_count > 0]. The link
      reads are non-racy: a private block is free and reachable only by
      the owning thread. *)
   let priv_pop t (desc : Descriptor.t) =
-    let addr = ob_block_addr desc desc.Descriptor.priv_head in
-    desc.Descriptor.priv_head <- clamp_index (Store.read_word t.store addr);
-    desc.Descriptor.priv_count <- desc.Descriptor.priv_count - 1;
+    let addr = block_addr desc desc.priv_head in
+    desc.priv_head <- clamp_index (Store.read_word t.store addr);
+    desc.priv_count <- desc.priv_count - 1;
     addr
-
-  let priv_push t (desc : Descriptor.t) base idx =
-    Store.write_word t.store base desc.Descriptor.priv_head;
-    desc.Descriptor.priv_head <- idx;
-    desc.Descriptor.priv_count <- desc.Descriptor.priv_count + 1
-
-  (* Push one pre-linked chain onto the public list in one CAS. [link]
-     rewrites the chain tail's link word against the currently observed
-     head; the fence publishes the link writes before the CAS makes
-     them reachable (mm-sa write-before-publish). Returns the word the
-     CAS replaced so the caller can see whether it pushed onto an
-     unowned list (and must rescue, below). *)
-  let ob_push_loop t (desc : Descriptor.t) ~link ~make_new =
-    let rec go spins =
-      let oldpub = Rt.Atomic.get desc.Descriptor.pub in
-      link oldpub;
-      Rt.fence t.rt;
-      Rt.label t.rt Labels.pub_push;
-      if Rt.Atomic.compare_and_set desc.Descriptor.pub oldpub (make_new oldpub)
-      then oldpub
-      else begin
-        bump t t.retry_pub_push;
-        go (Backoff.spin t.rt spins)
-      end
-    in
-    go Backoff.initial
 
   (* Walk the [n] blocks of an exclusively held chain to its tail. *)
   let ob_chain_tail t (desc : Descriptor.t) head n =
     let idx = ref head in
     for _ = 2 to n do
-      idx := clamp_index (Store.read_word t.store (ob_block_addr desc !idx))
+      idx := clamp_index (Store.read_word t.store (block_addr desc !idx))
     done;
     !idx
 
@@ -697,7 +720,7 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
           (Rt.Atomic.compare_and_set desc.Descriptor.pub oldpub
              (Pub_word.claim oldpub))
       then begin
-        bump t t.retry_pub_claim;
+        bump t c_pub_claim;
         ob_rescue t desc
       end
       else begin
@@ -712,7 +735,7 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
               (Anchor.state_to_string st));
         let total = Anchor.count a + n in
         let tail = ob_chain_tail t desc head n in
-        Store.write_word t.store (ob_block_addr desc tail) (Anchor.avail a);
+        Store.write_word t.store (block_addr desc tail) (Anchor.avail a);
         if total = desc.Descriptor.maxcount then begin
           (* Every block of the superblock is free, so no thread holds
              one and no further push can race: plain-reset both words.
@@ -728,15 +751,7 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
              but no [free_empty] label: this update is exclusive (no
              read→CAS window to interpose on). *)
           Rt.obs_event t.rt Rt.Obs.Transition "sb.empty";
-          if not (Sb_cache.enabled t.sbc) then release_sb t desc.Descriptor.sb;
-          match oldstate with
-          | Anchor.Partial ->
-              (* Already in the partial structures: remove-then-release
-                 with the same slot-ABA guard as the anchor path. *)
-              remove_empty_desc t (heap_of_gid t desc.Descriptor.heap_gid) desc
-          | _ ->
-              (* FULL: unreferenced, exclusively ours. *)
-              release_empty t desc
+          release_emptied t desc ~oldstate ~heap_gid:desc.Descriptor.heap_gid
         end
         else begin
           Rt.fence t.rt;
@@ -751,8 +766,7 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
             Rt.obs_event t.rt Rt.Obs.Transition "sb.full->partial";
             heap_put_partial t desc
           end;
-          let b = Backoff.create t.rt in
-          let rec un_own () =
+          let rec un_own spins =
             let p = Rt.Atomic.get desc.Descriptor.pub in
             Rt.label t.rt Labels.pub_claim;
             if
@@ -760,15 +774,51 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
                 (Rt.Atomic.compare_and_set desc.Descriptor.pub p
                    (Pub_word.un_own p))
             then begin
-              bump t t.retry_pub_claim;
-              Backoff.once b;
-              un_own ()
+              bump t c_pub_claim;
+              un_own (Backoff.spin t.rt spins)
             end
           in
-          un_own ();
+          un_own Backoff.initial;
           ob_rescue t desc
         end
       end
+    end
+
+  (* The owner-biased push of a pre-chained run. The owner pushes onto
+     its private list with plain writes — no CAS, no fence. Any other
+     thread links the run's tail against the observed public head and
+     publishes with one [pub.push] CAS; the fence publishes the link
+     writes before the CAS makes them reachable (mm-sa
+     write-before-publish). A push that lands on an unowned list must
+     rescue (above). *)
+  let ob_push t (desc : Descriptor.t) ~first_idx ~last ~n tid =
+    (* [sc] is trustworthy only combined with the ownership test: if we
+       own the descriptor we wrote [heap_gid] ourselves; if we don't, no
+       slot of OUR [owned] row can hold its id (ids are unique and the
+       row lists exactly what we own), so a stale [heap_gid] can only
+       produce a correct "not the owner". *)
+    let sc = desc.heap_gid / t.nheaps_ in
+    if t.owned.(tid).(sc) = desc.id then begin
+      Store.write_word t.store last desc.priv_head;
+      desc.priv_head <- first_idx;
+      desc.priv_count <- desc.priv_count + n
+    end
+    else begin
+      let rec push spins =
+        let oldpub = Rt.Atomic.get desc.pub in
+        Store.write_word t.store last (Pub_word.head oldpub);
+        Rt.fence t.rt;
+        Rt.label t.rt Labels.pub_push;
+        if
+          Rt.Atomic.compare_and_set desc.pub oldpub
+            (Pub_word.push_n oldpub ~idx:first_idx ~n)
+        then (if not (Pub_word.owned oldpub) then ob_rescue t desc)
+        else begin
+          bump t c_pub_push;
+          push (Backoff.spin t.rt spins)
+        end
+      in
+      push Backoff.initial
     end
 
   (* Try to set the owned bit (keeping any pending public blocks: the
@@ -786,16 +836,12 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
             (Pub_word.own oldpub)
         then true
         else begin
-          bump t t.retry_pub_claim;
+          bump t c_pub_claim;
           go ()
         end
       end
     in
     go ()
-
-  let ob_install t (desc : Descriptor.t) heap tid =
-    desc.Descriptor.owner <- tid;
-    t.owned.(tid).(heap.sc) <- desc.Descriptor.id
 
   let rec ob_acquire_partial t heap tid =
     match heap_get_partial t heap with
@@ -828,7 +874,7 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
               Rt.Atomic.set desc.Descriptor.anchor
                 (Anchor.make ~avail:0 ~count:0 ~state:Anchor.Full
                    ~tag:(Anchor.tag a + 1));
-              ob_install t desc heap tid;
+              t.owned.(tid).(heap.sc) <- desc.Descriptor.id;
               Rt.obs_event t.rt Rt.Obs.Transition "sb.partial->owned";
               Some desc
           | st ->
@@ -838,50 +884,26 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
                 (Anchor.state_to_string st)
         end
 
+  (* A new superblock, owned outright: its whole free list (chained
+     from block 0 when carved, from [avail] when adopted) becomes the
+     private list — no re-zeroing, no free-list rebuild. Ownership is
+     per-thread, so there is no install race to lose and both words are
+     plain sets (tags continue the descriptor's own sequence, as
+     everywhere). *)
   let ob_acquire_new t heap tid =
-    match Sb_cache.adopt t.sbc ~sc:heap.sc with
-    | Some desc ->
-        (* The tag-bumping cache pop made the descriptor private to us;
-           the free list survived parking intact (all [maxcount] blocks
-           chained from avail), so it becomes the private list whole —
-           no re-zeroing, no free-list rebuild, same as adopt_parked. *)
-        desc.Descriptor.heap_gid <- heap.gid;
-        let a0 = Rt.Atomic.get desc.Descriptor.anchor in
-        desc.Descriptor.priv_head <- Anchor.avail a0;
-        desc.Descriptor.priv_count <- desc.Descriptor.maxcount;
-        Rt.Atomic.set desc.Descriptor.anchor
-          (Anchor.make ~avail:0 ~count:0 ~state:Anchor.Full
-             ~tag:(Anchor.tag a0 + 1));
-        Rt.Atomic.set desc.Descriptor.pub
-          (Pub_word.owned_empty (Rt.Atomic.get desc.Descriptor.pub));
-        ob_install t desc heap tid;
-        Rt.obs_event t.rt Rt.Obs.Transition "sb.cached->owned";
-        desc
-    | None ->
-        let desc = Desc_pool.alloc t.pool in
-        let sz = Sc.block_size t.classes heap.sc in
-        let maxcount =
-          min (Sc.blocks_per_superblock t.classes heap.sc) Anchor.max_count
-        in
-        let sb = alloc_sb t in
-        desc.Descriptor.sb <- sb;
-        desc.Descriptor.heap_gid <- heap.gid;
-        desc.Descriptor.sz <- sz;
-        desc.Descriptor.maxcount <- maxcount;
-        Store.init_free_list ~limit:t.cfg.sbsize t.store sb ~sz ~maxcount;
-        desc.Descriptor.priv_head <- 0;
-        desc.Descriptor.priv_count <- maxcount;
-        (* Ownership is per-thread — there is no install race to lose,
-           so both words are plain sets (tags continue the descriptor's
-           own sequence, as everywhere). *)
-        Rt.Atomic.set desc.Descriptor.anchor
-          (Anchor.make ~avail:0 ~count:0 ~state:Anchor.Full
-             ~tag:(Anchor.tag (Rt.Atomic.get desc.Descriptor.anchor) + 1));
-        Rt.Atomic.set desc.Descriptor.pub
-          (Pub_word.owned_empty (Rt.Atomic.get desc.Descriptor.pub));
-        ob_install t desc heap tid;
-        Rt.obs_event t.rt Rt.Obs.Transition "sb.new->owned";
-        desc
+    let desc, adopted = new_sb t heap in
+    let a0 = Rt.Atomic.get desc.Descriptor.anchor in
+    desc.Descriptor.priv_head <- (if adopted then Anchor.avail a0 else 0);
+    desc.Descriptor.priv_count <- desc.Descriptor.maxcount;
+    Rt.Atomic.set desc.Descriptor.anchor
+      (Anchor.make ~avail:0 ~count:0 ~state:Anchor.Full
+         ~tag:(Anchor.tag a0 + 1));
+    Rt.Atomic.set desc.Descriptor.pub
+      (Pub_word.owned_empty (Rt.Atomic.get desc.Descriptor.pub));
+    t.owned.(tid).(heap.sc) <- desc.Descriptor.id;
+    Rt.obs_event t.rt Rt.Obs.Transition
+      (if adopted then "sb.cached->owned" else "sb.new->owned");
+    desc
 
   (* The owner's slow path: private list empty. Claim the whole public
      list in one CAS if it has blocks; otherwise hand the superblock
@@ -902,7 +924,7 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
         true
       end
       else begin
-        bump t t.retry_pub_claim;
+        bump t c_pub_claim;
         ob_owner_refill t desc heap tid
       end
     end
@@ -912,10 +934,6 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
         Rt.Atomic.compare_and_set desc.Descriptor.pub oldpub
           (Pub_word.unowned_empty oldpub)
       then begin
-        (* [owner] is debug-only (never read for logic), so it is
-           cleared after the CAS — nothing belongs in the read→CAS
-           window. *)
-        desc.Descriptor.owner <- -1;
         t.owned.(tid).(heap.sc) <- 0;
         Rt.obs_event t.rt Rt.Obs.Transition "sb.owned->handoff";
         false
@@ -923,7 +941,7 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
       else begin
         (* A push landed between the read and the CAS: keep owning and
            claim it on the next round. *)
-        bump t t.retry_pub_claim;
+        bump t c_pub_claim;
         ob_owner_refill t desc heap tid
       end
     end
@@ -949,83 +967,6 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
       (* PARTIAL anchors have count > 0 and new superblocks maxcount
          blocks, so the fresh private list is never empty here. *)
       finish_block t desc (priv_pop t desc)
-    end
-
-  let free_ob t base prefix tid =
-    let desc = Descriptor.get t.table (Prefix.desc_id prefix) in
-    (* Same wild-pointer guard as [free_small]. *)
-    let off = base - desc.Descriptor.sb in
-    let idx = off / desc.Descriptor.sz in
-    if
-      off < 0 || idx >= desc.Descriptor.maxcount
-      || idx * desc.Descriptor.sz <> off
-    then invalid_arg "Lf_alloc.free: not a block address";
-    let sc = desc.Descriptor.heap_gid / t.nheaps_ in
-    if t.owned.(tid).(sc) = desc.Descriptor.id then
-      (* Owner: plain-write LIFO push — no CAS, no fence. [sc] is
-         trustworthy only combined with the ownership test: if we own
-         the descriptor we wrote [heap_gid] ourselves; if we don't, no
-         slot of OUR [owned] row can hold its id (ids are unique and
-         the row lists exactly what we own), so a stale [heap_gid] can
-         only produce a correct "not the owner". *)
-      priv_push t desc base idx
-    else begin
-      let oldpub =
-        ob_push_loop t desc
-          ~link:(fun p -> Store.write_word t.store base (Pub_word.head p))
-          ~make_new:(fun p -> Pub_word.push p ~idx)
-      in
-      if not (Pub_word.owned oldpub) then ob_rescue t desc
-    end
-
-  (* Batched push of one descriptor's group from the block cache: the
-     owner's groups go to the private list (plain writes); a remote
-     group is pre-chained and pushed onto pub in one CAS, then rescued
-     if the word was unowned — the batched form of [free_ob]. *)
-  let flush_group_ob t (desc : Descriptor.t) bases tid =
-    let sc = desc.Descriptor.heap_gid / t.nheaps_ in
-    if t.owned.(tid).(sc) = desc.Descriptor.id then
-      List.iter
-        (fun base ->
-          priv_push t desc base
-            ((base - desc.Descriptor.sb) / desc.Descriptor.sz))
-        bases
-    else begin
-      let sb = desc.Descriptor.sb in
-      let n = List.length bases in
-      let first_idx = (List.hd bases - sb) / desc.Descriptor.sz in
-      let rec chain = function
-        | [] | [ _ ] -> ()
-        | a :: (next :: _ as rest) ->
-            Store.write_word t.store a ((next - sb) / desc.Descriptor.sz);
-            chain rest
-      in
-      chain bases;
-      let last = List.nth bases (n - 1) in
-      let oldpub =
-        ob_push_loop t desc
-          ~link:(fun p -> Store.write_word t.store last (Pub_word.head p))
-          ~make_new:(fun p -> Pub_word.push_n p ~idx:first_idx ~n)
-      in
-      if not (Pub_word.owned oldpub) then ob_rescue t desc
-    end
-
-  (* Batched refill for the block cache: hand out up to [want] private
-     blocks. An empty (or absent) private list returns [] and the cache
-     falls back to [malloc], whose owner paths run the refill/handoff
-     logic — cheap either way. *)
-  let refill_batch_ob t ~sc ~want =
-    let tid = Rt.self t.rt in
-    let id = t.owned.(tid).(sc) in
-    if id = 0 then []
-    else begin
-      let desc = Descriptor.get t.table id in
-      let take = min want desc.Descriptor.priv_count in
-      let rec go k acc =
-        if k = 0 then List.rev acc
-        else go (k - 1) (finish_block t desc (priv_pop t desc) :: acc)
-      in
-      go take []
     end
 
   (* ------------------------------------------------------------------ *)
@@ -1057,7 +998,7 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
   let malloc t n =
     if n < 0 then invalid_arg "Lf_alloc.malloc: negative size";
     let tid = Rt.self t.rt in
-    t.mallocs.(tid) <- t.mallocs.(tid) + 1;
+    count_at t tid c_mallocs;
     match Sc.class_of_request t.classes n with
     | None -> malloc_large t n (* lines 2-3 *)
     | Some sc ->
@@ -1066,105 +1007,23 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
           let heap = heap_at t sc tid in
           (* line 1 *)
           let rec attempt () =
-            match malloc_from_active t heap with
-            | Some payload -> payload
-            | None -> (
-                match malloc_from_partial t heap with
-                | Some payload -> payload
-                | None -> (
-                    match malloc_from_new_sb t heap with
-                    | Some payload -> payload
-                    | None -> attempt ()))
+            let p = malloc_from_active t heap in
+            if p <> Addr.null then p
+            else
+              let p = malloc_from_partial t heap in
+              if p <> Addr.null then p
+              else
+                let p = malloc_from_new_sb t heap in
+                if p <> Addr.null then p else attempt ()
           in
           attempt ()
         end
-
-  (* ------------------------------------------------------------------ *)
-  (* free (Fig. 6). *)
-
-  (* Post-CAS epilogue shared by the singleton push and the batched flush
-     (flush_group below): release an emptied superblock (lines 19-21) or
-     re-park a formerly FULL one (lines 22-23). *)
-  let finish_push t desc = function
-    | _, true, heap_gid ->
-        Rt.obs_event t.rt Rt.Obs.Transition "sb.empty";
-        Rt.label t.rt Labels.free_empty;
-        (* With the warm cache enabled the superblock stays mapped: the
-           thread that later removes the descriptor's last reference parks
-           bytes + free list + anchor together (release_empty), or unmaps
-           there if the cache is full. Unmapping here would tear the
-           superblock away before ownership of the descriptor settles. *)
-        if not (Sb_cache.enabled t.sbc) then release_sb t desc.Descriptor.sb;
-        remove_empty_desc t (heap_of_gid t heap_gid) desc
-    | Anchor.Full, false, _ ->
-        Rt.obs_event t.rt Rt.Obs.Transition "sb.full->partial";
-        heap_put_partial t desc
-    | (Anchor.Active | Anchor.Partial | Anchor.Empty), false, _ -> ()
-
-  let free_small t base prefix =
-    let desc = Descriptor.get t.table (Prefix.desc_id prefix) in
-    let sb = desc.Descriptor.sb in
-    (* Wild-pointer guard (cheap, one division): the address must be a
-       block boundary of the descriptor's superblock. Catches frees of
-       interior pointers and of addresses never returned by malloc before
-       they can corrupt the anchor. *)
-    let off = base - sb in
-    let idx = off / desc.Descriptor.sz in
-    if
-      off < 0 || idx >= desc.Descriptor.maxcount
-      || idx * desc.Descriptor.sz <> off
-    then invalid_arg "Lf_alloc.free: not a block address";
-    let rec push spins =
-      let oldanchor = Rt.Atomic.get desc.Descriptor.anchor in
-      (* line 8: thread the block onto the available list. *)
-      Store.write_word t.store base (Anchor.avail oldanchor);
-      (* line 9 *)
-      let with_avail = Anchor.set_avail oldanchor idx in
-      let oldstate = Anchor.state oldanchor in
-      if Anchor.count oldanchor = desc.Descriptor.maxcount - 1 then begin
-        (* lines 12-15: last allocated block — the superblock empties. *)
-        let heap_gid = desc.Descriptor.heap_gid in
-        (* line 13 *)
-        Rt.fence t.rt;
-        (* line 14: instruction fence *)
-        let newanchor = Anchor.set_state with_avail Anchor.Empty in
-        Rt.fence t.rt;
-        (* line 17: memory fence *)
-        Rt.label t.rt Labels.free_cas;
-        if
-          Rt.Atomic.compare_and_set desc.Descriptor.anchor oldanchor newanchor
-        then (oldstate, true, heap_gid)
-        else begin
-          bump t t.retry_free;
-          push (Backoff.spin t.rt spins)
-        end
-      end
-      else begin
-        (* lines 10-11, 16 *)
-        let st = if oldstate = Anchor.Full then Anchor.Partial else oldstate in
-        let newanchor =
-          Anchor.set_count (Anchor.set_state with_avail st)
-            (Anchor.count oldanchor + 1)
-        in
-        Rt.fence t.rt;
-        (* line 17: memory fence *)
-        Rt.label t.rt Labels.free_cas;
-        if
-          Rt.Atomic.compare_and_set desc.Descriptor.anchor oldanchor newanchor
-        then (oldstate, false, -1)
-        else begin
-          bump t t.retry_free;
-          push (Backoff.spin t.rt spins)
-        end
-      end
-    in
-    finish_push t desc (push Backoff.initial)
 
   let free t payload =
     if payload = Addr.null then ()
     else begin
       let tid = Rt.self t.rt in
-      t.frees.(tid) <- t.frees.(tid) + 1;
+      count_at t tid c_frees;
       (* lines 2-3, extended with aligned-payload resolution *)
       let base_payload, prefix, _delta =
         Store.resolve t.store payload
@@ -1172,8 +1031,13 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
       let base = base_payload - Prefix.prefix_bytes in
       if Prefix.is_large prefix then free_large_block t base prefix
         (* lines 4-5 *)
-      else if t.ob then free_ob t base prefix tid
-      else free_small t base prefix
+      else begin
+        let desc = Descriptor.get t.table (Prefix.desc_id prefix) in
+        let first_idx = block_index desc base in
+        if t.ob then ob_push t desc ~first_idx ~last:base ~n:1 tid
+        else
+          anchor_push t desc ~first_idx ~last:base ~n:1 ~label:Labels.free_cas
+      end
     end
 
   let usable_size t payload =
@@ -1190,24 +1054,19 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
   (* ------------------------------------------------------------------ *)
   (* Batched refill / flush — the entry points of the per-thread
      block-cache frontend (Block_cache, DESIGN.md §13). Not in the
-     paper's figures: they amortize Fig. 4's reservation + pop and
-     Fig. 6's push over up to [cache_batch] blocks while speaking the
-     exact same Active/Anchor protocol, so every shared-structure step
-     below stays lock-free and every CAS window carries its own label. *)
+     paper's figures: they run Fig. 4's reservation + pop and Fig. 6's
+     push above for up to [cache_batch] blocks at once, so every
+     shared-structure step stays lock-free and every CAS window carries
+     its own [bc.*] label. *)
 
   let classify t payload =
     let base_payload, prefix, _delta = Store.resolve t.store payload in
     if Prefix.is_large prefix then `Large
     else begin
       let desc = Descriptor.get t.table (Prefix.desc_id prefix) in
-      (* Same wild-pointer guard as [free_small], applied before the block
-         can enter a cache and corrupt the anchor much later. *)
-      let off = base_payload - Prefix.prefix_bytes - desc.Descriptor.sb in
-      let idx = off / desc.Descriptor.sz in
-      if
-        off < 0 || idx >= desc.Descriptor.maxcount
-        || idx * desc.Descriptor.sz <> off
-      then invalid_arg "Lf_alloc.free: not a block address";
+      (* The wild-pointer guard, applied before the block can enter a
+         cache and corrupt a free list much later. *)
+      ignore (block_index desc (base_payload - Prefix.prefix_bytes) : int);
       let gid = desc.Descriptor.heap_gid in
       let sc = gid / t.nheaps_ in
       `Small
@@ -1218,147 +1077,41 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
 
   let refill_batch t ~sc ~max:want =
     if want < 1 then invalid_arg "Lf_alloc.refill_batch: max must be >= 1";
-    if t.ob then refill_batch_ob t ~sc ~want
-    else begin
-    let heap = my_heap t sc in
-    let b = Backoff.create t.rt in
-    (* One CAS reserves a whole batch: an Active word with c credits
-       entitles its takers to c + 1 pops, so taking
-       take = min want (c + 1) reservations at once just subtracts [take]
-       (emptying the word when take = c + 1), and the free-list-length
-       invariant (length >= count + outstanding reservations) guarantees
-       the batched pop below finds [take] linked blocks. *)
-    let rec reserve () =
-      let oldactive = Rt.Atomic.get heap.active in
-      if Active_word.is_null oldactive then None
+    let tid = Rt.self t.rt in
+    if t.ob then begin
+      (* Up to [want] private blocks. An empty (or absent) private list
+         returns [] and the cache falls back to [malloc], whose owner
+         paths run the refill/handoff logic — cheap either way. *)
+      let id = t.owned.(tid).(sc) in
+      if id = 0 then []
       else begin
-        let credits = Active_word.credits oldactive in
-        let take = min want (credits + 1) in
-        let newactive =
-          if take = credits + 1 then Active_word.null
-          else
-            Active_word.make
-              ~desc_id:(Active_word.desc_id oldactive)
-              ~credits:(credits - take)
-        in
-        Rt.label t.rt Labels.bc_reserve_cas;
-        if Rt.Atomic.compare_and_set heap.active oldactive newactive then
-          Some (oldactive, take)
-        else begin
-          bump t t.retry_reserve;
-          Backoff.once b;
-          reserve ()
-        end
+        let desc = Descriptor.get t.table id in
+        List.init (min want desc.Descriptor.priv_count) (fun _ ->
+            finish_block t desc (priv_pop t desc))
       end
-    in
-    match reserve () with
-    | None -> []
-    | Some (oldactive, take) ->
-        let desc = Descriptor.get t.table (Active_word.desc_id oldactive) in
-        let took_last = take = Active_word.credits oldactive + 1 in
-        let b = Backoff.create t.rt in
-        (* Pop the whole batch in one anchor CAS: walk [take] links of the
-           in-superblock free list and swing avail past them. Each link
-           read may return garbage when racing — exactly Fig. 4 line 10's
-           racy read, [take] times — and the tag bump in the CAS rejects
-           any walk that observed a mutated list. *)
-        let rec pop () =
-          let oldanchor = Rt.Atomic.get desc.Descriptor.anchor in
-          let addrs = Array.make take 0 in
-          let idx = ref (Anchor.avail oldanchor) in
-          for i = 0 to take - 1 do
-            let addr = desc.Descriptor.sb + (!idx * desc.Descriptor.sz) in
-            addrs.(i) <- addr;
-            idx := clamp_index (Store.read_word ~racy:true t.store addr)
-          done;
-          let newanchor = pop_tag t (Anchor.set_avail oldanchor !idx) in
-          let newanchor, morecredits =
-            if took_last then
-              if Anchor.count oldanchor = 0 then
-                (Anchor.set_state newanchor Anchor.Full, 0)
-              else begin
-                let mc = min (Anchor.count oldanchor) t.cfg.maxcredits in
-                (Anchor.set_count newanchor (Anchor.count oldanchor - mc), mc)
-              end
-            else (newanchor, 0)
-          in
-          Rt.label t.rt Labels.bc_pop_cas;
-          if Rt.Atomic.compare_and_set desc.Descriptor.anchor oldanchor newanchor
-          then (addrs, oldanchor, morecredits)
-          else begin
-            bump t t.retry_pop;
-            Backoff.once b;
-            pop ()
-          end
-        in
-        let addrs, oldanchor, morecredits = pop () in
-        if took_last then
-          if Anchor.count oldanchor > 0 then
-            update_active t heap desc morecredits
-          else Rt.obs_event t.rt Rt.Obs.Transition "sb.active->full";
-        Array.to_list (Array.map (fun addr -> finish_block t desc addr) addrs)
     end
-
-  (* Push a batch of blocks of ONE superblock back in one anchor CAS: the
-     batch is pre-chained through the blocks' link words (first -> ... ->
-     last -> old avail, Fig. 6 line 8 n times) and the CAS adds n to the
-     count, with the same EMPTY / FULL->PARTIAL transitions as
-     [free_small]. [count = maxcount - n] at the CAS means our n blocks
-     were the only allocated ones (so no Active word can reference the
-     descriptor), generalizing the paper's n = 1 emptiness test. *)
-  let flush_group t (desc : Descriptor.t) bases =
-    let n = List.length bases in
-    let sb = desc.Descriptor.sb in
-    let rec push spins =
-      let oldanchor = Rt.Atomic.get desc.Descriptor.anchor in
-      let rec chain = function
-        | [] -> ()
-        | [ last ] -> Store.write_word t.store last (Anchor.avail oldanchor)
-        | a :: (next :: _ as rest) ->
-            Store.write_word t.store a ((next - sb) / desc.Descriptor.sz);
-            chain rest
+    else begin
+      let heap = heap_at t sc tid in
+      let oldactive =
+        reserve_active t heap ~want ~label:Labels.bc_reserve_cas
       in
-      chain bases;
-      let with_avail =
-        Anchor.set_avail oldanchor ((List.hd bases - sb) / desc.Descriptor.sz)
-      in
-      let oldstate = Anchor.state oldanchor in
-      if Anchor.count oldanchor = desc.Descriptor.maxcount - n then begin
-        let heap_gid = desc.Descriptor.heap_gid in
-        Rt.fence t.rt;
-        let newanchor = Anchor.set_state with_avail Anchor.Empty in
-        Rt.fence t.rt;
-        Rt.label t.rt Labels.bc_flush_cas;
-        if
-          Rt.Atomic.compare_and_set desc.Descriptor.anchor oldanchor newanchor
-        then (oldstate, true, heap_gid)
-        else begin
-          bump t t.retry_free;
-          push (Backoff.spin t.rt spins)
-        end
-      end
+      if Active_word.is_null oldactive then []
       else begin
-        let st = if oldstate = Anchor.Full then Anchor.Partial else oldstate in
-        let newanchor =
-          Anchor.set_count (Anchor.set_state with_avail st)
-            (Anchor.count oldanchor + n)
+        let desc = Descriptor.get t.table (Active_word.desc_id oldactive) in
+        let take = min want (Active_word.credits oldactive + 1) in
+        let addrs = Array.make take 0 in
+        let took_last = take = Active_word.credits oldactive + 1 in
+        let oldanchor =
+          pop_blocks t desc ~n:take ~took_last ~label:Labels.bc_pop_cas ~addrs
         in
-        Rt.fence t.rt;
-        Rt.label t.rt Labels.bc_flush_cas;
-        if
-          Rt.Atomic.compare_and_set desc.Descriptor.anchor oldanchor newanchor
-        then (oldstate, false, -1)
-        else begin
-          bump t t.retry_free;
-          push (Backoff.spin t.rt spins)
-        end
+        settle_active t heap desc ~took_last oldanchor;
+        Array.to_list (Array.map (fun addr -> finish_block t desc addr) addrs)
       end
-    in
-    finish_push t desc (push Backoff.initial)
+    end
 
   let flush_batch t payloads =
     (* Group by descriptor, preserving first-seen order so simulated runs
-       stay deterministic, then push each group with one CAS. *)
+       stay deterministic, then push each group as one run. *)
     let groups : (int, int list ref) Hashtbl.t = Hashtbl.create 8 in
     let order = ref [] in
     List.iter
@@ -1380,12 +1133,20 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
       (fun id ->
         let desc = Descriptor.get t.table id in
         let bases = List.rev !(Hashtbl.find groups id) in
-        if t.ob then flush_group_ob t desc bases tid
-        else flush_group t desc bases)
+        (* Chain the group first -> ... -> last (Fig. 6 line 8, n - 1
+           times); the push links the tail. *)
+        let rec chain n = function
+          | [] -> assert false
+          | [ last ] -> (n, last)
+          | a :: (next :: _ as rest) ->
+              Store.write_word t.store a (block_index desc next);
+              chain (n + 1) rest
+        in
+        let n, last = chain 1 bases in
+        let first_idx = block_index desc (List.hd bases) in
+        if t.ob then ob_push t desc ~first_idx ~last ~n tid
+        else anchor_push t desc ~first_idx ~last ~n ~label:Labels.bc_flush_cas)
       (List.rev !order)
-
-  let op_counts t =
-    (Array.fold_left ( + ) 0 t.mallocs, Array.fold_left ( + ) 0 t.frees)
 
   (* ------------------------------------------------------------------ *)
   (* Introspection and quiescent invariant checking. *)

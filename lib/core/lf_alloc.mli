@@ -10,7 +10,10 @@
     superblock's anchor and handles the FULL→PARTIAL and →EMPTY
     transitions (Fig. 6). Every algorithmic CAS, fence and instrumentation
     point follows the figures line by line; comments in the
-    implementation cite them.
+    implementation cite them. Each figure step exists once, for a run of
+    blocks: the single-block [malloc]/[free] are the size-one case of
+    {!refill_batch}/{!flush_batch} and issue exactly the figures'
+    events.
 
     When the configuration selects [`Owner_biased] free lists
     (DESIGN.md §19), small malloc/free switch to owner-biased
@@ -45,13 +48,18 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) : sig
   (** [malloc t n] allocates a block with at least [n] payload bytes and
       returns its payload address (never [Addr.null]; raises
       [Invalid_argument] on negative [n], [Failure] on substrate
-      exhaustion). [malloc t 0] returns a valid unique block. *)
+      exhaustion). [malloc t 0] returns a valid unique block. From an
+      active (or owned) superblock it hands out the block
+      [refill_batch ~max:1] would, leaving the same words. *)
 
   val free : t -> int -> unit
   (** Returns a block to the heap. [free t Addr.null] is a no-op. Freeing
       an address not obtained from [malloc] (or freeing twice) is a
       programming error with undefined (but memory-safe) behaviour, as in
-      C. *)
+      C; an address that is not a block boundary raises
+      [Invalid_argument]. A small block's free is the size-one case of
+      {!flush_batch}: [free t p] and [flush_batch t [p]] leave the same
+      words. *)
 
   val usable_size : t -> int -> int
   (** Payload bytes actually available at an address returned by [malloc]
@@ -116,27 +124,33 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) : sig
   (** {2 Batched operations for the block-cache frontend}
 
       Used by {!Block_cache} (DESIGN.md §13). They are {e not} part of the
-      paper's figures: each amortizes one figure's CAS traffic over a
-      batch while speaking the same Active/Anchor protocol, so they
-      compose with concurrent Fig. 4/6 operations and remain lock-free.
-      Their CAS windows carry the [bc.*] labels. *)
+      paper's figures: each runs one figure's steps for a batch, so one
+      CAS serves many blocks, in the same Active/Anchor protocol — the
+      very code {!malloc} and {!free} run for one block. They compose
+      with concurrent Fig. 4/6 operations and remain lock-free. Their CAS
+      windows carry the [bc.*] labels. In the owner-biased mode the
+      refill pops the caller's private list and the flush pushes each
+      group as {!free} pushes one block. *)
 
   val refill_batch : t -> sc:int -> max:int -> int list
   (** [refill_batch t ~sc ~max] reserves up to [max] blocks of size class
       [sc] from the calling thread's heap in ONE CAS on the Active word
       (taking the word's remaining credits, at most [max]), then pops the
       whole batch off the superblock free list in one tag-bumping anchor
-      CAS. Returns the payload addresses, newest-first; [[]] when the heap
-      has no active superblock (the caller falls back to {!malloc}, which
-      runs the ordinary MallocFromPartial / MallocFromNewSB paths and
-      installs a new Active word). Does not count toward {!op_counts}. *)
+      CAS. Returns the payload addresses in free-list order; [[]] when
+      the heap has no active superblock (the caller falls back to
+      {!malloc}, which runs the ordinary MallocFromPartial /
+      MallocFromNewSB paths and installs a new Active word). Does not
+      count toward {!op_counts}. *)
 
   val flush_batch : t -> int list -> unit
   (** [flush_batch t payloads] frees a batch of (base) payloads, grouping
       them by superblock and pushing each group back with one anchor CAS
-      (the amortized Fig. 6 push, including the EMPTY and FULL→PARTIAL
-      transitions). Payloads must be block payloads as returned by
-      {!malloc} / {!refill_batch}. Does not count toward {!op_counts}. *)
+      (the Fig. 6 push of a pre-chained run, including the EMPTY and
+      FULL→PARTIAL transitions; a group holding every block of a FULL
+      superblock releases it). Payloads must be block payloads as
+      returned by {!malloc} / {!refill_batch}. Does not count toward
+      {!op_counts}. *)
 
   val classify : t -> int -> [ `Large | `Small of int * int * bool ]
   (** [classify t payload] resolves [payload] (following an aligned-alloc

@@ -24,8 +24,6 @@ let tag w = (w lsr tag_shift) land tag_mask
 (* A remote push keeps the tag: pushes never recycle list nodes, so the
    only ABA the tag must defeat is a claim racing a claim (or an
    own/un-own racing anything), and those all bump it. *)
-let push w ~idx = make ~head:idx ~count:(count w + 1) ~owned:(owned w) ~tag:(tag w)
-
 let push_n w ~idx ~n =
   make ~head:idx ~count:(count w + n) ~owned:(owned w) ~tag:(tag w)
 

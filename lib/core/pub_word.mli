@@ -13,7 +13,7 @@
     v}
 
     [head] is garbage when [count = 0]; walks are bounded by [count],
-    never by a nil sentinel. Remote pushes keep the tag ({!push}): the
+    never by a nil sentinel. Remote pushes keep the tag ({!push_n}): the
     pushed block is exclusively the pusher's, so the only ABA hazards
     are claim-vs-claim and ownership flips, all of which bump it.
 
@@ -34,14 +34,11 @@ val count : int -> int
 val owned : int -> bool
 val tag : int -> int
 
-val push : int -> idx:int -> int
-(** New word with [idx] pushed on front: head [idx], count + 1,
-    [owned]/[tag] unchanged (the pusher pre-links [idx]'s payload word
-    to the old head). *)
-
 val push_n : int -> idx:int -> n:int -> int
-(** Batched push: [n] pre-chained blocks headed by [idx] (block-cache
-    flush). *)
+(** New word with [n] pre-chained blocks headed by [idx] pushed on
+    front: head [idx], count + n, [owned]/[tag] unchanged (the pusher
+    pre-links the chain's tail to the old head). A single free is
+    [n = 1]. *)
 
 val claim : int -> int
 (** The owner's bulk claim: head 0, count 0, owned, tag + 1. *)

@@ -1,5 +1,24 @@
 let names = [ "new"; "new-cached"; "hoard"; "ptmalloc"; "libc"; "bw" ]
 
+(* Each variant of the paper allocator is "new" with exactly one config
+   field forced, whatever the config says, so a variant and "new" differ
+   in exactly that field:
+   - "new-reuse": the reuse-in-place descriptor pool (DESIGN.md §17),
+     the ablation-reclaim variant;
+   - "new-tagged": the IBM-tag descriptor freelist, the paper's Fig. 7
+     alternative (traced only, so [make] does not build it);
+   - "new-ob": owner-biased private/public free lists (DESIGN.md §19),
+     the ablation-ownerbias variant;
+   - "new-cached": the per-thread block-cache frontend (DESIGN.md §13).
+   Only "new-cached" is a comparison column in [names]. *)
+let override name (cfg : Mm_mem.Alloc_config.t) =
+  match name with
+  | "new-reuse" -> { cfg with desc_pool = Mm_mem.Alloc_config.Reuse }
+  | "new-tagged" -> { cfg with desc_pool = Mm_mem.Alloc_config.Tagged }
+  | "new-ob" -> { cfg with free_lists = `Owner_biased }
+  | "new-cached" -> { cfg with cache = true }
+  | _ -> cfg
+
 (* One allocator stack per runtime backend, specialized at compile time
    (DESIGN.md §18). [make] below picks the instantiation from the
    value-level runtime handle — the only dispatch left, paid once per
@@ -17,35 +36,10 @@ module Stack (Rt : Mm_runtime.Runtime_intf.S) = struct
 
   let make name vrt h cfg =
     match name with
-    | "new" -> Lf.instance vrt (Lf.create h cfg)
-    | "new-reuse" ->
-        (* The paper allocator over the reuse-in-place descriptor pool
-           (DESIGN.md §17); the name forces Reuse whatever the config
-           says, so "new" and "new-reuse" differ in exactly that one
-           field. Not in [names]: it is an ablation variant (experiment
-           ablation-reclaim), not a comparison allocator. *)
-        Lf.instance vrt
-          (Lf.create h
-             { cfg with Mm_mem.Alloc_config.desc_pool = Mm_mem.Alloc_config.Reuse })
-    | "new-ob" ->
-        (* The paper allocator with owner-biased private/public free
-           lists (DESIGN.md §19); the name forces the mode whatever the
-           config says, so "new" and "new-ob" differ in exactly that one
-           field. Not in [names]: it is an ablation variant (experiment
-           ablation-ownerbias), not a comparison allocator. *)
-        Lf.instance vrt
-          (Lf.create h
-             {
-               cfg with
-               Mm_mem.Alloc_config.free_lists = `Owner_biased;
-             })
+    | "new" | "new-reuse" | "new-ob" ->
+        Lf.instance vrt (Lf.create h (override name cfg))
     | "bw" -> Bw.instance vrt (Bw.create h cfg)
-    | "new-cached" ->
-        (* The paper allocator behind the per-thread block-cache frontend;
-           the name forces the cache on whatever the config says, so
-           "new" and "new-cached" differ in exactly that one bit. *)
-        Bc.instance vrt
-          (Bc.create h { cfg with Mm_mem.Alloc_config.cache = true })
+    | "new-cached" -> Bc.instance vrt (Bc.create h (override name cfg))
     | "hoard" -> Hoard.instance vrt (Hoard.create h cfg)
     | "ptmalloc" -> Ptmalloc.instance vrt (Ptmalloc.create h cfg)
     | "libc" -> Libc.instance vrt (Libc.create h cfg)

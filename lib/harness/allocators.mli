@@ -11,7 +11,16 @@ val names : string list
     ([Mm_baselines.Bw_alloc]). [make] additionally accepts "new-reuse"
     (the paper allocator with [desc_pool = Reuse] forced on —
     DESIGN.md §17), which is not a comparison column but the
-    ablation-reclaim variant. *)
+    ablation-reclaim variant; likewise "new-ob" (owner-biased free
+    lists). *)
+
+val override : string -> Mm_mem.Alloc_config.t -> Mm_mem.Alloc_config.t
+(** [override name cfg] is the config the named variant of the paper
+    allocator runs with: [cfg] with the one field the name forces —
+    [desc_pool = Reuse] for "new-reuse", [Tagged] for "new-tagged" (the
+    traced IBM-tag ablation, which [make] does not build),
+    [free_lists = `Owner_biased] for "new-ob", [cache = true] for
+    "new-cached" — and [cfg] itself for any other name. *)
 
 val make :
   string -> Mm_runtime.Rt.t -> Mm_mem.Alloc_config.t ->

@@ -48,28 +48,11 @@ let capture ?(cpus = sim_cpus) ?nheaps ?(capacity = 1 lsl 16)
      per-1k-op retry rates show the cache absorbing CAS traffic. *)
   let lf, bc, inst =
     match allocator with
-    | "new" ->
-        let t = Lf.create sim cfg in
-        (Some t, None, Lf.instance rt t)
-    | "new-reuse" ->
-        (* The paper allocator over the reuse-in-place descriptor pool
-           (DESIGN.md §17) — same typed handle as "new" so the striped
-           retry census (incl. desc.spill/desc.steal) is reported. *)
-        let t = Lf.create sim { cfg with Cfg.desc_pool = Cfg.Reuse } in
-        (Some t, None, Lf.instance rt t)
-    | "new-ob" ->
-        (* Owner-biased private/public free lists (DESIGN.md §19) —
-           same typed handle as "new" so the striped retry census
-           (incl. pub.push/pub.claim) is reported. *)
-        let t = Lf.create sim { cfg with Cfg.free_lists = `Owner_biased } in
-        (Some t, None, Lf.instance rt t)
-    | "new-tagged" ->
-        (* The IBM-tag descriptor-freelist ablation (the paper's Fig. 7
-           alternative), traced for the ablation-reclaim comparison. *)
-        let t = Lf.create sim { cfg with Cfg.desc_pool = Cfg.Tagged } in
+    | "new" | "new-reuse" | "new-tagged" | "new-ob" ->
+        let t = Lf.create sim (Allocators.override allocator cfg) in
         (Some t, None, Lf.instance rt t)
     | "new-cached" ->
-        let t = Bc.create sim { cfg with Cfg.cache = true } in
+        let t = Bc.create sim (Allocators.override allocator cfg) in
         (Some (Bc.backend t), Some t, Bc.instance rt t)
     | _ -> (None, None, Allocators.make allocator rt cfg)
   in

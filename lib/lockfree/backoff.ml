@@ -1,34 +1,10 @@
 module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
-
-  type t = {
-    rt : Rt.t;
-    min_spins : int;
-    max_spins : int;
-    mutable spins : int;
-  }
-
-  let create ?(min_spins = 1) ?(max_spins = 256) rt =
-    if min_spins < 1 || max_spins < min_spins then
-      invalid_arg "Backoff.create: need 1 <= min_spins <= max_spins";
-    { rt; min_spins; max_spins; spins = min_spins }
-
-  let once t =
-    for _ = 1 to t.spins do
-      Rt.cpu_relax t.rt
-    done;
-    if t.spins < t.max_spins then t.spins <- t.spins * 2
-
-  let reset t = t.spins <- t.min_spins
-
-  (* Unboxed mirror of the default [create]/[once] pair: same 1..256
-     doubling, same [cpu_relax] sequence per retry, no record per
-     operation. *)
   let initial = 1
-  let max_default = 256
+  let max_spins = 256
 
   let spin rt spins =
     for _ = 1 to spins do
       Rt.cpu_relax rt
     done;
-    if spins < max_default then spins * 2 else spins
+    if spins < max_spins then spins * 2 else spins
 end

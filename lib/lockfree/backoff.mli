@@ -2,29 +2,15 @@
 
     Failed CAS attempts indicate interference; backing off reduces
     coherence traffic on the contended line. Used by every retry loop in
-    the allocator and the lock substrate. *)
+    the allocator and the lock substrate. The state is an unboxed spin
+    count threaded through the loop, so a retry loop allocates nothing. *)
 
 module Make (Rt : Mm_runtime.Runtime_intf.S) : sig
-  type t
-
-  val create : ?min_spins:int -> ?max_spins:int -> Rt.t -> t
-  (** Fresh backoff state (not thread-safe: one per thread per loop).
-      Defaults: 1 to 256 spins. *)
-
-  val once : t -> unit
-  (** Spin for the current delay and double it (saturating). *)
-
-  val reset : t -> unit
-  (** Return the delay to its minimum (call after a successful operation). *)
-
   val initial : int
-  (** Allocation-free variant for hot retry loops: thread the spin count
-      through the loop as a plain [int] seeded with [initial] instead of
-      allocating a [t] per operation. Spin-for-spin identical to a
-      default [create]/[once] sequence, so swapping one for the other
-      cannot perturb a simulated schedule. *)
+  (** The spin count a retry loop starts from (1). *)
 
   val spin : Rt.t -> int -> int
-  (** [spin rt spins] spins for [spins] and returns the next (doubled,
-      saturating) count — the [once] step over the unboxed state. *)
+  (** [spin rt spins] relaxes the CPU [spins] times and returns the next
+      count: doubled, saturating at 256. From [initial] the sequence is
+      1, 2, 4, ..., 256, 256, ... *)
 end

@@ -15,8 +15,7 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
 
   let enqueue t v =
     let node = { value = Some v; next = Rt.Atomic.make t.rt None } in
-    let b = Backoff.create t.rt in
-    let rec go () =
+    let rec go spins =
       let tail = Rt.Atomic.get t.tail in
       match Rt.Atomic.get tail.next with
       | None ->
@@ -24,21 +23,17 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
           if Rt.Atomic.compare_and_set tail.next None (Some node) then
             (* Linearized; swing the tail (failure means someone helped). *)
             ignore (Rt.Atomic.compare_and_set t.tail tail node)
-          else begin
-            Backoff.once b;
-            go ()
-          end
+          else go (Backoff.spin t.rt spins)
       | Some next ->
           (* Tail is lagging: help swing it, then retry. *)
           Rt.label t.rt Lf_labels.msq_enq_swing;
           ignore (Rt.Atomic.compare_and_set t.tail tail next);
-          go ()
+          go spins
     in
-    go ()
+    go Backoff.initial
 
   let dequeue t =
-    let b = Backoff.create t.rt in
-    let rec go () =
+    let rec go spins =
       let head = Rt.Atomic.get t.head in
       let tail = Rt.Atomic.get t.tail in
       match Rt.Atomic.get head.next with
@@ -48,7 +43,7 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
             (* Non-empty but tail lags behind head's successor: help. *)
             Rt.label t.rt Lf_labels.msq_deq_help;
             ignore (Rt.Atomic.compare_and_set t.tail tail next);
-            go ()
+            go spins
           end
           else begin
             Rt.label t.rt Lf_labels.msq_deq_cas;
@@ -59,13 +54,10 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
               next.value <- None;
               v
             end
-            else begin
-              Backoff.once b;
-              go ()
-            end
+            else go (Backoff.spin t.rt spins)
           end
     in
-    go ()
+    go Backoff.initial
 
   let is_empty t =
     let head = Rt.Atomic.get t.head in

@@ -42,8 +42,7 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
 
   let push t id =
     if id < 0 || id > max_id then invalid_arg "Tagged_id_stack.push: bad id";
-    let b = Backoff.create t.rt in
-    let rec go () =
+    let rec go spins =
       let old = Rt.Atomic.get t.head in
       t.set_next id (unpack_id old);
       Rt.fence t.rt;
@@ -53,15 +52,13 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
       Rt.label t.rt t.push_label;
       if not (Rt.Atomic.compare_and_set t.head old desired) then begin
         t.on_push_retry ();
-        Backoff.once b;
-        go ()
+        go (Backoff.spin t.rt spins)
       end
     in
-    go ()
+    go Backoff.initial
 
   let pop t =
-    let b = Backoff.create t.rt in
-    let rec go () =
+    let rec go spins =
       let old = Rt.Atomic.get t.head in
       let id = unpack_id old in
       if id < 0 then None
@@ -72,12 +69,11 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
         if Rt.Atomic.compare_and_set t.head old desired then Some id
         else begin
           t.on_pop_retry ();
-          Backoff.once b;
-          go ()
+          go (Backoff.spin t.rt spins)
         end
       end
     in
-    go ()
+    go Backoff.initial
 
   let is_empty t = unpack_id (Rt.Atomic.get t.head) < 0
 

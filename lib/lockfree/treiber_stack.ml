@@ -9,32 +9,25 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
   let create rt = { rt; head = Rt.Atomic.make rt None }
 
   let push t v =
-    let b = Backoff.create t.rt in
-    let rec go () =
+    let rec go spins =
       let old = Rt.Atomic.get t.head in
       let node = Some { value = v; next = old } in
       Rt.label t.rt Lf_labels.ts_push_cas;
-      if not (Rt.Atomic.compare_and_set t.head old node) then begin
-        Backoff.once b;
-        go ()
-      end
+      if not (Rt.Atomic.compare_and_set t.head old node) then
+        go (Backoff.spin t.rt spins)
     in
-    go ()
+    go Backoff.initial
 
   let pop t =
-    let b = Backoff.create t.rt in
-    let rec go () =
+    let rec go spins =
       match Rt.Atomic.get t.head with
       | None -> None
       | Some n as old ->
           Rt.label t.rt Lf_labels.ts_pop_cas;
           if Rt.Atomic.compare_and_set t.head old n.next then Some n.value
-          else begin
-            Backoff.once b;
-            go ()
-          end
+          else go (Backoff.spin t.rt spins)
     in
-    go ()
+    go Backoff.initial
 
   let peek t =
     match Rt.Atomic.get t.head with None -> None | Some n -> Some n.value

@@ -7,21 +7,6 @@ module Msq_s = Mm_lockfree.Ms_queue.Make (Mm_runtime.Sim_rt)
    the task queue is workload infrastructure, not allocator hot path,
    so one variant match per queue operation is fine (it is exactly what
    the old dispatched runtime paid). *)
-module Backoff_r = Mm_lockfree.Backoff.Make (Mm_runtime.Real_rt)
-module Backoff_s = Mm_lockfree.Backoff.Make (Mm_runtime.Sim_rt)
-
-module Backoff = struct
-  type t = Rb of Backoff_r.t | Sb of Backoff_s.t
-
-  let create rt =
-    match Rt.sim rt with
-    | None -> Rb (Backoff_r.create ())
-    | Some s -> Sb (Backoff_s.create s)
-
-  let reset = function Rb b -> Backoff_r.reset b | Sb b -> Backoff_s.reset b
-  let once = function Rb b -> Backoff_r.once b | Sb b -> Backoff_s.once b
-end
-
 module Msq = struct
   type 'a t = Rq of 'a Msq_r.t | Sq of 'a Msq_s.t
 
@@ -137,20 +122,20 @@ let run instance ~threads p =
     (* Drain whatever remains (also covers threads = 1). *)
     while try_consume () do () done
   in
+  (* An idle consumer backs off with Mm_lockfree.Backoff's schedule:
+     1, 2, 4, ..., 256 relaxes, back to 1 after each task. *)
   let consumer _tid =
-    let b = Backoff.create rt in
-    let rec loop () =
-      if try_consume () then begin
-        Backoff.reset b;
-        loop ()
-      end
+    let rec loop spins =
+      if try_consume () then loop 1
       else if Rt.Atomic.get producing_done = 0 || not (Msq.is_empty queue)
       then begin
-        Backoff.once b;
-        loop ()
+        for _ = 1 to spins do
+          Rt.cpu_relax rt
+        done;
+        loop (min (2 * spins) 256)
       end
     in
-    loop ()
+    loop 1
   in
   let bodies =
     Array.init threads (fun i -> if i = 0 then producer else consumer)

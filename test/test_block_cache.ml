@@ -11,10 +11,20 @@
      pushed back in batches of [cache_batch];
    - the explorer's address-exclusivity oracle holds with the cache on;
    - killing a thread inside any batched bc.* CAS window leaks its
-     blocks but never lets them be allocated twice. *)
+     blocks but never lets them be allocated twice;
+   - the single-block paths are the size-one case of the batched ones:
+     [free p] and [flush_batch [p]], [malloc] and [refill_batch ~max:1]
+     leave the same words behind, in both free-list modes, and the
+     retry census keeps its site order and its agreement with obs. *)
 
 open Mm_runtime
 module A = Mm_core.Lf_alloc.Make (Sim_rt)
+module D = Mm_core.Descriptor.Make (Sim_rt)
+module Anchor = Mm_core.Anchor
+module Pub_word = Mm_core.Pub_word
+module Store = Mm_mem.Store.Make (Sim_rt)
+module Traced = Mm_harness.Traced
+module W = Mm_workloads
 module Bc = Mm_core.Block_cache.Make (Sim_rt)
 module L = Mm_core.Labels
 module Cfg = Mm_mem.Alloc_config
@@ -206,12 +216,166 @@ let kill_in_window label () =
 
 let bc_labels = [ L.bc_reserve_cas; L.bc_pop_cas; L.bc_flush_cas ]
 
+(* ---------------- size one = a batch of one ---------------- *)
+
+(* Every shared word of a quiescent heap: each processor heap's Active
+   word and Partial slot, and per live descriptor its anchor, pub word,
+   private-list fields and the block order of its anchor, private and
+   public lists. *)
+let heap_words t =
+  let store = A.store t in
+  let walk (d : D.t) head n =
+    let rec go idx k acc =
+      if k = 0 || idx < 0 || idx >= d.maxcount then List.rev acc
+      else
+        go
+          (Store.read_word store (d.sb + (idx * d.sz)) land Anchor.max_count)
+          (k - 1) (idx :: acc)
+    in
+    go head n []
+  in
+  let heaps =
+    List.concat_map
+      (fun sc ->
+        List.concat_map
+          (fun heap ->
+            (match A.heap_active_desc t ~sc ~heap with
+            | Some (d, credits) -> [ d.D.id; credits ]
+            | None -> [ 0; 0 ])
+            @ [
+                (match A.heap_partial_desc t ~sc ~heap with
+                | Some d -> d.D.id
+                | None -> 0);
+              ])
+          (List.init (A.nheaps t) Fun.id))
+      (List.init (Mm_mem.Size_class.count (A.size_classes t)) Fun.id)
+  in
+  let descs =
+    D.fold_live (A.descriptor_table t) ~init:[] ~f:(fun acc d ->
+        let a = Sim_rt.Atomic.get d.D.anchor
+        and p = Sim_rt.Atomic.get d.D.pub in
+        ([ d.D.id; a; p; d.D.priv_head; d.D.priv_count ]
+        @ walk d (Anchor.avail a) (Anchor.count a)
+        @ walk d d.D.priv_head d.D.priv_count
+        @ walk d (Pub_word.head p) (Pub_word.count p))
+        :: acc)
+  in
+  heaps :: List.rev descs
+
+(* The same heap every time for a given seed: thread 0 mallocs enough
+   8-byte blocks to fill its first superblock and start a second, then
+   frees a seeded subset of the second superblock's. Returns the sim, the
+   heap and the blocks still held: the first superblock's (FULL, or
+   handed off by its owner) then the second's (active, or owned). *)
+let seeded_heap ~free_lists ~seed =
+  let s = sim ~cpus:2 ~seed () in
+  (* maxcredits 4: across the seeds the heap ends with every credit
+     count 0..3, so refill ~max:1 also takes the last reservation. *)
+  let t =
+    A.create s (Cfg.make ~nheaps:1 ~sbsize:4096 ~maxcredits:4 ~free_lists ())
+  in
+  let per_sb =
+    Mm_mem.Size_class.blocks_per_superblock (A.size_classes t)
+      (Option.get (Mm_mem.Size_class.class_of_request (A.size_classes t) 8))
+  in
+  let held = ref [] in
+  let body _ =
+    let rng = Prng.create seed in
+    let blocks = Array.init (per_sb + 40 + seed) (fun _ -> A.malloc t 8) in
+    Array.iteri
+      (fun i p ->
+        if i >= per_sb && Prng.int rng 3 = 0 then A.free t p
+        else held := p :: !held)
+      blocks
+  in
+  ignore (Sim.run s [| body |]);
+  (s, t, per_sb, Array.of_list (List.rev !held))
+
+(* Run [f] as simulated thread [tid] (lower ids idle). *)
+let run_as s tid f =
+  let r = ref None in
+  ignore
+    (Sim.run s
+       (Array.init (tid + 1) (fun i _ -> if i = tid then r := Some (f ()))));
+  Option.get !r
+
+let size_one_is_batch_of_one () =
+  List.iter
+    (fun free_lists ->
+      let mode =
+        match free_lists with `Anchor -> "anchor" | `Owner_biased -> "ob"
+      in
+      for seed = 1 to 4 do
+        let fresh () = seeded_heap ~free_lists ~seed in
+        let _, _, per_sb, held = fresh () in
+        let rng = Prng.create (100 + seed) in
+        (* A first-superblock block freed by its allocating thread, then
+           second-superblock blocks freed by it and by the other
+           thread. *)
+        List.iter
+          (fun (what, tid, p) ->
+            let s1, t1, _, _ = fresh () and s2, t2, _, _ = fresh () in
+            run_as s1 tid (fun () -> A.free t1 p);
+            run_as s2 tid (fun () -> A.flush_batch t2 [ p ]);
+            if heap_words t1 <> heap_words t2 then
+              Alcotest.failf "%s seed %d: free and flush_batch [p] of %s differ"
+                mode seed what;
+            A.check_invariants t1)
+          [
+            ("a first-superblock block", 0, held.(Prng.int rng per_sb));
+            ( "a local second-superblock block",
+              0,
+              held.(per_sb + Prng.int rng (Array.length held - per_sb)) );
+            ( "a remote second-superblock block",
+              1,
+              held.(per_sb + Prng.int rng (Array.length held - per_sb)) );
+          ];
+        let s1, t1, _, _ = fresh () and s2, t2, _, _ = fresh () in
+        let sc =
+          Option.get
+            (Mm_mem.Size_class.class_of_request (A.size_classes t2) 8)
+        in
+        let p1 = run_as s1 0 (fun () -> A.malloc t1 8) in
+        let p2 = run_as s2 0 (fun () -> A.refill_batch t2 ~sc ~max:1) in
+        Alcotest.(check (list int))
+          (Printf.sprintf "%s seed %d: malloc = refill_batch ~max:1" mode seed)
+          [ p1 ] p2;
+        if heap_words t1 <> heap_words t2 then
+          Alcotest.failf "%s seed %d: malloc and refill_batch ~max:1 differ"
+            mode seed
+      done)
+    [ `Anchor; `Owner_biased ]
+
+let census_order_and_obs_agreement () =
+  Alcotest.(check (list string))
+    "retry_counts lists retry_sites in registry order"
+    (List.map fst L.census_sites @ List.map fst Mm_pages.Pg_labels.census_sites)
+    (List.map fst (A.retry_counts (A.create (sim ()) (Cfg.make ()))));
+  List.iter
+    (fun allocator ->
+      let c =
+        Traced.capture ~allocator ~nheaps:1 ~name:"threadtest" ~threads:8
+          ~seed:1 (fun inst ~threads ->
+            W.Threadtest.run inst ~threads
+              { W.Threadtest.quick with iterations = 2; blocks = 100 })
+      in
+      let agg = Option.get c.Traced.metric.W.Metrics.obs in
+      Alcotest.(check (list (pair string int)))
+        (allocator ^ ": obs census = striped census")
+        c.Traced.retry_counts
+        (Traced.core_retry_counts agg))
+    [ "new"; "new-cached"; "new-ob" ]
+
 let cases =
   [
     case "batched refill/flush accounting" batch_accounting;
     case "cache:false is a bit-identical passthrough" disabled_is_passthrough;
     case "remote frees flushed in exact batches" remote_free_batching;
     case "explorer: exclusivity with cache enabled" explorer_exclusivity;
+    case "free/malloc are flush/refill of one (both modes)"
+      size_one_is_batch_of_one;
+    case "retry census: site order, obs agreement"
+      census_order_and_obs_agreement;
   ]
   @ List.map
       (fun l -> case ("kill inside " ^ l ^ " never double-allocates")

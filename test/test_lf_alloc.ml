@@ -11,6 +11,7 @@ module Anchor = Mm_core.Anchor
 module D = Mm_core.Descriptor.Make (Real_rt)
 module Pl = Mm_core.Partial_list.Make (Real_rt)
 module Pool = Mm_core.Desc_pool.Make (Real_rt)
+module Sbc = Mm_core.Sb_cache.Make (Real_rt)
 module Cfg = Mm_mem.Alloc_config
 
 module Store = struct
@@ -342,6 +343,24 @@ let wild_free_guard () =
   A.free t a;
   A.check_invariants t
 
+(* A FULL superblock is in no structure, so a batch that returns all of
+   its blocks at once must release it itself: with the warm cache on it
+   parks, instead of resting EMPTY where nothing will ever find it. The
+   largest class of a 4 KiB superblock has 8 blocks, one flush batch. *)
+let flush_empties_full_superblock () =
+  let t = A.create () (Cfg.make ~nheaps:1 ~sbsize:4096 ~sb_cache_depth:4 ()) in
+  let classes = A.size_classes t in
+  let size = Mm_mem.Size_class.large_threshold classes in
+  let sc = Option.get (Mm_mem.Size_class.class_of_request classes size) in
+  let blocks =
+    List.init (Mm_mem.Size_class.blocks_per_superblock classes sc) (fun _ ->
+        A.malloc t size)
+  in
+  A.flush_batch t blocks;
+  A.check_invariants t;
+  Alcotest.(check int) "the emptied superblock is parked" 1
+    (List.length (Sbc.parked (A.sb_cache t) ~sc))
+
 let multi_kill_fuzz () =
   (* Kill several threads at random labelled points (seeded), across
      schedules: survivors always finish. *)
@@ -382,6 +401,8 @@ let cases =
   [
     case "superblock state machine" fill_superblock;
     case "wild free rejected" wild_free_guard;
+    case "flush emptying a FULL superblock releases it"
+      flush_empties_full_superblock;
     case "multi-kill fuzz (sim x8)" multi_kill_fuzz;
     case "malloc-from-partial path" malloc_from_partial_path;
     case "credits bounds" credits_bounds;

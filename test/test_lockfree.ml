@@ -10,10 +10,20 @@ module Ts = Mm_lockfree.Treiber_stack.Make (Real_rt)
 module Msq = Mm_lockfree.Ms_queue.Make (Real_rt)
 module Hp = Mm_lockfree.Hazard_pointers.Make (Real_rt)
 module Tis = Mm_lockfree.Tagged_id_stack.Make (Real_rt)
-module Backoff = Mm_lockfree.Backoff.Make (Real_rt)
 module Msq_s = Mm_lockfree.Ms_queue.Make (Sim_rt)
 module Hp_s = Mm_lockfree.Hazard_pointers.Make (Sim_rt)
 module Tis_s = Mm_lockfree.Tagged_id_stack.Make (Sim_rt)
+
+(* The real runtime with [cpu_relax] counted, so a test can see exactly
+   how long a backoff spins. *)
+module Counting_rt = struct
+  include Real_rt
+
+  let relaxes = ref 0
+  let cpu_relax () = incr relaxes
+end
+
+module Backoff = Mm_lockfree.Backoff.Make (Counting_rt)
 open Util
 
 (* ---------------- Treiber stack ---------------- *)
@@ -346,18 +356,21 @@ let tagged_conservation () =
 
 (* ---------------- Backoff ---------------- *)
 
+(* Every retry loop threads [spin]'s count from [initial]: it relaxes
+   1, 2, 4, ..., 256 times and then stays at 256. *)
 let backoff_basics () =
-  let b = Backoff.create ~min_spins:2 ~max_spins:8 () in
-  Backoff.once b;
-  Backoff.once b;
-  Backoff.once b;
-  Backoff.once b;
-  (* saturates without error *)
-  Backoff.reset b;
-  Backoff.once b;
-  Alcotest.check_raises "bad bounds"
-    (Invalid_argument "Backoff.create: need 1 <= min_spins <= max_spins")
-    (fun () -> ignore (Backoff.create ~min_spins:0 ()))
+  let counts = ref [] and relaxes = ref [] in
+  let spins = ref Backoff.initial in
+  for _ = 1 to 11 do
+    counts := !spins :: !counts;
+    Counting_rt.relaxes := 0;
+    spins := Backoff.spin () !spins;
+    relaxes := !Counting_rt.relaxes :: !relaxes
+  done;
+  let expected = [ 1; 2; 4; 8; 16; 32; 64; 128; 256; 256; 256 ] in
+  Alcotest.(check (list int)) "spin counts" expected (List.rev !counts);
+  Alcotest.(check (list int)) "cpu_relax calls per spin" expected
+    (List.rev !relaxes)
 
 let cases =
   [
