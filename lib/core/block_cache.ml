@@ -9,16 +9,13 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
   module Prefix = Mm_mem.Block_prefix
 
   (* Per-thread state. Strictly single-owner: only the thread with the
-     matching dense id ever touches it, so there is no CAS and no retry
-     window anywhere in this file — the only shared-structure operations
-     are the batched Lf_alloc calls, which are lock-free. *)
-  type cache = {
-    stacks : int array array;  (* [size class] -> LIFO of base payloads *)
-    lens : int array;
-    remote : int array;  (* mixed-class buffer of remote-heap payloads *)
-    mutable remote_len : int;
-  }
-
+     matching dense id ever touches its row, so there is no CAS and no
+     retry window anywhere in this file — the only shared-structure
+     operations are the batched Lf_alloc calls, which are lock-free.
+     Every per-thread word, statistics and cache alike, lives in the
+     thread's padded [Stripes] row (DESIGN.md §18): the hit and free
+     paths write the class's stack length and a stack slot on every
+     operation, and no other thread's hot word may share their line. *)
   type stats = {
     hits : int;
     misses : int;
@@ -34,81 +31,91 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
     rt : Rt.t;
     cfg : Cfg.t;
     enabled : bool;
-    caches : cache array;  (* indexed by Rt.self *)
-    (* striped per-thread statistics *)
-    hits : int array;
-    misses : int array;
-    refills : int array;
-    refilled_blocks : int array;
-    flushes : int array;
-    flushed_blocks : int array;
-    remote_frees : int array;
-    mallocs : int array;
-    frees : int array;
+    nclasses : int;
+    state : Stripes.t;  (* one row per thread, columns below *)
+    c_remote : int;  (* first slot of the remote buffer *)
+    c_stacks : int;  (* first slot of class 0's stack *)
   }
+
+  (* Row layout: the statistics, the remote buffer's length, one stack
+     length per size class, the mixed-class buffer of remote-heap
+     payloads ([cache_batch] slots), then one LIFO of base payloads per
+     size class ([cache_blocks] slots each). *)
+  let c_hits = 0
+  let c_misses = 1
+  let c_refills = 2
+  let c_refilled_blocks = 3
+  let c_flushes = 4
+  let c_flushed_blocks = 5
+  let c_remote_frees = 6
+  let c_mallocs = 7
+  let c_frees = 8
+  let c_remote_len = 9
+  let c_lens = 10
 
   let name = "new-cached"
 
   let create rt (cfg : Cfg.t) =
     let backend = Lf_alloc.create rt cfg in
     let nclasses = Sc.count (Lf_alloc.size_classes backend) in
-    let mk_cache _ =
-      {
-        stacks =
-          Array.init nclasses (fun _ -> Array.make cfg.cache_blocks Addr.null);
-        lens = Array.make nclasses 0;
-        remote = Array.make cfg.cache_batch Addr.null;
-        remote_len = 0;
-      }
-    in
+    let c_remote = c_lens + nclasses in
+    let c_stacks = c_remote + cfg.cache_batch in
     {
       backend;
       rt;
       cfg;
       enabled = cfg.cache;
-      caches = Array.init Rt.max_threads mk_cache;
-      hits = Array.make Rt.max_threads 0;
-      misses = Array.make Rt.max_threads 0;
-      refills = Array.make Rt.max_threads 0;
-      refilled_blocks = Array.make Rt.max_threads 0;
-      flushes = Array.make Rt.max_threads 0;
-      flushed_blocks = Array.make Rt.max_threads 0;
-      remote_frees = Array.make Rt.max_threads 0;
-      mallocs = Array.make Rt.max_threads 0;
-      frees = Array.make Rt.max_threads 0;
+      nclasses;
+      state =
+        Stripes.create ~threads:Rt.max_threads
+          ~columns:(c_stacks + (nclasses * cfg.cache_blocks));
+      c_remote;
+      c_stacks;
     }
 
   let backend t = t.backend
   let rt t = t.rt
   let store t = Lf_alloc.store t.backend
   let usable_size t payload = Lf_alloc.usable_size t.backend payload
-  let bump t arr = arr.(Rt.self t.rt) <- arr.(Rt.self t.rt) + 1
-  let add_n t arr n = arr.(Rt.self t.rt) <- arr.(Rt.self t.rt) + n
-  let my_cache t = t.caches.(Rt.self t.rt)
 
-  (* Hot entry points resolve [Rt.self] once (a domain-local lookup on
-     the real runtime) and index the striped state directly. *)
-  let bump_at tid arr = arr.(tid) <- arr.(tid) + 1
+  (* Entry points resolve [Rt.self] once (a domain-local lookup on the
+     real runtime) and work on that thread's row. *)
+  let row t tid = Stripes.row t.state tid
+  (* [int array], not ['a array]: a polymorphic row would compile every
+     access to the generic array primitives (a float-array test per
+     load, [caml_modify] per store). [@inline] keeps the ten or so
+     accesses of a hit or a free out of function calls. *)
+  let[@inline] get (row : int array) c = row.(Stripes.pad + c)
+  let[@inline] set (row : int array) c v = row.(Stripes.pad + c) <- v
+  let[@inline] add row c n = set row c (get row c + n)
+  let[@inline] len row sc = get row (c_lens + sc)
+  let[@inline] set_len row sc n = set row (c_lens + sc) n
+  let[@inline] slot t sc i = t.c_stacks + (sc * t.cfg.cache_blocks) + i
+
+  let push t row sc p =
+    let n = len row sc in
+    set row (slot t sc n) p;
+    set_len row sc (n + 1)
 
   let malloc t n =
     if not t.enabled then Lf_alloc.malloc t.backend n
     else begin
       if n < 0 then invalid_arg "Lf_alloc.malloc: negative size";
-      let tid = Rt.self t.rt in
-      bump_at tid t.mallocs;
+      let row = row t (Rt.self t.rt) in
+      add row c_mallocs 1;
       match Sc.class_of_request (Lf_alloc.size_classes t.backend) n with
       | None -> Lf_alloc.malloc t.backend n
-      | Some sc -> (
-          let c = t.caches.(tid) in
-          if c.lens.(sc) > 0 then begin
+      | Some sc ->
+          let k = len row sc in
+          if k > 0 then begin
             (* Hit: pure thread-local pop, zero shared accesses. *)
-            bump_at tid t.hits;
+            add row c_hits 1;
             Rt.obs_event t.rt Rt.Obs.Transition "bc.hit";
-            c.lens.(sc) <- c.lens.(sc) - 1;
-            c.stacks.(sc).(c.lens.(sc))
+            set_len row sc (k - 1);
+            get row (slot t sc (k - 1))
           end
           else begin
-            bump_at tid t.misses;
+            add row c_misses 1;
             Rt.obs_event t.rt Rt.Obs.Transition "bc.miss";
             match
               Lf_alloc.refill_batch t.backend ~sc ~max:t.cfg.cache_batch
@@ -118,39 +125,38 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
                    (partial / new superblock) install one. *)
                 Lf_alloc.malloc t.backend n
             | payload :: rest ->
-                bump t t.refills;
-                add_n t t.refilled_blocks (1 + List.length rest);
+                add row c_refills 1;
+                add row c_refilled_blocks (1 + List.length rest);
                 Rt.obs_event t.rt Rt.Obs.Transition "bc.refill";
-                List.iter
-                  (fun p ->
-                    c.stacks.(sc).(c.lens.(sc)) <- p;
-                    c.lens.(sc) <- c.lens.(sc) + 1)
-                  rest;
+                List.iter (push t row sc) rest;
                 payload
-          end)
+          end
     end
 
-  let flush_remote t (c : cache) =
-    if c.remote_len > 0 then begin
-      bump t t.flushes;
-      add_n t t.flushed_blocks c.remote_len;
+  let flush_remote t row =
+    let n = get row c_remote_len in
+    if n > 0 then begin
+      add row c_flushes 1;
+      add row c_flushed_blocks n;
       Rt.obs_event t.rt Rt.Obs.Transition "bc.flush";
-      let batch = Array.to_list (Array.sub c.remote 0 c.remote_len) in
-      c.remote_len <- 0;
+      let batch = List.init n (fun i -> get row (t.c_remote + i)) in
+      set row c_remote_len 0;
       Lf_alloc.flush_batch t.backend batch
     end
 
-  (* Overflow eviction: flush the [cache_batch] oldest (bottom-of-stack)
-     blocks so the most recently freed — hottest in cache — stay. *)
-  let flush_overflow t (c : cache) sc =
-    let k = t.cfg.cache_batch in
-    bump t t.flushes;
-    add_n t t.flushed_blocks k;
+  (* Flush class [sc]'s [k] oldest (bottom-of-stack) blocks and slide
+     the rest down, so the most recently freed — hottest in cache —
+     stay. *)
+  let flush_bottom t row sc k =
+    add row c_flushes 1;
+    add row c_flushed_blocks k;
     Rt.obs_event t.rt Rt.Obs.Transition "bc.flush";
-    let st = c.stacks.(sc) in
-    let batch = Array.to_list (Array.sub st 0 k) in
-    Array.blit st k st 0 (c.lens.(sc) - k);
-    c.lens.(sc) <- c.lens.(sc) - k;
+    let batch = List.init k (fun i -> get row (slot t sc i)) in
+    let n = len row sc in
+    for i = 0 to n - k - 1 do
+      set row (slot t sc i) (get row (slot t sc (k + i)))
+    done;
+    set_len row sc (n - k);
     Lf_alloc.flush_batch t.backend batch
 
   let free t payload =
@@ -158,63 +164,68 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
     else if payload = Addr.null then ()
     else begin
       let tid = Rt.self t.rt in
-      bump_at tid t.frees;
-      match Lf_alloc.classify t.backend payload with
-      | `Large -> Lf_alloc.free t.backend payload
-      | `Small (base_payload, sc, local) ->
-          let c = t.caches.(tid) in
-          if local then begin
-            if c.lens.(sc) = t.cfg.cache_blocks then flush_overflow t c sc;
-            c.stacks.(sc).(c.lens.(sc)) <- base_payload;
-            c.lens.(sc) <- c.lens.(sc) + 1
-          end
-          else begin
-            (* Remote block: never cache another heap's blocks (they would
-               be handed out by the wrong heap's threads and defeat the
-               paper's heap affinity); buffer and push back in batches. *)
-            bump_at tid t.remote_frees;
-            c.remote.(c.remote_len) <- base_payload;
-            c.remote_len <- c.remote_len + 1;
-            if c.remote_len = t.cfg.cache_batch then flush_remote t c
-          end
+      let row = row t tid in
+      add row c_frees 1;
+      let st = store t in
+      let word = Store.read_word st (payload - Prefix.prefix_bytes) in
+      let base_payload = Store.base_payload payload word in
+      let kind =
+        Lf_alloc.classify t.backend ~tid ~base_payload
+          (Store.base_prefix st ~base_payload word)
+      in
+      if kind < 0 then Lf_alloc.free t.backend payload
+      else begin
+        let sc = kind lsr 1 in
+        if kind land 1 = 1 then begin
+          (* Overflow eviction. *)
+          if len row sc = t.cfg.cache_blocks then
+            flush_bottom t row sc t.cfg.cache_batch;
+          push t row sc base_payload
+        end
+        else begin
+          (* Remote block: never cache another heap's blocks (they would
+             be handed out by the wrong heap's threads and defeat the
+             paper's heap affinity); buffer and push back in batches. *)
+          add row c_remote_frees 1;
+          let n = get row c_remote_len in
+          set row (t.c_remote + n) base_payload;
+          set row c_remote_len (n + 1);
+          if n + 1 = t.cfg.cache_batch then flush_remote t row
+        end
+      end
     end
 
   let flush_current t =
-    let c = my_cache t in
-    Array.iteri
-      (fun sc len ->
-        if len > 0 then begin
-          bump t t.flushes;
-          add_n t t.flushed_blocks len;
-          Rt.obs_event t.rt Rt.Obs.Transition "bc.flush";
-          let batch = Array.to_list (Array.sub c.stacks.(sc) 0 len) in
-          c.lens.(sc) <- 0;
-          Lf_alloc.flush_batch t.backend batch
-        end)
-      c.lens;
-    flush_remote t c
-
-  let sum = Array.fold_left ( + ) 0
+    let row = row t (Rt.self t.rt) in
+    for sc = 0 to t.nclasses - 1 do
+      let n = len row sc in
+      if n > 0 then flush_bottom t row sc n
+    done;
+    flush_remote t row
 
   let stats t : stats =
+    let total = Stripes.total t.state in
     {
-      hits = sum t.hits;
-      misses = sum t.misses;
-      refills = sum t.refills;
-      refilled_blocks = sum t.refilled_blocks;
-      flushes = sum t.flushes;
-      flushed_blocks = sum t.flushed_blocks;
-      remote_frees = sum t.remote_frees;
+      hits = total c_hits;
+      misses = total c_misses;
+      refills = total c_refills;
+      refilled_blocks = total c_refilled_blocks;
+      flushes = total c_flushes;
+      flushed_blocks = total c_flushed_blocks;
+      remote_frees = total c_remote_frees;
     }
 
   let op_counts t =
-    if t.enabled then (sum t.mallocs, sum t.frees)
+    if t.enabled then
+      (Stripes.total t.state c_mallocs, Stripes.total t.state c_frees)
     else Lf_alloc.op_counts t.backend
 
   let cached_blocks t =
-    Array.fold_left
-      (fun acc c -> acc + sum c.lens + c.remote_len)
-      0 t.caches
+    let n = ref (Stripes.total t.state c_remote_len) in
+    for sc = 0 to t.nclasses - 1 do
+      n := !n + Stripes.total t.state (c_lens + sc)
+    done;
+    !n
 
   let fail fmt = Format.kasprintf failwith fmt
 
@@ -236,36 +247,38 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
       if Prefix.is_large prefix then
         fail "block cache: large block %d cached (thread %d, %s)" p tid where
     in
-    Array.iteri
-      (fun tid c ->
-        Array.iteri
-          (fun sc len ->
-            if len < 0 || len > t.cfg.cache_blocks then
-              fail "block cache: thread %d class %d length %d out of [0, %d]"
-                tid sc len t.cfg.cache_blocks;
-            for i = 0 to len - 1 do
-              let p = c.stacks.(sc).(i) in
-              check_block ~tid ~where:(Printf.sprintf "class %d" sc) p;
-              let prefix = Store.read_word st (p - Prefix.prefix_bytes) in
-              let d =
-                Descriptor.get (Lf_alloc.descriptor_table t.backend)
-                  (Prefix.desc_id prefix)
-              in
-              if d.Descriptor.sz <> Sc.block_size classes sc then
-                fail
-                  "block cache: thread %d class %d holds a %d-byte block \
-                   (expected %d)"
-                  tid sc d.Descriptor.sz
-                  (Sc.block_size classes sc)
-            done)
-          c.lens;
-        if c.remote_len < 0 || c.remote_len > t.cfg.cache_batch then
-          fail "block cache: thread %d remote buffer length %d out of [0, %d]"
-            tid c.remote_len t.cfg.cache_batch;
-        for i = 0 to c.remote_len - 1 do
-          check_block ~tid ~where:"remote buffer" c.remote.(i)
-        done)
-      t.caches;
+    for tid = 0 to Rt.max_threads - 1 do
+      let row = row t tid in
+      for sc = 0 to t.nclasses - 1 do
+        let len = len row sc in
+        if len < 0 || len > t.cfg.cache_blocks then
+          fail "block cache: thread %d class %d length %d out of [0, %d]" tid
+            sc len t.cfg.cache_blocks;
+        for i = 0 to len - 1 do
+          let p = get row (slot t sc i) in
+          check_block ~tid ~where:(Printf.sprintf "class %d" sc) p;
+          let prefix = Store.read_word st (p - Prefix.prefix_bytes) in
+          let d =
+            Descriptor.get (Lf_alloc.descriptor_table t.backend)
+              (Prefix.desc_id prefix)
+          in
+          if d.Descriptor.sz <> Sc.block_size classes sc then
+            fail
+              "block cache: thread %d class %d holds a %d-byte block \
+               (expected %d)"
+              tid sc d.Descriptor.sz
+              (Sc.block_size classes sc)
+        done
+      done;
+      let remote_len = get row c_remote_len in
+      if remote_len < 0 || remote_len > t.cfg.cache_batch then
+        fail "block cache: thread %d remote buffer length %d out of [0, %d]"
+          tid remote_len t.cfg.cache_batch;
+      for i = 0 to remote_len - 1 do
+        check_block ~tid ~where:"remote buffer"
+          (get row (t.c_remote + i))
+      done
+    done;
     Lf_alloc.check_invariants t.backend
 
   module Pack = Mm_mem.Alloc_intf.Pack (Rt)

@@ -48,10 +48,12 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
         let d =
           {
             id;
+            (* Both words take CASes from every thread that frees into
+               the superblock: a cache line each. *)
             anchor =
-              Rt.Atomic.make tbl.rt
+              Rt.Atomic.make_contended tbl.rt
                 (Anchor.make ~avail:0 ~count:0 ~state:Anchor.Empty ~tag:0);
-            pub = Rt.Atomic.make tbl.rt Pub_word.empty;
+            pub = Rt.Atomic.make_contended tbl.rt Pub_word.empty;
             next_d = None;
             next_id = -1;
             next_c = -1;

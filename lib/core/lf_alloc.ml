@@ -20,6 +20,8 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
     sc : int;
     active : int Rt.atomic;  (* packed Active_word, 0 = NULL *)
     partial : int Rt.atomic;  (* descriptor id, 0 = none *)
+        (* Both words are written by every thread of the heap's class and
+           sit on cache lines of their own (Rt.Atomic.make_contended). *)
   }
 
   type t = {
@@ -34,12 +36,12 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
     pool : Desc_pool.t;
     sbc : Sb_cache.t;  (* warm EMPTY-superblock cache, DESIGN.md §14 *)
     pm : Pm.t option;  (* span reservoir + buddy backend, DESIGN.md §15 *)
-    counts : int array array;
-        (* Striped counters, one row per thread: column [i] counts failed
-           CASes at the [i]th of [retry_sites] — quantifies where
-           interference lands, cf. the paper's §4.2.3 discussion of
-           overlapping read-modify-write segments — and the last two
-           columns count mallocs and frees. *)
+    counts : Stripes.t;
+        (* Striped counters, one padded row per thread: column [i]
+           counts failed CASes at the [i]th of [retry_sites] —
+           quantifies where interference lands, cf. the paper's §4.2.3
+           discussion of overlapping read-modify-write segments — and
+           the last two columns count mallocs and frees. *)
     (* Owner-biased free lists (DESIGN.md §19): [ob] caches the mode
        test off the config; [owned.(tid).(sc)] is the id of the
        superblock thread [tid] currently owns for size class [sc] (0 =
@@ -86,14 +88,10 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
         ~hyperblocks:cfg.hyperblocks ()
     in
     let table = Descriptor.create_table rt ~capacity:(2 * cfg.store_capacity) in
-    let counts =
-      Array.init Rt.max_threads (fun _ -> Array.make (c_frees + 1) 0)
-    in
+    let counts = Stripes.create ~threads:Rt.max_threads ~columns:(c_frees + 1) in
     let stripe site =
       let c = column site in
-      fun () ->
-        let row = counts.(Rt.self rt) in
-        row.(c) <- row.(c) + 1
+      fun () -> Stripes.bump counts (Rt.self rt) c
     in
     let pool =
       Desc_pool.create rt table ~kind:cfg.desc_pool
@@ -110,8 +108,8 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
               {
                 gid = (sc * nheaps) + h;
                 sc;
-                active = Rt.Atomic.make rt Active_word.null;
-                partial = Rt.Atomic.make rt 0;
+                active = Rt.Atomic.make_contended rt Active_word.null;
+                partial = Rt.Atomic.make_contended rt 0;
               }))
     in
     let lists =
@@ -149,13 +147,10 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
       owned = Array.init Rt.max_threads (fun _ -> Array.make nclasses 0);
     }
 
-  let count_at t tid c =
-    let row = t.counts.(tid) in
-    row.(c) <- row.(c) + 1
-
+  let count_at t tid c = Stripes.bump t.counts tid c
   let bump t c = count_at t (Rt.self t.rt) c
   let fail fmt = Format.kasprintf failwith fmt
-  let column_total t c = Array.fold_left (fun n row -> n + row.(c)) 0 t.counts
+  let column_total t c = Stripes.total t.counts c
   let op_counts t = (column_total t c_mallocs, column_total t c_frees)
 
   let retry_counts t =
@@ -242,18 +237,23 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
   (* ------------------------------------------------------------------ *)
   (* HeapPutPartial / HeapGetPartial / RemoveEmptyDesc (Figs. 4 & 6). *)
 
+  (* Every CAS retry loop in this file is a top-level [let rec] taking
+     its environment and the backoff state as arguments: a local loop
+     closing over them would allocate a closure per call on the real
+     runtime (DESIGN.md §18). *)
+
+  let rec swap_partial t heap id spins =
+    let prev = Rt.Atomic.get heap.partial in
+    Rt.label t.rt Labels.free_put_partial;
+    if Rt.Atomic.compare_and_set heap.partial prev id then prev
+    else begin
+      bump t c_partial_slot;
+      swap_partial t heap id (Backoff.spin t.rt spins)
+    end
+
   let heap_put_partial t desc =
     let heap = heap_of_gid t desc.Descriptor.heap_gid in
-    let rec swap spins =
-      let prev = Rt.Atomic.get heap.partial in
-      Rt.label t.rt Labels.free_put_partial;
-      if Rt.Atomic.compare_and_set heap.partial prev desc.Descriptor.id then prev
-      else begin
-        bump t c_partial_slot;
-        swap (Backoff.spin t.rt spins)
-      end
-    in
-    let prev = swap Backoff.initial in
+    let prev = swap_partial t heap desc.Descriptor.id Backoff.initial in
     if prev <> 0 then
       Partial_list.put t.lists.(heap.sc) (Descriptor.get t.table prev)
 
@@ -268,18 +268,15 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
       park_or_retire t ~sc:(desc.Descriptor.heap_gid / t.nheaps_) desc
     else Desc_pool.retire t.pool desc
 
-  let heap_get_partial t heap =
-    let rec go () =
-      let id = Rt.Atomic.get heap.partial in
-      if id = 0 then Partial_list.get t.lists.(heap.sc)
-      else begin
-        Rt.label t.rt Labels.hgp_slot_cas;
-        if Rt.Atomic.compare_and_set heap.partial id 0 then
-          Some (Descriptor.get t.table id)
-        else go ()
-      end
-    in
-    go ()
+  let rec heap_get_partial t heap =
+    let id = Rt.Atomic.get heap.partial in
+    if id = 0 then Partial_list.get t.lists.(heap.sc)
+    else begin
+      Rt.label t.rt Labels.hgp_slot_cas;
+      if Rt.Atomic.compare_and_set heap.partial id 0 then
+        Some (Descriptor.get t.table id)
+      else heap_get_partial t heap
+    end
 
   let remove_empty_desc t heap desc =
     Rt.label t.rt Labels.red_slot_cas;
@@ -317,6 +314,19 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
   (* ------------------------------------------------------------------ *)
   (* UpdateActive (Fig. 4). *)
 
+  let rec return_credits t (desc : Descriptor.t) morecredits spins =
+    let oldanchor = Rt.Atomic.get desc.anchor in
+    let newanchor =
+      Anchor.set_state
+        (Anchor.set_count oldanchor (Anchor.count oldanchor + morecredits))
+        Anchor.Partial
+    in
+    Rt.label t.rt Labels.ua_credits_cas;
+    if not (Rt.Atomic.compare_and_set desc.anchor oldanchor newanchor) then begin
+      bump t c_update_active;
+      return_credits t desc morecredits (Backoff.spin t.rt spins)
+    end
+
   let update_active t heap desc morecredits =
     let newactive =
       Active_word.make ~desc_id:desc.Descriptor.id ~credits:(morecredits - 1)
@@ -327,24 +337,7 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
     else begin
       (* Someone installed another active superblock: return the credits to
          the anchor and make the superblock PARTIAL (lines 4-8). *)
-      let rec return_credits spins =
-        let oldanchor = Rt.Atomic.get desc.Descriptor.anchor in
-        let newanchor =
-          Anchor.set_state
-            (Anchor.set_count oldanchor (Anchor.count oldanchor + morecredits))
-            Anchor.Partial
-        in
-        Rt.label t.rt Labels.ua_credits_cas;
-        if
-          not
-            (Rt.Atomic.compare_and_set desc.Descriptor.anchor oldanchor
-               newanchor)
-        then begin
-          bump t c_update_active;
-          return_credits (Backoff.spin t.rt spins)
-        end
-      in
-      return_credits Backoff.initial;
+      return_credits t desc morecredits Backoff.initial;
       Rt.obs_event t.rt Rt.Obs.Transition "sb.active->partial";
       Rt.label t.rt Labels.ua_return_credits;
       heap_put_partial t desc
@@ -362,29 +355,26 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
      + outstanding reservations) guarantees the pop below finds them
      linked. Returns the replaced word, or NULL when there is no active
      superblock. *)
-  let reserve_active t heap ~want ~label =
-    let rec go spins =
-      let oldactive = Rt.Atomic.get heap.active in
-      if Active_word.is_null oldactive then oldactive
+  let rec reserve_active t heap ~want ~label spins =
+    let oldactive = Rt.Atomic.get heap.active in
+    if Active_word.is_null oldactive then oldactive
+    else begin
+      let credits = Active_word.credits oldactive in
+      let newactive =
+        if want > credits then Active_word.null
+        else
+          Active_word.make
+            ~desc_id:(Active_word.desc_id oldactive)
+            ~credits:(credits - want)
+      in
+      Rt.label t.rt label;
+      if Rt.Atomic.compare_and_set heap.active oldactive newactive then
+        oldactive
       else begin
-        let credits = Active_word.credits oldactive in
-        let newactive =
-          if want > credits then Active_word.null
-          else
-            Active_word.make
-              ~desc_id:(Active_word.desc_id oldactive)
-              ~credits:(credits - want)
-        in
-        Rt.label t.rt label;
-        if Rt.Atomic.compare_and_set heap.active oldactive newactive then
-          oldactive
-        else begin
-          bump t c_reserve;
-          go (Backoff.spin t.rt spins)
-        end
+        bump t c_reserve;
+        reserve_active t heap ~want ~label (Backoff.spin t.rt spins)
       end
-    in
-    go Backoff.initial
+    end
 
   (* The paper's pop CAS bumps the anchor tag to defeat ABA on the
      in-superblock free list. [anchor_tag = false] (check subsystem's
@@ -400,36 +390,32 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
      bookkeeping into the same CAS. The addresses of the first
      [Array.length addrs] blocks are left in [addrs]; the first block is
      also at the returned anchor's [avail]. *)
-  let pop_blocks t (desc : Descriptor.t) ~n ~took_last ~label ~addrs =
-    let rec go spins =
-      let oldanchor = Rt.Atomic.get desc.anchor in
-      let idx = ref (Anchor.avail oldanchor) in
-      for i = 0 to n - 1 do
-        let addr = block_addr desc !idx in
-        if i < Array.length addrs then addrs.(i) <- addr;
-        (* [clamp_index] only keeps a racy value representable. *)
-        idx := clamp_index (Store.read_word ~racy:true t.store addr)
-      done;
-      let newanchor = pop_tag t (Anchor.set_avail oldanchor !idx) in
-      let count = Anchor.count oldanchor in
-      let newanchor =
-        if not took_last then newanchor
-        else if count = 0 then
-          (* line 15: out of blocks entirely. *)
-          Anchor.set_state newanchor Anchor.Full
-        else
-          (* lines 16-17: grab more credits for UpdateActive. *)
-          Anchor.set_count newanchor (count - min count t.cfg.maxcredits)
-      in
-      Rt.label t.rt label;
-      if Rt.Atomic.compare_and_set desc.anchor oldanchor newanchor then
-        oldanchor
-      else begin
-        bump t c_pop;
-        go (Backoff.spin t.rt spins)
-      end
+  let rec pop_blocks t (desc : Descriptor.t) ~n ~took_last ~label ~addrs spins =
+    let oldanchor = Rt.Atomic.get desc.anchor in
+    let idx = ref (Anchor.avail oldanchor) in
+    for i = 0 to n - 1 do
+      let addr = block_addr desc !idx in
+      if i < Array.length addrs then addrs.(i) <- addr;
+      (* [clamp_index] only keeps a racy value representable. *)
+      idx := clamp_index (Store.read_word ~racy:true t.store addr)
+    done;
+    let newanchor = pop_tag t (Anchor.set_avail oldanchor !idx) in
+    let count = Anchor.count oldanchor in
+    let newanchor =
+      if not took_last then newanchor
+      else if count = 0 then
+        (* line 15: out of blocks entirely. *)
+        Anchor.set_state newanchor Anchor.Full
+      else
+        (* lines 16-17: grab more credits for UpdateActive. *)
+        Anchor.set_count newanchor (count - min count t.cfg.maxcredits)
     in
-    go Backoff.initial
+    Rt.label t.rt label;
+    if Rt.Atomic.compare_and_set desc.anchor oldanchor newanchor then oldanchor
+    else begin
+      bump t c_pop;
+      pop_blocks t desc ~n ~took_last ~label ~addrs (Backoff.spin t.rt spins)
+    end
 
   (* lines 19-20: whoever took the last reservation reinstalls the
      superblock with the credits its pop grabbed. *)
@@ -444,6 +430,7 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
   let malloc_from_active t heap =
     let oldactive =
       reserve_active t heap ~want:1 ~label:Labels.ma_read_active
+        Backoff.initial
     in
     if Active_word.is_null oldactive then Addr.null
     else begin
@@ -452,6 +439,7 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
       let took_last = Active_word.credits oldactive = 0 in
       let oldanchor =
         pop_blocks t desc ~n:1 ~took_last ~label:Labels.ma_pop_cas ~addrs:[||]
+          Backoff.initial
       in
       Rt.label t.rt Labels.ma_popped;
       settle_active t heap desc ~took_last oldanchor;
@@ -461,45 +449,45 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
   (* ------------------------------------------------------------------ *)
   (* MallocFromPartial (Fig. 4). *)
 
+  (* Reserve blocks (lines 4-10): -1 when the superblock became EMPTY
+     under us. *)
+  let rec reserve_partial t (desc : Descriptor.t) spins =
+    let oldanchor = Rt.Atomic.get desc.anchor in
+    if Anchor.state oldanchor = Anchor.Empty then -1
+    else begin
+      (* state must be PARTIAL and count > 0 here. *)
+      let count = Anchor.count oldanchor in
+      let morecredits = min (count - 1) t.cfg.maxcredits in
+      let newanchor =
+        Anchor.set_state
+          (Anchor.set_count oldanchor (count - morecredits - 1))
+          (if morecredits > 0 then Anchor.Active else Anchor.Full)
+      in
+      Rt.label t.rt Labels.mp_reserve_cas;
+      if Rt.Atomic.compare_and_set desc.anchor oldanchor newanchor then
+        morecredits
+      else begin
+        bump t c_reserve;
+        reserve_partial t desc (Backoff.spin t.rt spins)
+      end
+    end
+
   let rec malloc_from_partial t heap =
     match heap_get_partial t heap with
     | None -> Addr.null
     | Some desc ->
         Rt.label t.rt Labels.mp_got_partial;
-        (* mm-sa: allow write-before-publish: the reserve CAS below only
-           moves anchor credits; it publishes no block memory. heap_gid is
-           read by remote frees that synchronize through this descriptor's
-           anchor anyway, and the CAS itself orders the store. Explicit
-           fences are reserved for link words that remote pops read with
-           racy loads (flush_batch, hazard_refill). *)
+        (* No fence before the reserve CAS: it only moves anchor credits
+           and publishes no block memory. heap_gid is read by remote
+           frees that synchronize through this descriptor's anchor
+           anyway, and the CAS itself orders the store. Explicit fences
+           are reserved for link words that remote pops read with racy
+           loads (flush_batch, hazard_refill). mm-sa's write-before-
+           publish check does not see this pair: it works per function,
+           and the CAS is in [reserve_partial] (DESIGN.md §18). *)
         desc.Descriptor.heap_gid <- heap.gid;
         (* line 3 *)
-        (* Reserve blocks (lines 4-10): -1 when the superblock became
-           EMPTY under us. *)
-        let rec reserve spins =
-          let oldanchor = Rt.Atomic.get desc.Descriptor.anchor in
-          if Anchor.state oldanchor = Anchor.Empty then -1
-          else begin
-            (* state must be PARTIAL and count > 0 here. *)
-            let count = Anchor.count oldanchor in
-            let morecredits = min (count - 1) t.cfg.maxcredits in
-            let newanchor =
-              Anchor.set_state
-                (Anchor.set_count oldanchor (count - morecredits - 1))
-                (if morecredits > 0 then Anchor.Active else Anchor.Full)
-            in
-            Rt.label t.rt Labels.mp_reserve_cas;
-            if
-              Rt.Atomic.compare_and_set desc.Descriptor.anchor oldanchor
-                newanchor
-            then morecredits
-            else begin
-              bump t c_reserve;
-              reserve (Backoff.spin t.rt spins)
-            end
-          end
-        in
-        let morecredits = reserve Backoff.initial in
+        let morecredits = reserve_partial t desc Backoff.initial in
         if morecredits < 0 then begin
           (* lines 5-6: release and retry. *)
           release_empty t desc;
@@ -512,7 +500,7 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
           (* Pop the reserved block (lines 11-15). *)
           let oldanchor =
             pop_blocks t desc ~n:1 ~took_last:false ~label:Labels.mp_pop_cas
-              ~addrs:[||]
+              ~addrs:[||] Backoff.initial
           in
           (* lines 16-17 *)
           if morecredits > 0 then update_active t heap desc morecredits;
@@ -617,52 +605,49 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
      [count = maxcount - n] at the CAS means the run's blocks were the
      only allocated ones (so no Active word can reference the
      descriptor), generalizing the paper's n = 1 emptiness test. *)
-  let anchor_push t (desc : Descriptor.t) ~first_idx ~last ~n ~label =
-    let rec push spins =
-      let oldanchor = Rt.Atomic.get desc.anchor in
-      (* line 8: thread the run onto the available list. *)
-      Store.write_word t.store last (Anchor.avail oldanchor);
-      (* line 9 *)
-      let with_avail = Anchor.set_avail oldanchor first_idx in
-      let oldstate = Anchor.state oldanchor in
-      (* lines 12-15: the superblock empties. *)
-      let empties = Anchor.count oldanchor = desc.maxcount - n in
-      (* line 13 *)
-      let heap_gid = desc.heap_gid in
-      let newanchor =
-        if empties then begin
-          Rt.fence t.rt;
-          (* line 14: instruction fence *)
-          Anchor.set_state with_avail Anchor.Empty
-        end
-        else
-          (* lines 10-11, 16 *)
-          let st = if oldstate = Anchor.Full then Anchor.Partial else oldstate in
-          Anchor.set_count (Anchor.set_state with_avail st)
-            (Anchor.count oldanchor + n)
-      in
-      Rt.fence t.rt;
-      (* line 17: memory fence *)
-      Rt.label t.rt label;
-      if Rt.Atomic.compare_and_set desc.anchor oldanchor newanchor then begin
-        if empties then begin
-          (* lines 19-21 *)
-          Rt.obs_event t.rt Rt.Obs.Transition "sb.empty";
-          Rt.label t.rt Labels.free_empty;
-          release_emptied t desc ~oldstate ~heap_gid
-        end
-        else if oldstate = Anchor.Full then begin
-          (* lines 22-23 *)
-          Rt.obs_event t.rt Rt.Obs.Transition "sb.full->partial";
-          heap_put_partial t desc
-        end
+  let rec anchor_push t (desc : Descriptor.t) ~first_idx ~last ~n ~label spins =
+    let oldanchor = Rt.Atomic.get desc.anchor in
+    (* line 8: thread the run onto the available list. *)
+    Store.write_word t.store last (Anchor.avail oldanchor);
+    (* line 9 *)
+    let with_avail = Anchor.set_avail oldanchor first_idx in
+    let oldstate = Anchor.state oldanchor in
+    (* lines 12-15: the superblock empties. *)
+    let empties = Anchor.count oldanchor = desc.maxcount - n in
+    (* line 13 *)
+    let heap_gid = desc.heap_gid in
+    let newanchor =
+      if empties then begin
+        Rt.fence t.rt;
+        (* line 14: instruction fence *)
+        Anchor.set_state with_avail Anchor.Empty
       end
-      else begin
-        bump t c_free;
-        push (Backoff.spin t.rt spins)
-      end
+      else
+        (* lines 10-11, 16 *)
+        let st = if oldstate = Anchor.Full then Anchor.Partial else oldstate in
+        Anchor.set_count (Anchor.set_state with_avail st)
+          (Anchor.count oldanchor + n)
     in
-    push Backoff.initial
+    Rt.fence t.rt;
+    (* line 17: memory fence *)
+    Rt.label t.rt label;
+    if Rt.Atomic.compare_and_set desc.anchor oldanchor newanchor then begin
+      if empties then begin
+        (* lines 19-21 *)
+        Rt.obs_event t.rt Rt.Obs.Transition "sb.empty";
+        Rt.label t.rt Labels.free_empty;
+        release_emptied t desc ~oldstate ~heap_gid
+      end
+      else if oldstate = Anchor.Full then begin
+        (* lines 22-23 *)
+        Rt.obs_event t.rt Rt.Obs.Transition "sb.full->partial";
+        heap_put_partial t desc
+      end
+    end
+    else begin
+      bump t c_free;
+      anchor_push t desc ~first_idx ~last ~n ~label (Backoff.spin t.rt spins)
+    end
 
   (* ------------------------------------------------------------------ *)
   (* Owner-biased private/public free lists (DESIGN.md §19),
@@ -710,6 +695,14 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
      pushes that raced in. Lock-free: every iteration transfers some
      thread's completed frees; a thread killed mid-rescue leaves the
      descriptor owned, which every other thread skips past. *)
+  let rec un_own t (desc : Descriptor.t) spins =
+    let p = Rt.Atomic.get desc.pub in
+    Rt.label t.rt Labels.pub_claim;
+    if not (Rt.Atomic.compare_and_set desc.pub p (Pub_word.un_own p)) then begin
+      bump t c_pub_claim;
+      un_own t desc (Backoff.spin t.rt spins)
+    end
+
   let rec ob_rescue t (desc : Descriptor.t) =
     let oldpub = Rt.Atomic.get desc.Descriptor.pub in
     if Pub_word.owned oldpub || Pub_word.count oldpub = 0 then ()
@@ -766,19 +759,7 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
             Rt.obs_event t.rt Rt.Obs.Transition "sb.full->partial";
             heap_put_partial t desc
           end;
-          let rec un_own spins =
-            let p = Rt.Atomic.get desc.Descriptor.pub in
-            Rt.label t.rt Labels.pub_claim;
-            if
-              not
-                (Rt.Atomic.compare_and_set desc.Descriptor.pub p
-                   (Pub_word.un_own p))
-            then begin
-              bump t c_pub_claim;
-              un_own (Backoff.spin t.rt spins)
-            end
-          in
-          un_own Backoff.initial;
+          un_own t desc Backoff.initial;
           ob_rescue t desc
         end
       end
@@ -791,6 +772,18 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
      writes before the CAS makes them reachable (mm-sa
      write-before-publish). A push that lands on an unowned list must
      rescue (above). *)
+  let rec pub_push t (desc : Descriptor.t) ~first_idx ~last ~n spins =
+    let oldpub = Rt.Atomic.get desc.pub in
+    Store.write_word t.store last (Pub_word.head oldpub);
+    Rt.fence t.rt;
+    Rt.label t.rt Labels.pub_push;
+    if Rt.Atomic.compare_and_set desc.pub oldpub (Pub_word.push_n oldpub ~idx:first_idx ~n)
+    then (if not (Pub_word.owned oldpub) then ob_rescue t desc)
+    else begin
+      bump t c_pub_push;
+      pub_push t desc ~first_idx ~last ~n (Backoff.spin t.rt spins)
+    end
+
   let ob_push t (desc : Descriptor.t) ~first_idx ~last ~n tid =
     (* [sc] is trustworthy only combined with the ownership test: if we
        own the descriptor we wrote [heap_gid] ourselves; if we don't, no
@@ -803,45 +796,24 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
       desc.priv_head <- first_idx;
       desc.priv_count <- desc.priv_count + n
     end
-    else begin
-      let rec push spins =
-        let oldpub = Rt.Atomic.get desc.pub in
-        Store.write_word t.store last (Pub_word.head oldpub);
-        Rt.fence t.rt;
-        Rt.label t.rt Labels.pub_push;
-        if
-          Rt.Atomic.compare_and_set desc.pub oldpub
-            (Pub_word.push_n oldpub ~idx:first_idx ~n)
-        then (if not (Pub_word.owned oldpub) then ob_rescue t desc)
-        else begin
-          bump t c_pub_push;
-          push (Backoff.spin t.rt spins)
-        end
-      in
-      push Backoff.initial
-    end
+    else pub_push t desc ~first_idx ~last ~n Backoff.initial
 
   (* Try to set the owned bit (keeping any pending public blocks: the
      new owner claims them on its first refill). [false] means a rescue
      is in flight or a killed thread orphaned the word — callers skip
      the descriptor rather than wait on anyone. *)
-  let ob_try_own t (desc : Descriptor.t) =
-    let rec go () =
-      let oldpub = Rt.Atomic.get desc.Descriptor.pub in
-      if Pub_word.owned oldpub then false
+  let rec ob_try_own t (desc : Descriptor.t) =
+    let oldpub = Rt.Atomic.get desc.pub in
+    if Pub_word.owned oldpub then false
+    else begin
+      Rt.label t.rt Labels.pub_claim;
+      if Rt.Atomic.compare_and_set desc.pub oldpub (Pub_word.own oldpub) then
+        true
       else begin
-        Rt.label t.rt Labels.pub_claim;
-        if
-          Rt.Atomic.compare_and_set desc.Descriptor.pub oldpub
-            (Pub_word.own oldpub)
-        then true
-        else begin
-          bump t c_pub_claim;
-          go ()
-        end
+        bump t c_pub_claim;
+        ob_try_own t desc
       end
-    in
-    go ()
+    end
 
   let rec ob_acquire_partial t heap tid =
     match heap_get_partial t heap with
@@ -995,6 +967,16 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
     | Some pm when Pm.free pm base ~len:(Prefix.large_len prefix) -> ()
     | _ -> Store.free_large t.store base
 
+  let rec malloc_small t heap =
+    let p = malloc_from_active t heap in
+    if p <> Addr.null then p
+    else
+      let p = malloc_from_partial t heap in
+      if p <> Addr.null then p
+      else
+        let p = malloc_from_new_sb t heap in
+        if p <> Addr.null then p else malloc_small t heap
+
   let malloc t n =
     if n < 0 then invalid_arg "Lf_alloc.malloc: negative size";
     let tid = Rt.self t.rt in
@@ -1003,21 +985,7 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
     | None -> malloc_large t n (* lines 2-3 *)
     | Some sc ->
         if t.ob then malloc_ob t sc tid
-        else begin
-          let heap = heap_at t sc tid in
-          (* line 1 *)
-          let rec attempt () =
-            let p = malloc_from_active t heap in
-            if p <> Addr.null then p
-            else
-              let p = malloc_from_partial t heap in
-              if p <> Addr.null then p
-              else
-                let p = malloc_from_new_sb t heap in
-                if p <> Addr.null then p else attempt ()
-          in
-          attempt ()
-        end
+        else (* line 1 *) malloc_small t (heap_at t sc tid)
 
   let free t payload =
     if payload = Addr.null then ()
@@ -1025,9 +993,9 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
       let tid = Rt.self t.rt in
       count_at t tid c_frees;
       (* lines 2-3, extended with aligned-payload resolution *)
-      let base_payload, prefix, _delta =
-        Store.resolve t.store payload
-      in
+      let word = Store.read_word t.store (payload - Prefix.prefix_bytes) in
+      let base_payload = Store.base_payload payload word in
+      let prefix = Store.base_prefix t.store ~base_payload word in
       let base = base_payload - Prefix.prefix_bytes in
       if Prefix.is_large prefix then free_large_block t base prefix
         (* lines 4-5 *)
@@ -1037,6 +1005,7 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
         if t.ob then ob_push t desc ~first_idx ~last:base ~n:1 tid
         else
           anchor_push t desc ~first_idx ~last:base ~n:1 ~label:Labels.free_cas
+            Backoff.initial
       end
     end
 
@@ -1059,9 +1028,8 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
      shared-structure step stays lock-free and every CAS window carries
      its own [bc.*] label. *)
 
-  let classify t payload =
-    let base_payload, prefix, _delta = Store.resolve t.store payload in
-    if Prefix.is_large prefix then `Large
+  let classify t ~tid ~base_payload prefix =
+    if Prefix.is_large prefix then -1
     else begin
       let desc = Descriptor.get t.table (Prefix.desc_id prefix) in
       (* The wild-pointer guard, applied before the block can enter a
@@ -1069,10 +1037,8 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
       ignore (block_index desc (base_payload - Prefix.prefix_bytes) : int);
       let gid = desc.Descriptor.heap_gid in
       let sc = gid / t.nheaps_ in
-      `Small
-        ( base_payload,
-          sc,
-          gid - (sc * t.nheaps_) = Rt.self t.rt mod t.nheaps_ )
+      let local = gid - (sc * t.nheaps_) = tid mod t.nheaps_ in
+      (sc lsl 1) lor Bool.to_int local
     end
 
   let refill_batch t ~sc ~max:want =
@@ -1094,6 +1060,7 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
       let heap = heap_at t sc tid in
       let oldactive =
         reserve_active t heap ~want ~label:Labels.bc_reserve_cas
+          Backoff.initial
       in
       if Active_word.is_null oldactive then []
       else begin
@@ -1103,6 +1070,7 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
         let took_last = take = Active_word.credits oldactive + 1 in
         let oldanchor =
           pop_blocks t desc ~n:take ~took_last ~label:Labels.bc_pop_cas ~addrs
+            Backoff.initial
         in
         settle_active t heap desc ~took_last oldanchor;
         Array.to_list (Array.map (fun addr -> finish_block t desc addr) addrs)
@@ -1145,7 +1113,9 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
         let n, last = chain 1 bases in
         let first_idx = block_index desc (List.hd bases) in
         if t.ob then ob_push t desc ~first_idx ~last ~n tid
-        else anchor_push t desc ~first_idx ~last ~n ~label:Labels.bc_flush_cas)
+        else
+          anchor_push t desc ~first_idx ~last ~n ~label:Labels.bc_flush_cas
+            Backoff.initial)
       (List.rev !order)
 
   (* ------------------------------------------------------------------ *)

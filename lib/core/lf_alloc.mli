@@ -152,12 +152,13 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) : sig
       returned by {!malloc} / {!refill_batch}. Does not count toward
       {!op_counts}. *)
 
-  val classify : t -> int -> [ `Large | `Small of int * int * bool ]
-  (** [classify t payload] resolves [payload] (following an aligned-alloc
-      offset prefix if present) and reports what kind of block it is:
-      [`Large], or [`Small (base_payload, sc, local)] where [local] says
-      the block's superblock belongs to the calling thread's processor
-      heap. Applies {!free}'s wild-pointer guard ([Invalid_argument] on a
-      non-block address). Read-only: the caller decides to cache, buffer
-      or free. *)
+  val classify : t -> tid:int -> base_payload:int -> int -> int
+  (** [classify t ~tid ~base_payload prefix] reports what kind of block
+      [base_payload] is, given its prefix word (both as [Store.resolve]
+      returns them): [-1] for a large block,
+      else [(sc lsl 1) lor local], where [local] is [1] when the block's
+      superblock belongs to thread [tid]'s processor heap. One immediate,
+      so a cached free allocates nothing. Applies {!free}'s wild-pointer
+      guard ([Invalid_argument] on a non-block address). Read-only: the
+      caller decides to cache, buffer or free. *)
 end

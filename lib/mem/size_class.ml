@@ -3,7 +3,9 @@ let prefix_bytes = 8
 type t = {
   sbsize : int;
   sizes : int array;
-  lookup : int array;  (* ceil(request/8) -> class index *)
+  lookup : int option array;
+      (* ceil(request/8) -> class index, each [Some i] shared by every
+         slot of class [i], so a lookup allocates nothing *)
   large_threshold : int;
 }
 
@@ -37,14 +39,15 @@ let make ?(sbsize = 16 * 1024) () =
   let largest = sizes.(Array.length sizes - 1) in
   let large_threshold = largest - prefix_bytes in
   let slots = (large_threshold / 8) + 1 in
-  let lookup = Array.make slots 0 in
+  let classes = Array.init (Array.length sizes) Option.some in
+  let lookup = Array.make slots None in
   let ci = ref 0 in
   for slot = 0 to slots - 1 do
     let request = slot * 8 in
     while sizes.(!ci) - prefix_bytes < request do
       incr ci
     done;
-    lookup.(slot) <- !ci
+    lookup.(slot) <- classes.(!ci)
   done;
   { sbsize; sizes; lookup; large_threshold }
 
@@ -57,4 +60,4 @@ let large_threshold t = t.large_threshold
 let class_of_request t n =
   if n < 0 then invalid_arg "Size_class.class_of_request: negative size";
   if n > t.large_threshold then None
-  else Some t.lookup.((n + 7) / 8)
+  else t.lookup.((n + 7) / 8)

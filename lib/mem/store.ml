@@ -262,16 +262,22 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
         else Bytes.set_int64_le r.bytes (r.base + off) (Int64.of_int v)
 
   (* Resolve a payload address against its 8-byte block prefix: follows an
-     aligned_alloc offset word down to the block base. Returns
-     (base payload, base prefix word, delta). *)
+     aligned_alloc offset word down to the block base. [base_payload] and
+     [base_prefix] are the two steps, given the word just below the
+     payload, for hot paths that must not allocate [resolve]'s tuple. *)
+  let base_payload payload word =
+    if Block_prefix.is_offset word then payload - Block_prefix.offset_delta word
+    else payload
+
+  let base_prefix t ~base_payload word =
+    if Block_prefix.is_offset word then
+      read_word t (base_payload - Block_prefix.prefix_bytes)
+    else word
+
   let resolve t payload =
-    let prefix = read_word t (payload - Block_prefix.prefix_bytes) in
-    if Block_prefix.is_offset prefix then begin
-      let delta = Block_prefix.offset_delta prefix in
-      let base = payload - delta in
-      (base, read_word t (base - Block_prefix.prefix_bytes), delta)
-    end
-    else (payload, prefix, 0)
+    let word = read_word t (payload - Block_prefix.prefix_bytes) in
+    let base = base_payload payload word in
+    (base, base_prefix t ~base_payload:base word, payload - base)
 
   let init_free_list ?limit t addr ~sz ~maxcount =
     match region_of t addr with

@@ -141,6 +141,15 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) : sig
       Allocator [free]/[usable_size] paths use this to accept aligned
       addresses. *)
 
+  val base_payload : int -> int -> int
+  (** [base_payload payload word], with [word] the word just below
+      [payload]: [resolve]'s first component, without a memory access. *)
+
+  val base_prefix : t -> base_payload:int -> int -> int
+  (** [base_prefix t ~base_payload word]: [resolve]'s second component,
+      reading memory only when [word] is an offset word. Together with
+      [base_payload] it is [resolve] minus the tuple. *)
+
   val init_free_list : ?limit:int -> t -> int -> sz:int -> maxcount:int -> unit
   (** Thread the in-block free list of a fresh superblock: block [i]'s first
       word is set to [i + 1] ("organize blocks in a linked list starting

@@ -23,6 +23,20 @@ module Atomic = struct
     ignore line;
     Stdlib.Atomic.make v
 
+  (* OCaml 5.2's [Atomic.make_contended], written out for 5.1: a block
+     whose field 0 is the atomic and whose other fields pad it, so two
+     such blocks never put their field 0 on one 64-byte line and a
+     neighbour's hot word cannot share the line either. The [Atomic]
+     primitives only ever touch field 0, so the padded block is an
+     ['a Stdlib.Atomic.t] in every respect but its size. *)
+  let contended_words = 16
+
+  let make_contended () v =
+    (* [Obj.new_block] fills every field with [()]. *)
+    let b = Obj.new_block 0 contended_words in
+    Obj.set_field b 0 (Obj.repr v);
+    (Obj.obj b : _ Stdlib.Atomic.t)
+
   let get = Stdlib.Atomic.get
   let set = Stdlib.Atomic.set
 

@@ -51,6 +51,14 @@ module type S = sig
 
   module Atomic : sig
     val make : t -> ?line:int -> 'a -> 'a atomic
+
+    val make_contended : t -> 'a -> 'a atomic
+    (** [make] for a word that more than one domain writes: on the real
+        backend the atomic gets a cache line of its own (OCaml 5.2's
+        [Atomic.make_contended] layout), so writers of neighbouring words
+        do not invalidate it. The simulator already gives every atomic a
+        line of its own ([fresh_line]); there it is exactly [make]. *)
+
     val get : 'a atomic -> 'a
     val set : 'a atomic -> 'a -> unit
 

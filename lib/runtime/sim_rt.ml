@@ -22,6 +22,8 @@ module Atomic = struct
     let line = match line with Some l -> l | None -> Rt_base.fresh_line () in
     { v; line }
 
+  let make_contended s v = make s v
+
   let get r =
     if Sim.in_sim () then Sim.step_atomic ~line:r.line ~write:false;
     r.v

@@ -1,5 +1,5 @@
 (* mm-sa checked end-to-end: every planted fixture fires with its file
-   and line, the real tree is clean modulo the three reasoned
+   and line, the real tree is clean modulo the two reasoned
    suppressions, the shared suppression machinery routes covered
    findings into the suppressed list, the --analysis filter narrows the
    run, and a typoed suppression token is an error.
@@ -61,8 +61,18 @@ let fixtures_flagged () =
   Alcotest.(check (list int))
     "S4: pages fixture" [ 9 ]
     (lines "label-dominance" "test/sa_fixtures/lib/pages/bad_order_cas.ml" r);
+  Alcotest.(check (list int))
+    "S4: lifted loop behind a ~label-forwarding wrapper (direct twin clean)"
+    [ 23 ]
+    (lines "label-dominance" "test/sa_fixtures/lib/core/lifted_label.ml" r);
+  (* Known blind spot: S3 works per function, so stores followed by a
+     call to a lifted CAS loop that publishes them are not seen. *)
+  Alcotest.(check (list int))
+    "S3: unfenced stores before a lifted publishing loop (not seen)" []
+    (lines "write-before-publish"
+       "test/sa_fixtures/lib/core/lifted_publish.ml" r);
   (* ... and nothing else: the real tree contributes no findings *)
-  Alcotest.(check int) "only fixture findings" 10
+  Alcotest.(check int) "only fixture findings" 11
     (List.length r.D.findings);
   List.iter
     (fun (f : F.t) ->
@@ -70,12 +80,11 @@ let fixtures_flagged () =
         Alcotest.failf "real-tree finding: %s" (Format.asprintf "%a" F.pp f))
     r.D.findings;
   (* the covered fixture violation moved to the suppressed list,
-     alongside the real tree's three documented suppressions *)
+     alongside the real tree's two documented suppressions *)
   Alcotest.(check (list (pair string string)))
     "suppressed"
     [
       ("lib/core/desc_pool.ml", "hp-protocol");
-      ("lib/core/lf_alloc.ml", "write-before-publish");
       ("lib/mem/space.ml", "label-dominance");
       ("test/sa_fixtures/lib/core/sup_ok.ml", "write-before-publish");
     ]
@@ -100,7 +109,6 @@ let real_tree_clean () =
     "documented suppressions"
     [
       ("lib/core/desc_pool.ml", "hp-protocol");
-      ("lib/core/lf_alloc.ml", "write-before-publish");
       ("lib/mem/space.ml", "label-dominance");
     ]
     (suppressed_pairs r)
