@@ -34,13 +34,18 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
     nclasses : int;
     state : Stripes.t;  (* one row per thread, columns below *)
     c_remote : int;  (* first slot of the remote buffer *)
+    c_staging : int;  (* first slot of the flush staging slice *)
+    c_scratch : int;  (* first slot of the flush scratch slice *)
     c_stacks : int;  (* first slot of class 0's stack *)
   }
 
   (* Row layout: the statistics, the remote buffer's length, one stack
      length per size class, the mixed-class buffer of remote-heap
-     payloads ([cache_batch] slots), then one LIFO of base payloads per
-     size class ([cache_blocks] slots each). *)
+     payloads ([cache_batch] slots), the staging slice a stack's flushed
+     blocks move to before the push and the scratch slice
+     [Lf_alloc.flush_from] groups a batch in ([cache_blocks] slots
+     each, the largest batch), then one LIFO of base payloads per size
+     class ([cache_blocks] slots each). *)
   let c_hits = 0
   let c_misses = 1
   let c_refills = 2
@@ -59,7 +64,9 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
     let backend = Lf_alloc.create rt cfg in
     let nclasses = Sc.count (Lf_alloc.size_classes backend) in
     let c_remote = c_lens + nclasses in
-    let c_stacks = c_remote + cfg.cache_batch in
+    let c_staging = c_remote + cfg.cache_batch in
+    let c_scratch = c_staging + cfg.cache_blocks in
+    let c_stacks = c_scratch + cfg.cache_blocks in
     {
       backend;
       rt;
@@ -70,6 +77,8 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
         Stripes.create ~threads:Rt.max_threads
           ~columns:(c_stacks + (nclasses * cfg.cache_blocks));
       c_remote;
+      c_staging;
+      c_scratch;
       c_stacks;
     }
 
@@ -85,8 +94,9 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
      access to the generic array primitives (a float-array test per
      load, [caml_modify] per store). [@inline] keeps the ten or so
      accesses of a hit or a free out of function calls. *)
-  let[@inline] get (row : int array) c = row.(Stripes.pad + c)
-  let[@inline] set (row : int array) c v = row.(Stripes.pad + c) <- v
+  let[@inline] at c = Stripes.pad + c
+  let[@inline] get (row : int array) c = row.(at c)
+  let[@inline] set (row : int array) c v = row.(at c) <- v
   let[@inline] add row c n = set row c (get row c + n)
   let[@inline] len row sc = get row (c_lens + sc)
   let[@inline] set_len row sc n = set row (c_lens + sc) n
@@ -117,19 +127,23 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
           else begin
             add row c_misses 1;
             Rt.obs_event t.rt Rt.Obs.Transition "bc.miss";
-            match
-              Lf_alloc.refill_batch t.backend ~sc ~max:t.cfg.cache_batch
-            with
-            | [] ->
-                (* No active superblock: the ordinary Fig. 4 slow paths
-                   (partial / new superblock) install one. *)
-                Lf_alloc.malloc t.backend n
-            | payload :: rest ->
-                add row c_refills 1;
-                add row c_refilled_blocks (1 + List.length rest);
-                Rt.obs_event t.rt Rt.Obs.Transition "bc.refill";
-                List.iter (push t row sc) rest;
-                payload
+            (* The batch lands in the (empty) stack itself, its first
+               block on top. *)
+            let k =
+              Lf_alloc.refill_into t.backend ~sc ~max:t.cfg.cache_batch row
+                ~pos:(at (slot t sc 0))
+            in
+            if k = 0 then
+              (* No active superblock: the ordinary Fig. 4 slow paths
+                 (partial / new superblock) install one. *)
+              Lf_alloc.malloc t.backend n
+            else begin
+              add row c_refills 1;
+              add row c_refilled_blocks k;
+              Rt.obs_event t.rt Rt.Obs.Transition "bc.refill";
+              set_len row sc (k - 1);
+              get row (slot t sc (k - 1))
+            end
           end
     end
 
@@ -139,25 +153,31 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
       add row c_flushes 1;
       add row c_flushed_blocks n;
       Rt.obs_event t.rt Rt.Obs.Transition "bc.flush";
-      let batch = List.init n (fun i -> get row (t.c_remote + i)) in
       set row c_remote_len 0;
-      Lf_alloc.flush_batch t.backend batch
+      Lf_alloc.flush_from t.backend row ~pos:(at t.c_remote) ~n
+        ~scratch:(at t.c_scratch)
     end
 
   (* Flush class [sc]'s [k] oldest (bottom-of-stack) blocks and slide
      the rest down, so the most recently freed — hottest in cache —
-     stay. *)
+     stay. The blocks leave the stack before the push: they are copied
+     to the staging slice and the stack shrinks first, so a thread
+     killed inside the push holds none of them, and a thread later
+     reusing its id cannot free them a second time. *)
   let flush_bottom t row sc k =
     add row c_flushes 1;
     add row c_flushed_blocks k;
     Rt.obs_event t.rt Rt.Obs.Transition "bc.flush";
-    let batch = List.init k (fun i -> get row (slot t sc i)) in
     let n = len row sc in
+    for i = 0 to k - 1 do
+      set row (t.c_staging + i) (get row (slot t sc i))
+    done;
     for i = 0 to n - k - 1 do
       set row (slot t sc i) (get row (slot t sc (k + i)))
     done;
     set_len row sc (n - k);
-    Lf_alloc.flush_batch t.backend batch
+    Lf_alloc.flush_from t.backend row ~pos:(at t.c_staging) ~n:k
+      ~scratch:(at t.c_scratch)
 
   let free t payload =
     if not t.enabled then Lf_alloc.free t.backend payload

@@ -5,11 +5,13 @@
     or a cached free is pure thread-local array traffic — zero shared
     accesses, zero CAS. A miss refills by reserving a whole batch of
     credits in ONE CAS on the Active word and popping the batch with one
-    tag-bumping anchor CAS ({!Lf_alloc.refill_batch}); overflowing and
-    remote frees are pushed back in batches of one anchor CAS per
-    superblock ({!Lf_alloc.flush_batch}). Every shared-structure step is
-    therefore still lock-free, and the frontend adds no retry window
-    beyond the labelled batched CASes ([bc.*] in {!Labels}).
+    tag-bumping anchor CAS, straight into the class's stack
+    ({!Lf_alloc.refill_into}); overflowing and remote frees are pushed
+    back in batches of one anchor CAS per superblock, from a slice of
+    the thread's row ({!Lf_alloc.flush_from}). Neither allocates on the
+    OCaml heap. Every shared-structure step is therefore still
+    lock-free, and the frontend adds no retry window beyond the
+    labelled batched CASes ([bc.*] in {!Labels}).
 
     With [cfg.cache = false] (the default) every operation passes
     straight through to the backend, preserving the verbatim paper
@@ -19,7 +21,10 @@
     most the blocks its own cache holds (they leak — they stay allocated
     in the backend, so they can never be handed out twice and their
     superblocks can never be reclaimed under a survivor); all other
-    threads keep completing, exactly as for the bare allocator. *)
+    threads keep completing, exactly as for the bare allocator. A flush
+    takes its blocks out of the cache before it pushes them, so a
+    thread that later reuses a killed thread's id never frees them a
+    second time. *)
 
 module Make (Rt : Mm_runtime.Runtime_intf.S) : sig
   type t

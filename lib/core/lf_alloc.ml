@@ -387,15 +387,16 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
      false]). Each link read may return garbage when racing — line 10's
      racy read, [n] times — and the tag bump in the CAS rejects any walk
      that observed a mutated list. [took_last] folds the credit/state
-     bookkeeping into the same CAS. The addresses of the first
-     [Array.length addrs] blocks are left in [addrs]; the first block is
-     also at the returned anchor's [avail]. *)
-  let rec pop_blocks t (desc : Descriptor.t) ~n ~took_last ~label ~addrs spins =
+     bookkeeping into the same CAS. The first block is at the returned
+     anchor's [avail]; the addresses of the other [n - 1] are left in
+     [dst] from [pos] on (nothing is written when n = 1). *)
+  let rec pop_blocks t (desc : Descriptor.t) ~n ~took_last ~label
+      (dst : int array) ~pos spins =
     let oldanchor = Rt.Atomic.get desc.anchor in
     let idx = ref (Anchor.avail oldanchor) in
     for i = 0 to n - 1 do
       let addr = block_addr desc !idx in
-      if i < Array.length addrs then addrs.(i) <- addr;
+      if i > 0 then dst.(pos + i - 1) <- addr;
       (* [clamp_index] only keeps a racy value representable. *)
       idx := clamp_index (Store.read_word ~racy:true t.store addr)
     done;
@@ -414,7 +415,7 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
     if Rt.Atomic.compare_and_set desc.anchor oldanchor newanchor then oldanchor
     else begin
       bump t c_pop;
-      pop_blocks t desc ~n ~took_last ~label ~addrs (Backoff.spin t.rt spins)
+      pop_blocks t desc ~n ~took_last ~label dst ~pos (Backoff.spin t.rt spins)
     end
 
   (* lines 19-20: whoever took the last reservation reinstalls the
@@ -438,7 +439,7 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
       let desc = Descriptor.get t.table (Active_word.desc_id oldactive) in
       let took_last = Active_word.credits oldactive = 0 in
       let oldanchor =
-        pop_blocks t desc ~n:1 ~took_last ~label:Labels.ma_pop_cas ~addrs:[||]
+        pop_blocks t desc ~n:1 ~took_last ~label:Labels.ma_pop_cas [||] ~pos:0
           Backoff.initial
       in
       Rt.label t.rt Labels.ma_popped;
@@ -482,7 +483,7 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
            frees that synchronize through this descriptor's anchor
            anyway, and the CAS itself orders the store. Explicit fences
            are reserved for link words that remote pops read with racy
-           loads (flush_batch, hazard_refill). mm-sa's write-before-
+           loads (flush_from, hazard_refill). mm-sa's write-before-
            publish check does not see this pair: it works per function,
            and the CAS is in [reserve_partial] (DESIGN.md §18). *)
         desc.Descriptor.heap_gid <- heap.gid;
@@ -500,7 +501,7 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
           (* Pop the reserved block (lines 11-15). *)
           let oldanchor =
             pop_blocks t desc ~n:1 ~took_last:false ~label:Labels.mp_pop_cas
-              ~addrs:[||] Backoff.initial
+              [||] ~pos:0 Backoff.initial
           in
           (* lines 16-17 *)
           if morecredits > 0 then update_active t heap desc morecredits;
@@ -1041,19 +1042,28 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
       (sc lsl 1) lor Bool.to_int local
     end
 
-  let refill_batch t ~sc ~max:want =
-    if want < 1 then invalid_arg "Lf_alloc.refill_batch: max must be >= 1";
+  (* The first block in free-list order goes LAST, on top of the slice
+     seen as a LIFO. Prefixes are written (line 21) in free-list order,
+     as [malloc] writes them one at a time. *)
+  let refill_into t ~sc ~max:want (dst : int array) ~pos =
+    if want < 1 then invalid_arg "Lf_alloc.refill_into: max must be >= 1";
     let tid = Rt.self t.rt in
     if t.ob then begin
       (* Up to [want] private blocks. An empty (or absent) private list
-         returns [] and the cache falls back to [malloc], whose owner
+         returns 0 and the cache falls back to [malloc], whose owner
          paths run the refill/handoff logic — cheap either way. *)
       let id = t.owned.(tid).(sc) in
-      if id = 0 then []
+      if id = 0 then 0
       else begin
         let desc = Descriptor.get t.table id in
-        List.init (min want desc.Descriptor.priv_count) (fun _ ->
-            finish_block t desc (priv_pop t desc))
+        let take = min want desc.Descriptor.priv_count in
+        if take > 0 then begin
+          dst.(pos + take - 1) <- finish_block t desc (priv_pop t desc);
+          for i = pos to pos + take - 2 do
+            dst.(i) <- finish_block t desc (priv_pop t desc)
+          done
+        end;
+        take
       end
     end
     else begin
@@ -1062,61 +1072,85 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
         reserve_active t heap ~want ~label:Labels.bc_reserve_cas
           Backoff.initial
       in
-      if Active_word.is_null oldactive then []
+      if Active_word.is_null oldactive then 0
       else begin
         let desc = Descriptor.get t.table (Active_word.desc_id oldactive) in
         let take = min want (Active_word.credits oldactive + 1) in
-        let addrs = Array.make take 0 in
         let took_last = take = Active_word.credits oldactive + 1 in
         let oldanchor =
-          pop_blocks t desc ~n:take ~took_last ~label:Labels.bc_pop_cas ~addrs
-            Backoff.initial
+          pop_blocks t desc ~n:take ~took_last ~label:Labels.bc_pop_cas dst
+            ~pos Backoff.initial
         in
         settle_active t heap desc ~took_last oldanchor;
-        Array.to_list (Array.map (fun addr -> finish_block t desc addr) addrs)
+        dst.(pos + take - 1) <-
+          finish_block t desc (block_addr desc (Anchor.avail oldanchor));
+        for i = pos to pos + take - 2 do
+          dst.(i) <- finish_block t desc dst.(i)
+        done;
+        take
       end
     end
 
-  let flush_batch t payloads =
-    (* Group by descriptor, preserving first-seen order so simulated runs
-       stay deterministic, then push each group as one run. *)
-    let groups : (int, int list ref) Hashtbl.t = Hashtbl.create 8 in
-    let order = ref [] in
-    List.iter
-      (fun payload ->
-        let base = payload - Prefix.prefix_bytes in
-        let prefix = Store.read_word t.store base in
-        if Prefix.is_large prefix then free_large_block t base prefix
-        else begin
-          let id = Prefix.desc_id prefix in
-          match Hashtbl.find_opt groups id with
-          | Some r -> r := base :: !r
-          | None ->
-              Hashtbl.add groups id (ref [ base ]);
-              order := id :: !order
-        end)
-      payloads;
+  let refill_batch t ~sc ~max:want =
+    let dst = Array.make (Int.max want 0) 0 in
+    let k = refill_into t ~sc ~max:want dst ~pos:0 in
+    if k = 0 then [] else dst.(k - 1) :: List.init (k - 1) (Array.get dst)
+
+  (* Chain the rest of one superblock's group — the blocks of [desc]
+     from slice index [j] on, in batch order — behind [last] (Fig. 6
+     line 8, once per block), clearing their scratch ids, then push the
+     whole run [first] -> ... -> last with one CAS; the push links the
+     tail. *)
+  let rec push_group t tid (desc : Descriptor.t) (src : int array) ~pos ~n
+      ~scratch ~first ~last ~count j =
+    if j < n then begin
+      if src.(scratch + j) = desc.id then begin
+        let base = src.(pos + j) - Prefix.prefix_bytes in
+        Store.write_word t.store last (block_index desc base);
+        src.(scratch + j) <- 0;
+        push_group t tid desc src ~pos ~n ~scratch ~first ~last:base
+          ~count:(count + 1) (j + 1)
+      end
+      else
+        push_group t tid desc src ~pos ~n ~scratch ~first ~last ~count (j + 1)
+    end
+    else begin
+      let first_idx = block_index desc first in
+      if t.ob then ob_push t desc ~first_idx ~last ~n:count tid
+      else
+        anchor_push t desc ~first_idx ~last ~n:count ~label:Labels.bc_flush_cas
+          Backoff.initial
+    end
+
+  (* Pass one reads each prefix once: a large block goes back on the
+     spot, a small one's descriptor id goes to the scratch slice (ids
+     start at 1, so 0 marks a done slot). Pass two pushes each
+     superblock's group, in first-seen order. *)
+  let flush_from t (src : int array) ~pos ~n ~scratch =
+    for i = 0 to n - 1 do
+      let base = src.(pos + i) - Prefix.prefix_bytes in
+      let prefix = Store.read_word t.store base in
+      if Prefix.is_large prefix then begin
+        free_large_block t base prefix;
+        src.(scratch + i) <- 0
+      end
+      else src.(scratch + i) <- Prefix.desc_id prefix
+    done;
     let tid = Rt.self t.rt in
-    List.iter
-      (fun id ->
-        let desc = Descriptor.get t.table id in
-        let bases = List.rev !(Hashtbl.find groups id) in
-        (* Chain the group first -> ... -> last (Fig. 6 line 8, n - 1
-           times); the push links the tail. *)
-        let rec chain n = function
-          | [] -> assert false
-          | [ last ] -> (n, last)
-          | a :: (next :: _ as rest) ->
-              Store.write_word t.store a (block_index desc next);
-              chain (n + 1) rest
-        in
-        let n, last = chain 1 bases in
-        let first_idx = block_index desc (List.hd bases) in
-        if t.ob then ob_push t desc ~first_idx ~last ~n tid
-        else
-          anchor_push t desc ~first_idx ~last ~n ~label:Labels.bc_flush_cas
-            Backoff.initial)
-      (List.rev !order)
+    for i = 0 to n - 1 do
+      let id = src.(scratch + i) in
+      if id <> 0 then begin
+        let first = src.(pos + i) - Prefix.prefix_bytes in
+        push_group t tid (Descriptor.get t.table id) src ~pos ~n ~scratch
+          ~first ~last:first ~count:1 (i + 1)
+      end
+    done
+
+  let flush_batch t payloads =
+    let n = List.length payloads in
+    let src = Array.make (2 * n) 0 in
+    List.iteri (fun i p -> src.(i) <- p) payloads;
+    flush_from t src ~pos:0 ~n ~scratch:n
 
   (* ------------------------------------------------------------------ *)
   (* Introspection and quiescent invariant checking. *)

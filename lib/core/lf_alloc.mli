@@ -130,27 +130,50 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) : sig
       with concurrent Fig. 4/6 operations and remain lock-free. Their CAS
       windows carry the [bc.*] labels. In the owner-biased mode the
       refill pops the caller's private list and the flush pushes each
-      group as {!free} pushes one block. *)
+      group as {!free} pushes one block. The array core
+      ({!refill_into}, {!flush_from}) works on a slice of the caller's
+      array and allocates nothing; the list forms wrap it. *)
 
-  val refill_batch : t -> sc:int -> max:int -> int list
-  (** [refill_batch t ~sc ~max] reserves up to [max] blocks of size class
-      [sc] from the calling thread's heap in ONE CAS on the Active word
-      (taking the word's remaining credits, at most [max]), then pops the
-      whole batch off the superblock free list in one tag-bumping anchor
-      CAS. Returns the payload addresses in free-list order; [[]] when
-      the heap has no active superblock (the caller falls back to
-      {!malloc}, which runs the ordinary MallocFromPartial /
-      MallocFromNewSB paths and installs a new Active word). Does not
+  val refill_into : t -> sc:int -> max:int -> int array -> pos:int -> int
+  (** [refill_into t ~sc ~max dst ~pos] reserves up to [max] blocks of
+      size class [sc] from the calling thread's heap in ONE CAS on the
+      Active word (taking the word's remaining credits, at most [max]),
+      then pops the whole batch off the superblock free list in one
+      tag-bumping anchor CAS. In the owner-biased mode it pops up to
+      [max] blocks off the caller's private list instead. Returns the
+      number [k] of blocks taken, [0] when the heap has no active
+      superblock (or the caller no private blocks): the caller falls
+      back to {!malloc}, which runs the ordinary MallocFromPartial /
+      MallocFromNewSB paths and installs a new Active word.
+
+      The payloads are written to [dst.(pos)] .. [dst.(pos + k - 1)]
+      with the first block in free-list order LAST: popping the slice
+      as a LIFO hands out the block {!malloc} would, then the others.
+      [dst] needs [max] cells from [pos]. Allocates nothing; does not
       count toward {!op_counts}. *)
 
+  val refill_batch : t -> sc:int -> max:int -> int list
+  (** {!refill_into} returning the payloads as a list, in free-list
+      order; [[]] when it takes none. *)
+
+  val flush_from : t -> int array -> pos:int -> n:int -> scratch:int -> unit
+  (** [flush_from t src ~pos ~n ~scratch] frees the [n] (base) payloads
+      [src.(pos)] .. [src.(pos + n - 1)], grouping them by superblock
+      and pushing each group back with one anchor CAS (the Fig. 6 push
+      of a pre-chained run, including the EMPTY and FULL→PARTIAL
+      transitions; a group holding every block of a FULL superblock
+      releases it). Groups go in first-seen order, each chained in
+      batch order; a large block goes back to the store during the
+      first pass over the batch. [src.(scratch)] .. [src.(scratch + n -
+      1)] is scratch space for the groups' descriptor ids and must not
+      overlap the payloads. Payloads must be block payloads as returned
+      by {!malloc} / {!refill_into}, and must have left the caller's
+      own structures before the call: a thread killed inside a push
+      must not leave behind blocks it will free again. Allocates
+      nothing; does not count toward {!op_counts}. *)
+
   val flush_batch : t -> int list -> unit
-  (** [flush_batch t payloads] frees a batch of (base) payloads, grouping
-      them by superblock and pushing each group back with one anchor CAS
-      (the Fig. 6 push of a pre-chained run, including the EMPTY and
-      FULL→PARTIAL transitions; a group holding every block of a FULL
-      superblock releases it). Payloads must be block payloads as
-      returned by {!malloc} / {!refill_batch}. Does not count toward
-      {!op_counts}. *)
+  (** {!flush_from} over a list of payloads. *)
 
   val classify : t -> tid:int -> base_payload:int -> int -> int
   (** [classify t ~tid ~base_payload prefix] reports what kind of block

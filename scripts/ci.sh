@@ -22,6 +22,13 @@ dune exec bin/sa.exe -- --root . --format json \
 # rates are diffable across commits.
 dune exec bin/trace.exe -- report threadtest --threads 16 --heaps 1 \
   --format json > _build/ci/trace-report.json || true
+# The same census for the block cache and the owner-biased lists, whose
+# simulated schedules are pinned only by test_specialization.ml.
+for allocator in new-cached new-ob; do
+  dune exec bin/trace.exe -- report threadtest --threads 16 --heaps 1 \
+    --allocator "$allocator" --format json \
+    > "_build/ci/trace-report-$allocator.json" || true
+done
 # Machine-readable benchmark results (quick mode): bechamel estimates
 # plus every experiment table, archived so the bench trajectory is
 # diffable across commits (BENCH_0.json in the repo root is the seed).

@@ -346,6 +346,63 @@ let size_one_is_batch_of_one () =
       done)
     [ `Anchor; `Owner_biased ]
 
+(* A batch interleaving two superblocks' blocks with a large block is
+   one flush per superblock, in first-seen order and in-batch block
+   order, and the large block goes straight back to the store. *)
+let interleaved_groups_flush_as_separate_batches () =
+  List.iter
+    (fun free_lists ->
+      let mode =
+        match free_lists with `Anchor -> "anchor" | `Owner_biased -> "ob"
+      in
+      for seed = 1 to 4 do
+        let fresh () =
+          let s, t, per_sb, held = seeded_heap ~free_lists ~seed in
+          let large = run_as s 0 (fun () -> A.malloc t 5000) in
+          (s, t, per_sb, held, large)
+        in
+        let s1, t1, per_sb, held, l = fresh () and s2, t2, _, _, _ = fresh () in
+        let a i = held.(i) and b i = held.(per_sb + i) in
+        let large_munmaps t = (Store.os_stats (A.store t)).large_munmaps in
+        let before = large_munmaps t1 in
+        (* A's descriptor, read while a3's prefix still names it. *)
+        let store = A.store t1 in
+        let d =
+          D.get (A.descriptor_table t1)
+            (Mm_mem.Block_prefix.desc_id (Store.read_word store (a 3 - Mm_mem.Block_prefix.prefix_bytes)))
+        in
+        let index p = (p - Mm_mem.Block_prefix.prefix_bytes - d.D.sb) / d.D.sz in
+        let rec walk idx k =
+          if k = 0 then []
+          else
+            idx
+            :: walk
+                 (Store.read_word store (d.D.sb + (idx * d.D.sz))
+                 land Anchor.max_count)
+                 (k - 1)
+        in
+        run_as s1 0 (fun () ->
+            A.flush_batch t1 [ a 3; b 2; a 0; l; b 0; a 5 ]);
+        run_as s2 0 (fun () ->
+            A.flush_batch t2 [ a 3; a 0; a 5 ];
+            A.flush_batch t2 [ b 2; b 0 ]);
+        if heap_words t1 <> heap_words t2 then
+          Alcotest.failf
+            "%s seed %d: interleaved flush differs from one flush per \
+             superblock"
+            mode seed;
+        (* One chained run per superblock: A's list starts a3, a0, a5. *)
+        Alcotest.(check (list int))
+          (Printf.sprintf "%s seed %d: A's run in batch order" mode seed)
+          [ index (a 3); index (a 0); index (a 5) ]
+          (walk (Anchor.avail (Sim_rt.Atomic.get d.D.anchor)) 3);
+        Alcotest.(check int)
+          (Printf.sprintf "%s seed %d: large block returned" mode seed)
+          (before + 1) (large_munmaps t1);
+        A.check_invariants t1
+      done)
+    [ `Anchor; `Owner_biased ]
+
 let census_order_and_obs_agreement () =
   Alcotest.(check (list string))
     "retry_counts lists retry_sites in registry order"
@@ -374,6 +431,8 @@ let cases =
     case "explorer: exclusivity with cache enabled" explorer_exclusivity;
     case "free/malloc are flush/refill of one (both modes)"
       size_one_is_batch_of_one;
+    case "interleaved multi-superblock flush (both modes)"
+      interleaved_groups_flush_as_separate_batches;
     case "retry census: site order, obs agreement"
       census_order_and_obs_agreement;
   ]

@@ -6,8 +6,9 @@
    What is verified here:
    - minor-heap words per operation stay <= 0.5 on Real_rt, one domain,
      after a warm-up, for a threadtest-style batch of 8-byte blocks and
-     a larson-style mix, for "new", "new-ob" and — on a stream every
-     malloc of which hits the cache — "new-cached";
+     a larson-style mix, for "new", "new-ob" and "new-cached" — the
+     cache on streams that only hit, on a batch that refills and
+     overflows, and on remote frees that flush the remote buffer;
    - a contended atomic is a block of at least 16 words on Real_rt and
      behaves as a plain atomic: get/set/CAS/fetch_and_add, and two
      domains' increments all land. Its Sim_rt half (same simulated
@@ -76,19 +77,27 @@ let plain_no_alloc cfg name () =
   measure (name ^ " threadtest") (threadtest ~malloc ~free ~batch:1000);
   measure (name ^ " larson") (larson ~malloc ~free ~slots:512)
 
-(* A stream with no cache miss and no flush: [batch] is below the
-   per-class cache depth, and the larson mix stays within one size class
-   with fewer live blocks than that depth. The stats prove every timed
-   malloc hit. *)
+(* Cache hits first: a stream with no miss and no flush. [batch] is
+   below the per-class cache depth, and the larson mix stays within one
+   size class with fewer live blocks than that depth. The stats prove
+   every timed malloc hit. Then the miss path: a threadtest batch far
+   past the cache depth refills and overflows on every round, and a
+   remote-free stream — blocks malloc'd by a second domain on the other
+   processor heap, freed by this one — fills and flushes the remote
+   buffer. The stats prove refills, local flushes and remote flushes all
+   ran while the minor heap was being counted. *)
 let cached_no_alloc () =
-  let cfg = Cfg.make ~nheaps:1 ~cache:true () in
+  let cfg = Cfg.make ~nheaps:2 ~cache:true () in
   let t = Bc.create () cfg in
   let malloc = Bc.malloc t and free = Bc.free t in
-  let hits_only what loop =
+  let timed ~nops loop =
     loop ();
     let s0 = Bc.stats t in
-    let w = words_per_op ~nops:(2 * ops) loop in
-    let s1 = Bc.stats t in
+    let w = words_per_op ~nops loop in
+    (s0, Bc.stats t, w)
+  in
+  let hits_only what loop =
+    let s0, s1, w = timed ~nops:(2 * ops) loop in
     Alcotest.(check int) (what ^ ": no misses") s0.Bc.misses s1.Bc.misses;
     Alcotest.(check int) (what ^ ": no flushes") s0.Bc.flushes s1.Bc.flushes;
     check_words what w
@@ -105,7 +114,47 @@ let cached_no_alloc () =
         let s = slot.(j) in
         free live.(s);
         live.(s) <- malloc sizes.(j)
-      done)
+      done);
+  let what = "new-cached threadtest, batch 1000" in
+  let s0, s1, w = timed ~nops:(2 * ops) (threadtest ~malloc ~free ~batch:1000) in
+  Alcotest.(check bool) (what ^ ": refills") true (s1.Bc.refills > s0.Bc.refills);
+  Alcotest.(check bool) (what ^ ": flushes") true (s1.Bc.flushes > s0.Bc.flushes);
+  Alcotest.(check int) (what ^ ": all local") s0.Bc.remote_frees
+    s1.Bc.remote_frees;
+  check_words what w;
+  (* The second domain (dense id 1, heap 1) mallocs outside the count;
+     this domain (id 0, heap 0) only frees. *)
+  let what = "new-cached remote frees" in
+  let remote = Array.make ops 0 in
+  let produce () =
+    ignore
+      (Real_rt.parallel_run ()
+         [|
+           ignore;
+           (fun _ ->
+             for i = 0 to ops - 1 do
+               remote.(i) <- malloc 32
+             done);
+         |])
+  in
+  let consume () =
+    for i = 0 to ops - 1 do
+      free remote.(i)
+    done
+  in
+  produce ();
+  consume ();
+  produce ();
+  let s0 = Bc.stats t in
+  let w = words_per_op ~nops:ops consume in
+  let s1 = Bc.stats t in
+  Alcotest.(check int) (what ^ ": every free remote") ops
+    (s1.Bc.remote_frees - s0.Bc.remote_frees);
+  Alcotest.(check int)
+    (what ^ ": flushed in batches")
+    (ops / cfg.Cfg.cache_batch)
+    (s1.Bc.flushes - s0.Bc.flushes);
+  check_words what w
 
 let base = Cfg.make ~nheaps:1 ()
 
@@ -146,7 +195,8 @@ let cases =
     case "new: no minor words per op" (plain_no_alloc base "new");
     case "new-ob: no minor words per op"
       (plain_no_alloc { base with Cfg.free_lists = `Owner_biased } "new-ob");
-    case "new-cached: no minor words per cache hit" cached_no_alloc;
+    case "new-cached: no minor words per cache hit, miss or flush"
+      cached_no_alloc;
     case "make_contended: padded block, plain-atomic semantics"
       contended_layout;
     case "make_contended: two domains' fetch_and_add" contended_two_domains;

@@ -17,6 +17,12 @@
      find nothing, so the explorer's schedule enumeration is unchanged
      over the functorized allocator.
 
+   - cached and owner-biased schedules: the traced 16-thread threadtest
+     (one heap, seed 1) of "new-cached" and "new-ob" keeps its event
+     count and its per-label CAS ok/fail counts. The values were
+     captured before the block cache's batched refill/flush moved onto
+     arrays; the move changed no simulated event.
+
    The striped-census == obs-census equality half of the equivalence
    claim lives in test_obs.ml (counters-match-census); the Real
    instantiation's conformance coverage is the `Real rows of
@@ -27,6 +33,8 @@ module As = Mm_core.Lf_alloc.Make (Sim_rt)
 module Cfg = Mm_mem.Alloc_config
 module E = Mm_check.Explore
 module T = Mm_check.Target
+module Traced = Mm_harness.Traced
+module Agg = Mm_obs.Agg
 open Util
 
 (* The exact workload the golden values were captured with: per-thread
@@ -87,9 +95,69 @@ let explorer_schedules_stable () =
     (a.E.executions > 0);
   Alcotest.(check bool) "same completion status" a.E.complete b.E.complete
 
+(* (allocator, recorded events, (label, CAS ok, CAS fail) for every
+   label that issued a CAS), as [bin/trace.exe report threadtest
+   --threads 16 --heaps 1 --allocator A] prints them. *)
+let schedule_pins =
+  [
+    ( "new-cached",
+      61009,
+      [
+        ("bc.flush_cas", 3540, 600);
+        ("bc.pop_cas", 1824, 4611);
+        ("bc.reserve_cas", 1824, 629);
+        ("desc.alloc", 40, 4);
+        ("desc.refill", 2, 15);
+        ("free.put_partial", 798, 106);
+        ("hgp.slot_cas", 334, 152);
+        ("ma.pop_cas", 97, 9);
+        ("ma.read_active", 97, 50);
+        ("mnsb.install", 8, 26);
+        ("mp.pop_cas", 791, 26);
+        ("mp.reserve_cas", 791, 8);
+        ("msq.deq_cas", 457, 316);
+        ("msq.deq_help", 0, 1);
+        ("msq.enq_cas", 926, 10);
+        ("msq.enq_swing", 0, 29);
+        ("ts.pop_cas", 26, 1);
+        ("ts.push_cas", 986, 2584);
+        ("ua.credits_cas", 778, 14);
+        ("ua.install", 467, 778);
+      ] );
+    ( "new-ob",
+      3598,
+      [
+        ("desc.alloc", 30, 0);
+        ("desc.refill", 2, 15);
+        ("ts.push_cas", 960, 2559);
+      ] );
+  ]
+
+let cached_and_ob_schedules_pinned () =
+  let threadtest = Option.get (Traced.find_workload "threadtest") in
+  List.iter
+    (fun (allocator, events, labels) ->
+      let c =
+        Traced.capture ~allocator ~nheaps:1 ~name:"threadtest" ~threads:16
+          ~seed:1 threadtest
+      in
+      let agg = Mm_obs.Trace_file.agg c.Traced.trace in
+      Alcotest.(check int) (allocator ^ ": events") events agg.Agg.total;
+      Alcotest.(check (list (triple string int int)))
+        (allocator ^ ": per-label CAS ok/fail")
+        labels
+        (List.filter_map
+           (fun (s : Agg.site) ->
+             if s.Agg.cas_ok + s.Agg.cas_fail = 0 then None
+             else Some (s.Agg.label, s.Agg.cas_ok, s.Agg.cas_fail))
+           agg.Agg.sites))
+    schedule_pins
+
 let cases =
   [
     case "sim traces bit-identical to the value-level runtime"
       sim_traces_bit_identical;
     case "explorer schedule enumeration is stable" explorer_schedules_stable;
+    case "new-cached and new-ob threadtest schedules pinned"
+      cached_and_ob_schedules_pinned;
   ]
