@@ -310,38 +310,7 @@ let quick_cmd =
       end;
       Printf.printf "cached monitor: %d probes clean\n"
         (List.length m.M.entries);
-      (* 6. The warm-superblock cache under the same exhaustive budget
-         and kill/stall monitor: the park/adopt windows (sbc.park,
-         sbc.adopt) must
-         preserve address exclusivity and the parked free lists, and a
-         thread killed mid-park/adopt must only leak its superblock,
-         never let it be adopted twice. *)
-      let sbcache = Option.get (T.find "lf_alloc_sbcache") in
-      let r = E.exhaustive sbcache ~threads ~bound:3 ~budget:20_000 in
-      (match r.E.finding with
-      | Some f ->
-          fail "lf_alloc_sbcache violation: %s (%s)" f.E.error
-            (S.to_string f.E.minimized)
-      | None ->
-          Printf.printf
-            "lf_alloc_sbcache exhaustive: clean (%d executions%s)\n"
-            r.E.executions
-            (if r.E.complete then ", complete" else ""));
-      let m = M.run sbcache ~threads ~modes:[ M.Kill; M.Stall ] ~rounds:2 in
-      if not m.M.ok then begin
-        List.iter
-          (fun (e : M.entry) ->
-            match e.M.result with
-            | Error msg when e.M.fired ->
-                Printf.eprintf "monitor %s %s round %d: %s\n" e.M.label
-                  (M.mode_name e.M.mode) e.M.round msg
-            | _ -> ())
-          m.M.entries;
-        fail "warm-superblock-cache lock-freedom monitor failed"
-      end;
-      Printf.printf "sbcache monitor: %d probes clean\n"
-        (List.length m.M.entries);
-      (* 6b. The owner-biased free-list mode under the same exhaustive
+      (* 6. The owner-biased free-list mode under the same exhaustive
          budget and kill/stall monitor: the remote-free push and
          bulk-claim windows (pub.push, pub.claim) must preserve
          address exclusivity across ownership handoffs and rescues,

@@ -60,12 +60,6 @@ let allocator_arg =
               allocator over the reuse-in-place descriptor pool \
               (DESIGN.md S17).")
 
-let sb_cache_arg =
-  Arg.(
-    value & opt int 0
-    & info [ "sb-cache" ] ~docv:"D"
-        ~doc:"Warm-superblock cache depth per size class for the               $(b,new) allocator (0 = off, the paper-verbatim path).")
-
 let page_manager_arg =
   Arg.(
     value & flag
@@ -83,17 +77,17 @@ let input_arg =
         ~doc:"Read a recorded trace instead of running a workload.")
 
 let capture ~workload ~threads ~seed ~cpus ~heaps ~capacity ~allocator
-    ~sb_cache ~page_manager =
+    ~page_manager =
   match H.find_workload workload with
   | None ->
       Error (Printf.sprintf "unknown workload %s (see `trace list')" workload)
   | Some wl ->
       let nheaps = if heaps = 0 then None else Some heaps in
       Ok
-        (H.capture ~cpus ?nheaps ~capacity ~allocator ~sb_cache ~page_manager
+        (H.capture ~cpus ?nheaps ~capacity ~allocator ~page_manager
            ~name:workload ~threads ~seed wl)
 
-let obtain input workload threads seed cpus heaps capacity allocator sb_cache
+let obtain input workload threads seed cpus heaps capacity allocator
     page_manager =
   match input with
   | Some path -> TF.load path
@@ -101,7 +95,7 @@ let obtain input workload threads seed cpus heaps capacity allocator sb_cache
       Result.map
         (fun c -> c.H.trace)
         (capture ~workload ~threads ~seed ~cpus ~heaps ~capacity ~allocator
-           ~sb_cache ~page_manager)
+           ~page_manager)
 
 let usage_err e =
   prerr_endline e;
@@ -122,11 +116,11 @@ let record_cmd =
       value & opt string "trace.json"
       & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Output trace file.")
   in
-  let run workload threads seed cpus heaps capacity allocator sb_cache
+  let run workload threads seed cpus heaps capacity allocator
       page_manager out =
     match
       capture ~workload ~threads ~seed ~cpus ~heaps ~capacity ~allocator
-        ~sb_cache ~page_manager
+        ~page_manager
     with
     | Error e -> usage_err e
     | Ok c ->
@@ -142,7 +136,7 @@ let record_cmd =
   Cmd.v (Cmd.info "record" ~doc)
     Term.(
       const run $ workload_arg $ threads_arg $ seed_arg $ cpus_arg
-      $ heaps_arg $ capacity_arg $ allocator_arg $ sb_cache_arg
+      $ heaps_arg $ capacity_arg $ allocator_arg
       $ page_manager_arg $ out)
 
 let report_cmd =
@@ -195,11 +189,11 @@ let report_cmd =
                 (DESIGN.md S19) is gated on the anchor sites it \
                 collapses.")
   in
-  let run input workload threads seed cpus heaps capacity allocator sb_cache
+  let run input workload threads seed cpus heaps capacity allocator
       page_manager format max_mmap max_large_mmap max_hp_scan max_failed_cas =
     match
       obtain input workload threads seed cpus heaps capacity allocator
-        sb_cache page_manager
+        page_manager
     with
     | Error e -> usage_err e
     | Ok trace -> (
@@ -287,7 +281,7 @@ let report_cmd =
   Cmd.v (Cmd.info "report" ~doc)
     Term.(
       const run $ input_arg $ workload_arg $ threads_arg $ seed_arg
-      $ cpus_arg $ heaps_arg $ capacity_arg $ allocator_arg $ sb_cache_arg
+      $ cpus_arg $ heaps_arg $ capacity_arg $ allocator_arg
       $ page_manager_arg $ format $ max_mmap $ max_large_mmap $ max_hp_scan
       $ max_failed_cas)
 
@@ -309,11 +303,11 @@ let export_cmd =
       & info [ "o"; "output" ] ~docv:"FILE"
           ~doc:"Output file (default: stdout).")
   in
-  let run input workload threads seed cpus heaps capacity allocator sb_cache
+  let run input workload threads seed cpus heaps capacity allocator
       page_manager _chrome out =
     match
       obtain input workload threads seed cpus heaps capacity allocator
-        sb_cache page_manager
+        page_manager
     with
     | Error e -> usage_err e
     | Ok trace ->
@@ -338,7 +332,7 @@ let export_cmd =
   Cmd.v (Cmd.info "export" ~doc)
     Term.(
       const run $ input_arg $ workload_arg $ threads_arg $ seed_arg
-      $ cpus_arg $ heaps_arg $ capacity_arg $ allocator_arg $ sb_cache_arg
+      $ cpus_arg $ heaps_arg $ capacity_arg $ allocator_arg
       $ page_manager_arg $ chrome $ out)
 
 let () =

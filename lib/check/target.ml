@@ -163,56 +163,6 @@ let lf_alloc_cached =
     run = cached_run;
   }
 
-(* The warm-superblock-cache target: the allocator with a depth-1 cache
-   (DESIGN.md §14) and one extra malloc/free round per thread, so every
-   EMPTY transition parks the superblock (sbc.park), the next round
-   adopts it back (sbc.adopt), and with two threads racing a depth-1
-   cache both the watermark-overflow unmap and the lose-install re-park
-   fall inside the explored window. The oracle and quiescent invariants
-   (including the parked-free-list walk) are the plain allocator's. *)
-let sbcache_cfg =
-  Cfg.make ~nheaps:1 ~sbsize:4096 ~maxcredits:2 ~desc_scan_threshold:1
-    ~store_capacity:128 ~sb_cache_depth:1 ()
-
-let sbcache_run ~threads ?on_label ?notify_done ?(quiescent_checks = true)
-    ~sched () =
-  let s = make_sim ~threads ?on_label ~sched () in
-  let t = A.create s sbcache_cfg in
-  let orc = Oracle.create_alloc () in
-  let m () =
-    let a = A.malloc t 8 in
-    Oracle.malloc_returned orc a;
-    a
-  in
-  let f a =
-    let p = Oracle.free_invoked orc a in
-    A.free t a;
-    Oracle.free_returned orc p
-  in
-  let body _tid =
-    let w = m () in
-    let a = m () in
-    let b = m () in
-    f w;
-    f a;
-    f b;
-    (* Second round: adopt what the first round parked. *)
-    let c = m () in
-    f c
-  in
-  guarded (fun () ->
-      spawn s ~threads ?notify_done body;
-      if quiescent_checks then A.check_invariants t)
-
-let lf_alloc_sbcache =
-  {
-    name = "lf_alloc_sbcache";
-    doc = "warm superblock cache on; park/adopt windows + same oracle";
-    default_threads = 2;
-    labels = Labels.all;
-    run = sbcache_run;
-  }
-
 (* The owner-biased target: the allocator with `Owner_biased free
    lists (DESIGN.md §19) and two-block superblocks (1900-byte requests
    in 4096-byte superblocks), so three mallocs per thread force an
@@ -561,7 +511,7 @@ let tagged_id_stack =
   }
 
 let all =
-  [ lf_alloc; lf_alloc_notag; lf_alloc_cached; lf_alloc_sbcache;
+  [ lf_alloc; lf_alloc_notag; lf_alloc_cached;
     lf_alloc_owner_biased; buddy; ms_queue; desc_pool; desc_pool_reuse;
     treiber_stack; tagged_id_stack ]
 

@@ -47,13 +47,6 @@ val lf_alloc_cached : t
     batched refill/flush CAS windows. Expected clean: cached blocks of
     a killed thread leak but are never double-allocated. *)
 
-val lf_alloc_sbcache : t
-(** The oracle workload with the warm EMPTY-superblock cache on
-    ([Mm_core.Sb_cache], depth 1), exercising the park/adopt CAS
-    windows (labels [sbc.park] / [sbc.adopt]) and the adoption install
-    race. Expected clean: a descriptor lost between stack pop and
-    anchor install leaks with its superblock, never double-serves. *)
-
 val lf_alloc_owner_biased : t
 (** The oracle workload with owner-biased private/public free lists on
     ({!Mm_mem.Alloc_config.t.free_lists} = [`Owner_biased], DESIGN.md

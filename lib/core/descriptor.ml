@@ -8,7 +8,6 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
     pub : int Rt.atomic;
     mutable next_d : t option;
     mutable next_id : int;
-    mutable next_c : int;
     mutable sb : int;
     mutable heap_gid : int;
     mutable sz : int;
@@ -56,7 +55,6 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
             pub = Rt.Atomic.make_contended tbl.rt Pub_word.empty;
             next_d = None;
             next_id = -1;
-            next_c = -1;
             sb = Mm_mem.Addr.null;
             heap_gid = -1;
             sz = 0;

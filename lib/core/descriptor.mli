@@ -21,10 +21,6 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) : sig
     mutable next_d : t option;
         (** freelist link, hazard-pointer pool variant *)
     mutable next_id : int;  (** freelist link, tagged pool variant; -1 = nil *)
-    mutable next_c : int;
-        (** recycle-stack link, warm-superblock cache ({!Sb_cache});
-            -1 = nil. Distinct from [next_id] so a cache built on the
-            tagged stack never aliases the tagged descriptor pool's links. *)
     mutable sb : int;  (** superblock base address; {!Mm_mem.Addr.null} = none *)
     mutable heap_gid : int;  (** owning processor heap (global index) *)
     mutable sz : int;  (** block size (payload + prefix) *)

@@ -23,8 +23,6 @@ let desc_steal = "desc.steal"
 let bc_reserve_cas = "bc.reserve_cas"
 let bc_pop_cas = "bc.pop_cas"
 let bc_flush_cas = "bc.flush_cas"
-let sbc_park = "sbc.park"
-let sbc_adopt = "sbc.adopt"
 let pub_push = "pub.push"
 let pub_claim = "pub.claim"
 
@@ -55,8 +53,6 @@ let all =
     bc_reserve_cas;
     bc_pop_cas;
     bc_flush_cas;
-    sbc_park;
-    sbc_adopt;
     pub_push;
     pub_claim;
   ]
@@ -78,8 +74,6 @@ let census_sites =
     ("anchor.free", [ free_cas; bc_flush_cas ]);
     ("update_active", [ ua_credits_cas ]);
     ("partial.slot", [ free_put_partial ]);
-    ("sbc.park", [ sbc_park ]);
-    ("sbc.adopt", [ sbc_adopt ]);
     ("desc.spill", [ desc_spill ]);
     ("desc.steal", [ desc_steal ]);
     ("pub.push", [ pub_push ]);

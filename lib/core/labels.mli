@@ -105,16 +105,6 @@ val bc_flush_cas : string
 (** Block-cache flush: before the anchor CAS pushing a batch of freed
     blocks back (the amortized Fig. 6 push). *)
 
-val sbc_park : string
-(** Warm-superblock cache: before the tagged-stack CAS parking an EMPTY
-    descriptor — superblock bytes and free list intact — on its size
-    class's recycle stack ({!Sb_cache}, DESIGN.md §14). *)
-
-val sbc_adopt : string
-(** Warm-superblock cache: before the tag-bumping tagged-stack CAS
-    adopting a parked descriptor in [MallocFromNewSB], conferring
-    exclusive ownership exactly like a descriptor-pool pop. *)
-
 val pub_push : string
 (** Owner-biased free lists (DESIGN.md §19): before the CAS pushing a
     remotely freed block onto its superblock's public list

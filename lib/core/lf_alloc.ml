@@ -2,7 +2,6 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
   module Descriptor = Descriptor.Make (Rt)
   module Desc_pool = Desc_pool.Make (Rt)
   module Partial_list = Partial_list.Make (Rt)
-  module Sb_cache = Sb_cache.Make (Rt)
 
   module Cfg = Mm_mem.Alloc_config
   module Store = Mm_mem.Store.Make (Rt)
@@ -34,7 +33,6 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
     lists : Partial_list.t array;  (* per size class *)
     table : Descriptor.table;
     pool : Desc_pool.t;
-    sbc : Sb_cache.t;  (* warm EMPTY-superblock cache, DESIGN.md §14 *)
     pm : Pm.t option;  (* span reservoir + buddy backend, DESIGN.md §15 *)
     counts : Stripes.t;
         (* Striped counters, one padded row per thread: column [i]
@@ -115,11 +113,6 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
     let lists =
       Array.init nclasses (fun _ -> Partial_list.create rt cfg.partial_policy)
     in
-    let sbc =
-      Sb_cache.create rt ~depth:cfg.sb_cache_depth ~nclasses ~table
-        ~on_park_retry:(stripe "sbc.park")
-        ~on_adopt_retry:(stripe "sbc.adopt") ()
-    in
     let pm =
       if cfg.page_manager then
         Some
@@ -140,7 +133,6 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
       lists;
       table;
       pool;
-      sbc;
       pm;
       counts;
       ob = cfg.free_lists = `Owner_biased;
@@ -158,7 +150,6 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
 
   let rt t = t.rt
   let store t = t.store
-  let sb_cache t = t.sbc
   let page_manager t = t.pm
 
   (* Superblock backing: with the page manager on, superblocks are carved
@@ -214,26 +205,6 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
     Store.write_word t.store addr (Prefix.small ~desc_id:desc.id);
     addr + Prefix.prefix_bytes
 
-  (* Unmap a superblock no structure references any more and retire its
-     descriptor, resetting the anchor to [anchor] when given (it must
-     rest EMPTY, its tag moved forward). The reset sits between the
-     unmap and the retire: simulated schedules depend on the order of
-     these shared-memory events, and the golden traces pin it. *)
-  let retire_sb ?anchor t (desc : Descriptor.t) =
-    release_sb t desc.sb;
-    Option.iter (Rt.Atomic.set desc.anchor) anchor;
-    desc.sb <- Addr.null;
-    Desc_pool.retire t.pool desc
-
-  (* Park an EMPTY superblock whose free list threads all its blocks on
-     the warm cache; a refused park (watermark, or the cache disabled)
-     genuinely unmaps and retires, keeping the paper's space accounting
-     honest. *)
-  let park_or_retire t ~sc desc =
-    if Sb_cache.park t.sbc ~sc desc then
-      Rt.obs_event t.rt Rt.Obs.Transition "sb.empty->cached"
-    else retire_sb t desc
-
   (* ------------------------------------------------------------------ *)
   (* HeapPutPartial / HeapGetPartial / RemoveEmptyDesc (Figs. 4 & 6). *)
 
@@ -257,17 +228,6 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
     if prev <> 0 then
       Partial_list.put t.lists.(heap.sc) (Descriptor.get t.table prev)
 
-  (* Release an EMPTY descriptor whose last reference the caller just
-     removed — the Desc_pool.retire precondition, which is exactly the
-     exclusivity Sb_cache.park requires. With the warm cache enabled the
-     superblock is still mapped here (the EMPTY push skips the unmap,
-     below), so the whole descriptor — bytes, intact free list, anchor
-     tag — parks on the size-class cache. *)
-  let release_empty t desc =
-    if Sb_cache.enabled t.sbc && desc.Descriptor.sb <> Addr.null then
-      park_or_retire t ~sc:(desc.Descriptor.heap_gid / t.nheaps_) desc
-    else Desc_pool.retire t.pool desc
-
   let rec heap_get_partial t heap =
     let id = Rt.Atomic.get heap.partial in
     if id = 0 then Partial_list.get t.lists.(heap.sc)
@@ -289,26 +249,22 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
          re-validate the state and reinsert if it is alive. *)
       if
         Anchor.state (Rt.Atomic.get desc.Descriptor.anchor) = Anchor.Empty
-      then release_empty t desc
+      then Desc_pool.retire t.pool desc
       else heap_put_partial t desc
     end
     else
       Partial_list.remove_empty t.lists.(heap.sc)
-        ~retire:(fun d -> release_empty t d)
+        ~retire:(Desc_pool.retire t.pool)
 
   (* Release a superblock that just went EMPTY from [oldstate] (Fig. 6
-     lines 19-21). With the warm cache enabled the superblock stays
-     mapped: the thread that later removes the descriptor's last
-     reference parks bytes + free list + anchor together
-     (release_empty), or unmaps there if the cache is full. Unmapping
-     here would tear the superblock away before ownership of the
-     descriptor settles. A PARTIAL superblock may sit in the partial
-     structures, so it is removed with the slot-ABA guard above; a FULL
-     one is in none — only a run of all its blocks empties it at once —
-     so it is exclusively ours to release. *)
+     lines 19-21): unmap it, then retire the descriptor. A PARTIAL
+     superblock may sit in the partial structures, so it is removed with
+     the slot-ABA guard above; a FULL one is in none — only a run of all
+     its blocks empties it at once — so it is exclusively ours to
+     retire. *)
   let release_emptied t desc ~oldstate ~heap_gid =
-    if not (Sb_cache.enabled t.sbc) then release_sb t desc.Descriptor.sb;
-    if oldstate = Anchor.Full then release_empty t desc
+    release_sb t desc.Descriptor.sb;
+    if oldstate = Anchor.Full then Desc_pool.retire t.pool desc
     else remove_empty_desc t (heap_of_gid t heap_gid) desc
 
   (* ------------------------------------------------------------------ *)
@@ -491,7 +447,7 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
         let morecredits = reserve_partial t desc Backoff.initial in
         if morecredits < 0 then begin
           (* lines 5-6: release and retry. *)
-          release_empty t desc;
+          Desc_pool.retire t.pool desc;
           malloc_from_partial t heap
         end
         else begin
@@ -530,41 +486,20 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
     (* line 3 *)
     desc
 
-  (* A warm parked EMPTY superblock (DESIGN.md §14) when the cache has
-     one — [true] — else a freshly carved one. Adoption skips the whole
-     of Fig. 4's line 2-3 work, the mmap and the O(maxcount) free-list
-     initialization: the tag-bumping pop of the cache stack made the
-     descriptor private to us, so the callers' anchor and link reads are
-     non-racy, and the free list survived the park intact (all
-     [maxcount] blocks chained from [avail]). The callers' anchor
-     installs continue the descriptor's own tag sequence, so a stale CAS
-     from the superblock's previous life still fails. *)
-  let new_sb t heap =
-    match Sb_cache.adopt t.sbc ~sc:heap.sc with
-    | Some desc ->
-        desc.Descriptor.heap_gid <- heap.gid;
-        (desc, true)
-    | None -> (carve_sb t heap, false)
-
   (* MallocFromNewSB (Fig. 4); NULL when another thread installed an
      active superblock first. *)
   let malloc_from_new_sb t heap =
-    let desc, adopted = new_sb t heap in
+    let desc = carve_sb t heap in
     let maxcount = desc.Descriptor.maxcount in
     (* The anchor keeps its tag across descriptor reuse, preserving the
        ABA argument over the descriptor's whole history. *)
     let a0 = Rt.Atomic.get desc.Descriptor.anchor in
-    let avail0 = if adopted then Anchor.avail a0 else 0 in
-    let head = block_addr desc avail0 in
-    let next =
-      if adopted then clamp_index (Store.read_word t.store head) else 1
-    in
     (* line 9: newactive.credits = min(maxcount-1, MAXCREDITS) - 1 *)
     let credits = min (maxcount - 1) t.cfg.maxcredits - 1 in
     let newactive = Active_word.make ~desc_id:desc.Descriptor.id ~credits in
     (* lines 5, 10, 11 *)
     Rt.Atomic.set desc.Descriptor.anchor
-      (Anchor.make ~avail:next
+      (Anchor.make ~avail:1
          ~count:(maxcount - 1 - (credits + 1))
          ~state:Anchor.Active ~tag:(Anchor.tag a0 + 1));
     Rt.fence t.rt;
@@ -573,25 +508,21 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
     (* line 13 *)
     if Rt.Atomic.compare_and_set heap.active Active_word.null newactive then begin
       (* lines 14-15: take the head block. *)
-      Rt.obs_event t.rt Rt.Obs.Transition
-        (if adopted then "sb.cached->active" else "sb.new->active");
-      finish_block t desc head
+      Rt.obs_event t.rt Rt.Obs.Transition "sb.new->active";
+      finish_block t desc desc.Descriptor.sb
     end
     else begin
       (* lines 16-17: another thread won the race. Nothing was handed
-         out and the links are untouched, so the superblock is a perfect
-         parking candidate: restore the parked EMPTY anchor (tag moves
-         forward, never back) and park it, or release it when the cache
-         refuses. *)
-      let parked =
-        Anchor.make ~avail:avail0 ~count:(maxcount - 1) ~state:Anchor.Empty
-          ~tag:(Anchor.tag a0 + 2)
-      in
-      if Sb_cache.enabled t.sbc then begin
-        Rt.Atomic.set desc.Descriptor.anchor parked;
-        park_or_retire t ~sc:heap.sc desc
-      end
-      else retire_sb t desc ~anchor:parked;
+         out, so unmap the superblock and retire the descriptor, its
+         anchor reset to rest EMPTY with the tag moved forward, never
+         back. The reset sits between the unmap and the retire: the
+         golden traces pin the order of these shared-memory events. *)
+      release_sb t desc.Descriptor.sb;
+      Rt.Atomic.set desc.Descriptor.anchor
+        (Anchor.make ~avail:0 ~count:(maxcount - 1) ~state:Anchor.Empty
+           ~tag:(Anchor.tag a0 + 2));
+      desc.Descriptor.sb <- Addr.null;
+      Desc_pool.retire t.pool desc;
       Addr.null
     end
 
@@ -665,8 +596,8 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
      anchor of a descriptor whose pub word has the owned bit set is
      written only by the thread that set that bit, which turns every
      anchor update below into an exclusive plain [Atomic.set]; the
-     EMPTY/FULL state machine, [Sb_cache] parking and [Partial_list]
-     publication are shared with the anchor path unchanged. *)
+     EMPTY/FULL state machine and [Partial_list] publication are shared
+     with the anchor path unchanged. *)
 
   (* Private-LIFO pop; caller guarantees [priv_count > 0]. The link
      reads are non-racy: a private block is free and reachable only by
@@ -733,9 +664,9 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
         if total = desc.Descriptor.maxcount then begin
           (* Every block of the superblock is free, so no thread holds
              one and no further push can race: plain-reset both words.
-             The anchor takes the adoptable parked-EMPTY form — all
-             [maxcount] blocks chained from avail, count = maxcount-1 —
-             matching the anchor path's EMPTY transition. *)
+             The anchor takes the EMPTY form — all [maxcount] blocks
+             chained from avail, count = maxcount-1 — matching the
+             anchor path's EMPTY transition. *)
           Rt.Atomic.set desc.Descriptor.anchor
             (Anchor.make ~avail:head
                ~count:(desc.Descriptor.maxcount - 1)
@@ -836,7 +767,7 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
                  and keep looking. *)
               Rt.Atomic.set desc.Descriptor.pub
                 (Pub_word.unowned_empty (Rt.Atomic.get desc.Descriptor.pub));
-              release_empty t desc;
+              Desc_pool.retire t.pool desc;
               ob_acquire_partial t heap tid
           | Anchor.Partial ->
               (* We own the pub word, so this write is exclusive:
@@ -858,15 +789,13 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
         end
 
   (* A new superblock, owned outright: its whole free list (chained
-     from block 0 when carved, from [avail] when adopted) becomes the
-     private list — no re-zeroing, no free-list rebuild. Ownership is
-     per-thread, so there is no install race to lose and both words are
-     plain sets (tags continue the descriptor's own sequence, as
-     everywhere). *)
+     from block 0) becomes the private list. Ownership is per-thread, so
+     there is no install race to lose and both words are plain sets
+     (tags continue the descriptor's own sequence, as everywhere). *)
   let ob_acquire_new t heap tid =
-    let desc, adopted = new_sb t heap in
+    let desc = carve_sb t heap in
     let a0 = Rt.Atomic.get desc.Descriptor.anchor in
-    desc.Descriptor.priv_head <- (if adopted then Anchor.avail a0 else 0);
+    desc.Descriptor.priv_head <- 0;
     desc.Descriptor.priv_count <- desc.Descriptor.maxcount;
     Rt.Atomic.set desc.Descriptor.anchor
       (Anchor.make ~avail:0 ~count:0 ~state:Anchor.Full
@@ -874,8 +803,7 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
     Rt.Atomic.set desc.Descriptor.pub
       (Pub_word.owned_empty (Rt.Atomic.get desc.Descriptor.pub));
     t.owned.(tid).(heap.sc) <- desc.Descriptor.id;
-    Rt.obs_event t.rt Rt.Obs.Transition
-      (if adopted then "sb.cached->owned" else "sb.new->owned");
+    Rt.obs_event t.rt Rt.Obs.Transition "sb.new->owned";
     desc
 
   (* The owner's slow path: private list empty. Claim the whole public
@@ -1246,14 +1174,6 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
             add_ref d.Descriptor.id (Printf.sprintf "PartialList[%d]" sc))
           (Partial_list.to_list list))
       t.lists;
-    let parked_ids = Hashtbl.create 8 in
-    for sc = 0 to Sc.count t.classes - 1 do
-      List.iter
-        (fun id ->
-          add_ref id (Printf.sprintf "SbCache[%d]" sc);
-          Hashtbl.replace parked_ids id sc)
-        (Sb_cache.parked t.sbc ~sc)
-    done;
     (* Owner-biased mode: each thread's owned slots reference the
        superblock it holds privately (always empty under `Anchor). *)
     let owned_ids = Hashtbl.create 8 in
@@ -1273,45 +1193,18 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
         let id = d.Descriptor.id in
         match Anchor.state a with
         | Anchor.Empty -> (
-            (* Retired or awaiting removal (it may linger only in a size
-               class partial list) — or parked warm on the superblock
-               cache, in which case its whole free list must be intact:
-               all [maxcount] blocks chained from [avail] with no repeats,
-               ready for adoption without re-initialization. *)
+            (* Retired or awaiting removal: it may linger only in a size
+               class partial list. *)
             let pubw = Rt.Atomic.get d.Descriptor.pub in
             if Pub_word.owned pubw || Pub_word.count pubw > 0 then
               fail "EMPTY desc %d with a live pub word %a" id Pub_word.pp pubw;
-            (match Hashtbl.find_opt parked_ids id with
-            | None -> ()
-            | Some sc ->
-                if d.Descriptor.sb = Addr.null then
-                  fail "parked desc %d without superblock" id;
-                if
-                  Sc.block_size t.classes sc <> d.Descriptor.sz
-                then
-                  fail "parked desc %d: sz %d does not match class %d" id
-                    d.Descriptor.sz sc;
-                let seen = Array.make d.Descriptor.maxcount false in
-                let idx = ref (Anchor.avail a) in
-                for step = 1 to d.Descriptor.maxcount do
-                  if !idx < 0 || !idx >= d.Descriptor.maxcount then
-                    fail "parked desc %d: free-list index %d out of range \
-                          at step %d" id !idx step;
-                  if seen.(!idx) then
-                    fail "parked desc %d: free list revisits block %d" id !idx;
-                  seen.(!idx) <- true;
-                  idx :=
-                    Store.read_word t.store
-                      (d.Descriptor.sb + (!idx * d.Descriptor.sz))
-                done);
             match Hashtbl.find_opt refs id with
             | None -> ()
             | Some src ->
                 if
                   not
-                    ((String.length src > 11
-                     && String.sub src 0 11 = "PartialList")
-                    || (String.length src > 7 && String.sub src 0 7 = "SbCache"))
+                    (String.length src > 11
+                    && String.sub src 0 11 = "PartialList")
                 then fail "EMPTY desc %d referenced from %s" id src)
         | st ->
             if d.Descriptor.sb = Addr.null then

@@ -24,8 +24,7 @@
     the owner reclaims the whole public list in one CAS ([pub.claim]).
     While a superblock is owned its anchor is frozen at FULL(0,0) and
     written only by the owner, so the anchor state machine, partial
-    structures, superblock cache and EMPTY/FULL transitions are shared
-    verbatim with the paper's mode — ownership handoff simply re-anchors
+    structures and EMPTY/FULL transitions are shared verbatim with the paper's mode — ownership handoff simply re-anchors
     the superblock. Under the default [`Anchor] configuration every path
     is bit-identical to the paper's figures.
 
@@ -84,11 +83,6 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) : sig
   val nheaps : t -> int
   val descriptor_table : t -> Descriptor.Make(Rt).table
   val desc_pool : t -> Desc_pool.Make(Rt).t
-
-  val sb_cache : t -> Sb_cache.Make(Rt).t
-  (** The warm EMPTY-superblock cache (DESIGN.md §14). Disabled — and the
-      malloc/free paths bit-identical to the paper's figures — when the
-      configuration's [sb_cache_depth] is 0. *)
 
   val page_manager : t -> Mm_pages.Page_manager.Make(Rt).t option
   (** The span reservoir + lock-free buddy backend (DESIGN.md §15) large

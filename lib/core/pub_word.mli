@@ -51,7 +51,7 @@ val un_own : int -> int
 (** Release ownership keeping pending blocks: unowned, tag + 1. *)
 
 val owned_empty : int -> int
-(** Owned with no blocks, tag + 1 (fresh/adopted superblock install). *)
+(** Owned with no blocks, tag + 1 (fresh superblock install). *)
 
 val unowned_empty : int -> int
 (** Unowned with no blocks, tag + 1 (owner handoff, EMPTY release). *)

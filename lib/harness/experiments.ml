@@ -27,8 +27,8 @@ let make_sim ?(cpus = sim_cpus) ~seed () =
 (* OS-traffic census: every experiment table ends with the lock-free
    allocator's simulated syscall and superblock-pool traffic, summed
    over every "new" data point the experiment ran and normalized per 1k
-   workload ops. This is the denominator the warm-superblock-cache
-   ablation (DESIGN.md §14) and the scripts/ci.sh mmap gate guard. *)
+   workload ops. This is the denominator the scripts/ci.sh mmap gate
+   guards. *)
 
 type os_census = {
   census_ops : int;
@@ -519,9 +519,9 @@ let ablation_reclaim mode seed =
   (* The shared-freelist hand-off windows of the retiring variants:
      Fig. 7 pop/refill/push for the hazard pool, plus the tagged pool's
      internal Tis CASes (its pops/pushes are the freelist hand-off);
-     reuse-in-place has none of them. With the warm-superblock cache off
-     the tagged descriptor pool is the only default-label Tis instance,
-     so the tis.* labels are unambiguous here. *)
+     reuse-in-place has none of them. The tagged descriptor pool is the
+     only default-label Tis instance, so the tis.* labels are
+     unambiguous here. *)
   let freelist_windows =
     Mm_core.Labels.[ desc_alloc; desc_refill; desc_push ]
     @ Mm_lockfree.Lf_labels.[ tis_push_cas; tis_pop_cas ]
@@ -741,73 +741,6 @@ let ablation_hyper mode seed =
     lines =
       Render.table
         ~header:[ "config"; "throughput"; "mmap calls"; "sb allocs" ]
-        ~rows;
-  }
-
-let ablation_sbcache mode seed =
-  (* One shared heap concentrates the EMPTY churn (threadtest's
-     alloc-all/free-all phases empty superblocks constantly, and every
-     lost MallocFromNewSB install race frees a just-built superblock);
-     this is the same shape as the contention-sites census. *)
-  let workloads =
-    [
-      ("threadtest x16",
-       fun inst ~threads -> W.Threadtest.run inst ~threads (threadtest_params mode));
-      ("larson x16",
-       fun inst ~threads -> W.Larson.run inst ~threads (larson_params mode));
-    ]
-  in
-  let configs =
-    [
-      ("cache off (paper)", Cfg.make ~nheaps:1 ());
-      ("cache depth 8", Cfg.make ~nheaps:1 ~sb_cache_depth:8 ());
-      ("cache depth 64", Cfg.make ~nheaps:1 ~sb_cache_depth:64 ());
-    ]
-  in
-  let rows =
-    List.concat_map
-      (fun (wname, wl) ->
-        List.map
-          (fun (cname, cfg) ->
-            let m = sim_point ~cfg ~seed "new" wl ~threads:16 in
-            let os = m.Metrics.os in
-            let syscalls =
-              os.Mm_mem.Store.mmap_calls + os.Mm_mem.Store.munmap_calls
-            in
-            [
-              wname; cname;
-              Render.fmt_throughput m.Metrics.throughput;
-              per1k os.Mm_mem.Store.mmap_calls m.Metrics.ops;
-              per1k os.Mm_mem.Store.munmap_calls m.Metrics.ops;
-              per1k syscalls m.Metrics.ops;
-              per1k os.Mm_mem.Store.sb_reuses m.Metrics.ops;
-              Render.fmt_bytes m.Metrics.space.Mm_mem.Space.mapped_peak;
-            ])
-          configs)
-      workloads
-  in
-  {
-    id = "ablation-sbcache";
-    runtime = "simulated";
-    title =
-      "DESIGN.md §14 ablation: warm superblock cache (EMPTY superblocks \
-       parked per size class instead of unmapped)";
-    expectation =
-      "The paper returns EMPTY superblocks to the OS unconditionally, so \
-       churn phases pay a munmap per EMPTY transition (and an mmap + \
-       free-list init to come back). Parking them on the lock-free \
-       per-class cache collapses that OS traffic to the watermark \
-       overflow residue — syscalls per 1k ops drop by an order of \
-       magnitude on churn — while mapped peak stays within \
-       sb_cache_depth superblocks per active size class of the \
-       cache-off peak.";
-    lines =
-      Render.table
-        ~header:
-          [
-            "benchmark"; "config"; "throughput"; "mmap/1k"; "munmap/1k";
-            "syscalls/1k"; "reuse/1k"; "mapped peak";
-          ]
         ~rows;
   }
 
@@ -1258,7 +1191,6 @@ let experiments : (string * (mode -> int -> outcome)) list =
     ("ablation-credits", ablation_credits);
     ("ablation-locks", ablation_locks);
     ("ablation-hyper", ablation_hyper);
-    ("ablation-sbcache", ablation_sbcache);
     ("ablation-ownerbias", ablation_ownerbias);
     ("large-alloc", large_alloc);
     ("ablation-pages", ablation_pages);

@@ -32,15 +32,12 @@ type capture = {
 }
 
 let capture ?(cpus = sim_cpus) ?nheaps ?(capacity = 1 lsl 16)
-    ?(allocator = "new") ?(sb_cache = 0) ?(page_manager = false)
+    ?(allocator = "new") ?(page_manager = false)
     ?(desc_scan_threshold = 0) ~name ~threads ~seed wl =
   let nheaps = Option.value nheaps ~default:cpus in
   let sim = Sim.create ~cpus ~seed ~max_cycles:sim_budget () in
   let rt = Rt.simulated sim in
-  let cfg =
-    Cfg.make ~nheaps ~sb_cache_depth:sb_cache ~page_manager
-      ~desc_scan_threshold ()
-  in
+  let cfg = Cfg.make ~nheaps ~page_manager ~desc_scan_threshold () in
   (* Keep a typed handle on the lock-free allocator so the capture can
      report its op counts and its independent striped retry census. For
      "new-cached" the retry census comes from the wrapped backend while
@@ -104,7 +101,7 @@ let core_retry_counts agg =
   List.map (fun (site, labels) -> (site, Obs_agg.retries agg ~labels)) core_sites
 
 (* Simulated mmap calls recorded in a trace (one Mmap event per real
-   mapping; superblock-pool and warm-cache reuses emit none), so the CI
+   mapping; superblock-pool reuses emit none), so the CI
    mmap gate works on recorded traces as well as fresh runs. *)
 let trace_mmaps (tf : Trace_file.t) =
   let agg = Trace_file.agg tf in

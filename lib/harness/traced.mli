@@ -24,7 +24,6 @@ val capture :
   ?nheaps:int ->
   ?capacity:int ->
   ?allocator:string ->
-  ?sb_cache:int ->
   ?page_manager:bool ->
   ?desc_scan_threshold:int ->
   name:string ->
@@ -42,9 +41,7 @@ val capture :
     the IBM-tag descriptor-freelist ablation, and ["new-ob"] the
     owner-biased private/public free-list mode (DESIGN.md §19, census
     incl. [pub.push]/[pub.claim]).
-    [sb_cache] (default 0 = off, the paper-verbatim path) sets the
-    warm-superblock cache depth per size class (DESIGN.md §14);
-    [page_manager] (default [false] = off, likewise paper-verbatim)
+    [page_manager] (default [false] = off, the paper-verbatim path)
     routes large blocks and superblock carving through the [lib/pages]
     span reservoir (DESIGN.md §15). [desc_scan_threshold] (default 0 =
     the hazard-pointer module's own [2 * max_threads * k] amortised
@@ -65,7 +62,7 @@ val core_retry_counts : Mm_obs.Agg.t -> (string * int) list
 
 val trace_mmaps : Mm_obs.Trace_file.t -> int
 (** Simulated mmap calls recorded in the trace (equals the store's
-    [mmap_calls]; pool and warm-cache reuses emit no event). Used by the
+    [mmap_calls]; superblock-pool reuses emit no event). Used by the
     [bin/trace.exe report --max-mmap-per-1k] CI gate. *)
 
 val trace_large_mmaps : Mm_obs.Trace_file.t -> int

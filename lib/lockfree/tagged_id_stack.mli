@@ -32,9 +32,9 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) : sig
       [push_label] / [pop_label] name the two CAS windows to the schedule
       explorer and the observability census (defaults:
       {!Lf_labels.tis_push_cas} / {!Lf_labels.tis_pop_cas}); a client
-      embedding the stack in a larger structure (e.g. the warm-superblock
-      cache) passes its own registry entries so faults and retries are
-      attributed to the embedding site. [on_push_retry] / [on_pop_retry]
+      embedding the stack in a larger structure passes its own registry
+      entries so faults and retries are attributed to the embedding
+      site. [on_push_retry] / [on_pop_retry]
       run once per failed CAS, letting the client mirror the failure into
       its own striped retry counters (census equality, DESIGN.md §12). *)
 

@@ -18,7 +18,6 @@ type t = {
   cache : bool;
   cache_blocks : int;
   cache_batch : int;
-  sb_cache_depth : int;
   page_manager : bool;
   span_pages : int;
   free_lists : free_lists;
@@ -40,7 +39,6 @@ let default =
     cache = false;
     cache_blocks = 64;
     cache_batch = 16;
-    sb_cache_depth = 0;
     page_manager = false;
     span_pages = 64;
     free_lists = `Anchor;
@@ -56,7 +54,6 @@ let make ?(nheaps = default.nheaps) ?(sbsize = default.sbsize)
     ?(desc_scan_threshold = default.desc_scan_threshold)
     ?(cache = default.cache) ?(cache_blocks = default.cache_blocks)
     ?(cache_batch = default.cache_batch)
-    ?(sb_cache_depth = default.sb_cache_depth)
     ?(page_manager = default.page_manager) ?(span_pages = default.span_pages)
     ?(free_lists = default.free_lists) () =
   if nheaps < 0 then invalid_arg "Alloc_config: nheaps must be >= 0";
@@ -69,8 +66,6 @@ let make ?(nheaps = default.nheaps) ?(sbsize = default.sbsize)
     invalid_arg "Alloc_config: cache_blocks must be >= 1";
   if cache_batch < 1 || cache_batch > cache_blocks then
     invalid_arg "Alloc_config: cache_batch must be in [1, cache_blocks]";
-  if sb_cache_depth < 0 then
-    invalid_arg "Alloc_config: sb_cache_depth must be >= 0";
   if span_pages < 1 || span_pages land (span_pages - 1) <> 0 then
     invalid_arg "Alloc_config: span_pages must be a positive power of two";
   {
@@ -88,7 +83,6 @@ let make ?(nheaps = default.nheaps) ?(sbsize = default.sbsize)
     cache;
     cache_blocks;
     cache_batch;
-    sb_cache_depth;
     page_manager;
     span_pages;
     free_lists;

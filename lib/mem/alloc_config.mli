@@ -37,9 +37,8 @@ type free_lists =
         claims the public remote-free list in one CAS; remote frees
         push onto the public tagged list ([pub.push], one CAS). The
         anchor of an owned superblock is frozen at FULL and written
-        only under public-list ownership, so [sb_cache],
-        [partial_list] and the EMPTY/FULL state machine are
-        unchanged. *) ]
+        only under public-list ownership, so [partial_list] and the
+        EMPTY/FULL state machine are unchanged. *) ]
 
 type t = {
   nheaps : int;
@@ -76,16 +75,6 @@ type t = {
           A refill reserves up to this many credits in one CAS on Active;
           an overflow or remote-free flush pushes this many blocks back
           through the Fig. 6 path in one anchor CAS per superblock. *)
-  sb_cache_depth : int;
-      (** warm-superblock cache depth per size class
-          ({!Mm_core.Sb_cache}, DESIGN.md §14). [0] (the default)
-          disables the cache and preserves the paper-verbatim EMPTY path:
-          an emptied superblock is munmapped at the transition and its
-          descriptor retired. [> 0] parks up to this many EMPTY
-          descriptors per size class — superblock bytes, intact free
-          list and anchor tag preserved — for adoption by
-          [MallocFromNewSB]; overflow beyond the watermark is genuinely
-          unmapped, so {!Space} peak accounting stays honest. *)
   page_manager : bool;
       (** route large blocks and superblock carving through the
           [lib/pages] span reservoir + lock-free buddy (DESIGN.md §15)
@@ -120,7 +109,6 @@ val make :
   ?cache:bool ->
   ?cache_blocks:int ->
   ?cache_batch:int ->
-  ?sb_cache_depth:int ->
   ?page_manager:bool ->
   ?span_pages:int ->
   ?free_lists:free_lists ->

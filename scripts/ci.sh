@@ -48,14 +48,13 @@ MM_BENCH_JSON=_build/ci/bench-report.json dune exec bench/main.exe || true
 dune exec bench/main.exe -- --gate-only \
   --max-ns-per-op malloc+free/new:240 \
   --max-ns-per-op malloc+free/new-cached:105 > /dev/null
-# OS-traffic regression gate (DESIGN.md §14): the 16-thread threadtest
-# churn with the warm superblock cache on must keep simulated mmap
-# syscalls under 2 per 1k allocator ops (measured 0.36/1k at the
-# commit that introduced the cache; the store pool and the cache
-# together make churn mmap-free, so a rate above 2 means a recycling
-# path regressed). Exit code 2 fails the gate.
+# OS-traffic regression gate: the 16-thread threadtest churn on the
+# paper allocator must keep simulated mmap syscalls under 2 per 1k
+# allocator ops (measured 0.27/1k). The store's superblock pool
+# recycles every EMPTY superblock without a syscall, so a rate above 2
+# means that recycling path regressed. Exit code 2 fails the gate.
 dune exec bin/trace.exe -- report threadtest --threads 16 --heaps 1 \
-  --sb-cache 8 --max-mmap-per-1k 2.0 > /dev/null
+  --max-mmap-per-1k 2.0 > /dev/null
 # Large-path OS-traffic gate (DESIGN.md §15): the 8-thread large-alloc
 # churn with the page manager on must keep large-path mmap calls (site
 # store.mmap.large) under 5 per 1k allocator ops (measured 0.00/1k at

@@ -19,7 +19,6 @@ let () =
       ("fault-injection", Test_fault_injection.cases);
       ("block-cache", Test_block_cache.cases);
       ("hot-path", Test_hot_path.cases);
-      ("sb-cache", Test_sb_cache.cases);
       ("pages", Test_pages.cases);
       ("workloads", Test_workloads.cases);
       ("alloc-ops", Test_alloc_ops.cases);

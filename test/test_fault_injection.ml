@@ -10,15 +10,14 @@
    - kill: the thread dies at the label; survivors complete and the
      allocator remains usable afterwards.
 
-   The probe runs five phases per thread: the bare allocator (reaching
+   The probe runs four phases per thread: the bare allocator (reaching
    every backend label), the block-cache frontend (reaching the batched
-   bc.* refill/flush labels, DESIGN.md §13), the warm-superblock cache
-   (sbc.* labels, DESIGN.md §14), a reuse-in-place descriptor pool
-   driven directly with batch_size 1 so the spill/steal hand-off labels
-   fire (desc.spill / desc.steal, DESIGN.md §17), and a SHARED
-   owner-biased allocator whose threads hand blocks to their neighbour
-   so remote frees push public lists (pub.push) and handoffs, rescues
-   and owner refills claim them (pub.claim, DESIGN.md §19).
+   bc.* refill/flush labels, DESIGN.md §13), a reuse-in-place
+   descriptor pool driven directly with batch_size 1 so the spill/steal
+   hand-off labels fire (desc.spill / desc.steal, DESIGN.md §17), and a
+   SHARED owner-biased allocator whose threads hand blocks to their
+   neighbour so remote frees push public lists (pub.push) and handoffs,
+   rescues and owner refills claim them (pub.claim, DESIGN.md §19).
 
    Plus schedule fuzzing: many seeds of a mixed workload with full
    invariant checks. *)
@@ -49,13 +48,6 @@ let probe_cfg =
 let cached_cfg =
   Cfg.make ~nheaps:1 ~sbsize:4096 ~maxcredits:8 ~desc_scan_threshold:1
     ~cache:true ~cache_blocks:4 ~cache_batch:2 ()
-
-(* The warm-superblock phase needs a shallow cache so both parks
-   (sbc.park) and watermark overflows fire, and the burst/drain cycle
-   adopts parked superblocks back (sbc.adopt) on the next burst. *)
-let sbc_cfg =
-  Cfg.make ~nheaps:1 ~sbsize:4096 ~maxcredits:1 ~desc_scan_threshold:1
-    ~sb_cache_depth:2 ()
 
 let probe_body ~malloc ~free n tid =
   let rng = Prng.create (tid + 31) in
@@ -128,14 +120,13 @@ let probe_reuse pool n =
     P.retire pool d
   done
 
-(* Four allocators and a reuse pool on one runtime, and a body running
-   the plain phase, the cached phase, the warm-superblock phase, the
-   reuse-pool phase, then the shared owner-biased phase — together
-   they reach every label in L.all. *)
+(* Three allocators and a reuse pool on one runtime, and a body running
+   the plain phase, the cached phase, the reuse-pool phase, then the
+   shared owner-biased phase — together they reach every label in
+   L.all. *)
 let probe_pair rt =
   let t = A.create rt probe_cfg in
   let tc = Bc.create rt cached_cfg in
-  let ts = A.create rt sbc_cfg in
   let tob = A.create rt ob_cfg in
   let mailbox = Array.make threads [] in
   let table = D.create_table rt ~capacity:256 in
@@ -143,11 +134,10 @@ let probe_pair rt =
   let body n tid =
     probe_body ~malloc:(A.malloc t) ~free:(A.free t) n tid;
     probe_body ~malloc:(Bc.malloc tc) ~free:(Bc.free tc) n tid;
-    probe_body ~malloc:(A.malloc ts) ~free:(A.free ts) n tid;
     probe_reuse pool n;
     probe_ob tob mailbox n tid
   in
-  (t, tc, ts, tob, pool, body)
+  (t, tc, tob, pool, body)
 
 let coverage () =
   let hits = Hashtbl.create 32 in
@@ -156,7 +146,7 @@ let coverage () =
     Sim.Continue
   in
   let s = sim ~cpus:threads ~max_cycles:50_000_000_000 ~on_label () in
-  let t, tc, ts, tob, _pool, body = probe_pair s in
+  let t, tc, tob, _pool, body = probe_pair s in
   ignore (Sim.run s (Array.init threads (fun _ -> body 4)));
   List.iter
     (fun l ->
@@ -165,7 +155,6 @@ let coverage () =
     L.all;
   A.check_invariants t;
   Bc.check_invariants tc;
-  A.check_invariants ts;
   A.check_invariants tob
 
 let pause_at label () =
@@ -188,7 +177,7 @@ let pause_at label () =
     else Sim.Continue
   in
   let s = sim ~cpus:threads ~max_cycles:50_000_000_000 ~on_label () in
-  let t, tc, ts, tob, _pool, pbody = probe_pair s in
+  let t, tc, tob, _pool, pbody = probe_pair s in
   let body tid =
     pbody 3 tid;
     finished.(tid) <- true
@@ -203,7 +192,6 @@ let pause_at label () =
      fully consistent (cached blocks remain allocated by design). *)
   A.check_invariants t;
   Bc.check_invariants tc;
-  A.check_invariants ts;
   A.check_invariants tob
 
 let kill_at label () =
@@ -216,7 +204,7 @@ let kill_at label () =
     else Sim.Continue
   in
   let s = sim ~cpus:threads ~max_cycles:50_000_000_000 ~on_label () in
-  let t, tc, ts, tob, pool, pbody = probe_pair s in
+  let t, tc, tob, pool, pbody = probe_pair s in
   let completed = Array.make threads false in
   let body tid =
     pbody 3 tid;
@@ -243,8 +231,6 @@ let kill_at label () =
           Array.iter (A.free t) addrs;
           let addrs = Array.init 200 (fun _ -> Bc.malloc tc 8) in
           Array.iter (Bc.free tc) addrs;
-          let addrs = Array.init 200 (fun _ -> A.malloc ts 8) in
-          Array.iter (A.free ts) addrs;
           let addrs = Array.init 200 (fun _ -> A.malloc tob 8) in
           Array.iter (A.free tob) addrs;
           probe_reuse pool 2;

@@ -11,7 +11,6 @@ module Anchor = Mm_core.Anchor
 module D = Mm_core.Descriptor.Make (Real_rt)
 module Pl = Mm_core.Partial_list.Make (Real_rt)
 module Pool = Mm_core.Desc_pool.Make (Real_rt)
-module Sbc = Mm_core.Sb_cache.Make (Real_rt)
 module Cfg = Mm_mem.Alloc_config
 
 module Store = struct
@@ -252,6 +251,48 @@ let aba_tag_defence () =
     (List.length (List.sort_uniq compare live));
   As.check_invariants t
 
+(* Fig. 5's ABA argument across descriptor reuse: a retired descriptor
+   keeps its anchor tag, and MallocFromNewSB installs tag + 1 on it, so
+   a CAS held over from one life of the descriptor can never succeed on
+   the next. Churn one size class under the default Hazard pool (scan
+   threshold 1, so retired descriptors come back quickly) and read the
+   tag each new superblock is installed with. A malloc that carved a
+   superblock (single thread: no lost install race) leaves the new
+   descriptor Active with the install tag untouched. *)
+let tag_increases_across_descriptor_lives () =
+  let t = A.create () (Cfg.make ~nheaps:1 ~sbsize:4096 ~desc_scan_threshold:1 ()) in
+  let classes = A.size_classes t in
+  let sc = Option.get (Mm_mem.Size_class.class_of_request classes 8) in
+  let sb_allocs () = (Store.os_stats (A.store t)).Store.sb_allocs in
+  let install_tag = Hashtbl.create 8 in
+  let lives = ref 0 in
+  let malloc () =
+    let carved = sb_allocs () in
+    let a = A.malloc t 8 in
+    if sb_allocs () > carved then begin
+      let d, _ = Option.get (A.heap_active_desc t ~sc ~heap:0) in
+      let anchor = Real_rt.Atomic.get d.D.anchor in
+      Alcotest.(check bool) "fresh superblock is active" true
+        (Anchor.state anchor = Anchor.Active);
+      let tag = Anchor.tag anchor in
+      (match Hashtbl.find_opt install_tag d.D.id with
+      | Some prev when tag <= prev ->
+          Alcotest.failf "descriptor %d reinstalled with tag %d <= %d" d.D.id
+            tag prev
+      | Some _ -> incr lives
+      | None -> ());
+      Hashtbl.replace install_tag d.D.id tag
+    end;
+    a
+  in
+  let n = 3 * Mm_mem.Size_class.blocks_per_superblock classes sc in
+  for _ = 1 to 20 do
+    let blocks = Array.init n (fun _ -> malloc ()) in
+    Array.iter (A.free t) blocks
+  done;
+  A.check_invariants t;
+  Alcotest.(check bool) "descriptors were recycled" true (!lives >= 10)
+
 (* ---------------- invariant checker self-test ---------------- *)
 
 let checker_detects_prefix_corruption () =
@@ -344,11 +385,12 @@ let wild_free_guard () =
   A.check_invariants t
 
 (* A FULL superblock is in no structure, so a batch that returns all of
-   its blocks at once must release it itself: with the warm cache on it
-   parks, instead of resting EMPTY where nothing will ever find it. The
-   largest class of a 4 KiB superblock has 8 blocks, one flush batch. *)
+   its blocks at once must release it itself: unmap the superblock and
+   retire the descriptor, instead of leaving it EMPTY where nothing will
+   ever find it. The largest class of a 4 KiB superblock has 8 blocks,
+   one flush batch. *)
 let flush_empties_full_superblock () =
-  let t = A.create () (Cfg.make ~nheaps:1 ~sbsize:4096 ~sb_cache_depth:4 ()) in
+  let t = A.create () small_cfg in
   let classes = A.size_classes t in
   let size = Mm_mem.Size_class.large_threshold classes in
   let sc = Option.get (Mm_mem.Size_class.class_of_request classes size) in
@@ -356,10 +398,23 @@ let flush_empties_full_superblock () =
     List.init (Mm_mem.Size_class.blocks_per_superblock classes sc) (fun _ ->
         A.malloc t size)
   in
+  let desc =
+    D.get (A.descriptor_table t)
+      (Mm_mem.Block_prefix.desc_id
+         (Store.read_word (A.store t)
+            (List.hd blocks - Mm_mem.Block_prefix.prefix_bytes)))
+  in
+  let sb_frees () = (Store.os_stats (A.store t)).Store.sb_frees in
+  let frees0 = sb_frees () in
+  let avail0 = Pool.available (A.desc_pool t) in
   A.flush_batch t blocks;
   A.check_invariants t;
-  Alcotest.(check int) "the emptied superblock is parked" 1
-    (List.length (Sbc.parked (A.sb_cache t) ~sc))
+  Alcotest.(check int) "the emptied superblock is released" (frees0 + 1)
+    (sb_frees ());
+  Alcotest.(check int) "its descriptor is retired" (avail0 + 1)
+    (Pool.available (A.desc_pool t));
+  Alcotest.(check bool) "the descriptor rests EMPTY" true
+    (Anchor.state (Real_rt.Atomic.get desc.D.anchor) = Anchor.Empty)
 
 let multi_kill_fuzz () =
   (* Kill several threads at random labelled points (seeded), across
@@ -411,6 +466,8 @@ let cases =
     case "forced UpdateActive credit return" ua_return_credits_path;
     case "forced new-superblock race" mnsb_race_path;
     case "ABA defence via anchor tag" aba_tag_defence;
+    case "anchor tag strictly increases across descriptor lives"
+      tag_increases_across_descriptor_lives;
     case "checker detects prefix corruption" checker_detects_prefix_corruption;
     case "checker detects freelist corruption"
       checker_detects_freelist_corruption;
