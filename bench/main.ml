@@ -14,11 +14,7 @@
    every bechamel estimate and experiment table as machine-readable JSON
    so bench trajectories are diffable across commits (BENCH_0.json is
    the seed of that trajectory; scripts/ci.sh archives the current
-   run).
-   --max-ns-per-op NAME:BOUND (repeatable) turns the run into a latency
-   gate: exit 2 if the named bechamel estimate exceeds BOUND ns;
-   --gate-only additionally skips the experiment catalogue (the CI
-   real-runtime regression gate). *)
+   run). *)
 
 open Bechamel
 open Toolkit
@@ -44,34 +40,6 @@ let lock_test (label, kind) =
          Locks_real.acquire lock;
          Locks_real.release lock))
 
-(* Dispatch-overhead microbench (DESIGN.md §18): the same get+CAS
-   increment against (a) Stdlib.Atomic directly — the floor, (b) the
-   value-level dispatched runtime [Mm_runtime.Rt] — what every hot-path
-   operation paid before the functorization, and (c) the specialized
-   [Real_rt] instantiation — what the allocator stack pays now. (b)-(a)
-   is the cost the old representation added per atomic op (boxed atomic
-   variant + match + unconditional hook plumbing); (c)-(a) is the
-   residue left by zero-dispatch specialization. *)
-let dispatch_tests () =
-  let raw = Stdlib.Atomic.make 0 in
-  let vrt = Mm_runtime.Rt.real in
-  let disp = Mm_runtime.Rt.Atomic.make vrt 0 in
-  let spec = Mm_runtime.Real_rt.Atomic.make () 0 in
-  [
-    Test.make ~name:"cas/raw"
-      (Staged.stage (fun () ->
-           let v = Stdlib.Atomic.get raw in
-           ignore (Stdlib.Atomic.compare_and_set raw v (v + 1))));
-    Test.make ~name:"cas/dispatched"
-      (Staged.stage (fun () ->
-           let v = Mm_runtime.Rt.Atomic.get disp in
-           ignore (Mm_runtime.Rt.Atomic.compare_and_set disp v (v + 1))));
-    Test.make ~name:"cas/specialized"
-      (Staged.stage (fun () ->
-           let v = Mm_runtime.Real_rt.Atomic.get spec in
-           ignore (Mm_runtime.Real_rt.Atomic.compare_and_set spec v (v + 1))));
-  ]
-
 let larson_test name =
   (* One Larson replacement step: free a random slot, allocate into it. *)
   let inst = Mm_harness.Allocators.make name Mm_runtime.Rt.real real_cfg in
@@ -88,19 +56,16 @@ let larson_test name =
          slots.(s) <- I.instance_malloc inst (Mm_runtime.Prng.int_in rng 16 80)))
 
 let run_bechamel () =
-  let groups =
-    [
-      Test.make_grouped ~name:"latency"
-        (List.map pair_test Mm_harness.Allocators.names
-        @ List.map larson_test Mm_harness.Allocators.names
-        @ List.map lock_test
-            [
-              ("tas-backoff", Cfg.Tas_backoff);
-              ("ticket", Cfg.Ticket);
-              ("pthread-like", Cfg.Pthread_like);
-            ]);
-      Test.make_grouped ~name:"dispatch" (dispatch_tests ());
-    ]
+  let tests =
+    Test.make_grouped ~name:"latency"
+      (List.map pair_test Mm_harness.Allocators.names
+      @ List.map larson_test Mm_harness.Allocators.names
+      @ List.map lock_test
+          [
+            ("tas-backoff", Cfg.Tas_backoff);
+            ("ticket", Cfg.Ticket);
+            ("pthread-like", Cfg.Pthread_like);
+          ])
   in
   (* stabilize:false — GC stabilization between samples perturbs these
      sub-microsecond measurements far more than the GC itself does. *)
@@ -112,20 +77,17 @@ let run_bechamel () =
     Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
   in
   let estimates =
-    List.concat_map
-      (fun tests ->
-        let raw = Benchmark.all cfg_b [ Instance.monotonic_clock ] tests in
-        let results = Analyze.all ols Instance.monotonic_clock raw in
-        Hashtbl.fold
-          (fun name ols acc ->
-            let est =
-              match Analyze.OLS.estimates ols with
-              | Some (e :: _) -> Some e
-              | _ -> None
-            in
-            (name, est) :: acc)
-          results [])
-      groups
+    let raw = Benchmark.all cfg_b [ Instance.monotonic_clock ] tests in
+    let results = Analyze.all ols Instance.monotonic_clock raw in
+    Hashtbl.fold
+      (fun name ols acc ->
+        let est =
+          match Analyze.OLS.estimates ols with
+          | Some (e :: _) -> Some e
+          | _ -> None
+        in
+        (name, est) :: acc)
+      results []
     |> List.sort compare
   in
   print_endline
@@ -276,63 +238,6 @@ let bench_json ~full ~seed estimates contended outcomes =
              outcomes) );
     ]
 
-(* ------------------------------------------------------------------ *)
-(* Latency gates (CI): --max-ns-per-op NAME:BOUND (repeatable) fails
-   the run (exit 2) when the named bechamel estimate exceeds BOUND
-   nanoseconds; --gate-only skips the experiment catalogue, so the CI
-   real-runtime gate stays fast. NAME matches a full bechamel test name
-   or any "/"-separated suffix of one ("malloc+free/new-cached"). *)
-
-let gates () =
-  let rec parse = function
-    | "--max-ns-per-op" :: spec :: rest -> (
-        match String.rindex_opt spec ':' with
-        | Some i ->
-            let name = String.sub spec 0 i
-            and bound = String.sub spec (i + 1) (String.length spec - i - 1) in
-            (match float_of_string_opt bound with
-            | Some b -> (name, b) :: parse rest
-            | None ->
-                Printf.eprintf "bench: bad --max-ns-per-op bound %S\n%!" spec;
-                exit 1)
-        | None ->
-            Printf.eprintf
-              "bench: --max-ns-per-op wants NAME:BOUND, got %S\n%!" spec;
-            exit 1)
-    | _ :: rest -> parse rest
-    | [] -> []
-  in
-  parse (Array.to_list Sys.argv)
-
-let gate_only () = Array.exists (( = ) "--gate-only") Sys.argv
-
-let apply_gates gates estimates =
-  let matches name (ename, _) =
-    ename = name || String.ends_with ~suffix:("/" ^ name) ename
-  in
-  let failed =
-    List.filter_map
-      (fun (name, bound) ->
-        match List.find_opt (matches name) estimates with
-        | None | Some (_, None) ->
-            Some (Printf.sprintf "%s: no estimate (bound %.1f ns)" name bound)
-        | Some (ename, Some e) ->
-            if e > bound then
-              Some
-                (Printf.sprintf "%s: %.1f ns/op exceeds the %.1f ns gate"
-                   ename e bound)
-            else begin
-              Printf.printf "gate ok: %s at %.1f ns/op (bound %.1f ns)\n%!"
-                ename e bound;
-              None
-            end)
-      gates
-  in
-  if failed <> [] then begin
-    List.iter (fun m -> Printf.eprintf "gate FAILED: %s\n%!" m) failed;
-    exit 2
-  end
-
 let () =
   let full = Sys.getenv_opt "MM_BENCH_FULL" = Some "1" in
   let seed =
@@ -347,8 +252,6 @@ let () =
     (if full then "full" else "quick")
     seed;
   let estimates = run_bechamel () in
-  apply_gates (gates ()) estimates;
-  if gate_only () then exit 0;
   let contended = run_contended ~seed in
   let outcomes =
     List.map

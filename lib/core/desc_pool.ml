@@ -27,12 +27,9 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
     local_len : int array;
     (* Shared spill stack, inline over the descriptors' next_id links with
        the same packed tag|id head word as Tagged_id_stack (24-bit ids,
-       tag-bumping pops). Inline rather than a Tagged_id_stack with label
-       parameters so the desc.spill / desc.steal labels sit adjacent to
-       their CAS (mm-lint R1 covers them); passing registry labels to
-       Tis.create here would discharge every Tis obligation in this module
-       at once (mm-sa's module-level S4 overrides) and hide the tagged
-       variant's desc.alloc window from the static nets. *)
+       tag-bumping pops). Inline rather than a Tagged_id_stack, whose
+       windows carry the tis.* labels, so the desc.spill / desc.steal
+       labels sit adjacent to their CAS (mm-lint R1 covers them). *)
     spill_head : int Rt.atomic;
     next_of : int -> int;  (* descriptor id -> its next_id link *)
     on_spill_retry : unit -> unit;

@@ -205,14 +205,14 @@ let real_larson = function
 (* Scalability figures: speedup over contention-free (t=1) libc. *)
 
 (* Scalability figures run on real domains whenever the host has any
-   parallelism to measure ([Rt.num_cpus Rt.real] > 1, i.e.
+   parallelism to measure ([Real_rt.num_cpus ()] > 1, i.e.
    [Domain.recommended_domain_count] behind the Real runtime); on a
    single-CPU host they fall back to the deterministic 16-CPU simulated
    machine. Either way the runtime is labelled honestly in the title
    and the [runtime] field of the JSON payload. *)
 let figure ~id ~title ~expectation ~workload mode seed =
   let threads = threads_list mode in
-  let real_cpus = Rt.num_cpus Rt.real in
+  let real_cpus = Real_rt.num_cpus () in
   if real_cpus > 1 then begin
     let base = real_point "libc" workload ~threads:1 in
     let rows =
@@ -315,12 +315,12 @@ let latency mode seed =
   in
   let lock_pair_ns kind =
     let lock = Locks_real.create () kind in
-    let t0 = Rt.now Rt.real in
+    let t0 = Real_rt.now () in
     for _ = 1 to pairs do
       Locks_real.acquire lock;
       Locks_real.release lock
     done;
-    (Rt.now Rt.real -. t0) *. 1e9 /. float_of_int pairs
+    (Real_rt.now () -. t0) *. 1e9 /. float_of_int pairs
   in
   let alloc_rows =
     List.map (fun n -> [ "malloc+free (" ^ n ^ ")"; Render.fmt_ns (pair_ns n) ])

@@ -8,7 +8,7 @@
     once a scan finds no hazard pointer to them.
 
     Each participating thread owns [k] hazard slots indexed by its dense
-    runtime id ({!Mm_runtime.Rt.self}) and a private retirement list, so
+    runtime id ({!Mm_runtime.Runtime_intf.S.self}) and a private retirement list, so
     all operations except [scan] are contention-free. *)
 
 module Make (Rt : Mm_runtime.Runtime_intf.S) : sig

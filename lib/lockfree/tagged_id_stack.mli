@@ -16,10 +16,6 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) : sig
 
   val create :
     Rt.t ->
-    ?push_label:string ->
-    ?pop_label:string ->
-    ?on_push_retry:(unit -> unit) ->
-    ?on_pop_retry:(unit -> unit) ->
     get_next:(int -> int) ->
     set_next:(int -> int -> unit) ->
     unit ->
@@ -29,14 +25,9 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) : sig
       that was concurrently popped and reused must be safe (it is: links are
       plain int reads and the subsequent CAS fails on the tag).
 
-      [push_label] / [pop_label] name the two CAS windows to the schedule
-      explorer and the observability census (defaults:
-      {!Lf_labels.tis_push_cas} / {!Lf_labels.tis_pop_cas}); a client
-      embedding the stack in a larger structure passes its own registry
-      entries so faults and retries are attributed to the embedding
-      site. [on_push_retry] / [on_pop_retry]
-      run once per failed CAS, letting the client mirror the failure into
-      its own striped retry counters (census equality, DESIGN.md §12). *)
+      The two CAS windows carry the labels {!Lf_labels.tis_push_cas} and
+      {!Lf_labels.tis_pop_cas} for the schedule explorer and the
+      observability census. *)
 
   val push : t -> int -> unit
   val pop : t -> int option

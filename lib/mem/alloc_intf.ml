@@ -18,8 +18,9 @@
 type instance = {
   name : string;  (** short identifier used in experiment output *)
   rt : Mm_runtime.Rt.t;
-      (** value-level runtime handle: spawning threads and labelling
-          result rows dispatch once per run, never per operation *)
+      (** the runtime the instance runs on: workloads label result rows
+          with it and unpack [Rt.backend] once per run for the threads,
+          atomics and work they need *)
   malloc : int -> int;
   free : int -> unit;
   usable_size : int -> int;

@@ -7,7 +7,7 @@
    (DESIGN.md §12). *)
 
 (* mm-lint: allow raw-primitive: the published head cursor is
-   deliberately a host-side Stdlib.Atomic — going through Rt.Atomic
+   deliberately a host-side Stdlib.Atomic — going through a runtime atomic
    would charge Sim's cost model and perturb the very run being
    observed. Confined to this module; see DESIGN.md §12. *)
 module Cursor = struct

@@ -1,14 +1,15 @@
-(* Value-level runtime dispatch.
+(* Runtime selector.
 
    Harness, workload and test code that picks a runtime at run time
-   goes through this module; it delegates every operation to the two
-   specialized backends ({!Real_rt}, {!Sim_rt}), which are what the
-   allocator stack itself is functorized over (ROADMAP item 4 /
-   DESIGN.md §18). This layer pays one variant match per operation —
-   fine for spawning threads and reading counters, never on an
-   allocator hot path. *)
+   holds an [Rt.t] and asks {!backend} for the specialized module
+   ({!Real_rt} or {!Sim_rt}) plus its handle, once per run; every
+   operation after that is a direct call into that module, which is
+   also what the allocator stack is functorized over (DESIGN.md §18). *)
 
 type t = Real | Simulated of Sim.t
+
+type backend =
+  | Backend : (module Runtime_intf.S with type t = 'r) * 'r -> backend
 
 let real = Real
 let simulated sim = Simulated sim
@@ -21,95 +22,17 @@ let sim = function Real -> None | Simulated s -> Some s
    this flag before touching any Sim control facility (lint R6). *)
 let controllable = function Real -> false | Simulated _ -> true
 let name = function Real -> Real_rt.name | Simulated _ -> Sim_rt.name
+
+let backend = function
+  | Real -> Backend ((module Real_rt), ())
+  | Simulated s -> Backend ((module Sim_rt), s)
+
 let max_threads = Rt_base.max_threads
 let fresh_line = Rt_base.fresh_line
 
 module Obs = Rt_base.Obs
 
-type 'a atomic = Real_at of 'a Real_rt.atomic | Sim_at of 'a Sim_rt.atomic
-
-module Atomic = struct
-  let make rt ?line v =
-    match rt with
-    | Real -> Real_at (Real_rt.Atomic.make () ?line v)
-    | Simulated s -> Sim_at (Sim_rt.Atomic.make s ?line v)
-
-  let get = function
-    | Real_at a -> Real_rt.Atomic.get a
-    | Sim_at a -> Sim_rt.Atomic.get a
-
-  let set at v =
-    match at with
-    | Real_at a -> Real_rt.Atomic.set a v
-    | Sim_at a -> Sim_rt.Atomic.set a v
-
-  let compare_and_set at expected desired =
-    match at with
-    | Real_at a -> Real_rt.Atomic.compare_and_set a expected desired
-    | Sim_at a -> Sim_rt.Atomic.compare_and_set a expected desired
-
-  let fetch_and_add at n =
-    match at with
-    | Real_at a -> Real_rt.Atomic.fetch_and_add a n
-    | Sim_at a -> Sim_rt.Atomic.fetch_and_add a n
-
-  let incr at = ignore (fetch_and_add at 1)
-end
-
-let read_word rt bytes off ~line =
-  match rt with
-  | Real -> Real_rt.read_word () bytes off ~line
-  | Simulated s -> Sim_rt.read_word s bytes off ~line
-
-let write_word rt bytes off ~line v =
-  match rt with
-  | Real -> Real_rt.write_word () bytes off ~line v
-  | Simulated s -> Sim_rt.write_word s bytes off ~line v
-
-let touch rt ~line ~write =
-  match rt with
-  | Real -> ()
-  | Simulated s -> Sim_rt.touch s ~line ~write
-
-let touch_batch rt ~line ~write ~count =
-  match rt with
-  | Real -> ()
-  | Simulated s -> Sim_rt.touch_batch s ~line ~write ~count
-
-let fence = function Real -> Real_rt.fence () | Simulated s -> Sim_rt.fence s
-
-let cpu_relax = function
-  | Real -> Real_rt.cpu_relax ()
-  | Simulated s -> Sim_rt.cpu_relax s
-
-let work rt n =
-  match rt with Real -> Real_rt.work () n | Simulated s -> Sim_rt.work s n
-
-let yield = function Real -> Real_rt.yield () | Simulated s -> Sim_rt.yield s
-
-let syscall = function
-  | Real -> Real_rt.syscall ()
-  | Simulated s -> Sim_rt.syscall s
-
 let real_label_hook = Rt_base.real_label_hook
-
-let label rt l =
-  match rt with Real -> Real_rt.label () l | Simulated s -> Sim_rt.label s l
-
-let obs_event rt kind name =
-  match rt with
-  | Real -> Real_rt.obs_event () kind name
-  | Simulated s -> Sim_rt.obs_event s kind name
-
-let self = function
-  | Real -> Real_rt.self ()
-  | Simulated s -> Sim_rt.self s
-
-let num_cpus = function
-  | Real -> Real_rt.num_cpus ()
-  | Simulated s -> Sim_rt.num_cpus s
-
-let now = function Real -> Real_rt.now () | Simulated s -> Sim_rt.now s
 
 type run_result = Rt_base.run_result = {
   elapsed : float;
@@ -117,6 +40,5 @@ type run_result = Rt_base.run_result = {
 }
 
 let parallel_run rt bodies =
-  match rt with
-  | Real -> Real_rt.parallel_run () bodies
-  | Simulated s -> Sim_rt.parallel_run s bodies
+  let (Backend ((module R), r)) = backend rt in
+  R.parallel_run r bodies

@@ -1,21 +1,26 @@
-(** Execution runtime abstraction.
+(** Runtime selector.
 
-    Every allocator, lock and workload in this repository is written
-    against this module instead of using [Stdlib.Atomic] / [Domain]
-    directly, so the same code runs in two ways:
+    Every allocator, lock and lock-free structure in this repository is
+    a functor over {!Runtime_intf.S}, instantiated twice:
 
-    - {!real}: operations map 1:1 onto OCaml 5 multicore primitives
+    - {!Real_rt}: operations map 1:1 onto OCaml 5 multicore primitives
       ([Atomic], [Domain]); used for genuine-hardware latency measurements
       (paper Table 1) and for concurrency stress tests.
-    - {!simulated}: operations become events of a deterministic simulated
+    - {!Sim_rt}: operations become events of a deterministic simulated
       multiprocessor ({!Sim}); used to regenerate the paper's 16-processor
-      scalability figures on this single-CPU container, and to inject
-      thread blocking/killing for the lock-freedom tests.
+      scalability figures on a small host, and to inject thread
+      blocking/killing for the lock-freedom tests.
 
-    Shared words carry a {e cache-line id} so the simulator can model
-    contention and false sharing: words stored in simulated memory derive
-    their line from their address; loose atomics (descriptor anchors, heap
-    Active words, lock words) get a synthetic line from {!fresh_line}. *)
+    An [Rt.t] names one of the two. Code that picks the runtime at run
+    time carries it and calls {!backend} once per run to get the
+    specialized module and its handle:
+    {[
+      match Rt.backend rt with
+      | Rt.Backend ((module R), r) ->
+          let a = R.Atomic.make r 0 in
+          ...
+    ]}
+    No operation here dispatches on [t] per call. *)
 
 type t
 
@@ -37,101 +42,46 @@ val controllable : t -> bool
 
 val name : t -> string
 
+type backend =
+  | Backend : (module Runtime_intf.S with type t = 'r) * 'r -> backend
+      (** A specialized runtime module packed with its handle: [()] for
+          {!Real_rt}, the simulator for {!Sim_rt}. *)
+
+val backend : t -> backend
+
 val max_threads : int
 (** Upper bound on concurrently running threads (sizes hazard-pointer
     tables and per-thread slots). *)
-
-(** {2 Atomics} *)
-
-type 'a atomic
-
-module Atomic : sig
-  val make : t -> ?line:int -> 'a -> 'a atomic
-  (** [make rt v] allocates an atomic holding [v]. Under simulation it is
-      placed on cache line [line] (default: a fresh private line). *)
-
-  val get : 'a atomic -> 'a
-  val set : 'a atomic -> 'a -> unit
-
-  val compare_and_set : 'a atomic -> 'a -> 'a -> bool
-  (** CAS with physical (immediate-value) comparison, the analogue of the
-      paper's 64-bit [CAS]. All CASed values in this repository are either
-      immediates (packed words) or heap nodes compared by identity. *)
-
-  val fetch_and_add : int atomic -> int -> int
-  val incr : int atomic -> unit
-end
 
 val fresh_line : unit -> int
 (** A synthetic cache-line id never used by simulated memory. Consecutive
     calls return distinct lines (no false sharing between them). *)
 
-(** {2 Word access to simulated memory}
-
-    [off] is a byte offset; words are 64-bit little-endian, truncated to
-    OCaml's 63-bit [int] (all stored values fit — see [Mm_mem.Addr]). *)
-
-val read_word : t -> Bytes.t -> int -> line:int -> int
-val write_word : t -> Bytes.t -> int -> line:int -> int -> unit
-
-val touch : t -> line:int -> write:bool -> unit
-(** Charge a plain access without touching host memory (used to model
-    payload traffic whose contents don't matter). *)
-
-val touch_batch : t -> line:int -> write:bool -> count:int -> unit
-(** Charge [count] same-line plain accesses as a single simulated event
-    (one coherence action + [count] cache hits). No-op on the real
-    runtime, where callers perform the real accesses instead. *)
-
-(** {2 Control} *)
-
-val fence : t -> unit
-(** Full barrier. Real: [Atomic.get] on a dummy (seq_cst already dominates
-    OCaml atomics); simulated: charges {!Cost.t.fence}. The paper's
-    explicit fence points call this so their cost is accounted. *)
-
-val cpu_relax : t -> unit
-(** Spin-wait pause (backoff loops). *)
-
-val work : t -> int -> unit
-(** [work rt n] performs [n] units of application-local computation. *)
-
-val yield : t -> unit
-(** Voluntary processor yield. *)
-
-val syscall : t -> unit
-(** Charge one kernel round-trip (simulated mmap/munmap cost). Real: no-op
-    beyond the host's actual work. *)
-
-val label : t -> string -> unit
-(** Named instrumentation point inside lock-free code. Under simulation the
-    scheduler may preempt, block or kill the thread here (fault-injection
-    tests); under the real runtime it calls {!real_label_hook}. *)
-
 val real_label_hook : (string -> unit) ref
-(** Hook invoked by {!label} on the real runtime; defaults to a no-op.
-    Real-runtime stress tests install yield/noise injectors here. *)
+(** Hook invoked by [Real_rt.label]; defaults to a no-op. Real-runtime
+    stress tests install yield/noise injectors here. *)
 
 (** {2 Observability}
 
     Event recording for [lib/obs] (DESIGN.md §12). The hook runs on the
     {e host} side: it is never charged to the simulator's cost model and
-    never goes through {!Atomic}, so a simulated run is bit-identical —
-    same schedule, cycles, counters — with tracing on or off. *)
+    never goes through a runtime atomic, so a simulated run is
+    bit-identical — same schedule, cycles, counters — with tracing on or
+    off. *)
 
 module Obs : sig
   type kind = Rt_base.Obs.kind =
-    | Cas_ok  (** a {!Atomic.compare_and_set} that succeeded *)
-    | Cas_fail  (** a {!Atomic.compare_and_set} that failed (one retry) *)
+    | Cas_ok  (** a [compare_and_set] that succeeded *)
+    | Cas_fail  (** a [compare_and_set] that failed (one retry) *)
     | Transition  (** superblock state change (lib/core) *)
     | Hp_scan  (** hazard-pointer scan (lib/lockfree) *)
     | Mmap  (** simulated mmap syscall (lib/mem) *)
 
   val compiled : bool
-  (** Compile-time master switch (a literal in [rt.ml]): when flipped to
-      [false] every recording site folds to dead code and the build has
-      no tracing cost at all. [true] by default; with no hook installed
-      each site then costs one load and one branch. *)
+  (** Compile-time master switch (a literal in [rt_base.ml]): when
+      flipped to [false] every recording site folds to dead code and the
+      build has no tracing cost at all. [true] by default; with no hook
+      installed each site then costs one load and one branch. *)
 
   val set_hook :
     (tid:int -> kind:kind -> label:string -> cycle:int -> unit) option ->
@@ -139,26 +89,13 @@ module Obs : sig
   (** Install (or, with [None], remove) the recording hook. The hook is
       called from the recording thread and must be allocation-free and
       non-blocking (lib/obs writes into a per-thread ring). [label] is
-      the event's site: for CAS events, the last {!label} the thread
+      the event's site: for CAS events, the last [label] the thread
       passed; [cycle] is [Sim.now_cycles] under simulation, a global
       event ordinal on the real runtime. Installing resets the per-thread
       label attribution. *)
 
   val hook_installed : unit -> bool
 end
-
-val obs_event : t -> Obs.kind -> string -> unit
-(** Emit one explicit event ({!Obs.Transition} / {!Obs.Hp_scan} /
-    {!Obs.Mmap}) with the given site name. No-op unless a hook is
-    installed; never charged to the simulation. *)
-
-val self : t -> int
-(** Dense id of the calling thread: the body index under {!parallel_run},
-    0 on the main thread. *)
-
-val num_cpus : t -> int
-val now : t -> float
-(** Seconds: wall-clock (real) or virtual (simulated). *)
 
 (** {2 Running threads} *)
 
@@ -168,6 +105,7 @@ type run_result = Rt_base.run_result = {
 }
 
 val parallel_run : t -> (int -> unit) array -> run_result
-(** [parallel_run rt bodies] runs [bodies.(i)] as thread [i] to completion:
-    as one [Domain] each on the real runtime, as simulated threads
-    otherwise. Exceptions raised by bodies are re-raised. *)
+(** [parallel_run rt bodies] is the selected backend's [parallel_run]:
+    it runs [bodies.(i)] as thread [i] to completion, as one [Domain]
+    each on the real runtime, as simulated threads otherwise. Exceptions
+    raised by bodies are re-raised. *)

@@ -1,11 +1,10 @@
 (* State shared by every runtime backend.
 
    The observability hook, label attribution, synthetic cache-line
-   counter and thread-identity key must be global: the value-dispatch
-   layer ({!Rt}) and the two specialized backends ({!Real_rt},
-   {!Sim_rt}) all feed the same tracer (lib/obs), and a tracer
+   counter and thread-identity key must be global: the two backends
+   ({!Real_rt}, {!Sim_rt}) feed the same tracer (lib/obs), and a tracer
    installed through [Rt.Obs.set_hook] must see events no matter which
-   layer emitted them. *)
+   backend emitted them. *)
 
 let max_threads = 64
 

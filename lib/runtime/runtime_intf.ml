@@ -14,8 +14,9 @@
       value-dispatch semantics (same [Sim.step_*] sequence, same
       synthetic cache-line ids).
 
-    The value-level {!Rt} module remains for harness code that picks a
-    runtime at run time; allocator hot paths never go through it.
+    {!Rt} is not a third backend but a selector: harness code that
+    picks a runtime at run time calls [Rt.backend] once per run and gets
+    one of these two modules with its handle.
 
     Capability flags: [is_sim] marks backends whose memory is purely
     simulated (enables e.g. out-of-bounds poisoning checks);

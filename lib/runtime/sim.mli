@@ -5,7 +5,7 @@
     single physical CPU, so parallel speedups are *simulated* rather than
     measured. Threads run as effect-handler continuations multiplexed over
     [cpus] virtual processors. Every shared-memory operation performed
-    through {!Rt} yields an effect that the scheduler charges against the
+    through [Sim_rt] yields an effect that the scheduler charges against the
     issuing CPU's virtual clock using {!Cost}, including a MESI-style
     cache-line ownership model, so contention, false sharing and lock
     convoys cost virtual time exactly where they would cost real time.
@@ -17,7 +17,7 @@
       thread waits on the same CPU is context-switched, so lock-holder
       preemption pathologies are reproduced.
     - {b Fault injection}: threads can be blocked or killed at labelled
-      points inside the allocator ({!Rt.label}), which is how the paper's
+      points inside the allocator ([Sim_rt.label]), which is how the paper's
       availability and kill-tolerance claims are tested. *)
 
 type t
@@ -87,11 +87,12 @@ val create :
     decision point the strategy is consulted with the set of runnable
     threads and its answer runs next, uninterrupted, until the following
     decision point. Decision points are exactly: the start of the run,
-    every {!Rt.label} and {!Rt.yield} executed by the current thread, and
-    the current thread finishing, blocking or being killed. [on_label]
-    still applies first at labels (it can block or kill the arriving
-    thread); [sched] then picks among whoever remains runnable. The
-    strategy must return a member of [sp_runnable] or the run fails.
+    every [Sim_rt.label] and [Sim_rt.yield] executed by the current
+    thread, and the current thread finishing, blocking or being
+    killed. [on_label] still applies first at labels (it can block or
+    kill the arriving thread); [sched] then picks among whoever remains
+    runnable. The strategy must return a member of [sp_runnable] or the
+    run fails.
     Virtual clocks and counters are still maintained, and [max_cycles]
     still bounds the run, so controlled runs detect livelock the same way
     free-running ones do. A run is a pure function of (config, bodies,
@@ -110,7 +111,7 @@ val run : t -> (int -> unit) array -> result
 val unblocked_survivors : result -> unit
 (** No-op helper kept for documentation symmetry; results carry all data. *)
 
-(** {2 Hooks used by {!Rt} — not for direct use by application code} *)
+(** {2 Hooks used by [Sim_rt] — not for direct use by application code} *)
 
 val in_sim : unit -> bool
 (** True while the calling code is executing inside some [run]. *)

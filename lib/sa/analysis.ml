@@ -33,7 +33,6 @@ let describe = function
   | Label_dominance ->
       "S4: the registry Rt.label dominates its CAS on every CFG path \
        (upgrading the lexical R1), including calls into functions whose \
-       CAS window label is a parameter (Tagged_id_stack push/pop): such \
-       calls must be dominated by a registry label, carry a registry \
-       label argument, or the stack must be created with a registry \
-       label override"
+       CAS window label is a parameter (Lf_alloc's ~label loops): such \
+       calls must be dominated by a registry label or carry a registry \
+       label argument"

@@ -300,8 +300,8 @@ let s3_check (fn : Cfg.fn) =
 
    uback at a CAS is an immediate finding. uentry and param demands
    flow to call sites: the interprocedural fixpoint discharges them
-   with a registry-labelled argument, a module-level create override,
-   or a dominating registry label at the call site. *)
+   with a registry-labelled argument or a dominating registry label at
+   the call site. *)
 
 let t_uentry = "uentry"
 let t_uback = "uback"
@@ -440,26 +440,6 @@ let s4_interproc ~(infos : unit_info SM.t) (summaries : summary list) =
     (fun s ->
       Hashtbl.replace by_key (s.s_fn.Cfg.f_unit, s.s_fn.Cfg.f_name) s)
     summaries;
-  (* module-level label overrides: module M called Callee.create with
-     ~p:<registry constant> somewhere, so Callee instances in M carry a
-     registry label for parameter p *)
-  let overrides = Hashtbl.create 16 in
-  List.iter
-    (fun s ->
-      let m = s.s_fn.Cfg.f_unit in
-      List.iter
-        (fun c ->
-          match
-            resolve_callee ~known ~infos m c.c_fn
-          with
-          | Some (callee_m, "create") ->
-              List.iter
-                (fun (p, k) ->
-                  if is_kreg k then Hashtbl.replace overrides (m, callee_m, p) ())
-                c.c_labeled
-          | _ -> ())
-        s.s_calls)
-    summaries;
   let findings = ref [] in
   let flagged = Hashtbl.create 16 in
   let flag fn node msg =
@@ -493,7 +473,6 @@ let s4_interproc ~(infos : unit_info SM.t) (summaries : summary list) =
                               List.exists
                                 (fun (n, k) -> n = p && is_kreg k)
                                 c.c_labeled
-                              || Hashtbl.mem overrides (m, fst key, p)
                           | Dentry -> false
                         in
                         if not discharged then begin

@@ -1,24 +1,5 @@
 open Mm_runtime
 open Mm_mem.Alloc_intf
-module Msq_r = Mm_lockfree.Ms_queue.Make (Mm_runtime.Real_rt)
-module Msq_s = Mm_lockfree.Ms_queue.Make (Mm_runtime.Sim_rt)
-
-(* Value-level dispatch over the two specialized queue instantiations:
-   the task queue is workload infrastructure, not allocator hot path,
-   so one variant match per queue operation is fine (it is exactly what
-   the old dispatched runtime paid). *)
-module Msq = struct
-  type 'a t = Rq of 'a Msq_r.t | Sq of 'a Msq_s.t
-
-  let create rt =
-    match Rt.sim rt with
-    | None -> Rq (Msq_r.create ())
-    | Some s -> Sq (Msq_s.create s)
-
-  let enqueue q v = match q with Rq q -> Msq_r.enqueue q v | Sq q -> Msq_s.enqueue q v
-  let dequeue = function Rq q -> Msq_r.dequeue q | Sq q -> Msq_s.dequeue q
-  let is_empty = function Rq q -> Msq_r.is_empty q | Sq q -> Msq_s.is_empty q
-end
 
 type params = {
   tasks : int;
@@ -59,15 +40,18 @@ let work_scale = 25
 
 let run instance ~threads p =
   if threads < 1 then invalid_arg "Producer_consumer.run: threads >= 1";
-  let rt = instance_rt instance in
+  (* The whole run on the specialized runtime: the task queue and the
+     counters are [R]'s, so no operation dispatches on [Rt.t]. *)
+  let (Rt.Backend ((module R), rt)) = Rt.backend (instance_rt instance) in
+  let module Msq = Mm_lockfree.Ms_queue.Make (R) in
   let db =
     let rng = Prng.create p.seed in
     Array.init p.db_size (fun _ -> Prng.int rng 1024)
   in
   let queue : task Msq.t = Msq.create rt in
-  let qlen = Rt.Atomic.make rt 0 in
-  let producing_done = Rt.Atomic.make rt 0 in
-  let consumed = Rt.Atomic.make rt 0 in
+  let qlen = R.Atomic.make rt 0 in
+  let producing_done = R.Atomic.make rt 0 in
+  let consumed = R.Atomic.make rt 0 in
   let process task =
     (* Histograms over the database for the task's indexes. *)
     let acc = ref 0 in
@@ -76,10 +60,10 @@ let run instance ~threads p =
       let idx = (if w land 1 = 0 then word land 0xFFFFFFFF else word lsr 32)
                 mod p.db_size in
       acc := !acc + db.(idx);
-      Rt.work rt cost_per_index
+      R.work rt cost_per_index
     done;
     (* Task-local work proportional to the [work] parameter. *)
-    Rt.work rt (p.work * work_scale);
+    R.work rt (p.work * work_scale);
     (* Consumer side: 1 malloc + 4 frees. *)
     let hist_block = instance_malloc instance 64 in
     instance_write_word instance hist_block !acc;
@@ -87,12 +71,12 @@ let run instance ~threads p =
     instance_free instance task.idx_block;
     instance_free instance task.task_block;
     instance_free instance task.node_block;
-    Rt.Atomic.incr consumed
+    R.Atomic.incr consumed
   in
   let try_consume () =
     match Msq.dequeue queue with
     | Some task ->
-        ignore (Rt.Atomic.fetch_and_add qlen (-1));
+        ignore (R.Atomic.fetch_and_add qlen (-1));
         process task;
         true
     | None -> false
@@ -114,11 +98,11 @@ let run instance ~threads p =
       instance_write_word instance task_block k;
       let node_block = instance_malloc instance 16 in
       Msq.enqueue queue { task_block; idx_block; node_block; k };
-      let len = Rt.Atomic.fetch_and_add qlen 1 + 1 in
+      let len = R.Atomic.fetch_and_add qlen 1 + 1 in
       (* Help the consumers when the queue grows too long. *)
       if len > p.queue_cap then ignore (try_consume ())
     done;
-    Rt.Atomic.set producing_done 1;
+    R.Atomic.set producing_done 1;
     (* Drain whatever remains (also covers threads = 1). *)
     while try_consume () do () done
   in
@@ -127,10 +111,10 @@ let run instance ~threads p =
   let consumer _tid =
     let rec loop spins =
       if try_consume () then loop 1
-      else if Rt.Atomic.get producing_done = 0 || not (Msq.is_empty queue)
+      else if R.Atomic.get producing_done = 0 || not (Msq.is_empty queue)
       then begin
         for _ = 1 to spins do
-          Rt.cpu_relax rt
+          R.cpu_relax rt
         done;
         loop (min (2 * spins) 256)
       end
@@ -140,7 +124,7 @@ let run instance ~threads p =
   let bodies =
     Array.init threads (fun i -> if i = 0 then producer else consumer)
   in
-  let run = Rt.parallel_run rt bodies in
-  assert (Rt.Atomic.get consumed = p.tasks);
+  let run = R.parallel_run rt bodies in
+  assert (R.Atomic.get consumed = p.tasks);
   Metrics.make ~workload:"producer-consumer" ~instance ~threads ~ops:p.tasks
     ~run ()

@@ -125,10 +125,10 @@ let total_bytes t =
     0 t.events
 
 let run instance t =
-  let rt = instance_rt instance in
+  let (Rt.Backend ((module R), rt)) = Rt.backend (instance_rt instance) in
   (* Published payload addresses, indexed by block id; 0 = not yet
      allocated. Atomics give replay the needed publish/wait semantics. *)
-  let table = Array.init t.mallocs (fun _ -> Rt.Atomic.make rt 0) in
+  let table = Array.init t.mallocs (fun _ -> R.Atomic.make rt 0) in
   let per_thread = Array.make t.threads [] in
   Array.iter
     (fun e ->
@@ -141,13 +141,13 @@ let run instance t =
       (fun e ->
         match e with
         | Malloc { id; size; _ } ->
-            Rt.Atomic.set table.(id) (instance_malloc instance size)
+            R.Atomic.set table.(id) (instance_malloc instance size)
         | Free { id; _ } ->
             (* The allocating thread may not have got there yet. *)
             let rec wait () =
-              let a = Rt.Atomic.get table.(id) in
+              let a = R.Atomic.get table.(id) in
               if a = 0 then begin
-                Rt.yield rt;
+                R.yield rt;
                 wait ()
               end
               else a
@@ -155,6 +155,6 @@ let run instance t =
             instance_free instance (wait ()))
       per_thread.(tid)
   in
-  let run = Rt.parallel_run rt (Array.init t.threads (fun i _ -> body i)) in
+  let run = R.parallel_run rt (Array.init t.threads (fun i _ -> body i)) in
   Metrics.make ~workload:"trace" ~instance ~threads:t.threads
     ~ops:(Array.length t.events) ~run ()

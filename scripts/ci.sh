@@ -33,21 +33,6 @@ done
 # plus every experiment table, archived so the bench trajectory is
 # diffable across commits (BENCH_0.json in the repo root is the seed).
 MM_BENCH_JSON=_build/ci/bench-report.json dune exec bench/main.exe || true
-# Real-runtime latency gate (DESIGN.md §18): contention-free
-# malloc+free on the specialized real stack must stay under the bounds
-# below. They were set from ~203 ns ("new") and ~80 ns ("new-cached")
-# at the commit that functorized the stack, vs 268.8 / 120.7 ns on the
-# value-dispatched runtime it replaced (BENCH_3.json vs BENCH_4.json).
-# On a shared 2-CPU host (OCaml 5.1.1, no flambda) the same rows read
-# 305-407 ns and 108-162 ns with the allocation-free hot path, and
-# 318-423 ns and 118-128 ns just before it, over 8-9 runs each: both
-# gates fail on that host. A single-thread pair never paid for the minor collections
-# and shared cache lines that hot path removed. A breach means
-# per-operation dispatch overhead crept back into the hot path. Exit
-# code 2 fails the gate.
-dune exec bench/main.exe -- --gate-only \
-  --max-ns-per-op malloc+free/new:240 \
-  --max-ns-per-op malloc+free/new-cached:105 > /dev/null
 # OS-traffic regression gate: the 16-thread threadtest churn on the
 # paper allocator must keep simulated mmap syscalls under 2 per 1k
 # allocator ops (measured 0.27/1k). The store's superblock pool
@@ -82,6 +67,11 @@ dune exec bin/trace.exe -- report threadtest --threads 16 --heaps 1 \
   > /dev/null
 dune build @lint
 dune build @sa
+# The test tree includes the real-runtime hot-path gate
+# (test/test_hot_path.ml): a malloc+free through the typed API on
+# Real_rt must allocate at most 0.5 minor words per pair on every
+# configuration, so a closure or boxed value creeping back into a CAS
+# loop fails here whatever the host's speed.
 dune runtest
 # Executable docs: run every fenced `dune exec` command in README.md,
 # EXPERIMENTS.md and DESIGN.md (scripts/doc_check.sh).

@@ -1,15 +1,15 @@
 (* Fixture: S4 label-dominance. Three planted shapes: an unlabelled
    CAS retry loop; a call into a parameterized CAS window
-   (Tagged_id_stack.pop) from a retry loop with no dominating label and
-   no create-time override; and an unlabelled straight-line CAS whose
+   (Param_window.pop) from a retry loop with no dominating label;
+   and an unlabelled straight-line CAS whose
    obligation escapes to the exported entry point. All planted inside a
    [Make (Rt)] functor body like the real tree (DESIGN.md §18), so the
    parameterized-window demand also proves the interprocedural lookup
-   resolves a [Tis = Tagged_id_stack.Make (Rt)] functor-application
+   resolves a [Tis = Param_window.Make (Rt)] functor-application
    alias. *)
 
 module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
-  module Tis = Mm_lockfree.Tagged_id_stack.Make (Rt)
+  module Tis = Param_window.Make (Rt)
 
   (* 1: CAS retried with no label re-established in the loop *)
   let rec spin (c : int Rt.atomic) =

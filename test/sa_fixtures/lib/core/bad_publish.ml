@@ -2,7 +2,7 @@
    CAS is initialized by plain stores with no Rt.fence in between; the
    fenced twin below it must stay clean. *)
 
-open Mm_runtime
+module Rt = Mm_runtime.Sim_rt
 open Mm_core
 
 type blk = { mutable hdr : int; mutable body : int }

@@ -3,7 +3,7 @@
    succeed once the word moves), and two result-bearing CASes under one
    label (two linearization points with one name). *)
 
-open Mm_runtime
+module Rt = Mm_runtime.Sim_rt
 open Mm_core
 
 (* 1: stale expected — v is read once, outside the retry cycle *)

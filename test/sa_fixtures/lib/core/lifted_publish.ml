@@ -7,7 +7,7 @@
    asserts that silence: if S3 learns to follow calls, this file starts
    to fire and the test says so. *)
 
-open Mm_runtime
+module Rt = Mm_runtime.Sim_rt
 open Mm_core
 
 type blk = { mutable hdr : int; mutable body : int }

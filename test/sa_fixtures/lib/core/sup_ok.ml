@@ -3,7 +3,7 @@
    suppression, so it must land in the suppressed list, not the
    findings. *)
 
-open Mm_runtime
+module Rt = Mm_runtime.Sim_rt
 open Mm_core
 
 type blk = { mutable hdr : int }

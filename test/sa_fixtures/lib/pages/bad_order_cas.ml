@@ -1,7 +1,7 @@
 (* Fixture: S4 label-dominance in the pages section — a buddy-style
    bitmap reservation retried with no label in the loop. *)
 
-open Mm_runtime
+module Rt = Mm_runtime.Sim_rt
 
 let rec reserve rt (word : int Rt.atomic) bits =
   let cur = Rt.Atomic.get word in

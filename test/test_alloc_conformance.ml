@@ -171,17 +171,18 @@ let cross_thread_free e =
      frees. *)
   let n = 300 in
   let handoff = Array.make n 0 in
-  let ready = Rt.Atomic.make (I.instance_rt e.inst) 0 in
+  let (Rt.Backend ((module R), rt)) = Rt.backend (I.instance_rt e.inst) in
+  let ready = R.Atomic.make rt 0 in
   e.run
     [|
       (fun _ ->
         for i = 0 to n - 1 do
           handoff.(i) <- malloc e 16
         done;
-        Rt.Atomic.set ready 1);
+        R.Atomic.set ready 1);
       (fun _ ->
-        while Rt.Atomic.get ready = 0 do
-          Rt.yield (I.instance_rt e.inst)
+        while R.Atomic.get ready = 0 do
+          R.yield rt
         done;
         for i = 0 to n - 1 do
           free e handoff.(i)

@@ -164,10 +164,14 @@ let reuse_tag_monotonic () =
     Pool.retire pool b
   done
 
-let reuse_kill_in_window label () =
-  (* Kill the first thread to enter the new spill/steal CAS window: the
-     survivors must finish their rounds and the pool must stay usable —
-     the dead thread leaks at most its own private chain. *)
+let kill_at_label kind label () =
+  (* Kill the first thread to reach [label]: the survivors must finish
+     their rounds and the pool must stay usable — the dead thread leaks
+     at most what it held. For the reuse pool's spill/steal labels the
+     kill lands inside the CAS window. For the tagged pool's desc.alloc
+     it lands on the decision point ahead of Tis.pop, which labels no
+     CAS of its own, so "kill fired" is what notices that label's
+     deletion (test_lint.ml's deletion walk names this case). *)
   let killed = ref (-1) in
   let on_label ~tid l =
     if l = label && !killed = -1 then begin
@@ -178,7 +182,7 @@ let reuse_kill_in_window label () =
   in
   let s = sim ~cpus:4 ~on_label () in
   let tbl = D_s.create_table s ~capacity:4096 in
-  let pool = Pool_s.create s tbl ~kind:Cfg.Reuse ~batch_size:1 () in
+  let pool = Pool_s.create s tbl ~kind ~batch_size:1 () in
   let body _tid =
     for _ = 1 to 12 do
       let a = Pool_s.alloc pool in
@@ -301,9 +305,11 @@ let cases =
       case "reuse slot identity across free->alloc" reuse_slot_identity;
       case "reuse anchor tag monotone across lives" reuse_tag_monotonic;
       case "reuse kill in spill window"
-        (reuse_kill_in_window Mm_core.Labels.desc_spill);
+        (kill_at_label Cfg.Reuse Mm_core.Labels.desc_spill);
       case "reuse kill in steal window"
-        (reuse_kill_in_window Mm_core.Labels.desc_steal);
+        (kill_at_label Cfg.Reuse Mm_core.Labels.desc_steal);
+      case "tagged kill at alloc label"
+        (kill_at_label Cfg.Tagged Mm_core.Labels.desc_alloc);
     ]
   @ List.concat_map
       (fun (name, policy) ->

@@ -119,16 +119,15 @@ let real_tree_clean () =
 
 (* Deleting any Rt.label line must be caught by lint ∪ sa: by R1 when
    the label guards a syntactically visible CAS window, by R5's
-   unused-entry check otherwise — and, where the window lives behind a
-   parameterized call so no syntactic rule can see it, by mm-sa's
-   label-dominance analysis. The pool's tagged-variant desc_alloc
-   label is exactly that case (PR 2 documented it as the sole
-   undetectable site): its item has no CAS of its own (the window is
-   inside Tis.pop) and the registry entry stays used by the hazard
-   variant. mm-sa's interprocedural demand on Tis.pop now closes that
-   blind spot, so the undetected set must be empty — and the
-   lint-blind-but-sa-caught set must be exactly that one line, the
-   regression guard for the closure. *)
+   unused-entry check otherwise, and by mm-sa's label-dominance
+   analysis where the window lives behind a call. Exactly one deletion
+   breaks no labelled window and so is caught by neither: the descriptor
+   pool's tagged-variant desc_alloc label, a decision point ahead of
+   Tis.pop, whose own CAS window carries the registry label
+   tis.pop_cas. The runtime case "desc: tagged kill at alloc label"
+   (test_desc.ml) guards that line instead: it fails when no thread
+   reaches desc.alloc in a tagged pool. The walk pins that one line,
+   and checks that both tis labels were deleted and caught. *)
 let label_deletion_detected () =
   let root = tree_root () in
   let sa_root = Test_sa.repo_root () in
@@ -157,6 +156,7 @@ let label_deletion_detected () =
         (Mm_sa.Driver.analyze_units units).Mm_sa.Driver.findings <> []
   in
   let deletions = ref 0 and undetected = ref [] and sa_only = ref [] in
+  let tis_deletions = ref 0 in
   List.iter
     (fun (src : Src.t) ->
       let lines = String.split_on_char '\n' src.Src.text in
@@ -164,6 +164,7 @@ let label_deletion_detected () =
         (fun i line ->
           if contains ~sub:"Rt.label" line then begin
             incr deletions;
+            if contains ~sub:"Lf_labels.tis_" line then incr tis_deletions;
             let text' =
               String.concat "\n"
                 (List.filteri (fun j _ -> j <> i) lines)
@@ -191,18 +192,19 @@ let label_deletion_detected () =
     sources;
   (* the walk actually exercised the instrumentation points *)
   Alcotest.(check bool) "saw many label sites" true (!deletions > 20);
+  Alcotest.(check int) "both tis labels deleted" 2 !tis_deletions;
   Alcotest.(check (list (pair string string)))
-    "every label deletion is detected by lint or sa" []
-    (List.rev !undetected);
-  match !sa_only with
+    "no deletion needs mm-sa" [] (List.rev !sa_only);
+  match !undetected with
   | [ (file, line) ]
     when Filename.basename file = "desc_pool.ml"
          && contains ~sub:"Labels.desc_alloc" line ->
       ()
   | l ->
       Alcotest.failf
-        "expected exactly the tagged-variant desc_alloc deletion to need \
-         mm-sa; got: %s"
+        "expected every deletion but the tagged-variant desc_alloc \
+         (guarded by desc: tagged kill at alloc label) to be detected; \
+         undetected: %s"
         (String.concat "; "
            (List.map (fun (f, ln) -> f ^ ": " ^ ln) l))
 

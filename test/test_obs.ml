@@ -67,7 +67,6 @@ let ring_target =
           Sim.create ~cpus ~max_cycles:1_000_000_000 ~on_label ~sched ()
       | None -> Sim.create ~cpus ~max_cycles:1_000_000_000 ~sched ()
     in
-    let rt = Rt.simulated s in
     let ring = Obs.Ring.create ~tid:0 ~capacity:ring_cap in
     let check_snapshot () =
       let snap = Obs.Ring.snapshot ring in
@@ -82,13 +81,13 @@ let ring_target =
     let body tid =
       if tid = 0 then
         for i = 0 to ring_writes - 1 do
-          Rt.label rt "obs.write";
+          Sim_rt.label s "obs.write";
           Obs.Ring.record ring ~kind:Obs.Event.Cas_ok
             ~label:(string_of_int i) ~cycle:i
         done
       else
         for _ = 1 to 3 do
-          Rt.label rt "obs.read";
+          Sim_rt.label s "obs.read";
           check_snapshot ()
         done
     in

@@ -52,7 +52,7 @@ let nested_match_or_pattern () =
   let fs =
     analyze
       (tc
-         "open Mm_runtime\n\
+         "module Rt = Mm_runtime.Sim_rt\n\
           type nd = { mutable next_d : nd option; tag : int }\n\
           let peek (t : nd option Rt.atomic) =\n\
          \  match Rt.Atomic.get t with\n\
@@ -70,7 +70,7 @@ let nested_match_or_pattern () =
 let while_cas_loop () =
   let u =
     tc
-      "open Mm_runtime\n\
+      "module Rt = Mm_runtime.Sim_rt\n\
        let lock (f : bool Rt.atomic) =\n\
       \  while not (Rt.Atomic.compare_and_set f false true) do () done\n"
   in
@@ -91,7 +91,7 @@ let while_cas_loop () =
 let alias_tracking () =
   let u =
     tc
-      "open Mm_runtime\n\
+      "module Rt = Mm_runtime.Sim_rt\n\
        type h = { mutable w : int Rt.atomic }\n\
        let stale (hh : h) =\n\
       \  let cell = hh.w in\n\
@@ -117,7 +117,7 @@ let alias_tracking () =
 let partial_application_weak_loop () =
   let u =
     tc
-      "open Mm_runtime\n\
+      "module Rt = Mm_runtime.Sim_rt\n\
        open Mm_core\n\
        let push_all rt (c : int Rt.atomic) xs =\n\
       \  Rt.label rt Labels.desc_alloc;\n\

@@ -1,22 +1,21 @@
-(* The simulated multiprocessor: determinism, cost model, scheduling,
-   fault injection, failure detection. *)
+(* The simulated multiprocessor, driven through {!Sim_rt}: determinism,
+   cost model, scheduling, fault injection, failure detection. *)
 
 open Mm_runtime
 open Util
 
-let counter_body _rt counter n _tid =
+let counter_body counter n _tid =
   for _ = 1 to n do
-    Rt.Atomic.incr counter
+    Sim_rt.Atomic.incr counter
   done
 
 let determinism () =
   let results =
     List.init 3 (fun _ ->
         let s = sim ~cpus:4 ~seed:7 () in
-        let rt = Rt.simulated s in
-        let c = Rt.Atomic.make rt 0 in
-        let r = Sim.run s (Array.make 4 (counter_body rt c 500)) in
-        (r.Sim.makespan_cycles, Rt.Atomic.get c, r.Sim.counters))
+        let c = Sim_rt.Atomic.make s 0 in
+        let r = Sim.run s (Array.make 4 (counter_body c 500)) in
+        (r.Sim.makespan_cycles, Sim_rt.Atomic.get c, r.Sim.counters))
   in
   match results with
   | [ a; b; c ] ->
@@ -26,9 +25,8 @@ let determinism () =
 let seeds_vary () =
   let go seed =
     let s = sim ~cpus:4 ~seed () in
-    let rt = Rt.simulated s in
-    let c = Rt.Atomic.make rt 0 in
-    (Sim.run s (Array.make 4 (counter_body rt c 500))).Sim.makespan_cycles
+    let c = Sim_rt.Atomic.make s 0 in
+    (Sim.run s (Array.make 4 (counter_body c 500))).Sim.makespan_cycles
   in
   Alcotest.(check bool) "different seeds change the schedule" true
     (go 1 <> go 2)
@@ -37,28 +35,25 @@ let atomicity () =
   (* 8 threads × 1000 atomic increments = exactly 8000 under any
      interleaving. *)
   let s = sim ~cpus:4 () in
-  let rt = Rt.simulated s in
-  let c = Rt.Atomic.make rt 0 in
-  ignore (Sim.run s (Array.make 8 (counter_body rt c 1000)));
-  Alcotest.(check int) "no lost updates" 8000 (Rt.Atomic.get c)
+  let c = Sim_rt.Atomic.make s 0 in
+  ignore (Sim.run s (Array.make 8 (counter_body c 1000)));
+  Alcotest.(check int) "no lost updates" 8000 (Sim_rt.Atomic.get c)
 
 let cas_contention_charged () =
   (* Two threads hammering one line must cost more per op than two
      threads on private lines. *)
   let shared =
     let s = sim ~cpus:2 () in
-    let rt = Rt.simulated s in
-    let c = Rt.Atomic.make rt 0 in
-    (Sim.run s (Array.make 2 (counter_body rt c 1000))).Sim.makespan_cycles
+    let c = Sim_rt.Atomic.make s 0 in
+    (Sim.run s (Array.make 2 (counter_body c 1000))).Sim.makespan_cycles
   in
   let private_ =
     let s = sim ~cpus:2 () in
-    let rt = Rt.simulated s in
-    let cs = Array.init 2 (fun _ -> Rt.Atomic.make rt 0) in
+    let cs = Array.init 2 (fun _ -> Sim_rt.Atomic.make s 0) in
     (Sim.run s
        (Array.init 2 (fun i _ ->
             for _ = 1 to 1000 do
-              Rt.Atomic.incr cs.(i)
+              Sim_rt.Atomic.incr cs.(i)
             done)))
       .Sim.makespan_cycles
   in
@@ -69,25 +64,22 @@ let cas_contention_charged () =
 
 let transfers_counted () =
   let s = sim ~cpus:2 () in
-  let rt = Rt.simulated s in
-  let c = Rt.Atomic.make rt 0 in
-  let r = Sim.run s (Array.make 2 (counter_body rt c 100)) in
+  let c = Sim_rt.Atomic.make s 0 in
+  let r = Sim.run s (Array.make 2 (counter_body c 100)) in
   Alcotest.(check bool) "remote transfers observed" true
     (r.Sim.counters.Sim.transfers > 50);
   Alcotest.(check int) "atomic count exact" 200 r.Sim.counters.Sim.atomics
 
 let work_advances_clock () =
   let s = sim ~cpus:1 () in
-  let rt = Rt.simulated s in
-  let r = Sim.run s [| (fun _ -> Rt.work rt 100_000) |] in
+  let r = Sim.run s [| (fun _ -> Sim_rt.work s 100_000) |] in
   Alcotest.(check bool) "clock advanced by work" true
     (r.Sim.makespan_cycles >= 100_000)
 
 let per_cpu_clocks () =
   let s = sim ~cpus:4 () in
-  let rt = Rt.simulated s in
   (* Thread i does i*10_000 work; cpu clocks must be ordered. *)
-  let r = Sim.run s (Array.init 4 (fun i _ -> Rt.work rt (i * 10_000))) in
+  let r = Sim.run s (Array.init 4 (fun i _ -> Sim_rt.work s (i * 10_000))) in
   Alcotest.(check bool) "cpu 3 ran longest" true
     (r.Sim.cpu_cycles.(3) > r.Sim.cpu_cycles.(1));
   Alcotest.(check int) "makespan = max cpu clock"
@@ -97,12 +89,11 @@ let per_cpu_clocks () =
 let preemption () =
   (* 8 threads on 2 cpus, each long enough to exceed quanta. *)
   let s = sim ~cpus:2 () in
-  let rt = Rt.simulated s in
   let r =
     Sim.run s
       (Array.make 8 (fun _ ->
            for _ = 1 to 50 do
-             Rt.work rt 10_000
+             Sim_rt.work s 10_000
            done))
   in
   Alcotest.(check bool) "context switches happened" true
@@ -110,22 +101,20 @@ let preemption () =
 
 let self_ids () =
   let s = sim ~cpus:2 () in
-  let rt = Rt.simulated s in
   let seen = Array.make 6 (-1) in
   ignore
     (Sim.run s
        (Array.init 6 (fun i -> fun arg ->
-            seen.(i) <- Rt.self rt;
+            seen.(i) <- Sim_rt.self s;
             Alcotest.(check int) "body arg = tid" i arg)));
   Array.iteri (fun i v -> Alcotest.(check int) "self = tid" i v) seen
 
 let exceptions_propagate () =
   let s = sim ~cpus:2 () in
-  let rt = Rt.simulated s in
   Alcotest.check_raises "body exception re-raised" Exit (fun () ->
       ignore
         (Sim.run s
-           [| (fun _ -> Rt.work rt 10); (fun _ -> raise Exit) |]))
+           [| (fun _ -> Sim_rt.work s 10); (fun _ -> raise Exit) |]))
 
 let block_until () =
   let s_done = ref false in
@@ -135,15 +124,14 @@ let block_until () =
     else Sim.Continue
   in
   let s = sim ~cpus:2 ~on_label () in
-  let rt = Rt.simulated s in
   ignore
     (Sim.run s
        [|
          (fun _ ->
-           Rt.label rt "gate";
+           Sim_rt.label s "gate";
            order := `A :: !order);
          (fun _ ->
-           Rt.work rt 50_000;
+           Sim_rt.work s 50_000;
            order := `B :: !order;
            s_done := true);
        |]);
@@ -155,12 +143,11 @@ let kill_action () =
     if l = "die" && tid = 1 then Sim.Kill else Sim.Continue
   in
   let s = sim ~cpus:2 ~on_label () in
-  let rt = Rt.simulated s in
   let done_ = Array.make 2 false in
   let r =
     Sim.run s
       (Array.init 2 (fun i -> fun _ ->
-           if i = 1 then Rt.label rt "die";
+           if i = 1 then Sim_rt.label s "die";
            done_.(i) <- true))
   in
   Alcotest.(check bool) "survivor finished" true done_.(0);
@@ -172,22 +159,20 @@ let deadlock_detected () =
     if l = "forever" then Sim.Block_until (fun () -> false) else Sim.Continue
   in
   let s = sim ~cpus:1 ~on_label () in
-  let rt = Rt.simulated s in
-  (match Sim.run s [| (fun _ -> Rt.label rt "forever") |] with
+  (match Sim.run s [| (fun _ -> Sim_rt.label s "forever") |] with
   | _ -> Alcotest.fail "expected Deadlock"
   | exception Sim.Deadlock _ -> ());
   (* The instance is reusable afterwards. *)
-  ignore (Sim.run s [| (fun _ -> Rt.work rt 10) |])
+  ignore (Sim.run s [| (fun _ -> Sim_rt.work s 10) |])
 
 let timeout_detected () =
   let s = sim ~cpus:1 ~max_cycles:100_000 () in
-  let rt = Rt.simulated s in
   match
     Sim.run s
       [|
         (fun _ ->
           while true do
-            Rt.work rt 1_000
+            Sim_rt.work s 1_000
           done);
       |]
   with
@@ -219,16 +204,15 @@ let yield_gives_cpu () =
   (* Two threads pinned to one cpu; A yields in a loop until B sets a
      flag. Without yield rescheduling this would time out. *)
   let s = sim ~cpus:1 ~max_cycles:50_000_000 () in
-  let rt = Rt.simulated s in
-  let flag = Rt.Atomic.make rt 0 in
+  let flag = Sim_rt.Atomic.make s 0 in
   ignore
     (Sim.run s
        [|
          (fun _ ->
-           while Rt.Atomic.get flag = 0 do
-             Rt.yield rt
+           while Sim_rt.Atomic.get flag = 0 do
+             Sim_rt.yield s
            done);
-         (fun _ -> Rt.Atomic.set flag 1);
+         (fun _ -> Sim_rt.Atomic.set flag 1);
        |]);
   ()
 
@@ -237,9 +221,8 @@ let no_contention_costs () =
      roughly the same. *)
   let run costs =
     let s = Sim.create ~cpus:2 ~costs ~seed:1 () in
-    let rt = Rt.simulated s in
-    let c = Rt.Atomic.make rt 0 in
-    (Sim.run s (Array.make 2 (counter_body rt c 1000))).Sim.makespan_cycles
+    let c = Sim_rt.Atomic.make s 0 in
+    (Sim.run s (Array.make 2 (counter_body c 1000))).Sim.makespan_cycles
   in
   let flat = run Cost.no_contention in
   let real = run Cost.default in
