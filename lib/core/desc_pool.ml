@@ -66,8 +66,10 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
     Rt.label rt Labels.desc_push;
     if not (Rt.Atomic.compare_and_set head old (Some d)) then raw_push rt head d
 
-  let create rt table ~kind ?(batch_size = 64) ?scan_threshold ?on_spill_retry
-      ?on_steal_retry () =
+  let default_batch_size = 64
+
+  let create rt table ~kind ?(batch_size = default_batch_size) ?scan_threshold
+      ?on_spill_retry ?on_steal_retry () =
     if batch_size < 1 then invalid_arg "Desc_pool.create: batch_size";
     let variant =
       match kind with

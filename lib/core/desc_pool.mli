@@ -35,6 +35,9 @@
 module Make (Rt : Mm_runtime.Runtime_intf.S) : sig
   type t
 
+  val default_batch_size : int
+  (** 64: descriptors per fresh batch unless [create] is told otherwise. *)
+
   val create :
     Rt.t ->
     Descriptor.Make(Rt).table ->
@@ -45,13 +48,13 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) : sig
     ?on_steal_retry:(unit -> unit) ->
     unit ->
     t
-  (** Default [batch_size]: 64. [scan_threshold] overrides the hazard-pointer
-      scan threshold (ignored by the tagged and reuse variants); small values
-      make descriptor recycling frequent, which the checking subsystem relies
-      on to exercise the reclamation path. [on_spill_retry]/[on_steal_retry]
-      fire on each failed CAS of the reuse variant's shared spill stack
-      (never for the other kinds) — the allocator stripes them into its
-      retry census. For the reuse variant, [batch_size] also bounds the
+  (** Default [batch_size]: {!default_batch_size}. [scan_threshold]
+      overrides the hazard-pointer scan threshold (ignored by the tagged and
+      reuse variants); small values make descriptor recycling frequent,
+      which the checking subsystem relies on to exercise the reclamation
+      path. [on_spill_retry]/[on_steal_retry] fire on each failed CAS of
+      the reuse variant's shared spill stack (never for the other kinds) —
+      the allocator stripes them into its retry census. For the reuse variant, [batch_size] also bounds the
       per-thread private LIFO; past it, retires spill to the shared stack. *)
 
   val alloc : t -> Descriptor.Make(Rt).t

@@ -41,34 +41,45 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
           failwith "Descriptor: table exhausted (raise store_capacity)";
         id
 
-  let alloc_batch tbl n =
-    List.init n (fun _ ->
-        let id = fresh_id tbl in
-        let d =
-          {
-            id;
-            (* Both words take CASes from every thread that frees into
-               the superblock: a cache line each. *)
-            anchor =
-              Rt.Atomic.make_contended tbl.rt
-                (Anchor.make ~avail:0 ~count:0 ~state:Anchor.Empty ~tag:0);
-            pub = Rt.Atomic.make_contended tbl.rt Pub_word.empty;
-            next_d = None;
-            next_id = -1;
-            sb = Mm_mem.Addr.null;
-            heap_gid = -1;
-            sz = 0;
-            maxcount = 0;
-            priv_head = 0;
-            priv_count = 0;
-          }
-        in
-        Rt.Atomic.set tbl.slots.(id) (Some d);
-        d)
-
   let discard tbl d =
     Rt.Atomic.set tbl.slots.(d.id) None;
     Ts.push tbl.free_ids d.id
+
+  (* When the table runs out part-way, the descriptors this batch already
+     installed are discarded before the failure propagates, so a failed
+     batch holds no slot. *)
+  let alloc_batch tbl n =
+    let installed = ref [] in
+    match
+      List.init n (fun _ ->
+          let id = fresh_id tbl in
+          let d =
+            {
+              id;
+              (* Both words take CASes from every thread that frees into
+                 the superblock: a cache line each. *)
+              anchor =
+                Rt.Atomic.make_contended tbl.rt
+                  (Anchor.make ~avail:0 ~count:0 ~state:Anchor.Empty ~tag:0);
+              pub = Rt.Atomic.make_contended tbl.rt Pub_word.empty;
+              next_d = None;
+              next_id = -1;
+              sb = Mm_mem.Addr.null;
+              heap_gid = -1;
+              sz = 0;
+              maxcount = 0;
+              priv_head = 0;
+              priv_count = 0;
+            }
+          in
+          Rt.Atomic.set tbl.slots.(id) (Some d);
+          installed := d :: !installed;
+          d)
+    with
+    | ds -> ds
+    | exception (Failure _ as e) ->
+        List.iter (discard tbl) !installed;
+        raise e
 
   let get tbl id =
     if id < 1 || id >= Array.length tbl.slots then

@@ -43,7 +43,8 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) : sig
   val alloc_batch : table -> int -> t list
   (** [alloc_batch tbl n] creates [n] fresh descriptors (a "superblock of
       descriptors", Fig. 7 line 5), installs them in the table and returns
-      them unlinked. *)
+      them unlinked. Raises [Failure] when the table is full, having
+      discarded any of the [n] it had installed. *)
 
   val discard : table -> t -> unit
   (** Forget a never-used descriptor and recycle its id (the install-race

@@ -78,7 +78,19 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
 
   let name = "new"
 
+  (* The descriptor table has 2 x store_capacity slots with slot 0 kept
+     for NULL, and the pool's first alloc takes one whole batch of ids
+     from it, so a smaller store fails its very first malloc. *)
+  let min_store_capacity = (Desc_pool.default_batch_size + 2) / 2
+
   let create rt (cfg : Cfg.t) =
+    if cfg.store_capacity < min_store_capacity then
+      invalid_arg
+        (Printf.sprintf
+           "Lf_alloc.create: store_capacity %d is below %d (one batch of %d \
+            descriptor ids must fit the 2 x store_capacity descriptor table, \
+            slot 0 reserved)"
+           cfg.store_capacity min_store_capacity Desc_pool.default_batch_size);
     let classes = Sc.make ~sbsize:cfg.sbsize () in
     let nheaps = Cfg.resolve_nheaps cfg ~num_cpus:(Rt.num_cpus rt) in
     let store =
@@ -365,7 +377,7 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
         Anchor.set_state newanchor Anchor.Full
       else
         (* lines 16-17: grab more credits for UpdateActive. *)
-        Anchor.set_count newanchor (count - min count t.cfg.maxcredits)
+        Anchor.set_count newanchor (count - Int.min count t.cfg.maxcredits)
     in
     Rt.label t.rt label;
     if Rt.Atomic.compare_and_set desc.anchor oldanchor newanchor then oldanchor
@@ -379,7 +391,7 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
   let settle_active t heap desc ~took_last oldanchor =
     if took_last then
       let count = Anchor.count oldanchor in
-      if count > 0 then update_active t heap desc (min count t.cfg.maxcredits)
+      if count > 0 then update_active t heap desc (Int.min count t.cfg.maxcredits)
       else Rt.obs_event t.rt Rt.Obs.Transition "sb.active->full"
 
   (* MallocFromActive (Fig. 4); NULL when the heap has no active
@@ -414,7 +426,7 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
     else begin
       (* state must be PARTIAL and count > 0 here. *)
       let count = Anchor.count oldanchor in
-      let morecredits = min (count - 1) t.cfg.maxcredits in
+      let morecredits = Int.min (count - 1) t.cfg.maxcredits in
       let newanchor =
         Anchor.set_state
           (Anchor.set_count oldanchor (count - morecredits - 1))
@@ -468,15 +480,24 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
   (* A new superblock for [heap]'s class. *)
 
   (* MallocFromNewSB lines 1-3: a descriptor and a superblock whose
-     blocks are chained 0 -> 1 -> ... -> maxcount - 1. *)
+     blocks are chained 0 -> 1 -> ... -> maxcount - 1. When no
+     superblock can be had (the store's region table is full) the
+     descriptor goes back to the pool before the failure propagates. *)
   let carve_sb t heap =
     let desc = Desc_pool.alloc t.pool in
     (* line 1 *)
     let sz = Sc.block_size t.classes heap.sc in
     let maxcount =
-      min (Sc.blocks_per_superblock t.classes heap.sc) Anchor.max_count
+      Int.min (Sc.blocks_per_superblock t.classes heap.sc) Anchor.max_count
     in
-    let sb = alloc_sb t in
+    let sb =
+      match alloc_sb t with
+      | sb -> sb
+      | exception (Failure _ as e) ->
+          desc.Descriptor.sb <- Addr.null;
+          Desc_pool.retire t.pool desc;
+          raise e
+    in
     (* line 2 *)
     desc.Descriptor.sb <- sb;
     desc.Descriptor.heap_gid <- heap.gid;
@@ -495,7 +516,7 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
        ABA argument over the descriptor's whole history. *)
     let a0 = Rt.Atomic.get desc.Descriptor.anchor in
     (* line 9: newactive.credits = min(maxcount-1, MAXCREDITS) - 1 *)
-    let credits = min (maxcount - 1) t.cfg.maxcredits - 1 in
+    let credits = Int.min (maxcount - 1) t.cfg.maxcredits - 1 in
     let newactive = Active_word.make ~desc_id:desc.Descriptor.id ~credits in
     (* lines 5, 10, 11 *)
     Rt.Atomic.set desc.Descriptor.anchor
@@ -984,7 +1005,7 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
       if id = 0 then 0
       else begin
         let desc = Descriptor.get t.table id in
-        let take = min want desc.Descriptor.priv_count in
+        let take = Int.min want desc.Descriptor.priv_count in
         if take > 0 then begin
           dst.(pos + take - 1) <- finish_block t desc (priv_pop t desc);
           for i = pos to pos + take - 2 do
@@ -1003,7 +1024,7 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
       if Active_word.is_null oldactive then 0
       else begin
         let desc = Descriptor.get t.table (Active_word.desc_id oldactive) in
-        let take = min want (Active_word.credits oldactive + 1) in
+        let take = Int.min want (Active_word.credits oldactive + 1) in
         let took_last = take = Active_word.credits oldactive + 1 in
         let oldanchor =
           pop_blocks t desc ~n:take ~took_last ~label:Labels.bc_pop_cas dst

@@ -19,11 +19,14 @@ let override name (cfg : Mm_mem.Alloc_config.t) =
   | "new-cached" -> { cfg with cache = true }
   | _ -> cfg
 
-(* One allocator stack per runtime backend, specialized at compile time
-   (DESIGN.md §18). [make] below picks the instantiation from the
-   value-level runtime handle — the only dispatch left, paid once per
-   heap creation instead of once per operation. Applicative functor
-   semantics keep [Stack(Mm_runtime.Sim_rt).Lf.t] equal to
+(* One allocator stack per runtime backend (DESIGN.md §18). Without
+   flambda the functor bodies stay shared code, so each [Rt.*] call in
+   them is still an indirect call through the argument block; what the
+   instantiation removes is any per-operation choice of runtime. [make]
+   below picks the instantiation from the value-level runtime handle —
+   the only dispatch left, paid once per heap creation instead of once
+   per operation. Applicative functor semantics keep
+   [Stack(Mm_runtime.Sim_rt).Lf.t] equal to
    [Mm_core.Lf_alloc.Make(Mm_runtime.Sim_rt).t], so typed clients
    (lib/check, Traced) interoperate with instances built here. *)
 module Stack (Rt : Mm_runtime.Runtime_intf.S) = struct

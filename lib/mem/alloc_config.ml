@@ -89,4 +89,4 @@ let make ?(nheaps = default.nheaps) ?(sbsize = default.sbsize)
   }
 
 let resolve_nheaps t ~num_cpus =
-  if t.nheaps > 0 then t.nheaps else max 1 num_cpus
+  if t.nheaps > 0 then t.nheaps else Int.max 1 num_cpus

@@ -58,7 +58,7 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
       sb_pool = Ts.create rt;
       sbsize;
       hyperblocks;
-      sbs_per_hyper = max 1 (1024 * 1024 / sbsize);
+      sbs_per_hyper = Int.max 1 (1024 * 1024 / sbsize);
       space = Space.create rt;
       mmap_calls = Rt.Atomic.make rt 0;
       munmap_calls = Rt.Atomic.make rt 0;
@@ -105,17 +105,33 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
      superblock, large-block and span traffic in the observability
      stream; [clean:false] marks a region whose extents may be written
      and re-carved out of order (spans), so lazy re-zeroing never trusts
-     the fresh-mapping flag. *)
+     the fresh-mapping flag. When the region table runs out the mapping
+     is undone before the failure propagates: the ids already installed
+     go back to the table and [mapped] drops by [len] again, so a failed
+     mmap holds nothing. *)
   let mmap t ~len ~slices ~slice_len ~site ?(clean = true) () =
     Rt.syscall t.rt;
     Rt.Atomic.incr t.mmap_calls;
     Rt.obs_event t.rt Rt.Obs.Mmap site;
     Space.add_mapped t.space (round_pages len);
     let bytes = Bytes.make len '\000' in
-    List.init slices (fun i ->
-        let id = fresh_id t in
-        install t id { bytes; base = i * slice_len; len = slice_len; clean };
-        id)
+    let installed = ref [] in
+    match
+      List.init slices (fun i ->
+          let id = fresh_id t in
+          install t id { bytes; base = i * slice_len; len = slice_len; clean };
+          installed := id :: !installed;
+          id)
+    with
+    | ids -> ids
+    | exception (Failure _ as e) ->
+        List.iter
+          (fun id ->
+            Rt.Atomic.set t.regions.(id) None;
+            Ts.push t.free_ids id)
+          !installed;
+        Space.add_mapped t.space (-round_pages len);
+        raise e
 
   let alloc_superblock t =
     Rt.Atomic.incr t.sb_allocs;
@@ -234,8 +250,11 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
   (* On the real runtime the word accessors inline the exact body of
      {!Real_rt.read_word}/[write_word] (a bare little-endian [Bytes]
      access), skipping the indirect call through the functor argument and
-     the cache-line attribution only the simulator consumes — the same
-     [Rt.is_sim] constant-fold [write_payload_round] uses below. *)
+     the cache-line attribution only the simulator consumes. Without
+     flambda [Rt.is_sim] is not folded: inside the functor it is one load
+     from the argument block and a branch, as in [write_payload_round]
+     below. Callers in other modules reach these bodies by a direct call
+     only because the build is not -opaque (DESIGN.md §18). *)
 
   let read_word ?(racy = false) t addr =
     match region_of t addr with
@@ -290,7 +309,7 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
            extent — a superblock carved out of a span must not touch its
            neighbours' bytes. Without it the whole region is restored
            (whole-region superblocks, where the two are the same thing). *)
-        let hi = match limit with None -> r.len | Some l -> min r.len (off + l) in
+        let hi = match limit with None -> r.len | Some l -> Int.min r.len (off + l) in
         if not r.clean then begin
           (* Recycled bytes: restore the zero state lazily, skipping the
              link words rewritten just below. One pass over the block
@@ -316,7 +335,7 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
     | None -> ()
     | Some r -> (
         let off = Addr.offset addr in
-        let len = min len (max 0 (r.len - off)) in
+        let len = Int.min len (Int.max 0 (r.len - off)) in
         if len > 0 then
           if not Rt.is_sim then
             for _ = 1 to times do
@@ -326,11 +345,11 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
             (* Split into a few batches so concurrent writers to a shared
                line still ping-pong in the cache model. *)
             let total = len * times in
-            let chunks = min 8 (max 1 times) in
-            let per = max 1 (total / chunks) in
+            let chunks = Int.min 8 (Int.max 1 times) in
+            let per = Int.max 1 (total / chunks) in
             let remaining = ref total in
             while !remaining > 0 do
-              let n = min per !remaining in
+              let n = Int.min per !remaining in
               Rt.touch_batch t.rt ~line:(Addr.line addr) ~write:true ~count:n;
               remaining := !remaining - n
             done

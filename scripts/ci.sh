@@ -7,6 +7,26 @@
 set -eu
 cd "$(dirname "$0")/.."
 dune build
+# Build-profile guard (DESIGN.md §18): dune-workspace makes release the
+# default profile, so the allocator is not compiled with -opaque. The
+# dev profile adds -opaque, which turns every cross-module call on the
+# hot path (Lf_alloc -> Anchor, Active_word, Store, ...) into an
+# indirect call that cannot be inlined. The root dune file's env
+# stanza keeps the dev profile's fatal warnings under every profile.
+# Both are read off the compile rule of Lf_alloc itself.
+lf_rule=$(dune rules -m \
+  _build/default/lib/core/.mm_core.objs/native/mm_core__Lf_alloc.cmx)
+case $lf_rule in
+  *-opaque*)
+    echo "ci: Lf_alloc is compiled with -opaque (dev profile?)" >&2
+    exit 1 ;;
+esac
+case $lf_rule in
+  *@1..3@5..28*) ;;
+  *)
+    echo "ci: Lf_alloc is compiled without the dev warning spec" >&2
+    exit 1 ;;
+esac
 # Machine-readable lint report, kept as a CI artifact even when the
 # enforcement gates below fail.
 mkdir -p _build/ci

@@ -373,6 +373,87 @@ let introspection () =
   Alcotest.(check bool) "pool reachable" true (Pool.available (A.desc_pool t) >= 0);
   A.free t a
 
+(* Region-table exhaustion fails cleanly. Fill a small region table
+   with 8-byte mallocs until one raises [Failure]; from then on every
+   malloc must fail without leaking. Mapped bytes stay exactly the live
+   regions' superblocks: a failed mmap gives back its bytes and the
+   region ids it had installed. Every live descriptor is in the pool or
+   owns a live region: a failed carve returns the descriptor it took,
+   and a descriptor batch that runs out of table slots part-way
+   discards what it installed. Both free-list modes, since each carves
+   its own way, and hyperblocks, whose 1 MiB mapping of 256 superblocks
+   runs out of ids part-way (300 slots hold one). Where the descriptor
+   table is full too, the pool's size does not move at all; with
+   hyperblocks the table has room, and the hazard-pointer pool, which
+   reuses a retired descriptor only after 128 retirements, stocks a
+   fresh batch once its free list runs dry. *)
+let region_table_exhaustion () =
+  let module Space = Mm_mem.Space.Make (Real_rt) in
+  let sbsize = 4096 in
+  List.iter
+    (fun (what, capacity, free_lists, hyperblocks, expect_live) ->
+      let t =
+        A.create ()
+          (Cfg.make ~nheaps:1 ~sbsize ~store_capacity:capacity ~free_lists
+             ~hyperblocks ())
+      in
+      let store = A.store t in
+      let malloc_fails () =
+        match A.malloc t 8 with _ -> false | exception Failure _ -> true
+      in
+      while not (malloc_fails ()) do
+        ()
+      done;
+      let state () =
+        ( (Space.read (Store.space store)).Mm_mem.Space.mapped,
+          Store.live_regions store,
+          Pool.available (A.desc_pool t) )
+      in
+      let check_no_leak when_ (mapped, live, available) =
+        Alcotest.(check int)
+          (Printf.sprintf "%s, %s: mapped = live regions x sbsize" what when_)
+          (live * sbsize) mapped;
+        Alcotest.(check int)
+          (Printf.sprintf "%s, %s: live descriptors = pool + live regions"
+             what when_)
+          (available + live)
+          (D.live_count (A.descriptor_table t))
+      in
+      let ((mapped, live, available) as full) = state () in
+      check_no_leak "full" full;
+      Alcotest.(check int) (what ^ ": live regions") expect_live live;
+      for _ = 1 to 100 do
+        Alcotest.(check bool) (what ^ ": malloc fails once full") true
+          (malloc_fails ())
+      done;
+      let ((mapped', live', available') as after) = state () in
+      check_no_leak "after 100 failed mallocs" after;
+      Alcotest.(check (pair int int))
+        (what ^ ": 100 failed mallocs leave mapped and regions alone")
+        (mapped, live) (mapped', live');
+      if not hyperblocks then
+        Alcotest.(check int)
+          (what ^ ": 100 failed mallocs leave the pool alone")
+          available available';
+      A.check_invariants t)
+    [
+      ("anchor", 40, `Anchor, false, 39);
+      ("owner-biased", 40, `Owner_biased, false, 39);
+      ("hyperblocks", 300, `Anchor, true, 256);
+    ]
+
+(* One descriptor batch (64 ids) must fit the 2 x store_capacity table
+   with slot 0 reserved: 32 is rejected up front, 33 serves a malloc. *)
+let store_capacity_bound () =
+  let cfg store_capacity = Cfg.make ~nheaps:1 ~store_capacity () in
+  Alcotest.(check bool) "store_capacity 32 rejected" true
+    (match A.create () (cfg 32) with
+    | _ -> false
+    | exception Invalid_argument _ -> true);
+  let t = A.create () (cfg 33) in
+  A.free t (A.malloc t 8);
+  A.check_invariants t
+
 let wild_free_guard () =
   let t = A.create () small_cfg in
   let a = A.malloc t 8 in
@@ -456,6 +537,8 @@ let cases =
   [
     case "superblock state machine" fill_superblock;
     case "wild free rejected" wild_free_guard;
+    case "region-table exhaustion fails cleanly" region_table_exhaustion;
+    case "store_capacity bound" store_capacity_bound;
     case "flush emptying a FULL superblock releases it"
       flush_empties_full_superblock;
     case "multi-kill fuzz (sim x8)" multi_kill_fuzz;
