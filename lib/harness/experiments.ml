@@ -6,7 +6,9 @@ module Locks_real = Mm_baselines.Locks.Make (Mm_runtime.Real_rt)
 
 type mode = Quick | Full
 
-type outcome = {
+(* What an experiment renders; [run] adds the census to make an
+   [outcome]. *)
+type table = {
   id : string;
   title : string;
   runtime : string;  (* "real" | "simulated" — honest label for JSON *)
@@ -14,21 +16,14 @@ type outcome = {
   lines : string list;
 }
 
-let sim_cpus = 16
 let allocators = Allocators.names
-
-(* Ample virtual-cycle budget; individual experiments stay far below. *)
-let sim_budget = 100_000_000_000
-
-let make_sim ?(cpus = sim_cpus) ~seed () =
-  Sim.create ~cpus ~seed ~max_cycles:sim_budget ()
 
 (* ------------------------------------------------------------------ *)
 (* OS-traffic census: every experiment table ends with the lock-free
-   allocator's simulated syscall and superblock-pool traffic, summed
-   over every "new" data point the experiment ran and normalized per 1k
-   workload ops. This is the denominator the scripts/ci.sh mmap gate
-   guards. *)
+   allocator's syscall and superblock-pool traffic, summed over every
+   "new" data point the experiment ran (simulated or real, whichever
+   runtime the experiment uses) and normalized per 1k workload ops.
+   This is the denominator the scripts/ci.sh mmap gate guards. *)
 
 type os_census = {
   census_ops : int;
@@ -107,14 +102,18 @@ let frag_pct c =
       *. float_of_int (c.census_pages_granted - c.census_pages_requested)
       /. float_of_int c.census_pages_granted)
 
-let census_line c =
+let census_line ~runtime c =
   if c.census_ops = 0 then
-    "os census (new): no simulated data points in this experiment"
+    Printf.sprintf
+      "os census (new, %s runtime): no data points were counted in this \
+       experiment"
+      runtime
   else
     Printf.sprintf
-      "os census (new, per 1k ops over %d): mmap %s, munmap %s, sb_allocs \
-       %s, sb_reuses %s, large_mmap %s, large_munmap %s, buddy frag %s"
-      c.census_ops
+      "os census (new, %s runtime, per 1k ops over %d): mmap %s, munmap %s, \
+       sb_allocs %s, sb_reuses %s, large_mmap %s, large_munmap %s, buddy \
+       frag %s"
+      runtime c.census_ops
       (per1k c.census_mmaps c.census_ops)
       (per1k c.census_munmaps c.census_ops)
       (per1k c.census_sb_allocs c.census_ops)
@@ -123,15 +122,10 @@ let census_line c =
       (per1k c.census_large_munmaps c.census_ops)
       (frag_pct c)
 
-(* Per-experiment censuses from the latest [run]/[run_all], for the
-   structured MM_BENCH_JSON payload. *)
-let censuses : (string, (string * int) list) Hashtbl.t = Hashtbl.create 32
-let os_census id = Option.value (Hashtbl.find_opt censuses id) ~default:[]
-
 (* One simulated data point: fresh machine, fresh heap. *)
-let sim_point ?(cpus = sim_cpus) ?(cfg = Cfg.default) ~seed name workload
-    ~threads =
-  let sim = make_sim ~cpus ~seed () in
+let sim_point ?(cpus = Traced.sim_cpus) ?(cfg = Cfg.default) ~seed name
+    workload ~threads =
+  let sim = Traced.make_sim ~cpus ~seed () in
   let rt = Rt.simulated sim in
   let inst = Allocators.make name rt cfg in
   let m = workload inst ~threads in
@@ -251,7 +245,7 @@ let figure ~id ~title ~expectation ~workload mode seed =
     in
     {
       id;
-      title = Printf.sprintf "%s (simulated, %d CPUs)" title sim_cpus;
+      title = Printf.sprintf "%s (simulated, %d CPUs)" title Traced.sim_cpus;
       runtime = "simulated";
       expectation;
       lines =
@@ -629,21 +623,27 @@ let ablation_ownerbias mode seed =
               string_of_int anchor; per1k anchor ops;
               string_of_int pub; per1k pub ops;
             ])
-          [ ("anchor (paper)", "new"); ("owner-biased", "new-ob") ])
+          [
+            ("anchor (paper)", "new");
+            ("owner-biased", "new-ob");
+            ("anchor + cache", "new-cached");
+          ])
       workloads
   in
   {
     id = "ablation-ownerbias";
     runtime = "simulated";
     title =
-      "DESIGN.md §19 ablation: anchor vs owner-biased free lists \
-       (traced, ONE shared heap, 16 threads)";
+      "DESIGN.md §19 ablation: anchor vs owner-biased free lists, and \
+       the block cache over anchor lists (traced, ONE shared heap, 16 \
+       threads)";
     expectation =
       "Owner-local frees become plain private-list writes and remote \
        frees one pub.push each, so the combined anchor.pop+anchor.free \
        failed-CAS rate collapses (>=10x) while throughput holds or \
        improves; the residual pub.* retries stay far below the anchor \
-       traffic they replace.";
+       traffic they replace. The block cache (new-cached) keeps the \
+       anchor lists but absorbs most of their traffic.";
     lines =
       Render.table
         ~header:
@@ -968,7 +968,7 @@ let tail_latency mode seed =
   let rows =
     List.map
       (fun name ->
-        let sim = make_sim ~seed () in
+        let sim = Traced.make_sim ~seed () in
         let rt = Rt.simulated sim in
         let inst = Allocators.make name rt Cfg.default in
         let samples = Array.make (threads * pairs) 0 in
@@ -1130,7 +1130,7 @@ let kill mode seed =
 let fig id letter ~title ~expectation ~workload =
   (id, fun mode seed -> figure ~id ~title:(Printf.sprintf "Fig. 8(%s): %s" letter title) ~expectation ~workload:(workload mode) mode seed)
 
-let experiments : (string * (mode -> int -> outcome)) list =
+let experiments : (string * (mode -> int -> table)) list =
   [
     ("table1", table1);
     ("latency", latency);
@@ -1201,29 +1201,59 @@ let experiments : (string * (mode -> int -> outcome)) list =
     ("kill", kill);
   ]
 
-let catalogue =
-  List.map
-    (fun (id, f) ->
-      (* Titles without running: re-derive cheaply for the figures. *)
-      ignore f;
-      (id, id))
-    experiments
+type outcome = {
+  id : string;
+  title : string;
+  runtime : string;
+  expectation : string;
+  lines : string list;
+  os : (string * int) list;
+}
+
+let ids = List.map fst experiments
 
 (* Reset the census, run the experiment, append the census line to its
-   table and remember the raw counters for the MM_BENCH_JSON payload. *)
-let with_census id f mode seed =
+   table and keep the raw counters beside it. *)
+let with_census f mode seed =
   census := zero_census;
-  let o = f mode seed in
-  Hashtbl.replace censuses id (census_pairs !census);
-  { o with lines = o.lines @ [ census_line !census ] }
+  let (t : table) = f mode seed in
+  {
+    id = t.id;
+    title = t.title;
+    runtime = t.runtime;
+    expectation = t.expectation;
+    lines = t.lines @ [ census_line ~runtime:t.runtime !census ];
+    os = census_pairs !census;
+  }
 
 let run id ~mode ~seed =
   match List.assoc_opt id experiments with
-  | Some f -> with_census id f mode seed
+  | Some f -> with_census f mode seed
   | None -> invalid_arg ("Experiments.run: unknown experiment " ^ id)
 
-let run_all ~mode ~seed =
-  List.map (fun (id, f) -> with_census id f mode seed) experiments
+let to_json ~mode ~seed outcomes =
+  let module J = Mm_obs.Json in
+  J.Obj
+    [
+      ("format", J.Str "mm-bench/2");
+      ("mode", J.Str (match mode with Quick -> "quick" | Full -> "full"));
+      ("seed", J.Int seed);
+      ( "experiments",
+        J.Arr
+          (List.map
+             (fun o ->
+               J.Obj
+                 [
+                   ("id", J.Str o.id);
+                   ("title", J.Str o.title);
+                   ("runtime", J.Str o.runtime);
+                   ("expectation", J.Str o.expectation);
+                   ("lines", J.Arr (List.map (fun l -> J.Str l) o.lines));
+                   ( "os",
+                     J.Obj (List.map (fun (k, v) -> (k, J.Int v)) o.os) );
+                 ])
+             outcomes) );
+    ]
 
 let print_outcome fmt o =
   Format.fprintf fmt "== %s: %s [%s runtime]@." o.id o.title o.runtime;

@@ -9,10 +9,13 @@ module Obs_agg = Mm_obs.Agg
 module Trace_file = Mm_obs.Trace_file
 module Json = Mm_obs.Json
 
-(* Same machine shape and cycle budget as Experiments (which shares
-   these workload parameters via the definitions below). *)
+(* The simulated machine every experiment and trace runs on: 16 CPUs
+   and an ample virtual-cycle budget that individual runs stay far
+   below. *)
 let sim_cpus = 16
-let sim_budget = 100_000_000_000
+
+let make_sim ?(cpus = sim_cpus) ~seed () =
+  Sim.create ~cpus ~seed ~max_cycles:100_000_000_000 ()
 
 (* Quick-mode parameter sets shared with Experiments, so a trace report
    and the EXPERIMENTS.md contention-sites census describe the same
@@ -35,7 +38,7 @@ let capture ?(cpus = sim_cpus) ?nheaps ?(capacity = 1 lsl 16)
     ?(allocator = "new") ?(page_manager = false)
     ?(desc_scan_threshold = 0) ~name ~threads ~seed wl =
   let nheaps = Option.value nheaps ~default:cpus in
-  let sim = Sim.create ~cpus ~seed ~max_cycles:sim_budget () in
+  let sim = make_sim ~cpus ~seed () in
   let rt = Rt.simulated sim in
   let cfg = Cfg.make ~nheaps ~page_manager ~desc_scan_threshold () in
   (* Keep a typed handle on the lock-free allocator so the capture can

@@ -4,6 +4,13 @@
     [contention-sites] experiment, so the EXPERIMENTS.md census and the
     CLI report are the same computation. *)
 
+val sim_cpus : int
+(** CPUs of the simulated machine (16, the paper's POWER3). *)
+
+val make_sim : ?cpus:int -> seed:int -> unit -> Mm_runtime.Sim.t
+(** A fresh simulated machine ([cpus] defaults to [sim_cpus]) with the
+    cycle budget shared by every experiment and trace. *)
+
 val threadtest_quick : Mm_workloads.Threadtest.params
 (** The quick-mode parameters shared with [Experiments] (so the CLI
     report and the EXPERIMENTS.md census describe the same run). *)

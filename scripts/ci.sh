@@ -49,10 +49,12 @@ for allocator in new-cached new-ob; do
     --allocator "$allocator" --format json \
     > "_build/ci/trace-report-$allocator.json" || true
 done
-# Machine-readable benchmark results (quick mode): bechamel estimates
-# plus every experiment table, archived so the bench trajectory is
-# diffable across commits (BENCH_0.json in the repo root is the seed).
-MM_BENCH_JSON=_build/ci/bench-report.json dune exec bench/main.exe || true
+# Machine-readable benchmark results (quick mode): every experiment
+# table with its OS-census counters, archived so the bench trajectory
+# is diffable across commits (BENCH_0.json in the repo root is the
+# seed).
+dune exec bin/experiments.exe -- run --json _build/ci/bench-report.json \
+  || true
 # OS-traffic regression gate: the 16-thread threadtest churn on the
 # paper allocator must keep simulated mmap syscalls under 2 per 1k
 # allocator ops (measured 0.27/1k). The store's superblock pool

@@ -31,7 +31,7 @@ let series_shape () =
   Alcotest.(check int) "lines" 4 (List.length lines)
 
 let catalogue_complete () =
-  let ids = List.map fst E.catalogue in
+  let ids = E.ids in
   Alcotest.(check int) "unique ids" (List.length ids)
     (List.length (List.sort_uniq compare ids));
   (* Every DESIGN.md experiment is present. *)
@@ -44,6 +44,60 @@ let catalogue_complete () =
       "ablation-desc"; "ablation-credits"; "ablation-locks"; "ablation-hyper";
       "preempt"; "extra-workloads"; "tail-latency"; "contention-sites"; "kill";
     ]
+
+(* The bench JSON of two synthetic outcomes, parsed back: no experiment
+   runs. *)
+let json_round_trip () =
+  let outcome id runtime os =
+    {
+      E.id;
+      title = "title of " ^ id;
+      runtime;
+      expectation = "expectation of " ^ id;
+      lines = [ "a  b"; "-  -"; "1  2" ];
+      os;
+    }
+  in
+  let outcomes =
+    [
+      outcome "latency" "real" [ ("ops", 0); ("mmap_calls", 0) ];
+      outcome "fig8a" "simulated" [ ("ops", 12_000); ("mmap_calls", 17) ];
+    ]
+  in
+  let text =
+    Mm_obs.Json.to_string (E.to_json ~mode:E.Quick ~seed:3 outcomes)
+  in
+  let j =
+    match Mm_obs.Json.of_string text with
+    | Ok j -> j
+    | Error e -> Alcotest.fail e
+  in
+  let module J = Mm_obs.Json in
+  let str k o = Option.bind (J.member k o) J.to_str in
+  let int k o = Option.bind (J.member k o) J.to_int in
+  Alcotest.(check (option string)) "format" (Some "mm-bench/2") (str "format" j);
+  Alcotest.(check (option string)) "mode" (Some "quick") (str "mode" j);
+  Alcotest.(check (option int)) "seed" (Some 3) (int "seed" j);
+  Alcotest.(check bool) "no bechamel or contended key" true
+    (J.member "bechamel" j = None && J.member "contended" j = None);
+  let exps =
+    Option.value ~default:[] (Option.bind (J.member "experiments" j) J.to_list)
+  in
+  Alcotest.(check (list (option string))) "ids in order"
+    [ Some "latency"; Some "fig8a" ] (List.map (str "id") exps);
+  Alcotest.(check (list (option string))) "runtime labels"
+    [ Some "real"; Some "simulated" ] (List.map (str "runtime") exps);
+  Alcotest.(check (list (option int))) "ops counters" [ Some 0; Some 12_000 ]
+    (List.map (fun e -> Option.bind (J.member "os" e) (int "ops")) exps);
+  Alcotest.(check (list (option int))) "mmap counters" [ Some 0; Some 17 ]
+    (List.map (fun e -> Option.bind (J.member "os" e) (int "mmap_calls")) exps);
+  Alcotest.(check (list int)) "lines" [ 3; 3 ]
+    (List.map
+       (fun e ->
+         List.length
+           (Option.value ~default:[]
+              (Option.bind (J.member "lines" e) J.to_list)))
+       exps)
 
 let unknown_rejected () =
   Alcotest.(check bool) "unknown id" true
@@ -79,6 +133,7 @@ let cases =
     case "formatting" formatting;
     case "series shape" series_shape;
     case "catalogue complete" catalogue_complete;
+    case "bench JSON round trip" json_round_trip;
     case "unknown id rejected" unknown_rejected;
     slow_case "kill experiment end-to-end" kill_experiment_runs;
     slow_case "hyper ablation end-to-end" ablation_hyper_runs;
