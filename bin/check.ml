@@ -311,11 +311,11 @@ let quick_cmd =
       Printf.printf "cached monitor: %d probes clean\n"
         (List.length m.M.entries);
       (* 6. The owner-biased free-list mode under the same exhaustive
-         budget and kill/stall monitor: the remote-free push and
-         bulk-claim windows (pub.push, pub.claim) must preserve
-         address exclusivity across ownership handoffs and rescues,
-         and a thread killed mid-push/claim must only leak its chain,
-         never double-serve a block. *)
+         budget and kill/stall monitor: the push, claim and freeze
+         windows (pub.push, pub.claim, ob.freeze, free.cas) must
+         preserve address exclusivity across ownership handoffs and
+         frees racing an acquirer, and a thread killed mid-push/claim
+         must only leak its chain, never double-serve a block. *)
       let ob = Option.get (T.find "lf_alloc_owner_biased") in
       let r = E.exhaustive ob ~threads ~bound:3 ~budget:20_000 in
       (match r.E.finding with

@@ -164,14 +164,19 @@ let lf_alloc_cached =
   }
 
 (* The owner-biased target: the allocator with `Owner_biased free
-   lists (DESIGN.md §19) and two-block superblocks (1900-byte requests
-   in 4096-byte superblocks), so three mallocs per thread force an
-   ownership handoff (pub.claim) and the block each thread mails to
-   its neighbour comes back as a remote free (pub.push) whose rescue
-   and owner-refill claims all fall inside the explored window. The
-   mailbox is a plain single-producer/single-consumer slot per thread
-   — written and drained between simulation points, never waited on,
-   so killed threads just leak their slice. *)
+   lists (DESIGN.md §19) and eight-block superblocks (504-byte requests
+   take the largest small class of a 4096-byte superblock, 512-byte
+   blocks). Eight mallocs exhaust a thread's first superblock X; the
+   ninth hands X off (pub.claim) and acquires the neighbour's X' if it
+   is already partial (pub.claim own + ob.freeze) or carves a fresh one.
+   The thread then frees two blocks of X — FULL->PARTIAL republishes X,
+   and the second push races the neighbour acquiring X, the window the
+   freeze CAS and the pusher's pub re-read close — and finally the
+   block its neighbour mailed it, a remote free into X' (anchor push,
+   or pub.push once X' is owned again). The mailbox is a plain
+   single-producer/single-consumer slot per thread — written and
+   drained between simulation points, never waited on, so killed
+   threads just leak their slice. *)
 let ob_cfg =
   Cfg.make ~nheaps:1 ~sbsize:4096 ~maxcredits:2 ~desc_scan_threshold:1
     ~store_capacity:128 ~free_lists:`Owner_biased ()
@@ -183,7 +188,7 @@ let ob_run ~threads ?on_label ?notify_done ?(quiescent_checks = true) ~sched
   let orc = Oracle.create_alloc () in
   let mailbox = Array.make (max threads 1) 0 in
   let m () =
-    let a = A.malloc t 1900 in
+    let a = A.malloc t 504 in
     Oracle.malloc_returned orc a;
     a
   in
@@ -193,12 +198,12 @@ let ob_run ~threads ?on_label ?notify_done ?(quiescent_checks = true) ~sched
     Oracle.free_returned orc p
   in
   let body tid =
-    let w = m () in
-    let a = m () in
-    let b = m () in
-    mailbox.((tid + 1) mod threads) <- w;
-    f a;
-    f b;
+    let xs = Array.init 8 (fun _ -> m ()) in
+    mailbox.((tid + 1) mod threads) <- xs.(0);
+    let y = m () in
+    f xs.(1);
+    f xs.(2);
+    f y;
     (* Non-blocking drain: a neighbour that has not mailed yet (or was
        killed) just leaves the slot empty. *)
     let incoming = mailbox.(tid) in
@@ -214,7 +219,7 @@ let ob_run ~threads ?on_label ?notify_done ?(quiescent_checks = true) ~sched
 let lf_alloc_owner_biased =
   {
     name = "lf_alloc_owner_biased";
-    doc = "owner-biased free lists; pub.push/pub.claim windows + same oracle";
+    doc = "owner-biased free lists; pub.*, ob.freeze vs free.cas + same oracle";
     default_threads = 2;
     labels = Labels.all;
     run = ob_run;

@@ -50,12 +50,13 @@ val lf_alloc_cached : t
 val lf_alloc_owner_biased : t
 (** The oracle workload with owner-biased private/public free lists on
     ({!Mm_mem.Alloc_config.t.free_lists} = [`Owner_biased], DESIGN.md
-    §19) and two-block superblocks, exercising the remote-free push
-    and bulk-claim CAS windows (labels [pub.push] / [pub.claim]):
-    ownership handoff, pusher-driven rescue and owner refill all fall
-    inside three mallocs + a mailed remote free per thread. Expected
-    clean: a thread killed holding a claimed chain leaks it, never
-    double-serves. *)
+    §19) and eight-block superblocks: nine mallocs per thread hand the
+    first superblock off and acquire or carve another, two frees push
+    onto the handed-off superblock's anchor while the neighbour may be
+    acquiring it (labels [pub.claim] / [ob.freeze] against [free.cas]),
+    and a mailed block comes back as a remote free ([free.cas] or
+    [pub.push]). Expected clean: a thread killed mid-acquire leaks its
+    superblock, never double-serves a block. *)
 
 val buddy : t
 (** The page manager's span reservoir + lock-free buddy

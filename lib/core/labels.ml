@@ -25,6 +25,7 @@ let bc_pop_cas = "bc.pop_cas"
 let bc_flush_cas = "bc.flush_cas"
 let pub_push = "pub.push"
 let pub_claim = "pub.claim"
+let ob_freeze = "ob.freeze"
 
 let all =
   [
@@ -55,6 +56,7 @@ let all =
     bc_flush_cas;
     pub_push;
     pub_claim;
+    ob_freeze;
   ]
 
 (* The census registry: how the contention-sites table groups this
@@ -70,7 +72,7 @@ let all =
 let census_sites =
   [
     ("active.reserve", [ ma_read_active; mp_reserve_cas; bc_reserve_cas ]);
-    ("anchor.pop", [ ma_pop_cas; mp_pop_cas; bc_pop_cas ]);
+    ("anchor.pop", [ ma_pop_cas; mp_pop_cas; bc_pop_cas; ob_freeze ]);
     ("anchor.free", [ free_cas; bc_flush_cas ]);
     ("update_active", [ ua_credits_cas ]);
     ("partial.slot", [ free_put_partial ]);

@@ -113,7 +113,13 @@ val pub_push : string
 val pub_claim : string
 (** Owner-biased free lists: before a CAS that claims or transfers the
     public list — the owner's bulk claim, the owner handoff, and the
-    rescue/acquire own and un-own flips. *)
+    acquirer's own flip. *)
+
+val ob_freeze : string
+(** Owner-biased free lists: an acquirer that owns a partial
+    superblock's pub word, before the anchor CAS that freezes the anchor
+    at FULL(0,0) and takes its whole chain private (a free that read the
+    pub word unowned may still push onto the anchor until then). *)
 
 val all : string list
 (** Every label above; fault-injection tests iterate this list. *)

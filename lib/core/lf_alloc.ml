@@ -552,73 +552,107 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
      the size-one case; the block-cache flush pushes a whole group. The
      caller has chained the run first -> ... -> last through the blocks'
      link words (nothing to write when n = 1); only the tail's link is
-     rewritten per attempt. *)
+     rewritten per attempt.
+
+     Owner-biased free lists (DESIGN.md §19),
+     [Alloc_config.free_lists = `Owner_biased]: a superblock is either
+     OWNED by one thread — its anchor frozen at FULL(0,0), its free
+     blocks split between the owner's private plain-write LIFO
+     (descriptor fields [priv_head]/[priv_count], links threaded through
+     payload words) and the public {!Pub_word} list — or UNOWNED, in
+     which case it follows the paper's figures exactly: its free blocks
+     sit on the anchor, frees push there, and the pub word is empty and
+     only gates (re)gaining ownership. The governing invariant: the
+     anchor of a descriptor whose pub word has the owned bit set is
+     written only by the thread that set that bit, and no block is ever
+     pushed onto an unowned pub word. *)
 
   (* The anchor push, with the EMPTY and FULL->PARTIAL transitions.
      [count = maxcount - n] at the CAS means the run's blocks were the
      only allocated ones (so no Active word can reference the
-     descriptor), generalizing the paper's n = 1 emptiness test. *)
+     descriptor), generalizing the paper's n = 1 emptiness test.
+
+     Owner-biased mode: every attempt re-reads the pub word after the
+     anchor, and pushes onto the public list instead if an acquirer has
+     owned it meanwhile. An acquirer owns the pub word before it reads
+     the anchor and freezes it with a tag-bumping CAS, so a push that
+     still read "unowned" either lands first (the freeze re-reads and
+     takes its blocks) or fails against the bumped tag and lands here
+     again. *)
   let rec anchor_push t (desc : Descriptor.t) ~first_idx ~last ~n ~label spins =
     let oldanchor = Rt.Atomic.get desc.anchor in
-    (* line 8: thread the run onto the available list. *)
-    Store.write_word t.store last (Anchor.avail oldanchor);
-    (* line 9 *)
-    let with_avail = Anchor.set_avail oldanchor first_idx in
-    let oldstate = Anchor.state oldanchor in
-    (* lines 12-15: the superblock empties. *)
-    let empties = Anchor.count oldanchor = desc.maxcount - n in
-    (* line 13 *)
-    let heap_gid = desc.heap_gid in
-    let newanchor =
-      if empties then begin
-        Rt.fence t.rt;
-        (* line 14: instruction fence *)
-        Anchor.set_state with_avail Anchor.Empty
-      end
-      else
-        (* lines 10-11, 16 *)
-        let st = if oldstate = Anchor.Full then Anchor.Partial else oldstate in
-        Anchor.set_count (Anchor.set_state with_avail st)
-          (Anchor.count oldanchor + n)
-    in
-    Rt.fence t.rt;
-    (* line 17: memory fence *)
-    Rt.label t.rt label;
-    if Rt.Atomic.compare_and_set desc.anchor oldanchor newanchor then begin
-      if empties then begin
-        (* lines 19-21 *)
-        Rt.obs_event t.rt Rt.Obs.Transition "sb.empty";
-        Rt.label t.rt Labels.free_empty;
-        release_emptied t desc ~oldstate ~heap_gid
-      end
-      else if oldstate = Anchor.Full then begin
-        (* lines 22-23 *)
-        Rt.obs_event t.rt Rt.Obs.Transition "sb.full->partial";
-        heap_put_partial t desc
-      end
-    end
+    if t.ob && Pub_word.owned (Rt.Atomic.get desc.pub) then
+      pub_push t desc ~first_idx ~last ~n Backoff.initial
     else begin
-      bump t c_free;
-      anchor_push t desc ~first_idx ~last ~n ~label (Backoff.spin t.rt spins)
+      (* line 8: thread the run onto the available list. *)
+      Store.write_word t.store last (Anchor.avail oldanchor);
+      (* line 9 *)
+      let with_avail = Anchor.set_avail oldanchor first_idx in
+      let oldstate = Anchor.state oldanchor in
+      (* lines 12-15: the superblock empties. *)
+      let empties = Anchor.count oldanchor = desc.maxcount - n in
+      (* line 13 *)
+      let heap_gid = desc.heap_gid in
+      let newanchor =
+        if empties then begin
+          Rt.fence t.rt;
+          (* line 14: instruction fence *)
+          Anchor.set_state with_avail Anchor.Empty
+        end
+        else
+          (* lines 10-11, 16 *)
+          let st = if oldstate = Anchor.Full then Anchor.Partial else oldstate in
+          Anchor.set_count (Anchor.set_state with_avail st)
+            (Anchor.count oldanchor + n)
+      in
+      Rt.fence t.rt;
+      (* line 17: memory fence *)
+      Rt.label t.rt label;
+      if Rt.Atomic.compare_and_set desc.anchor oldanchor newanchor then begin
+        if empties then begin
+          (* lines 19-21 *)
+          Rt.obs_event t.rt Rt.Obs.Transition "sb.empty";
+          Rt.label t.rt Labels.free_empty;
+          release_emptied t desc ~oldstate ~heap_gid
+        end
+        else if oldstate = Anchor.Full then begin
+          (* lines 22-23 *)
+          Rt.obs_event t.rt Rt.Obs.Transition "sb.full->partial";
+          heap_put_partial t desc
+        end
+      end
+      else begin
+        bump t c_free;
+        anchor_push t desc ~first_idx ~last ~n ~label (Backoff.spin t.rt spins)
+      end
     end
 
-  (* ------------------------------------------------------------------ *)
-  (* Owner-biased private/public free lists (DESIGN.md §19),
-     [Alloc_config.free_lists = `Owner_biased].
-
-     In this mode no free ever CASes the anchor. A superblock is either
-     OWNED by one thread — its anchor frozen at FULL(0,0), its free
-     blocks split between the owner's private plain-write LIFO
-     (descriptor fields [priv_head]/[priv_count], links threaded
-     through payload words) and the public {!Pub_word} list — or
-     UNOWNED, in which case its free blocks all sit on the anchor
-     exactly as in the paper's figures and the pub word is the sole
-     gate for (re)gaining ownership. The governing invariant: the
-     anchor of a descriptor whose pub word has the owned bit set is
-     written only by the thread that set that bit, which turns every
-     anchor update below into an exclusive plain [Atomic.set]; the
-     EMPTY/FULL state machine and [Partial_list] publication are shared
-     with the anchor path unchanged. *)
+  (* A non-owner's push in owner-biased mode. An unowned superblock
+     takes the run on its anchor (above: one CAS, as in Fig. 6, under
+     [free.cas] whether a free or a cache flush pushes it). An
+     owned one takes it on the public list: link the run's tail against
+     the observed public head and publish with one [pub.push] CAS; the
+     fence publishes the link writes before the CAS makes them reachable
+     (mm-sa write-before-publish). A handoff bumps the word's tag, so a
+     push that read "owned" cannot land on the unowned word. *)
+  and pub_push t (desc : Descriptor.t) ~first_idx ~last ~n spins =
+    let oldpub = Rt.Atomic.get desc.pub in
+    if not (Pub_word.owned oldpub) then
+      anchor_push t desc ~first_idx ~last ~n ~label:Labels.free_cas
+        Backoff.initial
+    else begin
+      Store.write_word t.store last (Pub_word.head oldpub);
+      Rt.fence t.rt;
+      Rt.label t.rt Labels.pub_push;
+      if
+        not
+          (Rt.Atomic.compare_and_set desc.pub oldpub
+             (Pub_word.push_n oldpub ~idx:first_idx ~n))
+      then begin
+        bump t c_pub_push;
+        pub_push t desc ~first_idx ~last ~n (Backoff.spin t.rt spins)
+      end
+    end
 
   (* Private-LIFO pop; caller guarantees [priv_count > 0]. The link
      reads are non-racy: a private block is free and reachable only by
@@ -629,114 +663,9 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
     desc.priv_count <- desc.priv_count - 1;
     addr
 
-  (* Walk the [n] blocks of an exclusively held chain to its tail. *)
-  let ob_chain_tail t (desc : Descriptor.t) head n =
-    let idx = ref head in
-    for _ = 2 to n do
-      idx := clamp_index (Store.read_word t.store (block_addr desc !idx))
-    done;
-    !idx
-
-  (* Pusher-driven reconciliation of an unowned superblock: a thread
-     whose push lands on an unowned pub word must drain the list back
-     into the anchor, because nobody else will (the owner is gone).
-     Own-and-claim in one CAS — which excludes acquirers and other
-     rescuers from the anchor — then flush the claimed chain:
-     FULL→PARTIAL republishes through [heap_put_partial], a
-     completely-free superblock takes the EMPTY transition and
-     releases, both exactly as the anchor path. Un-own and loop for
-     pushes that raced in. Lock-free: every iteration transfers some
-     thread's completed frees; a thread killed mid-rescue leaves the
-     descriptor owned, which every other thread skips past. *)
-  let rec un_own t (desc : Descriptor.t) spins =
-    let p = Rt.Atomic.get desc.pub in
-    Rt.label t.rt Labels.pub_claim;
-    if not (Rt.Atomic.compare_and_set desc.pub p (Pub_word.un_own p)) then begin
-      bump t c_pub_claim;
-      un_own t desc (Backoff.spin t.rt spins)
-    end
-
-  let rec ob_rescue t (desc : Descriptor.t) =
-    let oldpub = Rt.Atomic.get desc.Descriptor.pub in
-    if Pub_word.owned oldpub || Pub_word.count oldpub = 0 then ()
-    else begin
-      Rt.label t.rt Labels.pub_claim;
-      if
-        not
-          (Rt.Atomic.compare_and_set desc.Descriptor.pub oldpub
-             (Pub_word.claim oldpub))
-      then begin
-        bump t c_pub_claim;
-        ob_rescue t desc
-      end
-      else begin
-        let n = Pub_word.count oldpub and head = Pub_word.head oldpub in
-        let a = Rt.Atomic.get desc.Descriptor.anchor in
-        let oldstate = Anchor.state a in
-        (match oldstate with
-        | Anchor.Full | Anchor.Partial -> ()
-        | st ->
-            fail "ob_rescue: desc %d has pushed frees in state %s"
-              desc.Descriptor.id
-              (Anchor.state_to_string st));
-        let total = Anchor.count a + n in
-        let tail = ob_chain_tail t desc head n in
-        Store.write_word t.store (block_addr desc tail) (Anchor.avail a);
-        if total = desc.Descriptor.maxcount then begin
-          (* Every block of the superblock is free, so no thread holds
-             one and no further push can race: plain-reset both words.
-             The anchor takes the EMPTY form — all [maxcount] blocks
-             chained from avail, count = maxcount-1 — matching the
-             anchor path's EMPTY transition. *)
-          Rt.Atomic.set desc.Descriptor.anchor
-            (Anchor.make ~avail:head
-               ~count:(desc.Descriptor.maxcount - 1)
-               ~state:Anchor.Empty ~tag:(Anchor.tag a + 1));
-          Rt.Atomic.set desc.Descriptor.pub (Pub_word.unowned_empty oldpub);
-          (* Same observable transition as the anchor path's EMPTY CAS,
-             but no [free_empty] label: this update is exclusive (no
-             read→CAS window to interpose on). *)
-          Rt.obs_event t.rt Rt.Obs.Transition "sb.empty";
-          release_emptied t desc ~oldstate ~heap_gid:desc.Descriptor.heap_gid
-        end
-        else begin
-          Rt.fence t.rt;
-          Rt.Atomic.set desc.Descriptor.anchor
-            (Anchor.make ~avail:head ~count:total ~state:Anchor.Partial
-               ~tag:(Anchor.tag a + 1));
-          (* Republish BEFORE un-owning: a rescuer that claims the pub
-             word after us must find the descriptor already reachable,
-             or its own EMPTY transition could release a descriptor
-             that is in no structure. *)
-          if oldstate = Anchor.Full then begin
-            Rt.obs_event t.rt Rt.Obs.Transition "sb.full->partial";
-            heap_put_partial t desc
-          end;
-          un_own t desc Backoff.initial;
-          ob_rescue t desc
-        end
-      end
-    end
-
   (* The owner-biased push of a pre-chained run. The owner pushes onto
-     its private list with plain writes — no CAS, no fence. Any other
-     thread links the run's tail against the observed public head and
-     publishes with one [pub.push] CAS; the fence publishes the link
-     writes before the CAS makes them reachable (mm-sa
-     write-before-publish). A push that lands on an unowned list must
-     rescue (above). *)
-  let rec pub_push t (desc : Descriptor.t) ~first_idx ~last ~n spins =
-    let oldpub = Rt.Atomic.get desc.pub in
-    Store.write_word t.store last (Pub_word.head oldpub);
-    Rt.fence t.rt;
-    Rt.label t.rt Labels.pub_push;
-    if Rt.Atomic.compare_and_set desc.pub oldpub (Pub_word.push_n oldpub ~idx:first_idx ~n)
-    then (if not (Pub_word.owned oldpub) then ob_rescue t desc)
-    else begin
-      bump t c_pub_push;
-      pub_push t desc ~first_idx ~last ~n (Backoff.spin t.rt spins)
-    end
-
+     its private list with plain writes — no CAS, no fence; any other
+     thread goes through [pub_push]. *)
   let ob_push t (desc : Descriptor.t) ~first_idx ~last ~n tid =
     (* [sc] is trustworthy only combined with the ownership test: if we
        own the descriptor we wrote [heap_gid] ourselves; if we don't, no
@@ -751,62 +680,67 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
     end
     else pub_push t desc ~first_idx ~last ~n Backoff.initial
 
-  (* Try to set the owned bit (keeping any pending public blocks: the
-     new owner claims them on its first refill). [false] means a rescue
-     is in flight or a killed thread orphaned the word — callers skip
-     the descriptor rather than wait on anyone. *)
-  let rec ob_try_own t (desc : Descriptor.t) =
+  (* Set the owned bit of a descriptor just taken out of a partial
+     structure. Its pub word is unowned and empty: only an acquirer owns
+     an unowned word, and a descriptor sits in at most one partial
+     structure, which the acquirer has just taken it out of. *)
+  let rec ob_own t (desc : Descriptor.t) =
     let oldpub = Rt.Atomic.get desc.pub in
-    if Pub_word.owned oldpub then false
-    else begin
-      Rt.label t.rt Labels.pub_claim;
-      if Rt.Atomic.compare_and_set desc.pub oldpub (Pub_word.own oldpub) then
-        true
-      else begin
-        bump t c_pub_claim;
-        ob_try_own t desc
-      end
+    if Pub_word.owned oldpub then
+      fail "ob_own: desc %d owned while in a partial structure" desc.id;
+    Rt.label t.rt Labels.pub_claim;
+    if not (Rt.Atomic.compare_and_set desc.pub oldpub (Pub_word.owned_empty oldpub))
+    then begin
+      bump t c_pub_claim;
+      ob_own t desc
     end
+
+  (* Freeze an owned superblock's anchor at FULL(0,0), returning the
+     anchor it replaced (or the EMPTY anchor it found). The CAS bumps the
+     tag, so it both absorbs and fences off frees that read the pub word
+     before [ob_own] set the bit (see [anchor_push]). *)
+  let rec ob_freeze t (desc : Descriptor.t) spins =
+    let a = Rt.Atomic.get desc.anchor in
+    match Anchor.state a with
+    | Anchor.Empty -> a
+    | Anchor.Partial ->
+        Rt.label t.rt Labels.ob_freeze;
+        if
+          Rt.Atomic.compare_and_set desc.anchor a
+            (Anchor.make ~avail:0 ~count:0 ~state:Anchor.Full
+               ~tag:(Anchor.tag a + 1))
+        then a
+        else begin
+          bump t c_pop;
+          ob_freeze t desc (Backoff.spin t.rt spins)
+        end
+    | st ->
+        fail "ob_freeze: desc %d in state %s out of a partial structure"
+          desc.id (Anchor.state_to_string st)
 
   let rec ob_acquire_partial t heap tid =
     match heap_get_partial t heap with
     | None -> None
     | Some desc ->
-        if not (ob_try_own t desc) then begin
-          (* Transient rescue or an orphan: put it back, fall through
-             to a fresh superblock — never wait. *)
-          heap_put_partial t desc;
-          None
+        ob_own t desc;
+        desc.Descriptor.heap_gid <- heap.gid;
+        let a = ob_freeze t desc Backoff.initial in
+        if Anchor.state a = Anchor.Empty then begin
+          (* EMPTY lingering in a partial structure (the remove-empty
+             fallback leaves these in the anchor path too): all blocks
+             free, so no pushers — plain-release and keep looking. *)
+          Rt.Atomic.set desc.Descriptor.pub
+            (Pub_word.unowned_empty (Rt.Atomic.get desc.Descriptor.pub));
+          Desc_pool.retire t.pool desc;
+          ob_acquire_partial t heap tid
         end
         else begin
-          let a = Rt.Atomic.get desc.Descriptor.anchor in
-          match Anchor.state a with
-          | Anchor.Empty ->
-              (* EMPTY lingering in a partial structure (the
-                 remove-empty fallback leaves these in the anchor path
-                 too): all blocks free, so no pushers — plain-release
-                 and keep looking. *)
-              Rt.Atomic.set desc.Descriptor.pub
-                (Pub_word.unowned_empty (Rt.Atomic.get desc.Descriptor.pub));
-              Desc_pool.retire t.pool desc;
-              ob_acquire_partial t heap tid
-          | Anchor.Partial ->
-              (* We own the pub word, so this write is exclusive:
-                 freeze the anchor and take its whole chain private. *)
-              desc.Descriptor.heap_gid <- heap.gid;
-              desc.Descriptor.priv_head <- Anchor.avail a;
-              desc.Descriptor.priv_count <- Anchor.count a;
-              Rt.Atomic.set desc.Descriptor.anchor
-                (Anchor.make ~avail:0 ~count:0 ~state:Anchor.Full
-                   ~tag:(Anchor.tag a + 1));
-              t.owned.(tid).(heap.sc) <- desc.Descriptor.id;
-              Rt.obs_event t.rt Rt.Obs.Transition "sb.partial->owned";
-              Some desc
-          | st ->
-              fail "ob_acquire_partial: desc %d in state %s in partial \
-                    structures"
-                desc.Descriptor.id
-                (Anchor.state_to_string st)
+          (* The frozen chain goes private. *)
+          desc.Descriptor.priv_head <- Anchor.avail a;
+          desc.Descriptor.priv_count <- Anchor.count a;
+          t.owned.(tid).(heap.sc) <- desc.Descriptor.id;
+          Rt.obs_event t.rt Rt.Obs.Transition "sb.partial->owned";
+          Some desc
         end
 
   (* A new superblock, owned outright: its whole free list (chained
@@ -829,10 +763,11 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
 
   (* The owner's slow path: private list empty. Claim the whole public
      list in one CAS if it has blocks; otherwise hand the superblock
-     off — un-own the pub word (the anchor stays FULL(0,0) with every
-     block allocated out; remote frees regrow it through pub.push +
-     rescue) so the thread can go acquire a superblock with blocks.
-     Returns [true] when the private list was refilled. *)
+     off — un-own the pub word, leaving the anchor FULL(0,0) with every
+     block allocated out, so later frees push onto the anchor as in
+     Fig. 6 and the FULL->PARTIAL one republishes it — and go acquire a
+     superblock with blocks. Returns [true] when the private list was
+     refilled. *)
   let rec ob_owner_refill t (desc : Descriptor.t) heap tid =
     let oldpub = Rt.Atomic.get desc.Descriptor.pub in
     if Pub_word.count oldpub > 0 then begin

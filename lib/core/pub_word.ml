@@ -23,13 +23,11 @@ let tag w = (w lsr tag_shift) land tag_mask
 
 (* A remote push keeps the tag: pushes never recycle list nodes, so the
    only ABA the tag must defeat is a claim racing a claim (or an
-   own/un-own racing anything), and those all bump it. *)
+   ownership flip racing anything), and those all bump it. *)
 let push_n w ~idx ~n =
   make ~head:idx ~count:(count w + n) ~owned:(owned w) ~tag:(tag w)
 
 let claim w = make ~head:0 ~count:0 ~owned:true ~tag:(tag w + 1)
-let own w = make ~head:(head w) ~count:(count w) ~owned:true ~tag:(tag w + 1)
-let un_own w = make ~head:(head w) ~count:(count w) ~owned:false ~tag:(tag w + 1)
 let owned_empty w = make ~head:0 ~count:0 ~owned:true ~tag:(tag w + 1)
 let unowned_empty w = make ~head:0 ~count:0 ~owned:false ~tag:(tag w + 1)
 

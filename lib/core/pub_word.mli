@@ -18,9 +18,10 @@
     are claim-vs-claim and ownership flips, all of which bump it.
 
     While [owned] is set, the descriptor's anchor is frozen at
-    FULL(0,0) and only the owning thread may write it — every other
-    thread interacts with the superblock exclusively through this
-    word. *)
+    FULL(0,0) (an acquirer freezes it right after setting the bit) and
+    every other thread's free lands on this word. While it is clear the
+    word holds no blocks: frees push onto the anchor as in the paper's
+    Fig. 6. *)
 
 val max_count : int
 (** 4095: largest representable [head]/[count] (same as {!Anchor}). *)
@@ -43,15 +44,9 @@ val push_n : int -> idx:int -> n:int -> int
 val claim : int -> int
 (** The owner's bulk claim: head 0, count 0, owned, tag + 1. *)
 
-val own : int -> int
-(** Acquire ownership keeping any pending public blocks (they stay
-    claimable by the new owner): owned, tag + 1. *)
-
-val un_own : int -> int
-(** Release ownership keeping pending blocks: unowned, tag + 1. *)
-
 val owned_empty : int -> int
-(** Owned with no blocks, tag + 1 (fresh superblock install). *)
+(** Owned with no blocks, tag + 1 (fresh superblock install, or an
+    acquirer owning an unowned word — which never holds blocks). *)
 
 val unowned_empty : int -> int
 (** Unowned with no blocks, tag + 1 (owner handoff, EMPTY release). *)

@@ -1,8 +1,9 @@
 (** The experiment catalogue: one entry per table/figure of the paper's
     evaluation (§4) plus the ablations DESIGN.md §4 calls out. Each
     experiment runs the relevant workloads over the relevant allocators —
-    scalability figures on real domains when the host has more than one
-    CPU (on the 16-CPU simulated machine otherwise), latency tables on
+    scalability figures on real domains when the host has a CPU for
+    each of the sweep's threads (on the 16-CPU simulated machine
+    otherwise, see {!figure_runtime}), latency tables on
     the real runtime, ablations on the simulator — and renders a
     paper-style table together with the paper's qualitative expectation,
     so EXPERIMENTS.md can record paper-vs-measured side by side. *)
@@ -14,9 +15,9 @@ type outcome = {
   title : string;
   runtime : string;
       (** ["real"] or ["simulated"] — which runtime produced the numbers.
-          Scalability figures use real domains whenever the host has more
-          than one CPU and fall back to the 16-CPU simulation otherwise;
-          the label keeps titles and the JSON payload honest either way. *)
+          Scalability figures use real domains when {!figure_runtime}
+          says so and the 16-CPU simulation otherwise; the label keeps
+          titles and the JSON payload honest either way. *)
   expectation : string;  (** what the paper reports, in one sentence *)
   lines : string list;  (** rendered result table *)
   os : (string * int) list;
@@ -25,6 +26,13 @@ type outcome = {
           summed over the experiment's "new" data points: the inputs of
           the census line that ends [lines]. *)
 }
+
+val figure_runtime : cpus:int -> threads:int list -> [ `Real | `Simulated ]
+(** Where a scalability sweep over [threads] runs on a host with [cpus]
+    CPUs: [`Real] when every thread count of the sweep has a CPU per
+    thread ([cpus >= ] the largest of [threads]), [`Simulated] (the
+    16-CPU machine) otherwise — on fewer CPUs the top of the curve
+    would measure time-slicing, not the allocator. *)
 
 val ids : string list
 (** Every experiment id, in DESIGN.md order. *)

@@ -76,17 +76,22 @@ dune exec bin/trace.exe -- report large-alloc --threads 8 \
 # path leaked back into the Reuse variant. Exit code 2 fails the gate.
 dune exec bin/trace.exe -- report threadtest --threads 16 --heaps 1 \
   --allocator new-reuse --max-hp-scan 0 > /dev/null
-# Anchor-contention gate (DESIGN.md §19): the owner-biased free-list
-# mode on the one-heap 16-thread threadtest must keep the summed
-# anchor.pop+anchor.free failed-CAS count under 5 per 1k allocator ops
-# (measured 0.00/1k at the commit that introduced the mode vs
-# 1915.59/1k under the anchor mode on the same run — the private LIFO
-# absorbs owner frees and the pub word batches remote ones, so any
-# rate above 5 means frees leaked back onto the shared anchor). Exit
-# code 2 fails the gate.
-dune exec bin/trace.exe -- report threadtest --threads 16 --heaps 1 \
-  --allocator new-ob --max-failed-cas-per-1k anchor.pop+anchor.free:5.0 \
-  > /dev/null
+# Anchor-contention gates (DESIGN.md §19): the owner-biased free-list
+# mode on the one-heap 16-thread threadtest and larson must keep the
+# summed anchor.pop+anchor.free failed-CAS count under 5 per 1k
+# allocator ops. Owners malloc from and free to their private lists
+# and remote frees into owned superblocks go to the public list, so
+# only frees into handed-off superblocks, and the acquirer's freeze of
+# one, touch the anchor. threadtest never hands a superblock off
+# (measured 0.00/1k, vs 1915.59/1k under the anchor mode on the same
+# run); larson's slot handoffs free into a handed-off superblock
+# (measured 0.08/1k). A rate above 5 means owner or owned-superblock
+# frees leaked back onto the shared anchor. Exit code 2 fails the gate.
+for workload in threadtest larson; do
+  dune exec bin/trace.exe -- report "$workload" --threads 16 --heaps 1 \
+    --allocator new-ob --max-failed-cas-per-1k anchor.pop+anchor.free:5.0 \
+    > /dev/null
+done
 dune build @lint
 dune build @sa
 # The test tree includes the real-runtime hot-path gate

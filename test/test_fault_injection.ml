@@ -16,8 +16,10 @@
    descriptor pool driven directly with batch_size 1 so the spill/steal
    hand-off labels fire (desc.spill / desc.steal, DESIGN.md §17), and a
    SHARED owner-biased allocator whose threads hand blocks to their
-   neighbour so remote frees push public lists (pub.push) and handoffs,
-   rescues and owner refills claim them (pub.claim, DESIGN.md §19).
+   neighbour so remote frees push public lists (pub.push), handoffs
+   and owner refills claim them (pub.claim), and acquirers freeze
+   handed-off superblocks that frees republished (ob.freeze, DESIGN.md
+   §19).
 
    Plus schedule fuzzing: many seeds of a mixed workload with full
    invariant checks. *)
@@ -64,9 +66,11 @@ let probe_body ~malloc ~free n tid =
 
 (* The owner-biased phase shares ONE allocator between all threads:
    one heap, tiny superblocks, so a 300-block burst outgrows a
-   superblock and forces an owner handoff (pub.claim), and the blocks
-   each thread mails to its neighbour come back as remote frees
-   (pub.push) that trigger rescues and owner refills (pub.claim). *)
+   superblock and forces an owner handoff (pub.claim), frees into the
+   handed-off superblock republish it on its anchor (free.cas) for the
+   next burst to acquire (ob.freeze), and the blocks each thread mails
+   to its neighbour come back as remote frees (pub.push) that owner
+   refills claim (pub.claim). *)
 let ob_cfg =
   Cfg.make ~nheaps:1 ~sbsize:4096 ~maxcredits:1 ~desc_scan_threshold:1
     ~free_lists:`Owner_biased ()
@@ -87,8 +91,8 @@ let probe_ob t mailbox n tid =
       burst.(i) <- A.malloc t 8
     done;
     (* Mail the head of the burst to the neighbour, free the rest
-       locally (private-LIFO pushes, or pub.push + rescue for blocks
-       of an already handed-off superblock). *)
+       locally (private-LIFO pushes, or anchor pushes for blocks of
+       an already handed-off superblock). *)
     for i = 0 to 49 do
       mailbox.(next) <- burst.(i) :: mailbox.(next)
     done;

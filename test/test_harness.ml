@@ -127,6 +127,22 @@ let ablation_hyper_runs () =
   let o = E.run "ablation-hyper" ~mode:E.Quick ~seed:1 in
   Alcotest.(check bool) "renders" true (List.length o.E.lines >= 4)
 
+(* The Fig. 8 runtime choice: real domains only when the host has a CPU
+   for each thread of the sweep (the quick and full sweeps both reach
+   16 threads). *)
+let figure_runtime_choice () =
+  let check what expected cpus threads =
+    Alcotest.(check bool) what true
+      (E.figure_runtime ~cpus ~threads = expected)
+  in
+  let quick = [ 1; 2; 4; 8; 16 ] in
+  check "2 CPUs, sweep to 16: simulated" `Simulated 2 quick;
+  check "15 CPUs, sweep to 16: simulated" `Simulated 15 quick;
+  check "16 CPUs, sweep to 16: real" `Real 16 quick;
+  check "64 CPUs, sweep to 16: real" `Real 64 quick;
+  check "1 CPU, one-thread sweep: real" `Real 1 [ 1 ];
+  check "2 CPUs, sweep to 2: real" `Real 2 [ 2; 1 ]
+
 let cases =
   [
     case "table shape" table_shape;
@@ -135,6 +151,7 @@ let cases =
     case "catalogue complete" catalogue_complete;
     case "bench JSON round trip" json_round_trip;
     case "unknown id rejected" unknown_rejected;
+    case "Fig. 8 runtime choice" figure_runtime_choice;
     slow_case "kill experiment end-to-end" kill_experiment_runs;
     slow_case "hyper ablation end-to-end" ablation_hyper_runs;
   ]

@@ -22,10 +22,16 @@
    - owner-biased correctness under load: a shared one-heap allocator
      with cross-thread frees passes the full invariant checker
      (private/public list walks, owned-slot cross-references) and
-     conservation, across several seeds. *)
+     conservation, across several seeds;
+
+   - a free into a handed-off superblock is the paper's Fig. 6 free:
+     one anchor CAS (free.cas) that makes the superblock PARTIAL and
+     republishes it, and no public-list traffic at all. *)
 
 open Mm_runtime
 module A = Mm_core.Lf_alloc.Make (Sim_rt)
+module D = Mm_core.Descriptor.Make (Sim_rt)
+module Anchor = Mm_core.Anchor
 module L = Mm_core.Labels
 module Pg = Mm_pages.Pg_labels
 module Cfg = Mm_mem.Alloc_config
@@ -154,6 +160,54 @@ let ob_invariants_under_load () =
     Alcotest.(check int) (Printf.sprintf "seed %d conservation" seed) m f
   done
 
+(* One thread mallocs a whole superblock plus one block: the extra
+   malloc finds the private list and the public list empty and hands
+   the first superblock off. Freeing one of its blocks must then take
+   exactly the labelled windows of Fig. 6's free — the anchor CAS and
+   the FULL->PARTIAL republish — and leave the superblock PARTIAL in
+   the heap's partial slot with that one block on its anchor. *)
+let handed_off_free_is_one_anchor_cas () =
+  let recording = ref false and seen = ref [] in
+  let on_label ~tid:_ l =
+    if !recording then seen := l :: !seen;
+    Sim.Continue
+  in
+  let s = sim ~cpus:1 ~on_label () in
+  let t = A.create s ob_cfg in
+  let classes = A.size_classes t in
+  let sc = Option.get (Mm_mem.Size_class.class_of_request classes 8) in
+  let per_sb = Mm_mem.Size_class.blocks_per_superblock classes sc in
+  let first = ref [||] in
+  ignore
+    (Sim.run s
+       [|
+         (fun _ ->
+           first := Array.init per_sb (fun _ -> A.malloc t 8);
+           ignore (A.malloc t 8 : int);
+           recording := true;
+           A.free t !first.(0);
+           recording := false);
+       |]);
+  Alcotest.(check (list string))
+    "labels of the free"
+    [ L.free_cas; L.free_put_partial ]
+    (List.rev !seen);
+  List.iter
+    (fun (site, n) ->
+      Alcotest.(check int) (site ^ " failed CASes") 0 n)
+    (A.retry_counts t);
+  match A.heap_partial_desc t ~sc ~heap:0 with
+  | None -> Alcotest.fail "handed-off superblock not in the partial slot"
+  | Some d ->
+      let a = Sim_rt.Atomic.get d.D.anchor in
+      Alcotest.(check bool)
+        "slot holds the freed block's superblock" true
+        (!first.(0) > d.D.sb && !first.(0) < d.D.sb + ob_cfg.Cfg.sbsize);
+      Alcotest.(check string) "anchor state" "PARTIAL"
+        (Anchor.state_to_string (Anchor.state a));
+      Alcotest.(check int) "anchor count" 1 (Anchor.count a);
+      A.check_invariants t
+
 let cases =
   [
     case "anchor mode bit-identical to the goldens" anchor_mode_bit_identical;
@@ -161,4 +215,6 @@ let cases =
     case "new-ob obs census == striped census" ob_counters_match_census;
     case "owner-biased invariants + conservation (x8 seeds)"
       ob_invariants_under_load;
+    case "free into a handed-off superblock is one anchor CAS"
+      handed_off_free_is_one_anchor_cas;
   ]

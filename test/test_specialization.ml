@@ -2,7 +2,7 @@
    the allocator stack over RUNTIME must not perturb the simulated
    runtime by a single scheduling decision.
 
-   Two regressions pin that down:
+   These regressions pin that down:
 
    - golden sim traces: a seeded mixed malloc/free workload's address
      stream is reduced to a checksum and compared against values
@@ -21,7 +21,11 @@
      (one heap, seed 1) of "new-cached" and "new-ob" keeps its event
      count and its per-label CAS ok/fail counts. The values were
      captured before the block cache's batched refill/flush moved onto
-     arrays; the move changed no simulated event.
+     arrays; the move changed no simulated event. The threadtest
+     "new-ob" run never leaves its owners' private lists, so the larson
+     run of "new-ob" is pinned beside it: its slot handoffs free into
+     owned superblocks (pub.push) and into a handed-off one (free.cas,
+     the FULL->PARTIAL republish and an acquirer's ob.freeze).
 
    The striped-census == obs-census equality half of the equivalence
    claim lives in test_obs.ml (counters-match-census); the Real
@@ -95,12 +99,13 @@ let explorer_schedules_stable () =
     (a.E.executions > 0);
   Alcotest.(check bool) "same completion status" a.E.complete b.E.complete
 
-(* (allocator, recorded events, (label, CAS ok, CAS fail) for every
-   label that issued a CAS), as [bin/trace.exe report threadtest
-   --threads 16 --heaps 1 --allocator A] prints them. *)
+(* (allocator, workload, recorded events, (label, CAS ok, CAS fail) for
+   every label that issued a CAS), as [bin/trace.exe report W --threads
+   16 --heaps 1 --allocator A] prints them. *)
 let schedule_pins =
   [
     ( "new-cached",
+      "threadtest",
       61009,
       [
         ("bc.flush_cas", 3540, 600);
@@ -125,6 +130,7 @@ let schedule_pins =
         ("ua.install", 467, 778);
       ] );
     ( "new-ob",
+      "threadtest",
       3598,
       [
         ("desc.alloc", 30, 0);
@@ -133,25 +139,44 @@ let schedule_pins =
       ] );
   ]
 
-let cached_and_ob_schedules_pinned () =
-  let threadtest = Option.get (Traced.find_workload "threadtest") in
+let larson_ob_pin =
+  [
+    ( "new-ob",
+      "larson",
+      5387,
+      [
+        ("desc.alloc", 156, 53);
+        ("desc.refill", 4, 13);
+        ("free.cas", 2, 5);
+        ("free.put_partial", 1, 0);
+        ("hgp.slot_cas", 1, 0);
+        ("ob.freeze", 1, 0);
+        ("pub.claim", 3, 0);
+        ("pub.push", 1918, 245);
+        ("ts.pop_cas", 50, 202);
+        ("ts.push_cas", 832, 1738);
+      ] );
+  ]
+
+let schedules_pinned pins () =
   List.iter
-    (fun (allocator, events, labels) ->
+    (fun (allocator, name, events, labels) ->
+      let workload = Option.get (Traced.find_workload name) in
       let c =
-        Traced.capture ~allocator ~nheaps:1 ~name:"threadtest" ~threads:16
-          ~seed:1 threadtest
+        Traced.capture ~allocator ~nheaps:1 ~name ~threads:16 ~seed:1 workload
       in
       let agg = Mm_obs.Trace_file.agg c.Traced.trace in
-      Alcotest.(check int) (allocator ^ ": events") events agg.Agg.total;
+      let what = allocator ^ " " ^ name in
+      Alcotest.(check int) (what ^ ": events") events agg.Agg.total;
       Alcotest.(check (list (triple string int int)))
-        (allocator ^ ": per-label CAS ok/fail")
+        (what ^ ": per-label CAS ok/fail")
         labels
         (List.filter_map
            (fun (s : Agg.site) ->
              if s.Agg.cas_ok + s.Agg.cas_fail = 0 then None
              else Some (s.Agg.label, s.Agg.cas_ok, s.Agg.cas_fail))
            agg.Agg.sites))
-    schedule_pins
+    pins
 
 let cases =
   [
@@ -159,5 +184,6 @@ let cases =
       sim_traces_bit_identical;
     case "explorer schedule enumeration is stable" explorer_schedules_stable;
     case "new-cached and new-ob threadtest schedules pinned"
-      cached_and_ob_schedules_pinned;
+      (schedules_pinned schedule_pins);
+    case "new-ob larson schedule pinned" (schedules_pinned larson_ob_pin);
   ]
