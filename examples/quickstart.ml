@@ -1,7 +1,7 @@
 (* Quickstart: the lock-free allocator as a library.
 
-   Creates a heap specialized to the real OCaml-multicore runtime
-   (compile-time instantiation, DESIGN.md §18), allocates and frees
+   Creates a heap on the copy of the allocator compiled for the real
+   OCaml-multicore runtime (DESIGN.md §18), allocates and frees
    blocks from several domains, stores data in the blocks through the
    memory substrate, and prints space/OS statistics.
 
@@ -9,9 +9,9 @@
 *)
 
 open Mm_runtime
-module A = Mm_core.Lf_alloc.Make (Real_rt)
-module Store = Mm_mem.Store.Make (Real_rt)
-module Space = Mm_mem.Space.Make (Real_rt)
+module A = Mm_core.Lf_alloc
+module Store = Mm_mem.Store
+module Space = Mm_mem.Space
 
 let () =
   let heap = A.create () (Mm_mem.Alloc_config.make ~nheaps:4 ()) in

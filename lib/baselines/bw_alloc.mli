@@ -16,23 +16,21 @@
     credit/anchor machinery. Implements
     {!Mm_mem.Alloc_intf.ALLOCATOR}. *)
 
-module Make (Rt : Mm_runtime.Runtime_intf.S) : sig
-  type t
+type t
 
-  val name : string
-  val create : Rt.t -> Mm_mem.Alloc_config.t -> t
-  val malloc : t -> int -> int
-  val free : t -> int -> unit
-  val usable_size : t -> int -> int
-  val store : t -> Mm_mem.Store.Make(Rt).t
-  val rt : t -> Rt.t
+val name : string
+val create : Rt.t -> Mm_mem.Alloc_config.t -> t
+val malloc : t -> int -> int
+val free : t -> int -> unit
+val usable_size : t -> int -> int
+val store : t -> Store.t
+val rt : t -> Rt.t
 
-  val instance : ?name:string -> Mm_runtime.Rt.t -> t -> Mm_mem.Alloc_intf.instance
+val instance : ?name:string -> Mm_runtime.Rt.t -> t -> Mm_mem.Alloc_intf.instance
 
-  val op_counts : t -> int * int
-  (** Total (mallocs, frees) issued so far (striped; quiescent reads). *)
+val op_counts : t -> int * int
+(** Total (mallocs, frees) issued so far (striped; quiescent reads). *)
 
-  val check_invariants : t -> unit
-  (** Quiescent: every free block on exactly one null-terminated chain of
-      its bookkept length; shared batches hold exactly B blocks. *)
-end
+val check_invariants : t -> unit
+(** Quiescent: every free block on exactly one null-terminated chain of
+    its bookkept length; shared batches hold exactly B blocks. *)

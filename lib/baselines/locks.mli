@@ -19,23 +19,21 @@
 val holder_label : string
 (** [Rt.label] point reached immediately after every successful
     acquisition; fault-injection tests kill or pause threads here to
-    create dead or preempted lock holders. Shared by every runtime
-    instantiation. *)
+    create dead or preempted lock holders. Shared by both compiled
+    copies. *)
 
-module Make (Rt : Mm_runtime.Runtime_intf.S) : sig
-  type t
+type t
 
-  val create : Rt.t -> Mm_mem.Alloc_config.lock_kind -> t
-  val acquire : t -> unit
-  val try_acquire : t -> bool
-  val release : t -> unit
-  val with_lock : t -> (unit -> 'a) -> 'a
-  (** Not exception-safe on purpose: baseline allocators never raise while
-      holding a lock, and unwinding would mask bugs in tests. *)
+val create : Rt.t -> Mm_mem.Alloc_config.lock_kind -> t
+val acquire : t -> unit
+val try_acquire : t -> bool
+val release : t -> unit
+val with_lock : t -> (unit -> 'a) -> 'a
+(** Not exception-safe on purpose: baseline allocators never raise while
+    holding a lock, and unwinding would mask bugs in tests. *)
 
-  val acquisitions : t -> int
-  (** Total successful acquisitions (quiescent snapshot; tests/metrics). *)
+val acquisitions : t -> int
+(** Total successful acquisitions (quiescent snapshot; tests/metrics). *)
 
-  val contended_acquisitions : t -> int
-  (** Acquisitions that found the lock held at least once. *)
-end
+val contended_acquisitions : t -> int
+(** Acquisitions that found the lock held at least once. *)

@@ -1,19 +1,19 @@
 open Mm_runtime
 
 (* Everything here drives controlled schedules, so the whole file works
-   on the simulated instantiation of the functorized stack: [Sim_rt]
+   on the simulator's copy of the stack (DESIGN.md §18): [Sim_rt]
    handles are the simulator instance itself, no value dispatch. *)
-module A = Mm_core.Lf_alloc.Make (Sim_rt)
-module Bc = Mm_core.Block_cache.Make (Sim_rt)
-module Descr = Mm_core.Descriptor.Make (Sim_rt)
-module Dp = Mm_core.Desc_pool.Make (Sim_rt)
-module St = Mm_mem.Store.Make (Sim_rt)
-module Pm = Mm_pages.Page_manager.Make (Sim_rt)
+module A = Mm_core_sim.Lf_alloc
+module Bc = Mm_core_sim.Block_cache
+module Descr = Mm_core_sim.Descriptor
+module Dp = Mm_core_sim.Desc_pool
+module St = Mm_mem_sim.Store
+module Pm = Mm_pages_sim.Page_manager
 module Labels = Mm_core.Labels
 module Lf_labels = Mm_lockfree.Lf_labels
-module Q = Mm_lockfree.Ms_queue.Make (Sim_rt)
-module Ts = Mm_lockfree.Treiber_stack.Make (Sim_rt)
-module Tis = Mm_lockfree.Tagged_id_stack.Make (Sim_rt)
+module Q = Mm_lockfree_sim.Ms_queue
+module Ts = Mm_lockfree_sim.Treiber_stack
+module Tis = Mm_lockfree_sim.Tagged_id_stack
 module Cfg = Mm_mem.Alloc_config
 
 type t = {

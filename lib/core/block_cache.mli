@@ -26,73 +26,71 @@
     thread that later reuses a killed thread's id never frees them a
     second time. *)
 
-module Make (Rt : Mm_runtime.Runtime_intf.S) : sig
-  type t
+type t
 
-  val name : string
-  (** Short identifier used in experiment output ("new", "hoard", ...). *)
+val name : string
+(** Short identifier used in experiment output ("new", "hoard", ...). *)
 
-  val create : Rt.t -> Mm_mem.Alloc_config.t -> t
-  (** A fresh, independent heap (own store, own descriptors). Thread-safe
-      for concurrent [malloc]/[free] once created. *)
+val create : Rt.t -> Mm_mem.Alloc_config.t -> t
+(** A fresh, independent heap (own store, own descriptors). Thread-safe
+    for concurrent [malloc]/[free] once created. *)
 
-  val malloc : t -> int -> int
-  (** [malloc t n] allocates a block with at least [n] payload bytes and
-      returns its payload address (never [Addr.null]; raises
-      [Invalid_argument] on negative [n], [Failure] on substrate
-      exhaustion). [malloc t 0] returns a valid unique block. *)
+val malloc : t -> int -> int
+(** [malloc t n] allocates a block with at least [n] payload bytes and
+    returns its payload address (never [Addr.null]; raises
+    [Invalid_argument] on negative [n], [Failure] on substrate
+    exhaustion). [malloc t 0] returns a valid unique block. *)
 
-  val free : t -> int -> unit
-  (** Returns a block to the heap. [free t Addr.null] is a no-op. Freeing
-      an address not obtained from [malloc] (or freeing twice) is a
-      programming error with undefined (but memory-safe) behaviour, as in
-      C. *)
+val free : t -> int -> unit
+(** Returns a block to the heap. [free t Addr.null] is a no-op. Freeing
+    an address not obtained from [malloc] (or freeing twice) is a
+    programming error with undefined (but memory-safe) behaviour, as in
+    C. *)
 
-  val usable_size : t -> int -> int
-  (** Payload bytes actually available at an address returned by [malloc]
-      (or [Alloc_ops.aligned_alloc]); at least the requested size. *)
+val usable_size : t -> int -> int
+(** Payload bytes actually available at an address returned by [malloc]
+    (or [Alloc_ops.aligned_alloc]); at least the requested size. *)
 
-  val store : t -> Mm_mem.Store.Make(Rt).t
-  val rt : t -> Rt.t
+val store : t -> Store.t
+val rt : t -> Rt.t
 
-  val check_invariants : t -> unit
-  (** Validate internal invariants; requires quiescence (no concurrent
-      operations). Raises [Failure] with a diagnostic on violation. *)
+val check_invariants : t -> unit
+(** Validate internal invariants; requires quiescence (no concurrent
+    operations). Raises [Failure] with a diagnostic on violation. *)
 
-  val instance : ?name:string -> Mm_runtime.Rt.t -> t -> Mm_mem.Alloc_intf.instance
-  (** Package one heap as a runtime-erased {!Mm_mem.Alloc_intf.instance}.
-      The value-level runtime handle is taken from the caller (it knows
-      which runtime [Rt] was instantiated with); [?name] overrides the
-      harness name. *)
+val instance : ?name:string -> Mm_runtime.Rt.t -> t -> Mm_mem.Alloc_intf.instance
+(** Package one heap as a runtime-erased {!Mm_mem.Alloc_intf.instance}.
+    The value-level runtime handle is taken from the caller (it knows
+    which runtime [Rt] was instantiated with); [?name] overrides the
+    harness name. *)
 
-  val backend : t -> Lf_alloc.Make(Rt).t
-  (** The wrapped paper allocator (retry census, introspection). *)
+val backend : t -> Lf_alloc.t
+(** The wrapped paper allocator (retry census, introspection). *)
 
-  type stats = {
-    hits : int;  (** mallocs served from the cache (no shared access) *)
-    misses : int;  (** mallocs that went to the backend *)
-    refills : int;  (** batched refills performed *)
-    refilled_blocks : int;  (** blocks obtained by those refills *)
-    flushes : int;  (** batched flushes (overflow, remote, explicit) *)
-    flushed_blocks : int;  (** blocks pushed back by those flushes *)
-    remote_frees : int;  (** frees of another heap's blocks (buffered) *)
-  }
+type stats = {
+  hits : int;  (** mallocs served from the cache (no shared access) *)
+  misses : int;  (** mallocs that went to the backend *)
+  refills : int;  (** batched refills performed *)
+  refilled_blocks : int;  (** blocks obtained by those refills *)
+  flushes : int;  (** batched flushes (overflow, remote, explicit) *)
+  flushed_blocks : int;  (** blocks pushed back by those flushes *)
+  remote_frees : int;  (** frees of another heap's blocks (buffered) *)
+}
 
-  val stats : t -> stats
-  (** Striped counters, quiescent snapshot. *)
+val stats : t -> stats
+(** Striped counters, quiescent snapshot. *)
 
-  val op_counts : t -> int * int
-  (** Total [(mallocs, frees)] the application issued against this
-      instance (frontend view; falls back to the backend's counters when
-      the cache is disabled). *)
+val op_counts : t -> int * int
+(** Total [(mallocs, frees)] the application issued against this
+    instance (frontend view; falls back to the backend's counters when
+    the cache is disabled). *)
 
-  val cached_blocks : t -> int
-  (** Blocks currently parked in all thread caches and remote buffers
-      (quiescent snapshot). *)
+val cached_blocks : t -> int
+(** Blocks currently parked in all thread caches and remote buffers
+    (quiescent snapshot). *)
 
-  val flush_current : t -> unit
-  (** Flush the {e calling} thread's entire cache (all classes + remote
-      buffer) back to the backend. Tests use it to reach a state where the
-      frontend holds nothing; callable only from a thread that owns its
-      dense id (inside a run, or quiescently from the host). *)
-end
+val flush_current : t -> unit
+(** Flush the {e calling} thread's entire cache (all classes + remote
+    buffer) back to the backend. Tests use it to reach a state where the
+    frontend holds nothing; callable only from a thread that owns its
+    dense id (inside a run, or quiescently from the host). *)

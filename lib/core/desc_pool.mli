@@ -32,46 +32,44 @@
     instead, so that race cannot arise and no descriptor is ever
     discarded.) *)
 
-module Make (Rt : Mm_runtime.Runtime_intf.S) : sig
-  type t
+type t
 
-  val default_batch_size : int
-  (** 64: descriptors per fresh batch unless [create] is told otherwise. *)
+val default_batch_size : int
+(** 64: descriptors per fresh batch unless [create] is told otherwise. *)
 
-  val create :
-    Rt.t ->
-    Descriptor.Make(Rt).table ->
-    kind:Mm_mem.Alloc_config.desc_pool_kind ->
-    ?batch_size:int ->
-    ?scan_threshold:int ->
-    ?on_spill_retry:(unit -> unit) ->
-    ?on_steal_retry:(unit -> unit) ->
-    unit ->
-    t
-  (** Default [batch_size]: {!default_batch_size}. [scan_threshold]
-      overrides the hazard-pointer scan threshold (ignored by the tagged and
-      reuse variants); small values make descriptor recycling frequent,
-      which the checking subsystem relies on to exercise the reclamation
-      path. [on_spill_retry]/[on_steal_retry] fire on each failed CAS of
-      the reuse variant's shared spill stack (never for the other kinds) —
-      the allocator stripes them into its retry census. For the reuse variant, [batch_size] also bounds the
-      per-thread private LIFO; past it, retires spill to the shared stack. *)
+val create :
+  Rt.t ->
+  Descriptor.table ->
+  kind:Mm_mem.Alloc_config.desc_pool_kind ->
+  ?batch_size:int ->
+  ?scan_threshold:int ->
+  ?on_spill_retry:(unit -> unit) ->
+  ?on_steal_retry:(unit -> unit) ->
+  unit ->
+  t
+(** Default [batch_size]: {!default_batch_size}. [scan_threshold]
+    overrides the hazard-pointer scan threshold (ignored by the tagged and
+    reuse variants); small values make descriptor recycling frequent,
+    which the checking subsystem relies on to exercise the reclamation
+    path. [on_spill_retry]/[on_steal_retry] fire on each failed CAS of
+    the reuse variant's shared spill stack (never for the other kinds) —
+    the allocator stripes them into its retry census. For the reuse variant, [batch_size] also bounds the
+    per-thread private LIFO; past it, retires spill to the shared stack. *)
 
-  val alloc : t -> Descriptor.Make(Rt).t
-  (** Pop a descriptor, allocating a fresh batch if none is available. The
-      returned descriptor's mutable fields are stale; the caller owns it
-      exclusively and must initialize them. *)
+val alloc : t -> Descriptor.t
+(** Pop a descriptor, allocating a fresh batch if none is available. The
+    returned descriptor's mutable fields are stale; the caller owns it
+    exclusively and must initialize them. *)
 
-  val retire : t -> Descriptor.Make(Rt).t -> unit
-  (** Make a descriptor available for reuse (its superblock must already be
-      detached). *)
+val retire : t -> Descriptor.t -> unit
+(** Make a descriptor available for reuse (its superblock must already be
+    detached). *)
 
-  val flush : t -> unit
-  (** Quiescent teardown helper: force hazard-pointer scans so every retired
-      descriptor is back on the freelist (no-op for the tagged and reuse
-      variants, which have no retire list). *)
+val flush : t -> unit
+(** Quiescent teardown helper: force hazard-pointer scans so every retired
+    descriptor is back on the freelist (no-op for the tagged and reuse
+    variants, which have no retire list). *)
 
-  val available : t -> int
-  (** Quiescent snapshot of freelist length plus retired-pending
-      descriptors (tests). *)
-end
+val available : t -> int
+(** Quiescent snapshot of freelist length plus retired-pending
+    descriptors (tests). *)

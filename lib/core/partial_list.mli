@@ -15,25 +15,23 @@
     PARTIAL (or displaced them from a heap's Partial slot), so a
     descriptor is in at most one structure at a time. *)
 
-module Make (Rt : Mm_runtime.Runtime_intf.S) : sig
-  type t
+type t
 
-  val create : Rt.t -> Mm_mem.Alloc_config.partial_policy -> t
+val create : Rt.t -> Mm_mem.Alloc_config.partial_policy -> t
 
-  val put : t -> Descriptor.Make(Rt).t -> unit
-  (** [ListPutPartial]. *)
+val put : t -> Descriptor.t -> unit
+(** [ListPutPartial]. *)
 
-  val get : t -> Descriptor.Make(Rt).t option
-  (** [ListGetPartial]. May return a descriptor that has become EMPTY; the
-      caller (MallocFromPartial) retires it and retries. *)
+val get : t -> Descriptor.t option
+(** [ListGetPartial]. May return a descriptor that has become EMPTY; the
+    caller (MallocFromPartial) retires it and retries. *)
 
-  val remove_empty : t -> retire:(Descriptor.Make(Rt).t -> unit) -> unit
-  (** [ListRemoveEmptyDesc]: ensure empty descriptors eventually become
-      available for reuse. *)
+val remove_empty : t -> retire:(Descriptor.t -> unit) -> unit
+(** [ListRemoveEmptyDesc]: ensure empty descriptors eventually become
+    available for reuse. *)
 
-  val length : t -> int
-  (** Quiescent snapshot (tests). *)
+val length : t -> int
+(** Quiescent snapshot (tests). *)
 
-  val to_list : t -> Descriptor.Make(Rt).t list
-  (** Quiescent snapshot, head/top first (tests). *)
-end
+val to_list : t -> Descriptor.t list
+(** Quiescent snapshot, head/top first (tests). *)

@@ -1,0 +1,1 @@
+include Mm_runtime.Real_rt

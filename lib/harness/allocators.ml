@@ -19,40 +19,34 @@ let override name (cfg : Mm_mem.Alloc_config.t) =
   | "new-cached" -> { cfg with cache = true }
   | _ -> cfg
 
-(* One allocator stack per runtime backend (DESIGN.md §18). Without
-   flambda the functor bodies stay shared code, so each [Rt.*] call in
-   them is still an indirect call through the argument block; what the
-   instantiation removes is any per-operation choice of runtime. [make]
-   below picks the instantiation from the value-level runtime handle —
-   the only dispatch left, paid once per heap creation instead of once
-   per operation. Applicative functor semantics keep
-   [Stack(Mm_runtime.Sim_rt).Lf.t] equal to
-   [Mm_core.Lf_alloc.Make(Mm_runtime.Sim_rt).t], so typed clients
-   (lib/check, Traced) interoperate with instances built here. *)
-module Stack (Rt : Mm_runtime.Runtime_intf.S) = struct
-  module Lf = Mm_core.Lf_alloc.Make (Rt)
-  module Bc = Mm_core.Block_cache.Make (Rt)
-  module Bw = Mm_baselines.Bw_alloc.Make (Rt)
-  module Hoard = Mm_baselines.Hoard_alloc.Make (Rt)
-  module Ptmalloc = Mm_baselines.Ptmalloc_alloc.Make (Rt)
-  module Libc = Mm_baselines.Libc_alloc.Make (Rt)
-
-  let make name vrt h cfg =
-    match name with
-    | "new" | "new-reuse" | "new-ob" ->
-        Lf.instance vrt (Lf.create h (override name cfg))
-    | "bw" -> Bw.instance vrt (Bw.create h cfg)
-    | "new-cached" -> Bc.instance vrt (Bc.create h (override name cfg))
-    | "hoard" -> Hoard.instance vrt (Hoard.create h cfg)
-    | "ptmalloc" -> Ptmalloc.instance vrt (Ptmalloc.create h cfg)
-    | "libc" -> Libc.instance vrt (Libc.create h cfg)
-    | other -> invalid_arg ("Allocators.make: unknown allocator " ^ other)
-end
-
-module Real_stack = Stack (Mm_runtime.Real_rt)
-module Sim_stack = Stack (Mm_runtime.Sim_rt)
+(* One allocator stack per runtime (DESIGN.md §18): each library is
+   compiled once against the real runtime and once against the
+   simulator. [make] picks the copy from the value-level runtime handle
+   — the only dispatch left, paid once per heap creation. *)
+module Lf = Mm_core.Lf_alloc
+module Bc = Mm_core.Block_cache
+module B = Mm_baselines
+module Lf_s = Mm_core_sim.Lf_alloc
+module Bc_s = Mm_core_sim.Block_cache
+module B_s = Mm_baselines_sim
 
 let make name rt cfg =
-  match Mm_runtime.Rt.sim rt with
-  | None -> Real_stack.make name rt () cfg
-  | Some s -> Sim_stack.make name rt s cfg
+  let cfg = override name cfg in
+  match (Mm_runtime.Rt.sim rt, name) with
+  | None, ("new" | "new-reuse" | "new-ob") -> Lf.instance rt (Lf.create () cfg)
+  | Some s, ("new" | "new-reuse" | "new-ob") ->
+      Lf_s.instance rt (Lf_s.create s cfg)
+  | None, "new-cached" -> Bc.instance rt (Bc.create () cfg)
+  | Some s, "new-cached" -> Bc_s.instance rt (Bc_s.create s cfg)
+  | None, "bw" -> B.Bw_alloc.instance rt (B.Bw_alloc.create () cfg)
+  | Some s, "bw" -> B_s.Bw_alloc.instance rt (B_s.Bw_alloc.create s cfg)
+  | None, "hoard" -> B.Hoard_alloc.instance rt (B.Hoard_alloc.create () cfg)
+  | Some s, "hoard" ->
+      B_s.Hoard_alloc.instance rt (B_s.Hoard_alloc.create s cfg)
+  | None, "ptmalloc" ->
+      B.Ptmalloc_alloc.instance rt (B.Ptmalloc_alloc.create () cfg)
+  | Some s, "ptmalloc" ->
+      B_s.Ptmalloc_alloc.instance rt (B_s.Ptmalloc_alloc.create s cfg)
+  | None, "libc" -> B.Libc_alloc.instance rt (B.Libc_alloc.create () cfg)
+  | Some s, "libc" -> B_s.Libc_alloc.instance rt (B_s.Libc_alloc.create s cfg)
+  | _, other -> invalid_arg ("Allocators.make: unknown allocator " ^ other)

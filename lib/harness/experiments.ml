@@ -2,7 +2,7 @@ open Mm_runtime
 module Cfg = Mm_mem.Alloc_config
 module W = Mm_workloads
 module Metrics = W.Metrics
-module Locks_real = Mm_baselines.Locks.Make (Mm_runtime.Real_rt)
+module Locks_real = Mm_baselines.Locks
 
 type mode = Quick | Full
 

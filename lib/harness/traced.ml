@@ -1,8 +1,8 @@
 open Mm_runtime
 module Cfg = Mm_mem.Alloc_config
 module W = Mm_workloads
-module Lf = Mm_core.Lf_alloc.Make (Sim_rt)
-module Bc = Mm_core.Block_cache.Make (Sim_rt)
+module Lf = Mm_core_sim.Lf_alloc
+module Bc = Mm_core_sim.Block_cache
 module L = Mm_core.Labels
 module Pg = Mm_pages.Pg_labels
 module Obs_agg = Mm_obs.Agg

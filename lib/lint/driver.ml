@@ -8,7 +8,11 @@ type result = Mm_report.Output.result = {
 
 (* ------------------------------------------------------------------ *)
 (* File discovery: every .ml under the given root-relative paths,
-   skipping dot-directories (dune object dirs) and _build. *)
+   skipping dot-directories (dune object dirs), _build and the sim/
+   directories. A sim/ directory holds the simulator copy of its
+   parent's bodies (DESIGN.md §18): in the source tree only its rt.ml,
+   in the build tree also the copied sources, which the parent's scan
+   already covers. *)
 
 let collect ~root paths =
   let out = ref [] in
@@ -17,7 +21,7 @@ let collect ~root paths =
     if Sys.is_directory full then
       Array.iter
         (fun name ->
-          if name.[0] <> '.' && name <> "_build" then
+          if name.[0] <> '.' && name <> "_build" && name <> "sim" then
             walk (Filename.concat rel name))
         (Sys.readdir full)
     else if Filename.check_suffix rel ".ml" then out := rel :: !out

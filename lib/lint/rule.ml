@@ -35,7 +35,7 @@ let describe = function
   | Raw_primitive ->
       "no Stdlib.Atomic, Domain, Mutex or Condition outside the real \
        runtime backend (lib/runtime/real_rt.ml and rt_base.ml); \
-       everything else — baselines included — is functorized over \
+       everything else — baselines included — is written against \
        RUNTIME so it runs under both the real and the simulated runtime"
   | Blocking_in_lockfree ->
       "no Locks.* reachable from lib/core, lib/lockfree or lib/mem: \

@@ -117,39 +117,7 @@ let collect_item (si : structure_item) =
     apps = List.sort (fun a b -> by_cnum a.acnum b.acnum) !apps;
   }
 
-(* A functorized source file is a single top-level [module Make (Rt : _)
-   = struct ... end] item; the per-item lexical scoping of the rules
-   (R4's protect-then-revalidate window, R6's branch domination) must
-   keep working on the definitions inside it, so module bodies —
-   through functor parameters and signature constraints — are split
-   back into their constituent items. *)
-let rec flatten_item (si : structure_item) =
-  (* Only functors are transparent: a plain nested [module M = struct
-     ... end] stays one item, exactly as before the functorization, so
-     a suppression comment ahead of it still covers its whole body. *)
-  let rec functor_body_items (me : module_expr) =
-    match me.pmod_desc with
-    | Pmod_functor (_, body) -> (
-        let rec items (me : module_expr) =
-          match me.pmod_desc with
-          | Pmod_structure items -> Some items
-          | Pmod_functor (_, body) -> items body
-          | Pmod_constraint (m, _) -> items m
-          | _ -> None
-        in
-        items body)
-    | Pmod_constraint (m, _) -> functor_body_items m
-    | _ -> None
-  in
-  match si.pstr_desc with
-  | Pstr_module { pmb_expr; _ } -> (
-      match functor_body_items pmb_expr with
-      | Some items -> List.concat_map flatten_item items
-      | None -> [ si ])
-  | _ -> [ si ]
-
-let items structure =
-  List.map collect_item (List.concat_map flatten_item structure)
+let items structure = List.map collect_item structure
 
 let refs structure = List.concat_map (fun i -> i.refs) (items structure)
 

@@ -8,22 +8,20 @@
     applies to this queue: node reuse — and hence ABA on node pointers —
     cannot occur while a thread still holds a reference. *)
 
-module Make (Rt : Mm_runtime.Runtime_intf.S) : sig
-  type 'a t
+type 'a t
 
-  val create : Rt.t -> 'a t
+val create : Rt.t -> 'a t
 
-  val enqueue : 'a t -> 'a -> unit
-  (** Enqueue at the tail; lock-free with the standard tail-swing helping. *)
+val enqueue : 'a t -> 'a -> unit
+(** Enqueue at the tail; lock-free with the standard tail-swing helping. *)
 
-  val dequeue : 'a t -> 'a option
-  (** Dequeue from the head, or [None] if the queue is observed empty. *)
+val dequeue : 'a t -> 'a option
+(** Dequeue from the head, or [None] if the queue is observed empty. *)
 
-  val is_empty : 'a t -> bool
+val is_empty : 'a t -> bool
 
-  val length : 'a t -> int
-  (** Linear-time snapshot; only meaningful quiescently (tests). *)
+val length : 'a t -> int
+(** Linear-time snapshot; only meaningful quiescently (tests). *)
 
-  val to_list : 'a t -> 'a list
-  (** Head-first snapshot; only meaningful quiescently (tests). *)
-end
+val to_list : 'a t -> 'a list
+(** Head-first snapshot; only meaningful quiescently (tests). *)

@@ -1,0 +1,1 @@
+include Mm_runtime.Sim_rt

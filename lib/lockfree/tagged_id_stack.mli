@@ -11,28 +11,26 @@
     Ids must lie in [\[0, 2^24)]; the tag occupies the remaining 38 bits
     of the OCaml immediate, wrapping only after ~3·10^11 pops. *)
 
-module Make (Rt : Mm_runtime.Runtime_intf.S) : sig
-  type t
+type t
 
-  val create :
-    Rt.t ->
-    get_next:(int -> int) ->
-    set_next:(int -> int -> unit) ->
-    unit ->
-    t
-  (** [get_next id] / [set_next id n] read and write the link cell of node
-      [id]; a link value of [-1] means "no next". Reading the link of a node
-      that was concurrently popped and reused must be safe (it is: links are
-      plain int reads and the subsequent CAS fails on the tag).
+val create :
+  Rt.t ->
+  get_next:(int -> int) ->
+  set_next:(int -> int -> unit) ->
+  unit ->
+  t
+(** [get_next id] / [set_next id n] read and write the link cell of node
+    [id]; a link value of [-1] means "no next". Reading the link of a node
+    that was concurrently popped and reused must be safe (it is: links are
+    plain int reads and the subsequent CAS fails on the tag).
 
-      The two CAS windows carry the labels {!Lf_labels.tis_push_cas} and
-      {!Lf_labels.tis_pop_cas} for the schedule explorer and the
-      observability census. *)
+    The two CAS windows carry the labels {!Lf_labels.tis_push_cas} and
+    {!Lf_labels.tis_pop_cas} for the schedule explorer and the
+    observability census. *)
 
-  val push : t -> int -> unit
-  val pop : t -> int option
-  val is_empty : t -> bool
+val push : t -> int -> unit
+val pop : t -> int option
+val is_empty : t -> bool
 
-  val to_list : t -> int list
-  (** Top-first snapshot; only meaningful quiescently (tests). *)
-end
+val to_list : t -> int list
+(** Top-first snapshot; only meaningful quiescently (tests). *)

@@ -8,18 +8,16 @@
     which {e does} recycle its nodes, uses hazard pointers or tags — see
     [Desc_pool].) *)
 
-module Make (Rt : Mm_runtime.Runtime_intf.S) : sig
-  type 'a t
+type 'a t
 
-  val create : Rt.t -> 'a t
-  val push : 'a t -> 'a -> unit
-  val pop : 'a t -> 'a option
-  val peek : 'a t -> 'a option
-  val is_empty : 'a t -> bool
+val create : Rt.t -> 'a t
+val push : 'a t -> 'a -> unit
+val pop : 'a t -> 'a option
+val peek : 'a t -> 'a option
+val is_empty : 'a t -> bool
 
-  val length : 'a t -> int
-  (** Linear-time snapshot length; only meaningful quiescently (tests). *)
+val length : 'a t -> int
+(** Linear-time snapshot length; only meaningful quiescently (tests). *)
 
-  val to_list : 'a t -> 'a list
-  (** Top-first snapshot; only meaningful quiescently (tests). *)
-end
+val to_list : 'a t -> 'a list
+(** Top-first snapshot; only meaningful quiescently (tests). *)

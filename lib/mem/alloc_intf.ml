@@ -1,19 +1,41 @@
 (** The runtime-erased allocator instance — what workloads, experiments
     and tests pass around.
 
-    Since the allocator stack is functorized over
-    {!Mm_runtime.Runtime_intf.S} (DESIGN.md §18), an allocator's store
-    type differs per runtime, so the old first-class-module packaging
-    (one [ALLOCATOR] signature sharing a single [Store.t]) can no longer
-    exist. An [instance] is instead a record of closures over one heap:
-    each allocator functor provides an [instance] constructor with typed
-    access to its own store and space meters, and everything above the
-    allocator layer stays runtime-agnostic.
+    The allocator stack is compiled once per runtime (DESIGN.md §18), so
+    an allocator's store type differs per runtime and no single
+    first-class-module signature can share one [Store.t]. An [instance]
+    is instead a record of closures over one heap: each allocator
+    provides an [instance] constructor (built on [Store.instance]) with
+    typed access to its own store and space meters, and everything above
+    the allocator layer stays runtime-agnostic. This module is not
+    copied per runtime, so both copies return the same types.
 
     Addresses returned by [malloc] point at the block payload (the 8-byte
     prefix sits just below, as in the paper); payload words are accessed
     through the [read_word]/[write_word] closures, which delegate to the
     instance's own store. *)
+
+(** OS-traffic census of one store; [Store.os_stats] re-exports it with
+    the field documentation. *)
+type os_stats = {
+  mmap_calls : int;
+  munmap_calls : int;
+  sb_allocs : int;
+  sb_frees : int;
+  sb_reuses : int;
+  large_mmaps : int;
+  large_munmaps : int;
+  pages_requested : int;
+  pages_granted : int;
+}
+
+(** Space meters of one store; [Space.snapshot] re-exports it. *)
+type space_snapshot = {
+  mapped : int;
+  mapped_peak : int;
+  used : int;
+  used_peak : int;
+}
 
 type instance = {
   name : string;  (** short identifier used in experiment output *)
@@ -27,8 +49,8 @@ type instance = {
   read_word : ?racy:bool -> int -> int;
   write_word : ?racy:bool -> int -> int -> unit;
   write_payload_round : int -> len:int -> times:int -> unit;
-  space : unit -> Space.snapshot;
-  os_stats : unit -> Store.os_stats;
+  space : unit -> space_snapshot;
+  os_stats : unit -> os_stats;
   check : unit -> unit;  (** validate invariants; requires quiescence *)
 }
 
@@ -46,30 +68,3 @@ let instance_write_payload_round i addr ~len ~times =
 let instance_space i = i.space ()
 let instance_os_stats i = i.os_stats ()
 let instance_check i = i.check ()
-
-(** Shared instance-construction plumbing for the allocator functors:
-    [Pack (Rt)] knows the runtime's store/space instantiations, so each
-    allocator only supplies its heap-specific closures. Applicative
-    functor semantics make [Pack(Rt).Store.t] equal to the allocator's
-    own [Store.Make(Rt).t]. *)
-module Pack (Rt : Mm_runtime.Runtime_intf.S) = struct
-  module Store = Store.Make (Rt)
-  module Space = Space.Make (Rt)
-
-  let make ~name ~rt ~store ~malloc ~free ~usable_size ~check =
-    {
-      name;
-      rt;
-      malloc;
-      free;
-      usable_size;
-      read_word = (fun ?racy addr -> Store.read_word ?racy store addr);
-      write_word = (fun ?racy addr v -> Store.write_word ?racy store addr v);
-      write_payload_round =
-        (fun addr ~len ~times ->
-          Store.write_payload_round store addr ~len ~times);
-      space = (fun () -> Space.read (Store.space store));
-      os_stats = (fun () -> Store.os_stats store);
-      check;
-    }
-end

@@ -7,26 +7,24 @@
     malloc. Both carry high-water marks maintained with CAS so they are
     exact under concurrency. *)
 
-type snapshot = {
+type snapshot = Alloc_intf.space_snapshot = {
   mapped : int;
   mapped_peak : int;
   used : int;
   used_peak : int;
 }
 
-module Make (Rt : Mm_runtime.Runtime_intf.S) : sig
-  type t
+type t
 
-  val create : Rt.t -> t
+val create : Rt.t -> t
 
-  val add_mapped : t -> int -> unit
-  (** Positive on mmap, negative on munmap. *)
+val add_mapped : t -> int -> unit
+(** Positive on mmap, negative on munmap. *)
 
-  val add_used : t -> int -> unit
-  (** Positive on malloc, negative on free. *)
+val add_used : t -> int -> unit
+(** Positive on malloc, negative on free. *)
 
-  val read : t -> snapshot
+val read : t -> snapshot
 
-  val reset_peaks : t -> unit
-  (** Reset high-water marks to current values (between workload phases). *)
-end
+val reset_peaks : t -> unit
+(** Reset high-water marks to current values (between workload phases). *)

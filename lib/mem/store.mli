@@ -24,7 +24,7 @@
     measured quantity except long-run RSS, which the simulation does not
     model). *)
 
-type os_stats = {
+type os_stats = Alloc_intf.os_stats = {
   mmap_calls : int;
   munmap_calls : int;
   sb_allocs : int;  (** superblock allocations served (incl. recycled) *)
@@ -49,123 +49,130 @@ val page : int
 (** The simulated OS page size (4 KiB) — the unit the page manager's
     buddy allocator works in and the granularity of space accounting. *)
 
-module Make (Rt : Mm_runtime.Runtime_intf.S) : sig
-  type t
+type t
 
-  val page : int
-  (** = the toplevel {!page}, re-exported for functorized clients. *)
+val create :
+  Rt.t ->
+  ?capacity:int ->
+  ?sbsize:int ->
+  ?hyperblocks:bool ->
+  unit ->
+  t
+(** Defaults: capacity 65536 regions, 16 KiB superblocks, no hyperblocks. *)
 
-  val create :
-    Rt.t ->
-    ?capacity:int ->
-    ?sbsize:int ->
-    ?hyperblocks:bool ->
-    unit ->
-    t
-  (** Defaults: capacity 65536 regions, 16 KiB superblocks, no hyperblocks. *)
+val rt : t -> Rt.t
+val sbsize : t -> int
+val space : t -> Space.t
+val os_stats : t -> os_stats
 
-  val rt : t -> Rt.t
-  val sbsize : t -> int
-  val space : t -> Space.Make(Rt).t
-  val os_stats : t -> os_stats
+(** {2 Regions} *)
 
+val alloc_superblock : t -> int
+(** Address of a fresh superblock ([sbsize] bytes). A newly mapped
+    superblock is zero-filled; a recycled one (see [sb_reuses]) carries
+    stale bytes until {!init_free_list} lazily restores the
+    all-zero-but-links state — callers thread the free list before
+    publishing the superblock, so no stale byte is ever observable. *)
 
-  (** {2 Regions} *)
+val free_superblock : t -> int -> unit
+(** [addr] must be the base address of a live superblock. *)
 
-  val alloc_superblock : t -> int
-  (** Address of a fresh superblock ([sbsize] bytes). A newly mapped
-      superblock is zero-filled; a recycled one (see [sb_reuses]) carries
-      stale bytes until {!init_free_list} lazily restores the
-      all-zero-but-links state — callers thread the free list before
-      publishing the superblock, so no stale byte is ever observable. *)
+val alloc_large : t -> len:int -> int
+(** A dedicated region of at least [len] bytes; space is accounted
+    page-rounded (4 KiB), as a real mmap would. *)
 
-  val free_superblock : t -> int -> unit
-  (** [addr] must be the base address of a live superblock. *)
+val free_large : t -> int -> unit
+(** [addr] must be the base address of a live large region. *)
 
-  val alloc_large : t -> len:int -> int
-  (** A dedicated region of at least [len] bytes; space is accounted
-      page-rounded (4 KiB), as a real mmap would. *)
+(** {2 Spans}
 
-  val free_large : t -> int -> unit
-  (** [addr] must be the base address of a live large region. *)
+    Backing for the page manager (DESIGN.md §15): a span is one
+    page-multiple region reserved up front and carved into page-aligned
+    extents by a lock-free buddy, so large blocks and superblocks stop
+    costing one mmap each. Span regions are installed {e dirty}
+    ([clean = false]): extents are written and re-carved out of order,
+    so a superblock carved from a span always pays {!init_free_list}'s
+    lazy re-zeroing of its own bytes (bounded by [?limit]). *)
 
-  (** {2 Spans}
+val alloc_span : t -> pages:int -> int
+(** A dedicated region of exactly [pages] simulated pages (one mmap,
+    observability site ["store.mmap.span"]). *)
 
-      Backing for the page manager (DESIGN.md §15): a span is one
-      page-multiple region reserved up front and carved into page-aligned
-      extents by a lock-free buddy, so large blocks and superblocks stop
-      costing one mmap each. Span regions are installed {e dirty}
-      ([clean = false]): extents are written and re-carved out of order,
-      so a superblock carved from a span always pays {!init_free_list}'s
-      lazy re-zeroing of its own bytes (bounded by [?limit]). *)
+val free_span : t -> int -> unit
+(** Unmap a span region ([addr] must be its base) — only ever a losing
+    candidate from a span-publish race; published spans stay mapped. *)
 
-  val alloc_span : t -> pages:int -> int
-  (** A dedicated region of exactly [pages] simulated pages (one mmap,
-      observability site ["store.mmap.span"]). *)
+val note_buddy_grant : t -> requested:int -> granted:int -> unit
+(** Record one buddy grant in the internal-fragmentation census:
+    [requested] pages were needed, [granted] (>= requested, a power of
+    two) were handed out. *)
 
-  val free_span : t -> int -> unit
-  (** Unmap a span region ([addr] must be its base) — only ever a losing
-      candidate from a span-publish race; published spans stay mapped. *)
+val region_len : t -> int -> int
+(** Length of the region containing [addr]; 0 if dead. *)
 
-  val note_buddy_grant : t -> requested:int -> granted:int -> unit
-  (** Record one buddy grant in the internal-fragmentation census:
-      [requested] pages were needed, [granted] (>= requested, a power of
-      two) were handed out. *)
+val live_regions : t -> int
+(** Number of currently mapped regions (quiescent snapshot; tests). *)
 
-  val region_len : t -> int -> int
-  (** Length of the region containing [addr]; 0 if dead. *)
+(** {2 Word access}
 
-  val live_regions : t -> int
-  (** Number of currently mapped regions (quiescent snapshot; tests). *)
+    [addr] is a full address (region + byte offset); words are 8 bytes.
+    Dead-region reads return 0 and writes are dropped — the memory-safe
+    analogue of touching unmapped memory. An out-of-bounds {e offset}
+    into a live region gets the same tolerant treatment in real mode,
+    but under simulation it raises unless [~racy:true]: a non-racy OOB
+    offset is a miscomputed address, and failing loudly lets the
+    [lib/check] explorer catch it. [~racy:true] marks the paper's
+    deliberate racy dereferences (e.g. reading a free-list link that a
+    concurrent pop may already have recycled, validated afterwards by a
+    tagged CAS), where garbage addresses are expected and harmless. *)
 
-  (** {2 Word access}
+val read_word : ?racy:bool -> t -> int -> int
+val write_word : ?racy:bool -> t -> int -> int -> unit
 
-      [addr] is a full address (region + byte offset); words are 8 bytes.
-      Dead-region reads return 0 and writes are dropped — the memory-safe
-      analogue of touching unmapped memory. An out-of-bounds {e offset}
-      into a live region gets the same tolerant treatment in real mode,
-      but under simulation it raises unless [~racy:true]: a non-racy OOB
-      offset is a miscomputed address, and failing loudly lets the
-      [lib/check] explorer catch it. [~racy:true] marks the paper's
-      deliberate racy dereferences (e.g. reading a free-list link that a
-      concurrent pop may already have recycled, validated afterwards by a
-      tagged CAS), where garbage addresses are expected and harmless. *)
+val resolve : t -> int -> int * int * int
+(** [resolve t payload] follows the 8-byte block prefix below [payload]
+    (and, for [Alloc_ops.aligned_alloc] results, its offset word) down
+    to the block base: returns [(base_payload, base_prefix, delta)].
+    Allocator [free]/[usable_size] paths use this to accept aligned
+    addresses. *)
 
-  val read_word : ?racy:bool -> t -> int -> int
-  val write_word : ?racy:bool -> t -> int -> int -> unit
+val base_payload : int -> int -> int
+(** [base_payload payload word], with [word] the word just below
+    [payload]: [resolve]'s first component, without a memory access. *)
 
-  val resolve : t -> int -> int * int * int
-  (** [resolve t payload] follows the 8-byte block prefix below [payload]
-      (and, for [Alloc_ops.aligned_alloc] results, its offset word) down
-      to the block base: returns [(base_payload, base_prefix, delta)].
-      Allocator [free]/[usable_size] paths use this to accept aligned
-      addresses. *)
+val base_prefix : t -> base_payload:int -> int -> int
+(** [base_prefix t ~base_payload word]: [resolve]'s second component,
+    reading memory only when [word] is an offset word. Together with
+    [base_payload] it is [resolve] minus the tuple. *)
 
-  val base_payload : int -> int -> int
-  (** [base_payload payload word], with [word] the word just below
-      [payload]: [resolve]'s first component, without a memory access. *)
+val init_free_list : ?limit:int -> t -> int -> sz:int -> maxcount:int -> unit
+(** Thread the in-block free list of a fresh superblock: block [i]'s first
+    word is set to [i + 1] ("organize blocks in a linked list starting
+    with index 0", Fig. 4). Charged as one streaming write, since the
+    superblock is still private to its creator. On a recycled superblock
+    this also clears every byte the links don't cover (lazy zeroing —
+    the only full-superblock fill a pool hit ever pays). [limit] bounds
+    the zeroed window to [limit] bytes from the superblock's base: a
+    superblock carved out of a span owns only its own extent and must
+    not clear its neighbours' bytes. Without [limit] the whole region is
+    restored (whole-region superblocks, where the two coincide). *)
 
-  val base_prefix : t -> base_payload:int -> int -> int
-  (** [base_prefix t ~base_payload word]: [resolve]'s second component,
-      reading memory only when [word] is an offset word. Together with
-      [base_payload] it is [resolve] minus the tuple. *)
+val write_payload_round : t -> int -> len:int -> times:int -> unit
+(** Model the benchmark pattern "write [times] times to each of the [len]
+    payload bytes at [addr]": real runtime performs the actual byte
+    writes (creating genuine cache traffic, e.g. false sharing);
+    simulation charges the equivalent line accesses in a few batched
+    events so line ping-pong between CPUs is still exhibited. *)
 
-  val init_free_list : ?limit:int -> t -> int -> sz:int -> maxcount:int -> unit
-  (** Thread the in-block free list of a fresh superblock: block [i]'s first
-      word is set to [i + 1] ("organize blocks in a linked list starting
-      with index 0", Fig. 4). Charged as one streaming write, since the
-      superblock is still private to its creator. On a recycled superblock
-      this also clears every byte the links don't cover (lazy zeroing —
-      the only full-superblock fill a pool hit ever pays). [limit] bounds
-      the zeroed window to [limit] bytes from the superblock's base: a
-      superblock carved out of a span owns only its own extent and must
-      not clear its neighbours' bytes. Without [limit] the whole region is
-      restored (whole-region superblocks, where the two coincide). *)
-
-  val write_payload_round : t -> int -> len:int -> times:int -> unit
-  (** Model the benchmark pattern "write [times] times to each of the [len]
-      payload bytes at [addr]": real runtime performs the actual byte
-      writes (creating genuine cache traffic, e.g. false sharing);
-      simulation charges the equivalent line accesses in a few batched
-      events so line ping-pong between CPUs is still exhibited. *)
-end
+val instance :
+  t ->
+  name:string ->
+  rt:Mm_runtime.Rt.t ->
+  malloc:(int -> int) ->
+  free:(int -> unit) ->
+  usable_size:(int -> int) ->
+  check:(unit -> unit) ->
+  Alloc_intf.instance
+(** The runtime-erased instance of one heap on this store: the allocator
+    supplies its heap's closures, the store its word access, payload
+    writes and meters. *)

@@ -16,38 +16,36 @@
     would keep, and the [lib/check] explorer drives every CAS window
     through the {!Pg_labels} labels. *)
 
-module Make (Rt : Mm_runtime.Runtime_intf.S) : sig
-  type t
+type t
 
-  val create :
-    Rt.t ->
-    ?on_acquire_retry:(unit -> unit) ->
-    ?on_release_retry:(unit -> unit) ->
-    ?on_coalesce_retry:(unit -> unit) ->
-    order:int ->
-    unit ->
-    t
-  (** A fully-free buddy over [2^order] pages. The retry callbacks feed
-      the allocator's striped CAS-retry census (one call per failed or
-      abandoned CAS at the matching label). *)
+val create :
+  Rt.t ->
+  ?on_acquire_retry:(unit -> unit) ->
+  ?on_release_retry:(unit -> unit) ->
+  ?on_coalesce_retry:(unit -> unit) ->
+  order:int ->
+  unit ->
+  t
+(** A fully-free buddy over [2^order] pages. The retry callbacks feed
+    the allocator's striped CAS-retry census (one call per failed or
+    abandoned CAS at the matching label). *)
 
-  val order : t -> int
-  val pages : t -> int
+val order : t -> int
+val pages : t -> int
 
-  val acquire : t -> order:int -> int option
-  (** First-fit descent for an extent of [2^order] pages; returns its
-      first page index within the span, or [None] when no subtree can
-      serve the order (the caller fails over to the next span). *)
+val acquire : t -> order:int -> int option
+(** First-fit descent for an extent of [2^order] pages; returns its
+    first page index within the span, or [None] when no subtree can
+    serve the order (the caller fails over to the next span). *)
 
-  val release : t -> page:int -> order:int -> unit
-  (** Return the extent granted as ([page], [order]) and coalesce as far
-      as claim races allow. Raises [Failure] on a double free. *)
+val release : t -> page:int -> order:int -> unit
+(** Return the extent granted as ([page], [order]) and coalesce as far
+    as claim races allow. Raises [Failure] on a double free. *)
 
-  val census : t -> int * int
-  (** Quiescent ([free_pages], [busy_pages]) over the published tree.
-      Raises [Failure] if a node is still merge-claimed (only possible
-      after a mid-protocol kill). *)
+val census : t -> int * int
+(** Quiescent ([free_pages], [busy_pages]) over the published tree.
+    Raises [Failure] if a node is still merge-claimed (only possible
+    after a mid-protocol kill). *)
 
-  val check_invariants : t -> unit
-  (** {!census} plus the conservation check free + busy = {!pages}. *)
-end
+val check_invariants : t -> unit
+(** {!census} plus the conservation check free + busy = {!pages}. *)

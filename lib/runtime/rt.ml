@@ -4,7 +4,8 @@
    holds an [Rt.t] and asks {!backend} for the specialized module
    ({!Real_rt} or {!Sim_rt}) plus its handle, once per run; every
    operation after that is a direct call into that module, which is
-   also what the allocator stack is functorized over (DESIGN.md §18). *)
+   also what each copy of the allocator stack is compiled against
+   (DESIGN.md §18). *)
 
 type t = Real | Simulated of Sim.t
 

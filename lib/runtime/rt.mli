@@ -1,7 +1,7 @@
 (** Runtime selector.
 
     Every allocator, lock and lock-free structure in this repository is
-    a functor over {!Runtime_intf.S}, instantiated twice:
+    a body over {!Runtime_intf.S}, compiled twice (DESIGN.md §18):
 
     - {!Real_rt}: operations map 1:1 onto OCaml 5 multicore primitives
       ([Atomic], [Domain]); used for genuine-hardware latency measurements

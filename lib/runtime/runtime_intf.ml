@@ -1,9 +1,10 @@
 (** The RUNTIME signature: everything the allocator stack may ask of
     its execution environment.
 
-    Every module in [lib/lockfree], [lib/mem], [lib/pages], [lib/core]
-    and [lib/baselines] is a functor over this signature, specialized
-    exactly twice:
+    Every runtime-dependent module in [lib/lockfree], [lib/mem],
+    [lib/pages], [lib/core] and [lib/baselines] is a body over a module
+    [Rt] of this signature that the body does not bind, compiled
+    exactly twice (DESIGN.md §18):
 
     - {!Real_rt}: [t = unit], atomics are [Stdlib.Atomic.t] directly,
       memory/label/fence instrumentation compiles to straight-line code

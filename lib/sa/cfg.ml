@@ -748,10 +748,10 @@ let is_function e =
   match (strip e).exp_desc with Texp_function _ -> true | _ -> false
 
 (* Module aliases declared in a unit: [module Tis = Mm_lockfree.X] or,
-   inside a functor body, [module Tis = Mm_lockfree.X.Make (Rt)]. The
-   [Make (Rt : RUNTIME)] wrapper (DESIGN.md §18) is transparent: its
-   body's aliases keep their bare names, because that is how the body's
-   own functions spell them at call sites. *)
+   inside a functor body, [module Tis = Param_window.Make (Rt)]. A
+   [Make (Rt : RUNTIME)] wrapper is transparent: its body's aliases
+   keep their bare names, because that is how the body's own functions
+   spell them at call sites. *)
 let rec collect_aliases items =
   List.concat_map
     (fun item ->
@@ -766,8 +766,8 @@ and alias_of_binding mb =
   | Some id, Tmod_ident (p, _) -> [ (Ident.name id, Tast.flatten_path p) ]
   | Some id, Tmod_apply _ -> (
       (* A functor application aliases the applied head:
-         [module Hp = Mm_lockfree.Hazard_pointers.Make (Rt)] maps Hp to
-         Mm_lockfree.Hazard_pointers.Make. Summary resolution keeps the
+         [module Tis = Param_window.Make (Rt)] maps Tis to
+         Param_window.Make. Summary resolution keeps the
          innermost segment naming an analyzed unit, so the trailing
          functor name is harmless. *)
       match applied_head mb.mb_expr with
@@ -822,10 +822,9 @@ let functions_of_unit (u : Tast.unit_t) =
               vbs
         | Tstr_module { mb_id = Some id; mb_expr; _ } ->
             (* A plain nested module prefixes its functions' names. A
-               functor wrapper — the [Make (Rt : RUNTIME)] specialization
-               idiom (DESIGN.md §18) — is transparent instead, so
-               [Tagged_id_stack]'s pop summarizes under the bare key
-               (Tagged_id_stack, "pop") that interprocedural demand
+               functor wrapper ([Make (Rt : RUNTIME)]) is transparent
+               instead, so a functor body's pop summarizes under the
+               bare key (its unit, "pop") that interprocedural demand
                resolution looks up. *)
             let rec descend me =
               match me.mod_desc with

@@ -8,7 +8,11 @@ type result = Mm_report.Output.result = {
 
 (* The units mm-sa analyzes by default: the allocator's lock-free core.
    Harness/check/obs code is exercised dynamically and has no
-   lock-free publication protocol of its own. *)
+   lock-free publication protocol of its own. Each body there is
+   compiled twice (DESIGN.md §18); mm-sa reads the real copy's .cmt
+   files and skips the sim/ directories, which hold the simulator copy
+   (only its rt.ml in the source tree, also the copied sources in the
+   build tree). *)
 let default_paths = [ "lib/core"; "lib/lockfree"; "lib/mem"; "lib/pages" ]
 
 let collect ~root paths =
@@ -18,7 +22,7 @@ let collect ~root paths =
     if Sys.is_directory full then
       Array.iter
         (fun name ->
-          if name.[0] <> '.' && name <> "_build" then
+          if name.[0] <> '.' && name <> "_build" && name <> "sim" then
             walk (Filename.concat rel name))
         (Sys.readdir full)
     else if Filename.check_suffix rel ".ml" then out := rel :: !out

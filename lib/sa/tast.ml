@@ -159,14 +159,34 @@ let load_cmt ~root src_path =
    label-deletion regression walk: delete a line, re-type, re-analyze.
 
    The unit is typed under a fresh name so it can never shadow its own
-   compiled interface, and with its library's alias module opened
-   (dune compiles wrapped libraries with -open). The open is prepended
-   with a ghost location, so source line numbers are unchanged. *)
+   compiled interface, and with the modules dune opened when it compiled
+   the unit: its library's alias module and, for the allocator stack,
+   the lower layers of the same runtime copy (DESIGN.md §18). The opens
+   are read back from the unit's .cmt (the -open flags it records) and
+   prepended with ghost locations, so source line numbers are
+   unchanged. *)
 
-let lib_alias_module src_path =
-  match String.split_on_char '/' src_path with
-  | "lib" :: sub :: _ -> Some ("Mm_" ^ sub)
-  | _ -> None
+let opens_cache : (string, string list) Hashtbl.t = Hashtbl.create 16
+
+let compile_opens ~root src_path =
+  match Hashtbl.find_opt opens_cache src_path with
+  | Some opens -> opens
+  | None ->
+      let rec opens = function
+        | "-open" :: m :: rest -> m :: opens rest
+        | _ :: rest -> opens rest
+        | [] -> []
+      in
+      let found =
+        match cmt_path ~root src_path with
+        | None -> []
+        | Some cmt -> (
+            match Cmt_format.read_cmt cmt with
+            | c -> opens (Array.to_list c.Cmt_format.cmt_args)
+            | exception _ -> [])
+      in
+      Hashtbl.replace opens_cache src_path found;
+      found
 
 let env_ready = ref false
 
@@ -186,15 +206,15 @@ let typecheck ~root ~path text =
     Lexing.set_filename lexbuf path;
     let parsed = Parse.implementation lexbuf in
     let parsed =
-      match lib_alias_module path with
-      | None -> parsed
-      | Some m ->
+      List.map
+        (fun m ->
           let open Ast_helper in
           Str.open_
             (Opn.mk
                (Mod.ident
-                  { Asttypes.txt = Longident.Lident m; loc = Location.none }))
-          :: parsed
+                  { Asttypes.txt = Longident.Lident m; loc = Location.none })))
+        (compile_opens ~root path)
+      @ parsed
     in
     let env = Compmisc.initial_env () in
     Typemod.type_structure env parsed

@@ -27,6 +27,44 @@ case $lf_rule in
     echo "ci: Lf_alloc is compiled without the dev warning spec" >&2
     exit 1 ;;
 esac
+# Hot-path gate (DESIGN.md §18): each allocator library is compiled once
+# per runtime, so in the real copy every Rt.* call and every call into a
+# sibling or lower-layer module on the hot path is direct. Read off the
+# real-domain benchmark's executable, which reaches Lf_alloc through the
+# Make shims, so this also shows that they resolve to the real copy: the
+# Active/anchor/pub steps and the three malloc paths may hold no
+# caml_apply and no indirect call. malloc and free may each keep exactly
+# one indirect call: the stdlib's Domain.DLS.get behind Rt.self, which
+# is not inlined across the stdlib boundary.
+objdump -d --no-show-raw-insn _build/default/perfbench/main.exe | awk '
+  /^[0-9a-f]+ <.*>:$/ {
+    fn = $2; gsub(/[<>:]/, "", fn)
+    if (fn ~ /^camlMm_core__Lf_alloc\.[a-z_]+_[0-9]+$/) {
+      base = fn; sub(/^camlMm_core__Lf_alloc\./, "", base)
+      sub(/_[0-9]+$/, "", base)
+      seen[base] = 1
+    } else base = ""
+    next
+  }
+  base != "" && /call.*(\*|caml_apply)/ { indirect[base]++ }
+  END {
+    split("reserve_active pop_blocks anchor_push pub_push " \
+          "malloc_from_active malloc_from_partial malloc_from_new_sb", zero)
+    for (i in zero) limit[zero[i]] = 0
+    limit["malloc"] = 1; limit["free"] = 1
+    bad = 0
+    for (f in limit) {
+      if (!(f in seen)) {
+        printf "ci: Lf_alloc.%s not found in perfbench/main.exe\n", f
+        bad = 1
+      } else if (indirect[f] + 0 > limit[f]) {
+        printf "ci: Lf_alloc.%s makes %d indirect calls (at most %d)\n",
+          f, indirect[f], limit[f]
+        bad = 1
+      }
+    }
+    exit bad
+  }' >&2
 # Machine-readable lint report, kept as a CI artifact even when the
 # enforcement gates below fail.
 mkdir -p _build/ci

@@ -1,12 +1,12 @@
 (* Fixture: S1 hp-protocol. Three planted violations of the hazard
    protocol (protect -> re-validating read -> deref -> release on every
    path), one per failure shape — planted inside a [Make (Rt)] functor
-   body, as the real tree is written (DESIGN.md §18), so this fixture
-   also pins down that mm-sa descends into functor bodies. Compiled
-   only so mm-sa can read its typed AST; nothing links against it. *)
+   body, so this fixture also pins down that mm-sa descends into functor
+   bodies. Compiled only so mm-sa can read its typed AST; nothing links
+   against it. *)
 
 module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
-  module Hp = Mm_lockfree.Hazard_pointers.Make (Rt)
+  module Hp = Mm_lockfree.Hazard_pointers
 
   type nd = { mutable next_d : nd option; mutable seq : int }
   type t = { head : nd option Rt.atomic; hp : nd Hp.t }

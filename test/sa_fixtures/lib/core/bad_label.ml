@@ -3,12 +3,12 @@
    (Param_window.pop) from a retry loop with no dominating label;
    and an unlabelled straight-line CAS whose
    obligation escapes to the exported entry point. All planted inside a
-   [Make (Rt)] functor body like the real tree (DESIGN.md §18), so the
-   parameterized-window demand also proves the interprocedural lookup
-   resolves a [Tis = Param_window.Make (Rt)] functor-application
-   alias. *)
+   [Make (Rt)] functor body, so the parameterized-window demand also
+   proves that the interprocedural lookup resolves a
+   [Tis = Param_window.Make (Rt)] functor-application alias. Line
+   numbers are pinned by test_sa.ml. *)
 
-module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
+module Make (Rt : Mm_runtime.Runtime_intf.S with type t = unit) = struct
   module Tis = Param_window.Make (Rt)
 
   (* 1: CAS retried with no label re-established in the loop *)

@@ -9,8 +9,8 @@
    - [direct] passes [~label:Labels.free_cas] straight to the loop: the
      demand is discharged at the call site, and the twin is clean. *)
 
-module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
-  module Backoff = Mm_lockfree.Backoff.Make (Rt)
+module Make (Rt : Mm_runtime.Runtime_intf.S with type t = unit) = struct
+  module Backoff = Mm_lockfree.Backoff
   module Labels = Mm_core.Labels
 
   let rec forwarded_loop rt (c : int Rt.atomic) ~label spins =

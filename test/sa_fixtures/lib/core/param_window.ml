@@ -4,8 +4,8 @@
    of its own: a label-parameter demand is discharged or reported at
    its call sites. *)
 
-module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
-  module Backoff = Mm_lockfree.Backoff.Make (Rt)
+module Make (Rt : Mm_runtime.Runtime_intf.S with type t = unit) = struct
+  module Backoff = Mm_lockfree.Backoff
 
   type t = { rt : Rt.t; head : int Rt.atomic; pop_label : string }
 

@@ -2,20 +2,17 @@
    dynamics, Hoard's superblock migration, libc's total serialization. *)
 
 open Mm_runtime
-module Sb = Mm_baselines.Sb_heap.Make (Real_rt)
-module Pt = Mm_baselines.Ptmalloc_alloc.Make (Sim_rt)
-module Hd = Mm_baselines.Hoard_alloc.Make (Real_rt)
-module Lc = Mm_baselines.Libc_alloc.Make (Real_rt)
+module Sb = Mm_baselines.Sb_heap
+module Pt = Mm_baselines_sim.Ptmalloc_alloc
+module Hd = Mm_baselines.Hoard_alloc
+module Lc = Mm_baselines.Libc_alloc
 module Cfg = Mm_mem.Alloc_config
 
-module Store = struct
-  include Mm_mem.Store
-  include Mm_mem.Store.Make (Real_rt)
-end
+module Store = Mm_mem.Store
 
-module Store_s = Mm_mem.Store.Make (Sim_rt)
-module Space_r = Mm_mem.Space.Make (Real_rt)
-module Space_s = Mm_mem.Space.Make (Sim_rt)
+module Store_s = Mm_mem_sim.Store
+module Space_r = Mm_mem.Space
+module Space_s = Mm_mem_sim.Space
 open Util
 
 (* ---------------- serial heap core ---------------- *)

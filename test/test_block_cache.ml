@@ -18,14 +18,14 @@
      retry census keeps its site order and its agreement with obs. *)
 
 open Mm_runtime
-module A = Mm_core.Lf_alloc.Make (Sim_rt)
-module D = Mm_core.Descriptor.Make (Sim_rt)
+module A = Mm_core_sim.Lf_alloc
+module D = Mm_core_sim.Descriptor
 module Anchor = Mm_core.Anchor
 module Pub_word = Mm_core.Pub_word
-module Store = Mm_mem.Store.Make (Sim_rt)
+module Store = Mm_mem_sim.Store
 module Traced = Mm_harness.Traced
 module W = Mm_workloads
-module Bc = Mm_core.Block_cache.Make (Sim_rt)
+module Bc = Mm_core_sim.Block_cache
 module L = Mm_core.Labels
 module Cfg = Mm_mem.Alloc_config
 module O = Mm_check.Oracle

@@ -3,11 +3,11 @@
    lists (both policies). *)
 
 open Mm_runtime
-module D = Mm_core.Descriptor.Make (Real_rt)
-module Pool = Mm_core.Desc_pool.Make (Real_rt)
-module Pl = Mm_core.Partial_list.Make (Real_rt)
-module D_s = Mm_core.Descriptor.Make (Sim_rt)
-module Pool_s = Mm_core.Desc_pool.Make (Sim_rt)
+module D = Mm_core.Descriptor
+module Pool = Mm_core.Desc_pool
+module Pl = Mm_core.Partial_list
+module D_s = Mm_core_sim.Descriptor
+module Pool_s = Mm_core_sim.Desc_pool
 module Anchor = Mm_core.Anchor
 module Cfg = Mm_mem.Alloc_config
 open Util

@@ -25,10 +25,10 @@
    invariant checks. *)
 
 open Mm_runtime
-module A = Mm_core.Lf_alloc.Make (Sim_rt)
-module Ar = Mm_core.Lf_alloc.Make (Real_rt)
-module Bc = Mm_core.Block_cache.Make (Sim_rt)
-module D = Mm_core.Descriptor.Make (Sim_rt)
+module A = Mm_core_sim.Lf_alloc
+module Ar = Mm_core.Lf_alloc
+module Bc = Mm_core_sim.Block_cache
+module D = Mm_core_sim.Descriptor
 module L = Mm_core.Labels
 module Cfg = Mm_mem.Alloc_config
 open Util
@@ -109,7 +109,7 @@ let probe_ob t mailbox n tid =
    batch_size 1: the private LIFO holds one descriptor, so every
    second retire spills to the shared stack (desc.spill) and a drained
    LIFO steals a spilled descriptor back (desc.steal). *)
-module P = Mm_core.Desc_pool.Make (Sim_rt)
+module P = Mm_core_sim.Desc_pool
 
 let probe_reuse pool n =
   for _ = 1 to n do

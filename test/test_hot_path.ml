@@ -17,8 +17,8 @@
 
 open Mm_runtime
 module Cfg = Mm_mem.Alloc_config
-module Lf = Mm_core.Lf_alloc.Make (Real_rt)
-module Bc = Mm_core.Block_cache.Make (Real_rt)
+module Lf = Mm_core.Lf_alloc
+module Bc = Mm_core.Block_cache
 open Util
 
 let ops = 10_000

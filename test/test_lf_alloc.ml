@@ -4,21 +4,18 @@
    invariant checker. *)
 
 open Mm_runtime
-module A = Mm_core.Lf_alloc.Make (Real_rt)
-module As = Mm_core.Lf_alloc.Make (Sim_rt)
+module A = Mm_core.Lf_alloc
+module As = Mm_core_sim.Lf_alloc
 module L = Mm_core.Labels
 module Anchor = Mm_core.Anchor
-module D = Mm_core.Descriptor.Make (Real_rt)
-module Pl = Mm_core.Partial_list.Make (Real_rt)
-module Pool = Mm_core.Desc_pool.Make (Real_rt)
+module D = Mm_core.Descriptor
+module Pl = Mm_core.Partial_list
+module Pool = Mm_core.Desc_pool
 module Cfg = Mm_mem.Alloc_config
 
-module Store = struct
-  include Mm_mem.Store
-  include Mm_mem.Store.Make (Real_rt)
-end
+module Store = Mm_mem.Store
 
-module Store_s = Mm_mem.Store.Make (Sim_rt)
+module Store_s = Mm_mem_sim.Store
 open Util
 
 (* Small superblocks make state transitions cheap to reach. *)
@@ -388,7 +385,7 @@ let introspection () =
    reuses a retired descriptor only after 128 retirements, stocks a
    fresh batch once its free list runs dry. *)
 let region_table_exhaustion () =
-  let module Space = Mm_mem.Space.Make (Real_rt) in
+  let module Space = Mm_mem.Space in
   let sbsize = 4096 in
   List.iter
     (fun (what, capacity, free_lists, hyperblocks, expect_live) ->

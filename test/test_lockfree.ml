@@ -4,26 +4,16 @@
 
 open Mm_runtime
 
-(* Sequential semantics run on the real instantiation; schedule-driven
+(* Sequential semantics run on the real copy; schedule-driven
    concurrency tests on the simulated one. *)
-module Ts = Mm_lockfree.Treiber_stack.Make (Real_rt)
-module Msq = Mm_lockfree.Ms_queue.Make (Real_rt)
-module Hp = Mm_lockfree.Hazard_pointers.Make (Real_rt)
-module Tis = Mm_lockfree.Tagged_id_stack.Make (Real_rt)
-module Msq_s = Mm_lockfree.Ms_queue.Make (Sim_rt)
-module Hp_s = Mm_lockfree.Hazard_pointers.Make (Sim_rt)
-module Tis_s = Mm_lockfree.Tagged_id_stack.Make (Sim_rt)
+module Ts = Mm_lockfree.Treiber_stack
+module Msq = Mm_lockfree.Ms_queue
+module Hp = Mm_lockfree.Hazard_pointers
+module Tis = Mm_lockfree.Tagged_id_stack
+module Msq_s = Mm_lockfree_sim.Ms_queue
+module Hp_s = Mm_lockfree_sim.Hazard_pointers
+module Tis_s = Mm_lockfree_sim.Tagged_id_stack
 
-(* The real runtime with [cpu_relax] counted, so a test can see exactly
-   how long a backoff spins. *)
-module Counting_rt = struct
-  include Real_rt
-
-  let relaxes = ref 0
-  let cpu_relax () = incr relaxes
-end
-
-module Backoff = Mm_lockfree.Backoff.Make (Counting_rt)
 open Util
 
 (* ---------------- Treiber stack ---------------- *)
@@ -70,11 +60,17 @@ let treiber_qcheck =
       Ts.to_list s = !model)
 
 (* Conservation: [producers] push disjoint values, [consumers] pop;
-   nothing lost, nothing duplicated. Runtime-generic, instantiated for
-   both backends. *)
-module Conserve (Rt : Mm_runtime.Runtime_intf.S) = struct
-  module Ts = Mm_lockfree.Treiber_stack.Make (Rt)
+   nothing lost, nothing duplicated. The same body runs on both copies
+   of the stack. *)
+module Conserve
+    (Rt : Mm_runtime.Runtime_intf.S) (Ts : sig
+      type 'a t
 
+      val create : Rt.t -> 'a t
+      val push : 'a t -> 'a -> unit
+      val pop : 'a t -> 'a option
+    end) =
+struct
   let stack_conservation h mk_run =
     let s = Ts.create h in
     let n = 200 and producers = 2 and consumers = 2 in
@@ -113,8 +109,8 @@ module Conserve (Rt : Mm_runtime.Runtime_intf.S) = struct
       popped
 end
 
-module Conserve_r = Conserve (Real_rt)
-module Conserve_s = Conserve (Sim_rt)
+module Conserve_r = Conserve (Real_rt) (Ts)
+module Conserve_s = Conserve (Sim_rt) (Mm_lockfree_sim.Treiber_stack)
 
 let treiber_conc_real () =
   Conserve_r.stack_conservation () (fun bodies ->
@@ -359,13 +355,14 @@ let tagged_conservation () =
 (* Every retry loop threads [spin]'s count from [initial]: it relaxes
    1, 2, 4, ..., 256 times and then stays at 256. *)
 let backoff_basics () =
+  let module Backoff = Counting_rt.Backoff in
   let counts = ref [] and relaxes = ref [] in
   let spins = ref Backoff.initial in
   for _ = 1 to 11 do
     counts := !spins :: !counts;
-    Counting_rt.relaxes := 0;
+    Counting_rt.Rt.relaxes := 0;
     spins := Backoff.spin () !spins;
-    relaxes := !Counting_rt.relaxes :: !relaxes
+    relaxes := !Counting_rt.Rt.relaxes :: !relaxes
   done;
   let expected = [ 1; 2; 4; 8; 16; 32; 64; 128; 256; 256; 256 ] in
   Alcotest.(check (list int)) "spin counts" expected (List.rev !counts);

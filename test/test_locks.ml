@@ -3,12 +3,8 @@
 
 open Mm_runtime
 
-module Locks = struct
-  include Mm_baselines.Locks
-  include Mm_baselines.Locks.Make (Real_rt)
-end
-
-module Locks_s = Mm_baselines.Locks.Make (Sim_rt)
+module Locks = Mm_baselines.Locks
+module Locks_s = Mm_baselines_sim.Locks
 module Cfg = Mm_mem.Alloc_config
 open Util
 

@@ -29,8 +29,8 @@
      republishes it, and no public-list traffic at all. *)
 
 open Mm_runtime
-module A = Mm_core.Lf_alloc.Make (Sim_rt)
-module D = Mm_core.Descriptor.Make (Sim_rt)
+module A = Mm_core_sim.Lf_alloc
+module D = Mm_core_sim.Descriptor
 module Anchor = Mm_core.Anchor
 module L = Mm_core.Labels
 module Pg = Mm_pages.Pg_labels

@@ -20,17 +20,14 @@
      window never lets an extent be handed out twice. *)
 
 open Mm_runtime
-module A = Mm_core.Lf_alloc.Make (Sim_rt)
-module B = Mm_pages.Buddy.Make (Sim_rt)
-module Pm = Mm_pages.Page_manager.Make (Sim_rt)
+module A = Mm_core_sim.Lf_alloc
+module B = Mm_pages_sim.Buddy
+module Pm = Mm_pages_sim.Page_manager
 module Pg = Mm_pages.Pg_labels
 module Cfg = Mm_mem.Alloc_config
 module Scls = Mm_mem.Size_class
 
-module Store = struct
-  include Mm_mem.Store
-  include Mm_mem.Store.Make (Sim_rt)
-end
+module Store = Mm_mem_sim.Store
 module O = Mm_check.Oracle
 module E = Mm_check.Explore
 module T = Mm_check.Target

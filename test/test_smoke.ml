@@ -1,5 +1,5 @@
 (* Early end-to-end smoke tests for the lock-free allocator on both
-   runtime instantiations (DESIGN.md §18); the full suites live in the
+   compiled copies (DESIGN.md §18); the full suites live in the
    test_* modules. *)
 
 open Mm_runtime
@@ -7,39 +7,30 @@ module Cfg = Mm_mem.Alloc_config
 
 let cfg = Cfg.make ~nheaps:4 ()
 
-(* The sequential body is runtime-generic: instantiate it once per
-   backend and the same source drives both specializations. *)
-module Seq (Rt : Mm_runtime.Runtime_intf.S) = struct
-  module A = Mm_core.Lf_alloc.Make (Rt)
-  module Store = Mm_mem.Store.Make (Rt)
+(* The sequential body works on the runtime-erased instance, so the
+   same source drives the real and the simulated copy (DESIGN.md §18). *)
+module I = Mm_mem.Alloc_intf
+module Ar = Mm_core.Lf_alloc
+module As = Mm_core_sim.Lf_alloc
 
-  let run h =
-    let t = A.create h cfg in
-    let addrs = Array.init 100 (fun i -> A.malloc t (8 * (1 + (i mod 16)))) in
-    let distinct = List.sort_uniq compare (Array.to_list addrs) in
-    Alcotest.(check int) "distinct addresses" 100 (List.length distinct);
-    (* Payload integrity: write a stamp in each block, read all back. *)
-    Array.iteri (fun i a -> Store.write_word (A.store t) a (i * 7)) addrs;
-    Array.iteri
-      (fun i a ->
-        Alcotest.(check int)
-          "payload intact" (i * 7)
-          (Store.read_word (A.store t) a))
-      addrs;
-    Array.iter (A.free t) addrs;
-    A.check_invariants t
-end
+let seq (inst : I.instance) =
+  let addrs = Array.init 100 (fun i -> inst.malloc (8 * (1 + (i mod 16)))) in
+  let distinct = List.sort_uniq compare (Array.to_list addrs) in
+  Alcotest.(check int) "distinct addresses" 100 (List.length distinct);
+  (* Payload integrity: write a stamp in each block, read all back. *)
+  Array.iteri (fun i a -> inst.write_word a (i * 7)) addrs;
+  Array.iteri
+    (fun i a ->
+      Alcotest.(check int) "payload intact" (i * 7) (inst.read_word a))
+    addrs;
+  Array.iter inst.free addrs;
+  inst.check ()
 
-module Seq_real = Seq (Real_rt)
-module Seq_sim = Seq (Sim_rt)
-module Ar = Mm_core.Lf_alloc.Make (Real_rt)
-module As = Mm_core.Lf_alloc.Make (Sim_rt)
-
-let seq_real () = Seq_real.run ()
+let seq_real () = seq (Ar.instance Rt.real (Ar.create () cfg))
 
 let seq_sim () =
   let sim = Sim.create ~cpus:4 () in
-  Seq_sim.run sim
+  seq (As.instance (Rt.simulated sim) (As.create sim cfg))
 
 let par_sim () =
   let sim = Sim.create ~cpus:8 ~seed:42 () in

@@ -1,6 +1,7 @@
-(* Specialization equivalence (DESIGN.md §18): the functorization of
-   the allocator stack over RUNTIME must not perturb the simulated
-   runtime by a single scheduling decision.
+(* Specialization equivalence (DESIGN.md §18): compiling the allocator
+   stack once per runtime (first as functors over RUNTIME, now as two
+   copies of each body) must not perturb the simulated runtime by a
+   single scheduling decision.
 
    These regressions pin that down:
 
@@ -9,13 +10,15 @@
      captured on the pre-functorization value-level runtime (commit
      54a1a6a, where every [Rt.Atomic] op dispatched on the [Rt.t]
      value). Bit-identical schedules mean bit-identical addresses mean
-     equal checksums — across 1, 4 and 8 simulated CPUs.
+     equal checksums — across 1, 4 and 8 simulated CPUs. The one-CPU
+     workload run from one domain on the real copy gives the same
+     checksum, so both copies bind the same sibling modules.
 
    - explorer stability: bounded-exhaustive exploration of the lf_alloc
      check target is a pure function of (target, threads, bound,
      budget); two runs must visit the same number of executions and
      find nothing, so the explorer's schedule enumeration is unchanged
-     over the functorized allocator.
+     over the sim copy of the allocator.
 
    - cached and owner-biased schedules: the traced 16-thread threadtest
      (one heap, seed 1) of "new-cached" and "new-ob" keeps its event
@@ -28,12 +31,12 @@
      the FULL->PARTIAL republish and an acquirer's ob.freeze).
 
    The striped-census == obs-census equality half of the equivalence
-   claim lives in test_obs.ml (counters-match-census); the Real
-   instantiation's conformance coverage is the `Real rows of
+   claim lives in test_obs.ml (counters-match-census); the real copy's
+   conformance coverage is the `Real rows of
    test_alloc_conformance.ml. *)
 
 open Mm_runtime
-module As = Mm_core.Lf_alloc.Make (Sim_rt)
+module As = Mm_core_sim.Lf_alloc
 module Cfg = Mm_mem.Alloc_config
 module E = Mm_check.Explore
 module T = Mm_check.Target
@@ -46,29 +49,33 @@ open Util
    large path) and frees over 24 slots, checksummed in allocation
    order. Any change here invalidates the goldens — re-capture them on
    the old runtime before touching it. *)
+let mixed_body ~malloc ~free acc tid =
+  let rng = Prng.create (tid + 11) in
+  let slots = Array.make 24 0 in
+  for _ = 1 to 400 do
+    let i = Prng.int rng 24 in
+    if slots.(i) <> 0 then begin
+      free slots.(i);
+      slots.(i) <- 0
+    end
+    else begin
+      let a = malloc (Prng.int_in rng 1 2_500) in
+      slots.(i) <- a;
+      acc.(tid) <- (acc.(tid) * 1_000_003) + a
+    end
+  done;
+  Array.iter (fun a -> if a <> 0 then free a) slots
+
+let fold_checksum acc =
+  Array.fold_left (fun h a -> (h * 31) + (a land max_int)) 0 acc
+
 let checksum ~cfg ~cpus ~seed =
   let s = Sim.create ~cpus ~seed ~max_cycles:50_000_000_000 () in
   let t = As.create s cfg in
   let acc = Array.make cpus 0 in
-  let body tid =
-    let rng = Prng.create (tid + 11) in
-    let slots = Array.make 24 0 in
-    for _ = 1 to 400 do
-      let i = Prng.int rng 24 in
-      if slots.(i) <> 0 then begin
-        As.free t slots.(i);
-        slots.(i) <- 0
-      end
-      else begin
-        let a = As.malloc t (Prng.int_in rng 1 2_500) in
-        slots.(i) <- a;
-        acc.(tid) <- (acc.(tid) * 1_000_003) + a
-      end
-    done;
-    Array.iter (fun a -> if a <> 0 then As.free t a) slots
-  in
+  let body tid = mixed_body ~malloc:(As.malloc t) ~free:(As.free t) acc tid in
   ignore (Sim.run s (Array.init cpus (fun i _ -> body i)));
-  Array.fold_left (fun h a -> (h * 31) + (a land max_int)) 0 acc
+  fold_checksum acc
 
 let goldens =
   [
@@ -85,6 +92,23 @@ let sim_traces_bit_identical () =
         expected
         (checksum ~cfg:(Cfg.make ()) ~cpus ~seed))
     goldens
+
+(* The two copies are one source compiled against two runtimes, so a
+   single thread's address stream cannot depend on the copy. A body
+   that resolves a sibling module to the other copy's library breaks
+   this before anything else. *)
+let real_copy_matches_sim () =
+  let t = Mm_core.Lf_alloc.create () (Cfg.make ()) in
+  let acc = Array.make 1 0 in
+  let body tid =
+    mixed_body ~malloc:(Mm_core.Lf_alloc.malloc t)
+      ~free:(Mm_core.Lf_alloc.free t) acc tid
+  in
+  ignore (Real_rt.parallel_run () [| body |]);
+  Mm_core.Lf_alloc.check_invariants t;
+  (* the cpus=1, seed=1 entry of [goldens] *)
+  Alcotest.(check int) "cpus=1 seed=1 checksum on the real copy"
+    1035582064610360096 (fold_checksum acc)
 
 let explorer_schedules_stable () =
   let go () = E.exhaustive T.lf_alloc ~threads:2 ~bound:2 ~budget:4_000 in
@@ -182,6 +206,7 @@ let cases =
   [
     case "sim traces bit-identical to the value-level runtime"
       sim_traces_bit_identical;
+    case "real copy reproduces the sim copy's checksum" real_copy_matches_sim;
     case "explorer schedule enumeration is stable" explorer_schedules_stable;
     case "new-cached and new-ob threadtest schedules pinned"
       (schedules_pinned schedule_pins);

@@ -3,20 +3,13 @@
 
 open Mm_runtime
 
-(* Real-runtime instantiations, plus the runtime-independent types
-   (os_stats / snapshot fields) from the enclosing modules. *)
-module Store = struct
-  include Mm_mem.Store
-  include Mm_mem.Store.Make (Real_rt)
-end
+(* The real copy; both copies re-export the shared os_stats / snapshot
+   fields. *)
+module Store = Mm_mem.Store
+module Space = Mm_mem.Space
 
-module Space = struct
-  include Mm_mem.Space
-  include Mm_mem.Space.Make (Real_rt)
-end
-
-module Store_s = Mm_mem.Store.Make (Sim_rt)
-module Space_s = Mm_mem.Space.Make (Sim_rt)
+module Store_s = Mm_mem_sim.Store
+module Space_s = Mm_mem_sim.Space
 module Addr = Mm_mem.Addr
 open Util
 

@@ -83,7 +83,7 @@ let pc_no_leaks () =
   (* Every task's four blocks are freed: for the lock-free allocator,
      mallocs == frees after the run. *)
   let s = sim ~cpus:4 ~max_cycles:50_000_000_000 () in
-  let module As = Mm_core.Lf_alloc.Make (Sim_rt) in
+  let module As = Mm_core_sim.Lf_alloc in
   let t = As.create s Cfg.default in
   let inst = As.instance (Rt.simulated s) t in
   let p = { W.Producer_consumer.quick with W.Producer_consumer.tasks = 100 } in
