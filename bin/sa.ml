@@ -1,17 +1,18 @@
-(* mm-sa CLI: flow-sensitive static analysis over the compiler's typed
-   ASTs. Reads .cmt files out of _build, so build them first:
+(* mm-sa CLI: the repository's static checker, over the compiler's
+   typed ASTs. Reads .cmt files out of _build, so build them first:
 
      dune build @check
      dune exec bin/sa.exe --
      dune exec bin/sa.exe -- --format json
      dune exec bin/sa.exe -- --analysis label-dominance lib/core
+     dune exec bin/sa.exe -- --analysis raw-primitive lib bin
 
    Suppress a finding in source, adjacent to the code it excuses:
 
      (* mm-sa: allow <analysis>: <reason> *)
 
-   Exit codes: 0 = clean; 1 = usage error, missing .cmt or unknown
-   suppression token; 2 = findings. *)
+   Exit codes: 0 = clean; 1 = usage error, missing .cmt, a functor body
+   in a lock-free unit or an unknown suppression token; 2 = findings. *)
 
 open Cmdliner
 module D = Mm_sa.Driver
@@ -40,8 +41,8 @@ let paths_arg =
     value & pos_all string []
     & info [] ~docv:"PATH"
         ~doc:
-          "Root-relative directories or files to analyze (default: \
-           lib/core lib/lockfree lib/mem lib/pages).")
+          "Root-relative directories or files to analyze (default: lib \
+           bin).")
 
 let format_arg =
   Arg.(
@@ -86,14 +87,14 @@ let run root paths format analyses =
       let r = D.run ~root ~analyses ~paths () in
       let fmt = Format.std_formatter in
       (match format with
-      | `Text -> Mm_report.Output.text fmt r
-      | `Json -> Mm_report.Output.json fmt r);
+      | `Text -> Mm_sa.Output.text fmt r
+      | `Json -> Mm_sa.Output.json fmt r);
       if r.D.errors <> [] then 1 else if r.D.findings <> [] then 2 else 0
 
 let () =
   let doc =
-    "Flow-sensitive static analysis of the lock-free allocator's CAS \
-     protocols over typed ASTs (analyses: "
+    "Static analysis of the lock-free allocator's CAS protocols and the \
+     repository's name rules over typed ASTs (checks: "
     ^ String.concat ", " (List.map A.name A.all)
     ^ ")."
   in

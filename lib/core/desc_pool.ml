@@ -25,7 +25,8 @@ type reuse_pool = {
      the same packed tag|id head word as Tagged_id_stack (24-bit ids,
      tag-bumping pops). Inline rather than a Tagged_id_stack, whose
      windows carry the tis.* labels, so the desc.spill / desc.steal
-     labels sit adjacent to their CAS (mm-lint R1 covers them). *)
+     labels dominate their own CAS (mm-sa's label-dominance covers
+     them). *)
   spill_head : int Rt.atomic;
   next_of : int -> int;  (* descriptor id -> its next_id link *)
   on_spill_retry : unit -> unit;
@@ -281,12 +282,10 @@ let flush t =
   | Hazard_v p -> Hp.flush p.hp
   | Tagged_v _ | Reuse_v _ -> ()
 
-(* mm-lint: allow hp-protect: available is a quiescent-only diagnostic
+(* mm-sa: allow hp-protocol: available is a quiescent-only diagnostic
    (tests and stats probes call it with no concurrent pool traffic), so
    walking the freelist without hazard protection cannot race a reuse;
    protecting every hop would serialize the walk for no safety gain. *)
-(* mm-sa: allow hp-protocol: same quiescent-only diagnostic walk; the
-   unprotected next_d hops are exactly the hp-protect exemption above. *)
 let available t =
   match t.variant with
   | Hazard_v p ->

@@ -11,9 +11,9 @@
     The discipline this registry rests on — every CAS retry loop of
     Figs. 4-7 carries a label inside its read-to-CAS window, [all] lists
     every binding exactly once, and every binding is used — is no longer
-    a manual audit: mm-lint ([lib/lint], rules unlabelled-cas-window and
-    label-registry, DESIGN.md §11) enforces it on every [dune runtest]
-    via the [@lint] alias. The lock-free building blocks (MS queue,
+    a manual audit: mm-sa ([lib/sa], checks label-dominance and
+    label-registry, DESIGN.md §16) enforces it on every [dune runtest]
+    via the [@sa] alias. The lock-free building blocks (MS queue,
     Treiber stack, tagged id stack) carry their own labels in
     [Mm_lockfree.Lf_labels]. *)
 

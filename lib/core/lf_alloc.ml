@@ -439,14 +439,14 @@ let rec malloc_from_partial t heap =
   | None -> Addr.null
   | Some desc ->
       Rt.label t.rt Labels.mp_got_partial;
-      (* No fence before the reserve CAS: it only moves anchor credits
-         and publishes no block memory. heap_gid is read by remote
-         frees that synchronize through this descriptor's anchor
-         anyway, and the CAS itself orders the store. Explicit fences
-         are reserved for link words that remote pops read with racy
-         loads (flush_from, hazard_refill). mm-sa's write-before-
-         publish check does not see this pair: it works per function,
-         and the CAS is in [reserve_partial] (DESIGN.md §18). *)
+      (* mm-sa: allow write-before-publish: no fence before the reserve
+         CAS: it only moves anchor credits and publishes no block
+         memory. heap_gid is read by remote frees that synchronize
+         through this descriptor's anchor anyway, and the CAS itself
+         orders the store. Explicit fences are reserved for link words
+         that remote pops read with racy loads (flush_from,
+         hazard_refill). The same holds for the pop and the
+         update_active CAS below. *)
       desc.Descriptor.heap_gid <- heap.gid;
       (* line 3 *)
       let morecredits = reserve_partial t desc Backoff.initial in
@@ -711,6 +711,13 @@ let rec ob_freeze t (desc : Descriptor.t) spins =
       fail "ob_freeze: desc %d in state %s out of a partial structure"
         desc.id (Anchor.state_to_string st)
 
+(* mm-sa: allow write-before-publish: no fence between the heap_gid
+   store and the freeze CAS, as in [malloc_from_partial]: heap_gid is
+   read by remote frees that synchronize through this descriptor's
+   anchor anyway, the CAS itself orders the store, and a stale heap_gid
+   only ever yields a correct "not the owner" (see [ob_push]). The
+   retry reaches [ob_own] with the previous descriptor's store still
+   unfenced, which is the same store. *)
 let rec ob_acquire_partial t heap tid =
   match heap_get_partial t heap with
   | None -> None

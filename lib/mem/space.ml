@@ -20,13 +20,11 @@ let create rt =
     a_used_peak = Rt.Atomic.make rt 0;
   }
 
-(* mm-lint: allow unlabelled-cas-window: bump_peak maintains a monotone
+(* mm-sa: allow label-dominance: bump_peak maintains a monotone
    statistics maximum outside any progress or safety argument; the worst
    a lost race costs is an under-reported peak for one probe. Labelling
    it would add a schedule decision point to every accounting store and
    blow up the exhaustive-exploration budget in lib/check. *)
-(* mm-sa: allow label-dominance: same statistics CAS; no label means no
-   dominating label on the retry path, by design (see above). *)
 let bump_peak peak v =
   let rec go () =
     let p = Rt.Atomic.get peak in

@@ -6,7 +6,7 @@
    Rt.label either: there is no retry window for a scheduler to bite
    (DESIGN.md §12). *)
 
-(* mm-lint: allow raw-primitive: the published head cursor is
+(* mm-sa: allow raw-primitive: the published head cursor is
    deliberately a host-side Stdlib.Atomic — going through a runtime atomic
    would charge Sim's cost model and perturb the very run being
    observed. Confined to this module; see DESIGN.md §12. *)

@@ -1,7 +1,7 @@
 (** Instrumentation points inside the page manager, the counterpart of
     [Mm_core.Labels] for this layer (same audit rule, enforced by
-    mm-lint: every CAS retry loop carries a label between the read of
-    the shared word and the CAS on it, so fault injection and
+    mm-sa: every CAS retry loop carries a label that dominates the CAS
+    on every path, so fault injection and
     [lib/check]'s schedule explorer can interpose in every
     read-modify-write window). *)
 

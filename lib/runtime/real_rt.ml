@@ -2,7 +2,7 @@
 
    This is the only module in the repository (outside the simulator's
    own host bookkeeping in {!Rt_base}) allowed to touch [Stdlib.Atomic]
-   and [Domain] directly (mm-lint R2): an ['a atomic] IS an
+   and [Domain] directly (mm-sa's raw-primitive check): an ['a atomic] IS an
    ['a Stdlib.Atomic.t], word access is a bare [Bytes] load/store, and
    labels/fences/obs sites cost one load and one branch when no hook is
    installed. No [Sim.in_sim] check appears on any path. *)

@@ -20,7 +20,8 @@ let sim = function Real -> None | Simulated s -> Some s
 (* The capability flag of ROADMAP item 4: controlled schedules, label
    interception and kill/stall exploration exist only on backends that
    expose them. Callers outside lib/runtime and lib/check must consult
-   this flag before touching any Sim control facility (lint R6). *)
+   this flag before touching any Sim control facility (mm-sa's
+   sim-capability check). *)
 let controllable = function Real -> false | Simulated _ -> true
 let name = function Real -> Real_rt.name | Simulated _ -> Sim_rt.name
 

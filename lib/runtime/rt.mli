@@ -37,7 +37,7 @@ val controllable : t -> bool
 (** Whether this runtime exposes the simulator's control facilities
     (deterministic schedules, label interception, kill/stall injection).
     Code outside [lib/runtime] and [lib/check] may only reach those
-    facilities behind this flag (ROADMAP item 4, lint R6), so every
+    facilities behind this flag (ROADMAP item 4; mm-sa's sim-capability check), so every
     backend keeps the same observable surface. *)
 
 val name : t -> string

@@ -22,7 +22,8 @@
     Capability flags: [is_sim] marks backends whose memory is purely
     simulated (enables e.g. out-of-bounds poisoning checks);
     [controllable] marks backends exposing controlled schedules, label
-    interception and kill/stall injection (lib/check only — lint R6). *)
+    interception and kill/stall injection (lib/check only — mm-sa's
+    sim-capability check). *)
 
 module type S = sig
   type t

@@ -23,6 +23,11 @@ type lkind =
   | Kparam of string  (* function parameter or record field: "pop_label" *)
   | Kother
 
+(* An argument of a call, or the parameter it binds: positional
+   arguments by their index among the unlabelled ones, labelled and
+   optional ones by name. *)
+type akey = Apos of int | Alab of string
+
 type value =
   | Vcell of string  (* names an atomic cell, e.g. "p.head" *)
   | Vread of string * int  (* result of read node [id] on a cell *)
@@ -45,7 +50,11 @@ type ev =
   | Ederef of { v : value; field : string }
   | Ewrite of { roots : string list }
   | Efence
-  | Ecall of { fn : string list; labeled : (string * lkind) list }
+  | Ecall of {
+      fn : string list;
+      labeled : (string * lkind) list;
+      args : (akey * string list) list;  (* each argument's dep roots *)
+    }
 
 type ekind = Seq | Back_strong | Back_weak
 
@@ -63,6 +72,7 @@ type fn = {
   f_unit : string;  (* unqualified module name, e.g. "Desc_pool" *)
   f_file : string;
   f_name : string;
+  f_params : (akey * string) list;  (* parameter -> bound unique name *)
   cfg : t;
 }
 
@@ -98,6 +108,7 @@ type ctx = {
   denv : (string, string list) Hashtbl.t;  (* ident -> dep roots *)
   fenv : (string, local_fn) Hashtbl.t;  (* local functions (inlined) *)
   mutable params : (string * string) list;  (* unique name -> source name *)
+  mutable param_keys : (akey * string) list;  (* reversed *)
   mutable active : (string * int) list;  (* rec inlines -> entry node *)
   mutable depth : int;
 }
@@ -258,15 +269,27 @@ let rec bind_pat : type k. ctx -> avalue -> k general_pattern -> unit =
   | Tpat_exception p -> bind_pat ctx Vopaque p
   | Tpat_any | Tpat_constant _ -> ()
 
-let bind_params ctx pat =
+let bind_params ctx key pat =
   (* a top-level function parameter: opaque, but remembered by name so
-     Rt.label arguments that are parameters classify as Kparam *)
+     Rt.label arguments that are parameters classify as Kparam, and by
+     key so S3 can map a call's arguments onto it *)
   let ids = pat_bound_idents pat in
   List.iter
     (fun id ->
       Hashtbl.replace ctx.venv (Ident.unique_name id) Vopaque;
-      ctx.params <- (Ident.unique_name id, Ident.name id) :: ctx.params)
+      ctx.params <- (Ident.unique_name id, Ident.name id) :: ctx.params;
+      ctx.param_keys <- (key, Ident.unique_name id) :: ctx.param_keys)
     ids
+
+(* Keys for a function's parameters, or a call's arguments, in order. *)
+let keyer () =
+  let pos = ref 0 in
+  fun (l : Asttypes.arg_label) ->
+    match l with
+    | Asttypes.Nolabel ->
+        incr pos;
+        Apos (!pos - 1)
+    | Asttypes.Labelled n | Asttypes.Optional n -> Alab n
 
 (* ------------------------------------------------------------------ *)
 (* The walk: returns the CFG frontier after the expression and the
@@ -665,8 +688,17 @@ and walk_apply ctx preds e f args =
               | _ -> None)
             args
         in
+        let args =
+          let key = keyer () in
+          List.filter_map
+            (fun (l, arg) ->
+              let k = key l in
+              Option.map (fun a -> (k, dep_roots ctx a)) arg)
+            args
+        in
         if fn = [] then (preds, Vopaque)
-        else ([ fresh_node ctx (Ecall { fn; labeled }) loc preds ], Vopaque)
+        else
+          ([ fresh_node ctx (Ecall { fn; labeled; args }) loc preds ], Vopaque)
   end
 
 and walk_args ctx preds args =
@@ -691,6 +723,7 @@ let build_function ~unit_name ~file ~name ?self expr =
       denv = Hashtbl.create 64;
       fenv = Hashtbl.create 8;
       params = [];
+      param_keys = [];
       active = [];
       depth = 0;
     }
@@ -713,15 +746,17 @@ let build_function ~unit_name ~file ~name ?self expr =
     | Texp_let (_, _, body) -> eventually_function body
     | _ -> false
   in
+  let key_of = keyer () in
   let rec peel preds e =
     match (strip e).exp_desc with
-    | Texp_function { cases = [ c ]; _ } when c.c_guard = None ->
-        bind_params ctx c.c_lhs;
+    | Texp_function { arg_label; cases = [ c ]; _ } when c.c_guard = None ->
+        bind_params ctx (key_of arg_label) c.c_lhs;
         peel preds c.c_rhs
-    | Texp_function { cases; _ } ->
+    | Texp_function { arg_label; cases; _ } ->
+        let key = key_of arg_label in
         List.concat_map
           (fun case ->
-            bind_params ctx case.c_lhs;
+            bind_params ctx key case.c_lhs;
             fst (walk ctx preds case.c_rhs))
           cases
     | Texp_let (rf, vbs, body) when eventually_function body ->
@@ -736,6 +771,7 @@ let build_function ~unit_name ~file ~name ?self expr =
     f_unit = unit_name;
     f_file = file;
     f_name = name;
+    f_params = List.rev ctx.param_keys;
     cfg =
       {
         nodes = arr;
@@ -747,11 +783,9 @@ let build_function ~unit_name ~file ~name ?self expr =
 let is_function e =
   match (strip e).exp_desc with Texp_function _ -> true | _ -> false
 
-(* Module aliases declared in a unit: [module Tis = Mm_lockfree.X] or,
-   inside a functor body, [module Tis = Param_window.Make (Rt)]. A
-   [Make (Rt : RUNTIME)] wrapper is transparent: its body's aliases
-   keep their bare names, because that is how the body's own functions
-   spell them at call sites. *)
+(* Module aliases declared in a unit, [module Tis = Mm_lockfree.X],
+   including those of nested plain modules (prefixed by the module's
+   name). An analyzed unit holds no functor body (Tast.make_unit). *)
 let rec collect_aliases items =
   List.concat_map
     (fun item ->
@@ -764,38 +798,12 @@ let rec collect_aliases items =
 and alias_of_binding mb =
   match (mb.mb_id, mb.mb_expr.mod_desc) with
   | Some id, Tmod_ident (p, _) -> [ (Ident.name id, Tast.flatten_path p) ]
-  | Some id, Tmod_apply _ -> (
-      (* A functor application aliases the applied head:
-         [module Tis = Param_window.Make (Rt)] maps Tis to
-         Param_window.Make. Summary resolution keeps the
-         innermost segment naming an analyzed unit, so the trailing
-         functor name is harmless. *)
-      match applied_head mb.mb_expr with
-      | Some p -> [ (Ident.name id, p) ]
-      | None -> [])
   | Some id, Tmod_structure str ->
       List.map
         (fun (a, p) -> (Ident.name id ^ "." ^ a, p))
         (collect_aliases str.str_items)
-  | Some _, Tmod_functor (_, body) -> collect_aliases (body_items body)
   | Some _, Tmod_constraint (m, _, _, _) ->
       alias_of_binding { mb with mb_expr = m }
-  | _ -> []
-
-and applied_head me =
-  match me.mod_desc with
-  | Tmod_ident (p, _) -> Some (Tast.flatten_path p)
-  | Tmod_apply (f, _, _) -> applied_head f
-  | Tmod_constraint (m, _, _, _) -> applied_head m
-  | _ -> None
-
-(* Structure items of a module expression, looking through functor
-   abstraction and signature constraints. *)
-and body_items me =
-  match me.mod_desc with
-  | Tmod_structure s -> s.str_items
-  | Tmod_functor (_, body) -> body_items body
-  | Tmod_constraint (m, _, _, _) -> body_items m
   | _ -> []
 
 let functions_of_unit (u : Tast.unit_t) =
@@ -821,16 +829,11 @@ let functions_of_unit (u : Tast.unit_t) =
                 | _ -> None)
               vbs
         | Tstr_module { mb_id = Some id; mb_expr; _ } ->
-            (* A plain nested module prefixes its functions' names. A
-               functor wrapper ([Make (Rt : RUNTIME)]) is transparent
-               instead, so a functor body's pop summarizes under the
-               bare key (its unit, "pop") that interprocedural demand
-               resolution looks up. *)
+            (* a nested module prefixes its functions' names *)
             let rec descend me =
               match me.mod_desc with
               | Tmod_structure s ->
                   of_items (prefix ^ Ident.name id ^ ".") s.str_items
-              | Tmod_functor (_, body) -> of_items prefix (body_items body)
               | Tmod_constraint (m, _, _, _) -> descend m
               | _ -> []
             in

@@ -2,17 +2,21 @@
 
    Each analysis is a forward may-analysis: states are small finite
    lattices joined by union, so a fact like "unprotected on some path"
-   survives a join and is reported. S1-S3 are per-function; S4 adds an
-   interprocedural demand fixpoint so a function whose CAS window label
-   is a parameter (Tagged_id_stack.push/pop) pushes the obligation to
-   its call sites. *)
+   survives a join and is reported. S1 and S2 are per-function; S3 and
+   S4 add one interprocedural demand fixpoint, so a function whose CAS
+   window label is a parameter (S4), or whose CAS publishes a block
+   passed to it (S3), pushes the obligation to its call sites.
+
+   Everything per unit is computed once into [unit_facts]; only the
+   demand fixpoints and the registry check look across units. The
+   label-deletion walk re-analyzes one modified unit and reuses the
+   other units' facts. *)
 
 module SM = Map.Make (String)
 module SS = Set.Make (String)
-module IM = Map.Make (Int)
 
 let finding analysis ~file ~line ~col msg =
-  Mm_report.Finding.v ~rule:(Analysis.name analysis) ~file ~line ~col msg
+  Finding.v ~rule:(Analysis.name analysis) ~file ~line ~col msg
 
 let node_finding analysis (fn : Cfg.fn) (n : Cfg.node) msg =
   finding analysis ~file:fn.Cfg.f_file ~line:n.Cfg.n_line ~col:n.Cfg.n_col msg
@@ -21,11 +25,13 @@ let node_finding analysis (fn : Cfg.fn) (n : Cfg.node) msg =
 (* S1 hp-protocol: protect -> re-validating read -> deref; slot
    released consistently across exits.
 
-   Per-value masks over {unprot, prot, valid}; values are only tracked
-   when they derive from an atomic read of a shared cell (an opaque
-   parameter is a documented gap, covered dynamically and by lint R4).
-   Backedges demote valid -> prot: the slot still holds the value, but
-   the validation belongs to the previous iteration. *)
+   Per-value masks over {unprot, prot, valid} for values that derive
+   from an atomic read of a shared cell. A value the analysis cannot
+   trace to a read (a parameter, say) is checked against [gate]
+   instead, the same mask over "some protect, then some atomic read":
+   its dereference must follow a protect and a re-validating read on
+   every path. Backedges demote valid -> prot: the slot still holds the
+   value, but the validation belongs to the previous iteration. *)
 
 let unprot = 1
 let prot = 2
@@ -34,6 +40,7 @@ let valid = 4
 type s1 = {
   hp : (int * string option) SM.t;  (* value key -> mask, source cell *)
   held : SS.t;  (* possibly-occupied hazard slots (by value key) *)
+  gate : int;  (* mask for values with no traced source *)
 }
 
 let s1_join a b =
@@ -44,10 +51,11 @@ let s1_join a b =
           Some (m1 lor m2, if c1 = None then c2 else c1))
         a.hp b.hp;
     held = SS.union a.held b.held;
+    gate = a.gate lor b.gate;
   }
 
 let s1_equal a b =
-  SM.equal ( = ) a.hp b.hp && SS.equal a.held b.held
+  SM.equal ( = ) a.hp b.hp && SS.equal a.held b.held && a.gate = b.gate
 
 let s1_demote m = (if m land valid <> 0 then prot else 0) lor (m land (prot lor unprot))
 
@@ -59,11 +67,13 @@ let s1_transfer (node : Cfg.node) s =
         hp = SM.add key (prot, Option.map fst (Cfg.read_source v)) s.hp;
         (* single-slot approximation: a new protect supersedes *)
         held = SS.singleton key;
+        gate = prot;
       }
   | Cfg.Eclear ->
       {
         hp = SM.map (fun (_, c) -> (unprot, c)) s.hp;
         held = SS.empty;
+        gate = unprot;
       }
   | Cfg.Eread { cell } ->
       {
@@ -73,6 +83,9 @@ let s1_transfer (node : Cfg.node) s =
             (fun (m, c) ->
               if m land prot <> 0 && c = Some cell then (valid, c) else (m, c))
             s.hp;
+        gate =
+          (if s.gate land (prot lor valid) <> 0 then valid else 0)
+          lor (s.gate land unprot);
       }
   | _ -> s
 
@@ -80,11 +93,15 @@ let s1_edge kind s =
   match kind with
   | Cfg.Seq -> s
   | Cfg.Back_strong | Cfg.Back_weak ->
-      { s with hp = SM.map (fun (m, c) -> (s1_demote m, c)) s.hp }
+      {
+        s with
+        hp = SM.map (fun (m, c) -> (s1_demote m, c)) s.hp;
+        gate = s1_demote s.gate;
+      }
 
 let s1_check (fn : Cfg.fn) =
   let cfg = fn.Cfg.cfg in
-  let init = { hp = SM.empty; held = SS.empty } in
+  let init = { hp = SM.empty; held = SS.empty; gate = unprot } in
   let ins =
     Dataflow.fixpoint cfg ~init ~equal:s1_equal ~join:s1_join
       ~transfer:s1_transfer ~edge:s1_edge
@@ -120,6 +137,25 @@ let s1_check (fn : Cfg.fn) =
                         by a fresh read of its source cell before .%s is \
                         dereferenced" field)
                   :: !out)
+      | Some s, Cfg.Ederef { field; _ } ->
+          if s.gate land unprot <> 0 then
+            out :=
+              node_finding Analysis.Hp_protocol fn node
+                (Printf.sprintf
+                   "dereference of .%s on a descriptor the analysis cannot \
+                    trace to a shared read (a parameter, say) with no \
+                    hazard protect and re-validating read before it on \
+                    some path"
+                   field)
+              :: !out
+          else if s.gate land prot <> 0 then
+            out :=
+              node_finding Analysis.Hp_protocol fn node
+                (Printf.sprintf
+                   "hazard protect before .%s is not followed by a \
+                    re-validating read on some path"
+                   field)
+              :: !out
       | _ -> ())
     cfg.Cfg.nodes;
   (* release on every path: flag exits that may still hold a slot when
@@ -254,8 +290,149 @@ let s2_check (fn : Cfg.fn) =
   !out
 
 (* ================================================================== *)
+(* The demand fixpoint S3 and S4 share. A function summary carries the
+   demands its own body raises (each with the node it originates at)
+   and its call nodes with the analysis state there. Each round walks
+   every call that resolves to an analyzed function and asks the
+   analysis what each of the callee's demands means at that call: met,
+   a finding at the call, or new demands on the caller, which travel
+   on to its own callers in the next round. *)
+
+type origin = { o_line : int; o_col : int; o_why : string }
+
+type ('d, 's) summary = {
+  s_fn : Cfg.fn;
+  s_calls : (Cfg.node * 's) list;
+  s_init : ('d * origin) list;  (* newest first *)
+}
+
+type 'd verdict = Met | Flag of string | Lift of 'd list * string
+
+(* Adds [d] unless already demanded (the first origin wins); says
+   whether it did. *)
+let add_demand demands d origin =
+  (not (List.mem_assoc d !demands))
+  && begin
+       demands := (d, origin) :: !demands;
+       true
+     end
+
+let summarize_calls (cfg : Cfg.t) ins =
+  let calls = ref [] in
+  Array.iteri
+    (fun i (node : Cfg.node) ->
+      match (ins.(i), node.Cfg.n_ev) with
+      | Some st, Cfg.Ecall _ -> calls := (node, st) :: !calls
+      | _ -> ())
+    cfg.Cfg.nodes;
+  List.rev !calls
+
+(* [aliases] maps each unit to its module aliases (Cfg.collect_aliases). *)
+let resolve_callee ~known ~aliases caller_module path =
+  match List.rev path with
+  | [] -> None
+  | name :: rev_mods -> (
+      let mods = List.rev rev_mods in
+      match mods with
+      | [] -> Some (caller_module, name)
+      | first :: rest -> (
+          let expanded =
+            match
+              Option.bind (SM.find_opt caller_module aliases)
+                (List.assoc_opt first)
+            with
+            | Some target -> target @ rest
+            | None -> mods
+          in
+          (* the innermost segment naming an analyzed unit wins:
+             Mm_lockfree.Tagged_id_stack -> Tagged_id_stack *)
+          match
+            List.fold_left
+              (fun acc seg -> if SS.mem seg known then Some seg else acc)
+              None expanded
+          with
+          | Some m -> Some (m, name)
+          | None -> None))
+
+(* Returns each summary's final demands, the findings flagged at call
+   sites, and the set of functions some analyzed call reaches. *)
+let demand_fixpoint analysis ~resolve (summaries : ('d, 's) summary array)
+    ~(at_call :
+       caller:Cfg.fn -> Cfg.node -> 's -> string * string -> 'd -> origin ->
+       'd verdict) =
+  let by_key = Hashtbl.create 64 in
+  Array.iteri
+    (fun i s -> Hashtbl.replace by_key (s.s_fn.Cfg.f_unit, s.s_fn.Cfg.f_name) i)
+    summaries;
+  (* each summary's calls, resolved once: (node, state, callee, index) *)
+  let called = Hashtbl.create 64 in
+  let calls =
+    Array.map
+      (fun s ->
+        List.filter_map
+          (fun ((node : Cfg.node), st) ->
+            match node.Cfg.n_ev with
+            | Cfg.Ecall { fn = path; _ } ->
+                Option.bind (resolve s.s_fn.Cfg.f_unit path) (fun key ->
+                    Hashtbl.replace called key ();
+                    Option.map
+                      (fun j -> (node, st, key, j))
+                      (Hashtbl.find_opt by_key key))
+            | _ -> None)
+          s.s_calls)
+      summaries
+  in
+  let demands = Array.map (fun s -> ref s.s_init) summaries in
+  let findings = ref [] in
+  let flagged = Hashtbl.create 16 in
+  let flag fn (node : Cfg.node) msg =
+    let key = (fn.Cfg.f_file, node.Cfg.n_line, msg) in
+    if not (Hashtbl.mem flagged key) then begin
+      Hashtbl.replace flagged key ();
+      findings := node_finding analysis fn node msg :: !findings
+    end
+  in
+  let changed = ref true in
+  let rounds = ref 0 in
+  while !changed && !rounds < 64 do
+    changed := false;
+    incr rounds;
+    Array.iteri
+      (fun i s ->
+        List.iter
+          (fun ((node : Cfg.node), st, key, j) ->
+            List.iter
+              (fun (d, o) ->
+                match at_call ~caller:s.s_fn node st key d o with
+                | Met -> ()
+                | Flag msg -> flag s.s_fn node msg
+                | Lift (ds, why) ->
+                    let o =
+                      { o_line = node.Cfg.n_line; o_col = node.Cfg.n_col; o_why = why }
+                    in
+                    List.iter
+                      (fun d -> if add_demand demands.(i) d o then changed := true)
+                      ds)
+              !(demands.(j)))
+          calls.(i))
+      summaries
+  done;
+  (Array.map ( ! ) demands, !findings, called)
+
+(* ================================================================== *)
 (* S3 write-before-publish: plain stores whose roots feed the desired
-   value of a publishing CAS must be ordered by Rt.fence first. *)
+   value of a publishing CAS must be ordered by Rt.fence first.
+
+   The state is the set of roots written since the last fence, plus
+   [s3_entry] while no fence has run since function entry. A CAS whose
+   desired value depends on a parameter, reached with [s3_entry] set,
+   demands that callers fence their stores into that argument; a
+   caller passing a root it wrote is reported at the call, and one
+   passing its own parameter lifts the demand to its callers. *)
+
+let s3_entry = "<entry>"
+
+type s3_demand = Dpub of Cfg.akey
 
 let s3_transfer (node : Cfg.node) s =
   match node.Cfg.n_ev with
@@ -263,13 +440,13 @@ let s3_transfer (node : Cfg.node) s =
   | Cfg.Efence -> SS.empty
   | _ -> s
 
-let s3_check (fn : Cfg.fn) =
+let s3_summarize (fn : Cfg.fn) =
   let cfg = fn.Cfg.cfg in
   let ins =
-    Dataflow.fixpoint cfg ~init:SS.empty ~equal:SS.equal ~join:SS.union
-      ~transfer:s3_transfer ~edge:(fun _ s -> s)
+    Dataflow.fixpoint cfg ~init:(SS.singleton s3_entry) ~equal:SS.equal
+      ~join:SS.union ~transfer:s3_transfer ~edge:(fun _ s -> s)
   in
-  let out = ref [] in
+  let out = ref [] and init = ref [] in
   Array.iteri
     (fun i node ->
       match (ins.(i), node.Cfg.n_ev) with
@@ -282,10 +459,48 @@ let s3_check (fn : Cfg.fn) =
                    "plain stores into the block being published by the CAS \
                     on %s are not ordered by Rt.fence on every path to the \
                     publish" cell)
-              :: !out
+              :: !out;
+          if SS.mem s3_entry s then
+            List.iter
+              (fun (k, u) ->
+                if List.mem u desired_deps then
+                  let o =
+                    {
+                      o_line = node.Cfg.n_line;
+                      o_col = node.Cfg.n_col;
+                      o_why = Printf.sprintf "CAS on %s" cell;
+                    }
+                  in
+                  ignore (add_demand init (Dpub k) o))
+              fn.Cfg.f_params
       | _ -> ())
     cfg.Cfg.nodes;
-  !out
+  ({ s_fn = fn; s_calls = summarize_calls cfg ins; s_init = !init }, !out)
+
+let s3_at_call ~(caller : Cfg.fn) (node : Cfg.node) st (m, f) (Dpub k) o =
+  match node.Cfg.n_ev with
+  | Cfg.Ecall { args; _ } -> (
+      match List.assoc_opt k args with
+      | None -> Met
+      | Some roots ->
+          if List.exists (fun r -> SS.mem r st) roots then
+            Flag
+              (Printf.sprintf
+                 "plain stores into the block passed to %s.%s are not \
+                  ordered by Rt.fence on every path to the call; its %s \
+                  publishes the block"
+                 m f o.o_why)
+          else if SS.mem s3_entry st then
+            Lift
+              ( List.filter_map
+                  (fun r ->
+                    List.find_map
+                      (fun (k', u) -> if u = r then Some (Dpub k') else None)
+                      caller.Cfg.f_params)
+                  roots,
+                Printf.sprintf "call to %s.%s (its %s)" m f o.o_why )
+          else Met)
+  | _ -> Met
 
 (* ================================================================== *)
 (* S4 label-dominance: every CAS is dominated by an Rt.label on every
@@ -332,29 +547,7 @@ let param_tokens s =
       else acc)
     s []
 
-type demand = Dentry | Dparam of string
-
-type origin = { o_line : int; o_col : int; o_why : string }
-
-type call = {
-  c_fn : string list;
-  c_labeled : (string * Cfg.lkind) list;
-  c_armed : SS.t;
-  c_node : Cfg.node;
-}
-
-type summary = {
-  s_fn : Cfg.fn;
-  s_calls : call list;
-  mutable s_demands : (demand * origin) list;
-}
-
-let add_demand s d origin =
-  if List.mem_assoc d s.s_demands then false
-  else begin
-    s.s_demands <- (d, origin) :: s.s_demands;
-    true
-  end
+type s4_demand = Dentry | Dparam of string
 
 let s4_summarize (fn : Cfg.fn) =
   let cfg = fn.Cfg.cfg in
@@ -362,9 +555,8 @@ let s4_summarize (fn : Cfg.fn) =
     Dataflow.fixpoint cfg ~init:(SS.singleton t_uentry) ~equal:SS.equal
       ~join:SS.union ~transfer:s4_transfer ~edge:s4_edge
   in
-  let findings = ref [] in
-  let calls = ref [] in
-  let summary = { s_fn = fn; s_calls = []; s_demands = [] } in
+  let findings = ref [] and init = ref [] in
+  let demand d o = ignore (add_demand init d o) in
   Array.iteri
     (fun i node ->
       match (ins.(i), node.Cfg.n_ev) with
@@ -380,215 +572,141 @@ let s4_summarize (fn : Cfg.fn) =
               :: !findings
           else begin
             if SS.mem t_uentry armed then
-              ignore
-                (add_demand summary Dentry
-                   (origin (Printf.sprintf "CAS on %s" cell)));
+              demand Dentry (origin (Printf.sprintf "CAS on %s" cell));
             List.iter
               (fun p ->
-                ignore
-                  (add_demand summary (Dparam p)
-                     (origin (Printf.sprintf "CAS on %s labelled by %s" cell p))))
+                demand (Dparam p)
+                  (origin (Printf.sprintf "CAS on %s labelled by %s" cell p)))
               (param_tokens armed)
           end
-      | Some armed, Cfg.Ecall { fn = c_fn; labeled } ->
-          calls := { c_fn; c_labeled = labeled; c_armed = armed; c_node = node } :: !calls
       | _ -> ())
     cfg.Cfg.nodes;
-  ({ summary with s_calls = List.rev !calls }, !findings)
-
-(* --- interprocedural resolution ----------------------------------- *)
-
-type unit_info = {
-  ui_module : string;
-  ui_aliases : (string * string list) list;
-}
-
-let resolve_callee ~known ~(infos : unit_info SM.t) caller_module path =
-  match List.rev path with
-  | [] -> None
-  | name :: rev_mods -> (
-      let mods = List.rev rev_mods in
-      match mods with
-      | [] -> Some (caller_module, name)
-      | first :: rest -> (
-          let expanded =
-            match SM.find_opt caller_module infos with
-            | Some ui -> (
-                match List.assoc_opt first ui.ui_aliases with
-                | Some target -> target @ rest
-                | None -> mods)
-            | None -> mods
-          in
-          (* the innermost segment naming an analyzed unit wins:
-             Mm_lockfree.Tagged_id_stack -> Tagged_id_stack *)
-          match
-            List.fold_left
-              (fun acc seg -> if SS.mem seg known then Some seg else acc)
-              None expanded
-          with
-          | Some m -> Some (m, name)
-          | None -> None))
+  ({ s_fn = fn; s_calls = summarize_calls cfg ins; s_init = !init }, !findings)
 
 let is_kreg = function Cfg.Kreg _ -> true | _ -> false
 
-let s4_interproc ~(infos : unit_info SM.t) (summaries : summary list) =
-  let known =
-    SS.of_list (List.map (fun s -> s.s_fn.Cfg.f_unit) summaries)
+let s4_at_call ~caller:_ (node : Cfg.node) armed (m, f) d o =
+  let labeled =
+    match node.Cfg.n_ev with Cfg.Ecall { labeled; _ } -> labeled | _ -> []
   in
-  let by_key = Hashtbl.create 64 in
-  List.iter
-    (fun s ->
-      Hashtbl.replace by_key (s.s_fn.Cfg.f_unit, s.s_fn.Cfg.f_name) s)
-    summaries;
-  let findings = ref [] in
-  let flagged = Hashtbl.create 16 in
-  let flag fn node msg =
-    let key = (fn.Cfg.f_file, node.Cfg.n_line, msg) in
-    if not (Hashtbl.mem flagged key) then begin
-      Hashtbl.replace flagged key ();
-      findings := node_finding Analysis.Label_dominance fn node msg :: !findings
-    end
+  let discharged =
+    match d with
+    | Dparam p -> List.exists (fun (n, k) -> n = p && is_kreg k) labeled
+    | Dentry -> false
   in
-  let changed = ref true in
-  let rounds = ref 0 in
-  while !changed && !rounds < 64 do
-    changed := false;
-    incr rounds;
-    List.iter
-      (fun s ->
-        let m = s.s_fn.Cfg.f_unit in
-        List.iter
-          (fun c ->
-            match resolve_callee ~known ~infos m c.c_fn with
-            | None -> ()
-            | Some key -> (
-                match Hashtbl.find_opt by_key key with
-                | None -> ()
-                | Some callee ->
-                    List.iter
-                      (fun (d, dorigin) ->
-                        let discharged =
-                          match d with
-                          | Dparam p ->
-                              List.exists
-                                (fun (n, k) -> n = p && is_kreg k)
-                                c.c_labeled
-                          | Dentry -> false
-                        in
-                        if not discharged then begin
-                          let what =
-                            match d with
-                            | Dparam p ->
-                                Printf.sprintf
-                                  "%s.%s (its %s is a label parameter)"
-                                  (fst key) (snd key) p
-                            | Dentry ->
-                                Printf.sprintf
-                                  "%s.%s (its %s relies on a label armed by \
-                                   the caller)" (fst key) (snd key)
-                                  dorigin.o_why
-                          in
-                          if SS.mem t_uback c.c_armed then
-                            flag s.s_fn c.c_node
-                              (Printf.sprintf
-                                 "call to %s inside a retry loop without a \
-                                  dominating Rt.label" what)
-                          else begin
-                            if SS.mem t_uentry c.c_armed then begin
-                              let o =
-                                {
-                                  o_line = c.c_node.Cfg.n_line;
-                                  o_col = c.c_node.Cfg.n_col;
-                                  o_why = "call to " ^ what;
-                                }
-                              in
-                              if add_demand s Dentry o then changed := true
-                            end;
-                            List.iter
-                              (fun q ->
-                                let o =
-                                  {
-                                    o_line = c.c_node.Cfg.n_line;
-                                    o_col = c.c_node.Cfg.n_col;
-                                    o_why = "call to " ^ what;
-                                  }
-                                in
-                                if add_demand s (Dparam q) o then
-                                  changed := true)
-                              (param_tokens c.c_armed)
-                          end
-                        end)
-                      callee.s_demands))
-          s.s_calls)
-      summaries
-  done;
-  (* Entry demands that no analyzed caller can vouch for: if nothing in
-     the analyzed units calls the function at all, the obligation
-     escapes to the public API and is reported at its origins. Param
-     demands at roots are fine: the parameter's default is a registry
-     constant. *)
-  let called = Hashtbl.create 64 in
-  List.iter
-    (fun s ->
-      List.iter
-        (fun c ->
-          match resolve_callee ~known ~infos s.s_fn.Cfg.f_unit c.c_fn with
-          | Some key -> Hashtbl.replace called key ()
-          | None -> ())
-        s.s_calls)
-    summaries;
-  List.iter
-    (fun s ->
-      let key = (s.s_fn.Cfg.f_unit, s.s_fn.Cfg.f_name) in
-      if not (Hashtbl.mem called key) then
-        List.iter
-          (fun (d, o) ->
-            match d with
-            | Dentry ->
-                findings :=
-                  finding Analysis.Label_dominance ~file:s.s_fn.Cfg.f_file
-                    ~line:o.o_line ~col:o.o_col
-                    (Printf.sprintf
-                       "%s reaches an exported entry point %s.%s with no \
-                        dominating Rt.label on some path"
-                       o.o_why s.s_fn.Cfg.f_unit s.s_fn.Cfg.f_name)
-                  :: !findings
-            | Dparam _ -> ())
-          s.s_demands)
-    summaries;
-  !findings
+  if discharged then Met
+  else
+    let what =
+      match d with
+      | Dparam p -> Printf.sprintf "%s.%s (its %s is a label parameter)" m f p
+      | Dentry ->
+          Printf.sprintf "%s.%s (its %s relies on a label armed by the caller)"
+            m f o.o_why
+    in
+    if SS.mem t_uback armed then
+      Flag
+        (Printf.sprintf
+           "call to %s inside a retry loop without a dominating Rt.label" what)
+    else
+      Lift
+        ( (if SS.mem t_uentry armed then [ Dentry ] else [])
+          @ List.map (fun q -> Dparam q) (param_tokens armed),
+          "call to " ^ what )
+
+(* Entry demands that no analyzed caller can vouch for: if nothing in
+   the analyzed units calls the function at all, the obligation escapes
+   to the public API and is reported at its origins. Param demands at
+   roots are fine: the parameter's default is a registry constant. *)
+let s4_escaped summaries demands called =
+  List.concat
+    (List.mapi
+       (fun i s ->
+         let fn = s.s_fn in
+         if Hashtbl.mem called (fn.Cfg.f_unit, fn.Cfg.f_name) then []
+         else
+           List.filter_map
+             (fun (d, o) ->
+               match d with
+               | Dentry ->
+                   Some
+                     (finding Analysis.Label_dominance ~file:fn.Cfg.f_file
+                        ~line:o.o_line ~col:o.o_col
+                        (Printf.sprintf
+                           "%s reaches an exported entry point %s.%s with no \
+                            dominating Rt.label on some path"
+                           o.o_why fn.Cfg.f_unit fn.Cfg.f_name))
+               | Dparam _ -> None)
+             demands.(i))
+       (Array.to_list summaries))
 
 (* ================================================================== *)
 
-let analyze ~analyses (units : Tast.unit_t list) =
-  let want a = List.mem a analyses in
-  let fns = List.concat_map Cfg.functions_of_unit units in
-  let per_fn =
-    List.concat_map
-      (fun fn ->
-        (if want Analysis.Hp_protocol then s1_check fn else [])
-        @ (if want Analysis.Cas_loop_progress then s2_check fn else [])
-        @ (if want Analysis.Write_before_publish then s3_check fn else []))
-      fns
-  in
-  let s4 =
-    if want Analysis.Label_dominance then begin
-      let infos =
-        List.fold_left
-          (fun acc (u : Tast.unit_t) ->
-            SM.add u.Tast.u_module
-              {
-                ui_module = u.Tast.u_module;
-                ui_aliases = Cfg.collect_aliases u.Tast.u_str.str_items;
-              }
-              acc)
-          SM.empty units
-      in
-      let pairs = List.map s4_summarize fns in
-      let summaries = List.map fst pairs in
-      List.concat_map snd pairs @ s4_interproc ~infos summaries
-    end
+type unit_facts = {
+  uf_module : string;
+  uf_aliases : (string * string list) list;
+  uf_local : Finding.t list;  (* everything decided within the unit *)
+  uf_s3 : (s3_demand, SS.t) summary list;
+  uf_s4 : (s4_demand, SS.t) summary list;
+  uf_names : Names.facts;
+}
+
+let unit_facts (u : Tast.unit_t) =
+  let names = Names.unit_facts u in
+  (* the flow analyses cover the lock-free sections *)
+  let fns =
+    if Tast.in_lockfree_scope u.Tast.u_section then Cfg.functions_of_unit u
     else []
   in
-  List.sort_uniq Mm_report.Finding.compare (per_fn @ s4)
+  let s3 = List.map s3_summarize fns and s4 = List.map s4_summarize fns in
+  {
+    uf_module = u.Tast.u_module;
+    uf_aliases = Cfg.collect_aliases u.Tast.u_str.str_items;
+    uf_local =
+      names.Names.findings
+      @ List.concat_map (fun fn -> s1_check fn @ s2_check fn) fns
+      @ List.concat_map snd s3 @ List.concat_map snd s4;
+    uf_s3 = List.map fst s3;
+    uf_s4 = List.map fst s4;
+    uf_names = names;
+  }
 
+let findings ~analyses (facts : unit_facts list) =
+  let want a = List.mem a analyses in
+  let aliases =
+    List.fold_left (fun acc f -> SM.add f.uf_module f.uf_aliases acc) SM.empty facts
+  in
+  let s3 = Array.of_list (List.concat_map (fun f -> f.uf_s3) facts) in
+  let s4 = Array.of_list (List.concat_map (fun f -> f.uf_s4) facts) in
+  let known =
+    SS.of_list (Array.to_list (Array.map (fun s -> s.s_fn.Cfg.f_unit) s4))
+  in
+  let resolve = resolve_callee ~known ~aliases in
+  let s3_calls =
+    if want Analysis.Write_before_publish then
+      let _, found, _ =
+        demand_fixpoint Analysis.Write_before_publish ~resolve s3
+          ~at_call:s3_at_call
+      in
+      found
+    else []
+  in
+  let s4_calls =
+    if want Analysis.Label_dominance then
+      let demands, found, called =
+        demand_fixpoint Analysis.Label_dominance ~resolve s4
+          ~at_call:s4_at_call
+      in
+      found @ s4_escaped s4 demands called
+    else []
+  in
+  let registry =
+    if want Analysis.Label_registry then
+      Names.registry_findings (List.map (fun f -> f.uf_names) facts)
+    else []
+  in
+  let wanted (f : Finding.t) =
+    List.exists (fun a -> Analysis.name a = f.Finding.rule) analyses
+  in
+  List.sort_uniq Finding.compare
+    (List.filter wanted (List.concat_map (fun f -> f.uf_local) facts)
+    @ s3_calls @ s4_calls @ registry)

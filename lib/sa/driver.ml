@@ -1,19 +1,18 @@
-type result = Mm_report.Output.result = {
-  tool : string;
-  findings : Mm_report.Finding.t list;
-  suppressed : Mm_report.Finding.t list;
+type result = Output.result = {
+  findings : Finding.t list;
+  suppressed : Finding.t list;
   errors : (string * string) list;
   files : int;
 }
 
-(* The units mm-sa analyzes by default: the allocator's lock-free core.
-   Harness/check/obs code is exercised dynamically and has no
-   lock-free publication protocol of its own. Each body there is
-   compiled twice (DESIGN.md §18); mm-sa reads the real copy's .cmt
-   files and skips the sim/ directories, which hold the simulator copy
-   (only its rt.ml in the source tree, also the copied sources in the
-   build tree). *)
-let default_paths = [ "lib/core"; "lib/lockfree"; "lib/mem"; "lib/pages" ]
+(* mm-sa's default scope: every library and executable. The flow
+   analyses, blocking-in-lockfree and the label registry look only at
+   the lock-free sections within it (Tast.in_lockfree_scope). Each body
+   there is compiled twice (DESIGN.md §18); mm-sa reads the real copy's
+   .cmt files and skips the sim/ directories, which hold the simulator
+   copy (only its rt.ml in the source tree, also the copied sources in
+   the build tree). *)
+let default_paths = [ "lib"; "bin" ]
 
 let collect ~root paths =
   let out = ref [] in
@@ -42,55 +41,57 @@ let load ~root files =
     files;
   (List.rev !units, List.rev !errors)
 
-let suppressions (u : Tast.unit_t) =
-  Mm_report.Suppress.scan ~marker:"mm-sa:"
-    ~known:(fun tok -> Analysis.of_name tok <> None)
-    u.Tast.u_text
+(* A unit with everything mm-sa computes from it alone: its facts and
+   its suppression comments. *)
+type prepared = {
+  p_unit : Tast.unit_t;
+  p_facts : Checks.unit_facts;
+  p_sups : Suppress.t list;
+  p_bad : (int * string) list;  (* suppressions naming no known check *)
+}
 
-(* Analyze already-loaded units (the label-deletion regression walk
-   re-typechecks one modified unit and reuses cached .cmt loads for the
-   rest, then calls this directly). *)
-let analyze_units ?(analyses = Analysis.all) (units : Tast.unit_t list) =
-  let findings = Checks.analyze ~analyses units in
-  let by_path = List.map (fun (u : Tast.unit_t) -> (u.Tast.u_path, u)) units in
-  let errors = ref [] in
-  let sups_by_path =
-    List.map
-      (fun (u : Tast.unit_t) ->
-        let sups, bad = suppressions u in
-        List.iter
+let prepare (u : Tast.unit_t) =
+  let p_sups, p_bad =
+    Suppress.scan ~known:(fun tok -> Analysis.of_name tok <> None) u.Tast.u_text
+  in
+  { p_unit = u; p_facts = Checks.unit_facts u; p_sups; p_bad }
+
+(* Analyze prepared units (the label-deletion walk re-typechecks and
+   re-prepares one modified unit, reusing the others). *)
+let analyze_prepared ?(analyses = Analysis.all) (ps : prepared list) =
+  let findings = Checks.findings ~analyses (List.map (fun p -> p.p_facts) ps) in
+  let by_path = List.map (fun p -> (p.p_unit.Tast.u_path, p)) ps in
+  let errors =
+    List.concat_map
+      (fun p ->
+        List.map
           (fun (line, token) ->
-            errors :=
-              ( u.Tast.u_path,
-                Printf.sprintf
-                  "line %d: mm-sa suppression names no known analysis (%s)"
-                  line token )
-              :: !errors)
-          bad;
-        (u.Tast.u_path, sups))
-      units
+            ( p.p_unit.Tast.u_path,
+              Printf.sprintf
+                "line %d: mm-sa suppression names no known check (%s)" line
+                token ))
+          p.p_bad)
+      ps
   in
   let kept, dropped =
     List.partition
-      (fun (f : Mm_report.Finding.t) ->
-        match List.assoc_opt f.Mm_report.Finding.file by_path with
+      (fun (f : Finding.t) ->
+        match List.assoc_opt f.Finding.file by_path with
         | None -> true
-        | Some u ->
-            let sups = List.assoc f.Mm_report.Finding.file sups_by_path in
+        | Some p ->
             not
-              (Mm_report.Suppress.covers ~item_spans:(Cfg.item_spans u) sups f))
+              (Suppress.covers
+                 ~item_spans:(Cfg.item_spans p.p_unit)
+                 p.p_sups f))
       findings
   in
-  {
-    tool = "mm-sa";
-    findings = kept;
-    suppressed = dropped;
-    errors = List.rev !errors;
-    files = List.length units;
-  }
+  { findings = kept; suppressed = dropped; errors; files = List.length ps }
 
-let run ~root ?(analyses = Analysis.all) ?(paths = default_paths) () =
+let analyze_units ?analyses units =
+  analyze_prepared ?analyses (List.map prepare units)
+
+let run ~root ?analyses ?(paths = default_paths) () =
   let files = collect ~root paths in
   let units, load_errors = load ~root files in
-  let r = analyze_units ~analyses units in
+  let r = analyze_units ?analyses units in
   { r with errors = load_errors @ r.errors }

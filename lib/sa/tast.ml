@@ -59,11 +59,33 @@ let registry_const path =
   scan path
 
 (* ------------------------------------------------------------------ *)
+(* The repository section a source belongs to: its directory under lib/
+   ("core", "runtime", ...), "bin", or "". Classification is by path
+   segment, so fixture trees that mirror the layout
+   (test/sa_fixtures/lib/core/...) classify like the real tree. *)
+
+let section_of_path path =
+  let segs = String.split_on_char '/' path in
+  let rec under_lib = function
+    | "lib" :: s :: _ :: _ -> s
+    | _ :: rest -> under_lib rest
+    | [] -> if List.mem "bin" segs then "bin" else ""
+  in
+  under_lib segs
+
+(* The sections whose code carries the paper's progress argument: the
+   flow analyses, blocking-in-lockfree and the label registry cover
+   exactly these. *)
+let in_lockfree_scope section =
+  List.mem section [ "core"; "lockfree"; "mem"; "pages" ]
+
+(* ------------------------------------------------------------------ *)
 (* Structure of an analyzed unit. *)
 
 type unit_t = {
   u_path : string;  (** root-relative source path, e.g. lib/core/desc_pool.ml *)
   u_module : string;  (** unqualified module name, e.g. Desc_pool *)
+  u_section : string;  (** section_of_path u_path *)
   u_str : Typedtree.structure;
   u_text : string;  (** source text: suppressions, item spans *)
 }
@@ -71,10 +93,68 @@ type unit_t = {
 let module_of_path path =
   String.capitalize_ascii (Filename.remove_extension (Filename.basename path))
 
+(* The flow analyses walk a unit's top-level functions and the plain
+   modules nested in it; they do not descend into functor bodies. A
+   lock-free unit that defines a functor with a body of its own is
+   therefore a load error, so a functor cannot silently hide a CAS
+   from them. A functor that only returns a module path (the
+   [Make (_ : REAL_RT) = Lf_alloc] shims) holds no code. *)
+let rec hidden_functor (items : Typedtree.structure_item list) =
+  let open Typedtree in
+  let rec in_module me =
+    match me.mod_desc with
+    | Tmod_structure s -> hidden_functor s.str_items
+    | Tmod_constraint (m, _, _, _) -> in_module m
+    | Tmod_functor (_, body) ->
+        let rec holds_code me =
+          match me.mod_desc with
+          | Tmod_ident _ -> false
+          | Tmod_constraint (m, _, _, _) | Tmod_functor (_, m) -> holds_code m
+          | _ -> true
+        in
+        if holds_code body then Some me.mod_loc.Location.loc_start.pos_lnum
+        else None
+    | _ -> None
+  in
+  List.find_map
+    (fun item ->
+      match item.str_desc with
+      | Tstr_module mb -> in_module mb.mb_expr
+      | Tstr_recmodule mbs ->
+          List.find_map (fun mb -> in_module mb.mb_expr) mbs
+      | _ -> None)
+    items
+
+let make_unit ~path ~str ~text =
+  let section = section_of_path path in
+  match
+    if in_lockfree_scope section then hidden_functor str.Typedtree.str_items
+    else None
+  with
+  | Some line ->
+      Error
+        (Printf.sprintf
+           "line %d: functor body not analyzed; bind the runtime as a \
+            plain module (module Rt = ...) instead (DESIGN.md §18)"
+           line)
+  | None ->
+      Ok
+        {
+          u_path = path;
+          u_module = module_of_path path;
+          u_section = section;
+          u_str = str;
+          u_text = text;
+        }
+
 (* ------------------------------------------------------------------ *)
 (* Locating compiled artifacts. dune keeps each library's objects in
-   _build/default/<libdir>/.<libname>.objs/byte; `dune build @check`
-   produces a .cmt per module there. *)
+   _build/default/<libdir>/.<libname>.objs/byte, and each executable
+   directory's in .<name>.eobjs/byte; `dune build @check` produces a
+   .cmt per module there. *)
+
+let is_objs_dir entry =
+  Filename.check_suffix entry ".objs" || Filename.check_suffix entry ".eobjs"
 
 (* The compiled artifacts live under <root>/_build/default — unless we
    are already running inside the build tree (dune rule actions, the
@@ -117,7 +197,7 @@ let cmt_path ~root src_path =
     let candidates = ref [] in
     Array.iter
       (fun entry ->
-        if Filename.check_suffix entry ".objs" then
+        if is_objs_dir entry then
           let byte = Filename.concat (Filename.concat full_dir entry) "byte" in
           if Sys.file_exists byte then
             Array.iter
@@ -142,13 +222,8 @@ let load_cmt ~root src_path =
   | Some cmt -> (
       match Cmt_format.read_cmt cmt with
       | { cmt_annots = Implementation str; _ } ->
-          Ok
-            {
-              u_path = src_path;
-              u_module = module_of_path src_path;
-              u_str = str;
-              u_text = read_text (Filename.concat root src_path);
-            }
+          make_unit ~path:src_path ~str
+            ~text:(read_text (Filename.concat root src_path))
       | _ -> Error (cmt ^ ": cmt holds no implementation")
       | exception exn ->
           Error (cmt ^ ": " ^ Printexc.to_string exn))
@@ -219,14 +294,7 @@ let typecheck ~root ~path text =
     let env = Compmisc.initial_env () in
     Typemod.type_structure env parsed
   with
-  | str, _, _, _, _ ->
-      Ok
-        {
-          u_path = path;
-          u_module = module_of_path path;
-          u_str = str;
-          u_text = text;
-        }
+  | str, _, _, _, _ -> make_unit ~path ~str ~text
   | exception exn -> (
       match Location.error_of_exn exn with
       | Some (`Ok e) ->

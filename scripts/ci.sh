@@ -1,9 +1,8 @@
 #!/bin/sh
-# Tier-1 gate: full build, static analysis (mm-lint and the
-# flow-sensitive mm-sa), then the whole test tree — the alcotest
-# suites plus the check-quick schedule-exploration gate and the
-# @lint / @sa aliases wired into `dune runtest` (see bin/dune and the
-# root dune file).
+# Tier-1 gate: full build, static analysis (mm-sa over the typed
+# ASTs), then the whole test tree — the alcotest suites plus the
+# check-quick schedule-exploration gate and the @sa alias wired into
+# `dune runtest` (see bin/dune and the root dune file).
 set -eu
 cd "$(dirname "$0")/.."
 dune build
@@ -65,13 +64,10 @@ objdump -d --no-show-raw-insn _build/default/perfbench/main.exe | awk '
     }
     exit bad
   }' >&2
-# Machine-readable lint report, kept as a CI artifact even when the
-# enforcement gates below fail.
-mkdir -p _build/ci
-dune exec bin/lint.exe -- --root . --format json lib bin \
-  > _build/ci/lint-report.json || true
-# Machine-readable mm-sa report (DESIGN.md §16) over the typed ASTs;
+# Machine-readable mm-sa report (DESIGN.md §16) over the typed ASTs,
+# kept as a CI artifact even when the enforcement gates below fail;
 # @check guarantees the .cmt files exist.
+mkdir -p _build/ci
 dune build @check
 dune exec bin/sa.exe -- --root . --format json \
   > _build/ci/sa-report.json || true
@@ -130,7 +126,6 @@ for workload in threadtest larson; do
     --allocator new-ob --max-failed-cas-per-1k anchor.pop+anchor.free:5.0 \
     > /dev/null
 done
-dune build @lint
 dune build @sa
 # The test tree includes the real-runtime hot-path gate
 # (test/test_hot_path.ml): a malloc+free through the typed API on

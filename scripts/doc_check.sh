@@ -9,7 +9,7 @@
 # file and then report on it). Backslash continuations are joined and
 # trailing `# comment` text is stripped. Exit codes 0 AND 2 both count
 # as a pass: 2 is the designed "findings reported" outcome of the check
-# and lint CLIs (a documented command that *demonstrates* a planted
+# and sa CLIs (a documented command that *demonstrates* a planted
 # violation is working as documented); anything else fails.
 #
 # Two modes:

@@ -27,8 +27,8 @@ let () =
       ("harness", Test_harness.cases);
       ("metrics", Test_metrics.cases);
       ("check", Test_check.cases);
-      ("lint", Test_lint.cases);
       ("sa-cfg", Test_sa_cfg.cases);
       ("sa", Test_sa.cases);
+      ("lint", Test_sa.lint_cases);
       ("obs", Test_obs.cases);
     ]

@@ -9,24 +9,23 @@
    - [direct] passes [~label:Labels.free_cas] straight to the loop: the
      demand is discharged at the call site, and the twin is clean. *)
 
-module Make (Rt : Mm_runtime.Runtime_intf.S with type t = unit) = struct
-  module Backoff = Mm_lockfree.Backoff
-  module Labels = Mm_core.Labels
+module Rt = Mm_runtime.Sim_rt
+module Backoff = Mm_lockfree_sim.Backoff
+module Labels = Mm_core.Labels
 
-  let rec forwarded_loop rt (c : int Rt.atomic) ~label spins =
-    let v = Rt.Atomic.get c in
-    Rt.label rt label;
-    if not (Rt.Atomic.compare_and_set c v (v + 1)) then
-      forwarded_loop rt c ~label (Backoff.spin rt spins)
+let rec forwarded_loop rt (c : int Rt.atomic) ~label spins =
+  let v = Rt.Atomic.get c in
+  Rt.label rt label;
+  if not (Rt.Atomic.compare_and_set c v (v + 1)) then
+    forwarded_loop rt c ~label (Backoff.spin rt spins)
 
-  let bump_via rt c ~label = forwarded_loop rt c ~label Backoff.initial
-  let forwarded rt c = bump_via rt c ~label:Labels.free_cas
+let bump_via rt c ~label = forwarded_loop rt c ~label Backoff.initial
+let forwarded rt c = bump_via rt c ~label:Labels.free_cas
 
-  let rec direct_loop rt (c : int Rt.atomic) ~label spins =
-    let v = Rt.Atomic.get c in
-    Rt.label rt label;
-    if not (Rt.Atomic.compare_and_set c v (v + 1)) then
-      direct_loop rt c ~label (Backoff.spin rt spins)
+let rec direct_loop rt (c : int Rt.atomic) ~label spins =
+  let v = Rt.Atomic.get c in
+  Rt.label rt label;
+  if not (Rt.Atomic.compare_and_set c v (v + 1)) then
+    direct_loop rt c ~label (Backoff.spin rt spins)
 
-  let direct rt c = direct_loop rt c ~label:Labels.free_cas Backoff.initial
-end
+let direct rt c = direct_loop rt c ~label:Labels.free_cas Backoff.initial

@@ -1,11 +1,10 @@
-(* Fixture: the S3 (write-before-publish) blind spot that lifted CAS
-   loops open (DESIGN.md §18). S3 pairs plain stores with a publishing
-   CAS inside one function. [publish_lifted] makes the same unfenced
+(* Fixture: S3 (write-before-publish) across a call into a lifted CAS
+   loop (DESIGN.md §18). [publish_lifted] makes the same unfenced
    stores as bad_publish.ml's [publish_unfenced], but the CAS that
-   publishes the block sits in the top-level loop [publish_loop], so no
-   single function holds both and mm-sa reports nothing. The test
-   asserts that silence: if S3 learns to follow calls, this file starts
-   to fire and the test says so. *)
+   publishes the block sits in the top-level loop [publish_loop]. The
+   loop's CAS publishes its parameter [b] with no fence since entry, so
+   it demands that callers fence their stores into that argument;
+   [publish_lifted] does not, and is reported at the call. *)
 
 module Rt = Mm_runtime.Sim_rt
 open Mm_core
@@ -18,8 +17,15 @@ let rec publish_loop rt (head : blk option Rt.atomic) (b : blk) =
   if not (Rt.Atomic.compare_and_set head cur (Some b)) then
     publish_loop rt head b
 
-(* unfenced initialization published by the lifted loop: not flagged *)
+(* unfenced initialization published by the lifted loop *)
 let publish_lifted rt (head : blk option Rt.atomic) (b : blk) =
   b.hdr <- 1;
   b.body <- 2;
+  publish_loop rt head b
+
+(* clean twin: the fence orders the stores before the call *)
+let publish_lifted_fenced rt (head : blk option Rt.atomic) (b : blk) =
+  b.hdr <- 1;
+  b.body <- 2;
+  Rt.fence rt;
   publish_loop rt head b

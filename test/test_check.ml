@@ -148,8 +148,8 @@ let building_blocks_clean () =
 
 (* Every label declared in the registries is exercised by some target
    (so the kill/stall monitor can reach it), no registry entry is
-   duplicated, and targets only name registered labels. mm-lint checks
-   the registries statically (rule label-registry); this is the runtime
+   duplicated, and targets only name registered labels. mm-sa checks
+   the registries statically (check label-registry); this is the runtime
    side of the same contract, against what `check list` enumerates. *)
 let registries_match_targets () =
   let registered =

@@ -171,7 +171,7 @@ let kill_at_label kind label () =
      kill lands inside the CAS window. For the tagged pool's desc.alloc
      it lands on the decision point ahead of Tis.pop, which labels no
      CAS of its own, so "kill fired" is what notices that label's
-     deletion (test_lint.ml's deletion walk names this case). *)
+     deletion (test_sa.ml's deletion walk names this case). *)
   let killed = ref (-1) in
   let on_label ~tid l =
     if l = label && !killed = -1 then begin

@@ -7,7 +7,7 @@
 
 module Cfg = Mm_sa.Cfg
 module D = Mm_sa.Driver
-module F = Mm_report.Finding
+module F = Mm_sa.Finding
 open Util
 
 let tc ?(path = "lib/core/sa_cfg_snippet.ml") src =
