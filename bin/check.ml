@@ -250,155 +250,56 @@ let quick_cmd =
             r.E.executions
             (S.to_string f.E.minimized)
             f.E.error);
-      (* 2. The real allocator under the same exhaustive budget... *)
-      let real = Option.get (T.find "lf_alloc") in
-      let r = E.exhaustive real ~threads ~bound:3 ~budget:20_000 in
-      (match r.E.finding with
-      | Some f -> fail "lf_alloc violation: %s (%s)" f.E.error
-                    (S.to_string f.E.minimized)
-      | None ->
-          Printf.printf "lf_alloc exhaustive: clean (%d executions%s)\n"
-            r.E.executions
-            (if r.E.complete then ", complete" else ""));
-      (* 3. ...and under 10k PCT samples. *)
-      let r = E.pct real ~threads ~depth:3 ~runs:10_000 ~seed:1 in
-      (match r.E.finding with
-      | Some f -> fail "lf_alloc PCT violation: %s (%s)" f.E.error
-                    (S.to_string f.E.minimized)
-      | None ->
-          Printf.printf "lf_alloc pct: clean (%d executions)\n"
-            r.E.executions);
-      (* 4. Kill/stall monitor over every allocator label. *)
-      let m = M.run real ~threads ~modes:[ M.Kill; M.Stall ] ~rounds:2 in
-      if not m.M.ok then begin
-        List.iter
-          (fun (e : M.entry) ->
-            match e.M.result with
-            | Error msg when e.M.fired ->
-                Printf.eprintf "monitor %s %s round %d: %s\n" e.M.label
-                  (M.mode_name e.M.mode) e.M.round msg
-            | _ -> ())
-          m.M.entries;
-        fail "lock-freedom monitor failed"
-      end;
-      Printf.printf "monitor: %d probes clean\n" (List.length m.M.entries);
-      (* 5. The block-cache frontend under the same exhaustive budget
-         and kill/stall monitor: batched refill/flush must preserve
-         address exclusivity, and a thread killed mid-refill/flush must
-         only leak its cached blocks, never double-allocate them. *)
-      let cached = Option.get (T.find "lf_alloc_cached") in
-      let r = E.exhaustive cached ~threads ~bound:3 ~budget:20_000 in
-      (match r.E.finding with
-      | Some f ->
-          fail "lf_alloc_cached violation: %s (%s)" f.E.error
-            (S.to_string f.E.minimized)
-      | None ->
-          Printf.printf "lf_alloc_cached exhaustive: clean (%d executions%s)\n"
-            r.E.executions
-            (if r.E.complete then ", complete" else ""));
-      let m = M.run cached ~threads ~modes:[ M.Kill; M.Stall ] ~rounds:2 in
-      if not m.M.ok then begin
-        List.iter
-          (fun (e : M.entry) ->
-            match e.M.result with
-            | Error msg when e.M.fired ->
-                Printf.eprintf "monitor %s %s round %d: %s\n" e.M.label
-                  (M.mode_name e.M.mode) e.M.round msg
-            | _ -> ())
-          m.M.entries;
-        fail "cached-frontend lock-freedom monitor failed"
-      end;
-      Printf.printf "cached monitor: %d probes clean\n"
-        (List.length m.M.entries);
-      (* 6. The owner-biased free-list mode under the same exhaustive
-         budget and kill/stall monitor: the push, claim and freeze
-         windows (pub.push, pub.claim, ob.freeze, free.cas) must
-         preserve address exclusivity across ownership handoffs and
-         frees racing an acquirer, and a thread killed mid-push/claim
-         must only leak its chain, never double-serve a block. *)
-      let ob = Option.get (T.find "lf_alloc_owner_biased") in
-      let r = E.exhaustive ob ~threads ~bound:3 ~budget:20_000 in
-      (match r.E.finding with
-      | Some f ->
-          fail "lf_alloc_owner_biased violation: %s (%s)" f.E.error
-            (S.to_string f.E.minimized)
-      | None ->
-          Printf.printf
-            "lf_alloc_owner_biased exhaustive: clean (%d executions%s)\n"
-            r.E.executions
-            (if r.E.complete then ", complete" else ""));
-      let m = M.run ob ~threads ~modes:[ M.Kill; M.Stall ] ~rounds:2 in
-      if not m.M.ok then begin
-        List.iter
-          (fun (e : M.entry) ->
-            match e.M.result with
-            | Error msg when e.M.fired ->
-                Printf.eprintf "monitor %s %s round %d: %s\n" e.M.label
-                  (M.mode_name e.M.mode) e.M.round msg
-            | _ -> ())
-          m.M.entries;
-        fail "owner-biased lock-freedom monitor failed"
-      end;
-      Printf.printf "owner-biased monitor: %d probes clean\n"
-        (List.length m.M.entries);
-      (* 7. The page manager's buddy backend under the same exhaustive
-         budget and kill/stall monitor: concurrent split/coalesce must
-         never hand out overlapping page extents, and a thread killed
-         inside any buddy.*/span.reserve window must only strand its
-         own extent, never corrupt the tree for the survivors. *)
-      let buddy = Option.get (T.find "buddy") in
-      let r = E.exhaustive buddy ~threads ~bound:3 ~budget:20_000 in
-      (match r.E.finding with
-      | Some f ->
-          fail "buddy violation: %s (%s)" f.E.error
-            (S.to_string f.E.minimized)
-      | None ->
-          Printf.printf "buddy exhaustive: clean (%d executions%s)\n"
-            r.E.executions
-            (if r.E.complete then ", complete" else ""));
-      let m = M.run buddy ~threads ~modes:[ M.Kill; M.Stall ] ~rounds:2 in
-      if not m.M.ok then begin
-        List.iter
-          (fun (e : M.entry) ->
-            match e.M.result with
-            | Error msg when e.M.fired ->
-                Printf.eprintf "monitor %s %s round %d: %s\n" e.M.label
-                  (M.mode_name e.M.mode) e.M.round msg
-            | _ -> ())
-          m.M.entries;
-        fail "buddy lock-freedom monitor failed"
-      end;
-      Printf.printf "buddy monitor: %d probes clean\n"
-        (List.length m.M.entries);
-      (* 8. The reuse-in-place descriptor pool (DESIGN.md §17) under the
-         same exhaustive budget and kill/stall monitor: the spill/steal
-         hand-off (desc.spill, desc.steal) must keep reused slots
-         exclusively owned with monotonically increasing tags, and a
-         thread killed mid-hand-off must only leak its own chain. *)
-      let reuse = Option.get (T.find "desc_pool_reuse") in
-      let r = E.exhaustive reuse ~threads ~bound:3 ~budget:20_000 in
-      (match r.E.finding with
-      | Some f ->
-          fail "desc_pool_reuse violation: %s (%s)" f.E.error
-            (S.to_string f.E.minimized)
-      | None ->
-          Printf.printf "desc_pool_reuse exhaustive: clean (%d executions%s)\n"
-            r.E.executions
-            (if r.E.complete then ", complete" else ""));
-      let m = M.run reuse ~threads ~modes:[ M.Kill; M.Stall ] ~rounds:2 in
-      if not m.M.ok then begin
-        List.iter
-          (fun (e : M.entry) ->
-            match e.M.result with
-            | Error msg when e.M.fired ->
-                Printf.eprintf "monitor %s %s round %d: %s\n" e.M.label
-                  (M.mode_name e.M.mode) e.M.round msg
-            | _ -> ())
-          m.M.entries;
-        fail "reuse-pool lock-freedom monitor failed"
-      end;
-      Printf.printf "desc_pool_reuse monitor: %d probes clean\n"
-        (List.length m.M.entries);
+      (* 2. The real allocator and each extension under the same
+         exhaustive budget and the kill/stall monitor at every label
+         (lf_alloc also under 10k PCT samples). No double-served block,
+         page extent or descriptor: batched refill/flush (cached),
+         push/claim/freeze across ownership handoffs (owner_biased),
+         concurrent split/coalesce (buddy), reused slots with monotone
+         tags (desc_pool_reuse). A thread killed in any window must only
+         leak what it held. *)
+      let step (name, pct) =
+        let t = Option.get (T.find name) in
+        let clean what (r : E.report) =
+          match r.E.finding with
+          | Some f ->
+              fail "%s %s violation: %s (%s)" name what f.E.error
+                (S.to_string f.E.minimized)
+          | None -> r.E.executions
+        in
+        let r = E.exhaustive t ~threads ~bound:3 ~budget:20_000 in
+        let executions = clean "exhaustive" r in
+        let pct_note =
+          if not pct then ""
+          else
+            Printf.sprintf "; pct %d executions"
+              (clean "PCT" (E.pct t ~threads ~depth:3 ~runs:10_000 ~seed:1))
+        in
+        let m = M.run t ~threads ~modes:[ M.Kill; M.Stall ] ~rounds:2 in
+        if not m.M.ok then begin
+          List.iter
+            (fun (e : M.entry) ->
+              match e.M.result with
+              | Error msg when e.M.fired ->
+                  Printf.eprintf "monitor %s %s round %d: %s\n" e.M.label
+                    (M.mode_name e.M.mode) e.M.round msg
+              | _ -> ())
+            m.M.entries;
+          fail "%s lock-freedom monitor failed" name
+        end;
+        Printf.printf "%s: clean (%d executions%s%s; %d monitor probes)\n"
+          name executions
+          (if r.E.complete then ", complete" else "")
+          pct_note (List.length m.M.entries)
+      in
+      List.iter step
+        [
+          ("lf_alloc", true);
+          ("lf_alloc_cached", false);
+          ("lf_alloc_owner_biased", false);
+          ("buddy", false);
+          ("desc_pool_reuse", false);
+        ];
       0
     with Exit -> 2
   in

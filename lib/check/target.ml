@@ -363,13 +363,14 @@ let desc_pool =
   }
 
 (* Reuse-in-place pool target (DESIGN.md §17): batch_size 1 means a
-   thread holding two descriptors spills on the second retire and
-   steals on the second alloc, so the explored schedule space contains
-   the shared-stack hand-off windows. Two oracles: exclusive ownership
-   (a reused slot is never handed to two threads at once) and per-slot
-   tag monotonicity — each life bumps the anchor tag once, the way
-   every anchor CAS does in the allocator, and a slot coming back off
-   the shared stack must never show an older tag than its last life. *)
+   thread holding two descriptors pushes the second retire onto the
+   shared tagged stack and pops it back on the second alloc, so the
+   explored schedule space contains the stack's CAS windows. Two
+   oracles: exclusive ownership (a reused slot is never handed to two
+   threads at once) and per-slot tag monotonicity — each life bumps the
+   anchor tag once, the way every anchor CAS does in the allocator, and
+   a slot coming back off the shared stack must never show an older tag
+   than its last life. *)
 let pool_reuse_run ~threads ?on_label ?notify_done
     ?(quiescent_checks = true) ~sched () =
   let s = make_sim ~threads ?on_label ~sched () in
@@ -405,7 +406,8 @@ let pool_reuse_run ~threads ?on_label ?notify_done
       let a = take tid in
       let b = take tid in
       put tid a;
-      (* the private LIFO (capacity 1) is full: this retire spills *)
+      (* the front (capacity 1) is full: this retire pushes onto the
+         shared stack *)
       put tid b
     done
   in
@@ -419,7 +421,7 @@ let desc_pool_reuse =
     name = "desc_pool_reuse";
     doc = "reuse-in-place descriptor pool; exclusivity + tag monotonicity";
     default_threads = 2;
-    labels = Labels.[ desc_retire; desc_spill; desc_steal ];
+    labels = Labels.desc_retire :: Lf_labels.[ tis_push_cas; tis_pop_cas ];
     run = pool_reuse_run;
   }
 

@@ -72,8 +72,8 @@ val desc_pool : t
 
 val desc_pool_reuse : t
 (** The reuse-in-place descriptor pool (DESIGN.md §17) with batch_size
-    1, so the shared-stack spill/steal hand-off windows ([desc.spill] /
-    [desc.steal]) are in the schedule space, under the
+    1, so the shared tagged stack's CAS windows ([tis.push_cas] /
+    [tis.pop_cas]) are in the schedule space, under the
     exclusive-ownership oracle plus a per-slot anchor-tag monotonicity
     check across reuse lives. Expected clean. *)
 

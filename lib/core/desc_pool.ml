@@ -6,37 +6,22 @@ type hazard_pool = {
   hp : Descriptor.t Hp.t;
 }
 
-(* "Reuse, don't Recycle" (Arbel-Raviv & Brown; DESIGN.md §17):
-   descriptors are immortal — once allocated, a slot is never discarded
-   and never passes through a reclamation scan. A retired descriptor
-   goes on the retiring thread's private LIFO (plain field writes, no
-   CAS, no label: the chain is single-owner); only when that LIFO holds
-   [batch_size] descriptors does one spill to the shared tagged stack.
-   Allocation drains the private LIFO first, then steals from the
-   shared stack (a tag-bumping pop, so the IBM tag discipline that
-   already guards every descriptor CAS covers the hand-off), and only
-   then creates a fresh batch. Nothing is ever freed, so there is no
-   retire list to scan — hp.scan disappears from the census — and the
-   over-allocation is bounded by threads x batch_size. *)
-type reuse_pool = {
-  local_head : int array;  (* per-thread LIFO head id; -1 = empty *)
-  local_len : int array;
-  (* Shared spill stack, inline over the descriptors' next_id links with
-     the same packed tag|id head word as Tagged_id_stack (24-bit ids,
-     tag-bumping pops). Inline rather than a Tagged_id_stack, whose
-     windows carry the tis.* labels, so the desc.spill / desc.steal
-     labels dominate their own CAS (mm-sa's label-dominance covers
-     them). *)
-  spill_head : int Rt.atomic;
-  next_of : int -> int;  (* descriptor id -> its next_id link *)
-  on_spill_retry : unit -> unit;
-  on_steal_retry : unit -> unit;
+(* The IBM-tag freelist (paper [18]) behind a per-thread LIFO, the
+   front. [front_cap] is 0 under Tagged, so every hand-off crosses the
+   stack, and [batch_size] under Reuse ("Reuse, don't Recycle",
+   Arbel-Raviv & Brown; DESIGN.md §17), so a thread recycles its own
+   descriptors with plain field writes (no CAS, no label: the chain is
+   single-owner) and only imbalance reaches the stack. Neither kind
+   ever frees a descriptor, so there is no retire list to scan, and
+   over-allocation is bounded by threads x front_cap. *)
+type tagged_pool = {
+  stack : Tis.t;
+  front_head : int array;  (* per-thread LIFO head id; -1 = empty *)
+  front_len : int array;
+  front_cap : int;
 }
 
-type variant =
-  | Hazard_v of hazard_pool
-  | Tagged_v of Tis.t
-  | Reuse_v of reuse_pool
+type variant = Hazard_v of hazard_pool | Tagged_v of tagged_pool
 
 type t = {
   rt : Rt.t;
@@ -49,13 +34,6 @@ type t = {
    tags: only pops can complete erroneously under ABA (paper [8]). This is
    the push CAS of Fig. 7's DescRetire, reached here via hazard-pointer
    reclamation. *)
-(* Spill-stack head word, shared layout with Tagged_id_stack:
-   (tag lsl 25) lor (id + 1); id + 1 = 0 encodes the empty stack. *)
-let spill_id_bits = 24
-let spill_pack ~tag ~id = (tag lsl (spill_id_bits + 1)) lor (id + 1)
-let spill_unpack_id w = (w land ((1 lsl (spill_id_bits + 1)) - 1)) - 1
-let spill_unpack_tag w = w lsr (spill_id_bits + 1)
-
 let rec raw_push rt head d =
   let old = Rt.Atomic.get head in
   d.Descriptor.next_d <- old;
@@ -66,8 +44,22 @@ let rec raw_push rt head d =
 let default_batch_size = 64
 
 let create rt table ~kind ?(batch_size = default_batch_size) ?scan_threshold
-    ?on_spill_retry ?on_steal_retry () =
+    () =
   if batch_size < 1 then invalid_arg "Desc_pool.create: batch_size";
+  let tagged front_cap =
+    Tagged_v
+      {
+        stack =
+          Tis.create rt
+            ~get_next:(fun id -> (Descriptor.get table id).Descriptor.next_id)
+            ~set_next:(fun id n ->
+              (Descriptor.get table id).Descriptor.next_id <- n)
+            ();
+        front_head = Array.make Rt.max_threads (-1);
+        front_len = Array.make Rt.max_threads 0;
+        front_cap;
+      }
+  in
   let variant =
     match kind with
     | Mm_mem.Alloc_config.Hazard ->
@@ -76,24 +68,8 @@ let create rt table ~kind ?(batch_size = default_batch_size) ?scan_threshold
           Hp.create ?scan_threshold rt ~reuse:(fun d -> raw_push rt head d)
         in
         Hazard_v { head; hp }
-    | Mm_mem.Alloc_config.Tagged ->
-        Tagged_v
-          (Tis.create rt
-             ~get_next:(fun id -> (Descriptor.get table id).Descriptor.next_id)
-             ~set_next:(fun id n ->
-               (Descriptor.get table id).Descriptor.next_id <- n)
-             ())
-    | Mm_mem.Alloc_config.Reuse ->
-        let nop () = () in
-        Reuse_v
-          {
-            local_head = Array.make Rt.max_threads (-1);
-            local_len = Array.make Rt.max_threads 0;
-            spill_head = Rt.Atomic.make rt (spill_pack ~tag:0 ~id:(-1));
-            next_of = (fun id -> (Descriptor.get table id).Descriptor.next_id);
-            on_spill_retry = Option.value on_spill_retry ~default:nop;
-            on_steal_retry = Option.value on_steal_retry ~default:nop;
-          }
+    | Mm_mem.Alloc_config.Tagged -> tagged 0
+    | Mm_mem.Alloc_config.Reuse -> tagged batch_size
   in
   { rt; table; batch_size; variant }
 
@@ -157,130 +133,62 @@ let hazard_refill t p =
             None
           end)
 
-let tagged_refill t stack =
-  match Descriptor.alloc_batch t.table t.batch_size with
-  | [] -> assert false
-  | kept :: rest ->
-      List.iter (fun d -> Tis.push stack d.Descriptor.id) rest;
-      Some kept
-
-(* Single-owner push/pop on the calling thread's private LIFO — plain
-   field writes, no CAS window, no label. A thread killed mid-push leaks
-   at most its own chain (bounded by batch_size), which is the reuse
-   transformation's stated trade: no reclamation, bounded waste. *)
-let local_push r tid (d : Descriptor.t) =
-  d.Descriptor.next_id <- r.local_head.(tid);
-  r.local_head.(tid) <- d.Descriptor.id;
-  r.local_len.(tid) <- r.local_len.(tid) + 1
-
-let local_pop t r tid =
-  let h = r.local_head.(tid) in
-  if h < 0 then None
-  else begin
-    let d = Descriptor.get t.table h in
-    r.local_head.(tid) <- d.Descriptor.next_id;
-    r.local_len.(tid) <- r.local_len.(tid) - 1;
-    Some d
+(* Onto the thread's own front while it has room, else onto the shared
+   stack. A thread killed mid-push leaks at most its own front, which is
+   the reuse transformation's stated trade: no reclamation, bounded
+   waste. *)
+let tagged_put p tid (d : Descriptor.t) =
+  if p.front_len.(tid) < p.front_cap then begin
+    d.Descriptor.next_id <- p.front_head.(tid);
+    p.front_head.(tid) <- d.Descriptor.id;
+    p.front_len.(tid) <- p.front_len.(tid) + 1
   end
+  else Tis.push p.stack d.Descriptor.id
 
-(* Spill a full private LIFO's overflow to the shared stack. Pushes
-   reuse the old tag: only pops need to change it, because only a pop
-   can complete erroneously under ABA (same argument as the anchor's
-   tag field and Tagged_id_stack.push). *)
-let spill_push t r (d : Descriptor.t) =
-  let rec go spins =
-    let old = Rt.Atomic.get r.spill_head in
-    d.Descriptor.next_id <- spill_unpack_id old;
-    Rt.fence t.rt;
-    let desired =
-      spill_pack ~tag:(spill_unpack_tag old) ~id:d.Descriptor.id
-    in
-    Rt.label t.rt Labels.desc_spill;
-    if not (Rt.Atomic.compare_and_set r.spill_head old desired) then begin
-      r.on_spill_retry ();
-      go (Backoff.spin t.rt spins)
-    end
-  in
-  go Backoff.initial
-
-(* Steal a spilled descriptor: a tag-bumping pop, so a head that was
-   popped and re-pushed between our read and our CAS cannot be confused
-   for the unchanged head. The next_id read needs no hazard protection —
-   descriptors are immortal under Reuse, so the slot is always readable,
-   and a stale link only makes the CAS fail on the bumped tag. *)
-let steal_pop t r =
-  let rec go spins =
-    let old = Rt.Atomic.get r.spill_head in
-    let id = spill_unpack_id old in
-    if id < 0 then None
-    else begin
-      let next = r.next_of id in
-      let desired = spill_pack ~tag:(spill_unpack_tag old + 1) ~id:next in
-      Rt.label t.rt Labels.desc_steal;
-      if Rt.Atomic.compare_and_set r.spill_head old desired then
-        Some (Descriptor.get t.table id)
-      else begin
-        r.on_steal_retry ();
-        go (Backoff.spin t.rt spins)
-      end
-    end
-  in
-  go Backoff.initial
-
-(* Fresh descriptors go straight onto the private LIFO: they have never
-   been shared, so no other thread can be stocking the same list — the
-   Fig. 7 discard-the-batch race cannot arise and no descriptor is ever
-   returned to the table. *)
-let reuse_refill t r =
+(* The front first, then the stack. The stack's pop bumps its tag, and
+   its next_id read needs no protection: descriptors are never freed,
+   so a stale link only makes the tag-checked CAS fail. A fresh batch
+   has never been shared, so no other thread can be stocking the same
+   list: Fig. 7's discard-the-batch race cannot arise here. *)
+let tagged_alloc t p =
   let tid = Rt.self t.rt in
-  match Descriptor.alloc_batch t.table t.batch_size with
-  | [] -> assert false
-  | kept :: rest ->
-      List.iter (fun d -> local_push r tid d) rest;
-      Some kept
-
-let reuse_alloc t r =
-  let tid = Rt.self t.rt in
-  match local_pop t r tid with
-  | Some _ as d -> d
-  | None -> (
-      match steal_pop t r with
-      | Some _ as d -> d
-      | None -> reuse_refill t r)
+  let h = p.front_head.(tid) in
+  if h >= 0 then begin
+    let d = Descriptor.get t.table h in
+    p.front_head.(tid) <- d.Descriptor.next_id;
+    p.front_len.(tid) <- p.front_len.(tid) - 1;
+    d
+  end
+  else
+    match Tis.pop p.stack with
+    | Some id -> Descriptor.get t.table id
+    | None -> (
+        match Descriptor.alloc_batch t.table t.batch_size with
+        | [] -> assert false
+        | kept :: rest ->
+            List.iter (tagged_put p tid) rest;
+            kept)
 
 let alloc t =
-  let rec go () =
-    let popped =
-      match t.variant with
-      | Hazard_v p -> (
-          match hazard_pop t p with
-          | Some d -> Some d
-          | None -> hazard_refill t p)
-      | Tagged_v stack -> (
-          Rt.label t.rt Labels.desc_alloc;
-          match Tis.pop stack with
-          | Some id -> Some (Descriptor.get t.table id)
-          | None -> tagged_refill t stack)
-      | Reuse_v r -> reuse_alloc t r
-    in
-    match popped with Some d -> d | None -> go ()
-  in
-  go ()
+  match t.variant with
+  | Hazard_v p ->
+      let rec go () =
+        match hazard_pop t p with
+        | Some d -> d
+        | None -> (
+            match hazard_refill t p with Some d -> d | None -> go ())
+      in
+      go ()
+  | Tagged_v p -> tagged_alloc t p
 
 let retire t d =
   Rt.label t.rt Labels.desc_retire;
   match t.variant with
   | Hazard_v p -> Hp.retire p.hp d
-  | Tagged_v stack -> Tis.push stack d.Descriptor.id
-  | Reuse_v r ->
-      let tid = Rt.self t.rt in
-      if r.local_len.(tid) < t.batch_size then local_push r tid d
-      else spill_push t r d
+  | Tagged_v p -> tagged_put p (Rt.self t.rt) d
 
 let flush t =
-  match t.variant with
-  | Hazard_v p -> Hp.flush p.hp
-  | Tagged_v _ | Reuse_v _ -> ()
+  match t.variant with Hazard_v p -> Hp.flush p.hp | Tagged_v _ -> ()
 
 (* mm-sa: allow hp-protocol: available is a quiescent-only diagnostic
    (tests and stats probes call it with no concurrent pool traffic), so
@@ -294,10 +202,5 @@ let available t =
         | Some d -> len (acc + 1) d.Descriptor.next_d
       in
       len 0 (Rt.Atomic.get p.head) + Hp.retired_count p.hp
-  | Tagged_v stack -> List.length (Tis.to_list stack)
-  | Reuse_v r ->
-      let rec shared acc id =
-        if id < 0 then acc else shared (acc + 1) (r.next_of id)
-      in
-      Array.fold_left ( + ) 0 r.local_len
-      + shared 0 (spill_unpack_id (Rt.Atomic.get r.spill_head))
+  | Tagged_v p ->
+      Array.fold_left ( + ) 0 p.front_len + List.length (Tis.to_list p.stack)

@@ -10,26 +10,25 @@
       and re-validates before CASing; retired descriptors re-enter the
       freelist only after a scan proves no thread protects them.
     - {b Tagged} (paper [18] alternative): the freelist head packs an IBM
-      ABA tag next to the descriptor id; pops bump the tag.
+      ABA tag next to the descriptor id; pops bump the tag
+      ([Tagged_id_stack]).
     - {b Reuse} ("Reuse, don't Recycle" — Arbel-Raviv & Brown;
-      DESIGN.md §17): descriptors are immortal per-slot objects reused
-      in place. A retired descriptor goes on the retiring thread's
-      private LIFO (no CAS); overflow past [batch_size] spills one
-      descriptor to a shared tagged stack ([desc.spill]), and an empty
-      LIFO steals from it with a tag-bumping pop ([desc.steal]). There
-      is no retire list and no scan — [hp.scan] and the [desc.alloc] /
-      [desc.refill] / [desc.push] retry rows vanish from the census —
-      and ABA safety rests on the same tag discipline that already
-      guards every descriptor CAS. Over-allocation is bounded by
-      threads x [batch_size].
+      DESIGN.md §17): the same tagged stack behind a per-thread LIFO,
+      the front, of up to [batch_size] descriptors. A retired
+      descriptor goes on the retiring thread's front (plain writes, no
+      CAS); only a full front pushes onto the stack, and only an empty
+      one pops from it. There is no retire list and no scan — [hp.scan]
+      and the [desc.alloc] / [desc.refill] / [desc.push] rows vanish
+      from the census — and over-allocation is bounded by threads x
+      [batch_size]. Under {b Tagged} the front holds nothing.
 
     When the freelist is empty, a batch of [batch_size] descriptors is
     created at once (the paper's "superblock of descriptors"); the thread
-    keeps one and offers the rest. If another thread stocked the list
-    concurrently, the paper returns the whole batch to the OS to avoid
-    over-allocating; we do the same by discarding the unused records and
-    recycling their ids. (The reuse variant stocks its {e private} LIFO
-    instead, so that race cannot arise and no descriptor is ever
+    keeps one and offers the rest. If another thread stocked the hazard
+    freelist concurrently, the paper returns the whole batch to the OS
+    to avoid over-allocating; we do the same by discarding the unused
+    records and recycling their ids. (The tagged kinds put the batch on
+    the front and the stack instead, so no descriptor is ever
     discarded.) *)
 
 type t
@@ -43,18 +42,14 @@ val create :
   kind:Mm_mem.Alloc_config.desc_pool_kind ->
   ?batch_size:int ->
   ?scan_threshold:int ->
-  ?on_spill_retry:(unit -> unit) ->
-  ?on_steal_retry:(unit -> unit) ->
   unit ->
   t
 (** Default [batch_size]: {!default_batch_size}. [scan_threshold]
     overrides the hazard-pointer scan threshold (ignored by the tagged and
     reuse variants); small values make descriptor recycling frequent,
     which the checking subsystem relies on to exercise the reclamation
-    path. [on_spill_retry]/[on_steal_retry] fire on each failed CAS of
-    the reuse variant's shared spill stack (never for the other kinds) —
-    the allocator stripes them into its retry census. For the reuse variant, [batch_size] also bounds the
-    per-thread private LIFO; past it, retires spill to the shared stack. *)
+    path. For the reuse variant, [batch_size] also bounds the front;
+    past it, retires go to the shared stack. *)
 
 val alloc : t -> Descriptor.t
 (** Pop a descriptor, allocating a fresh batch if none is available. The

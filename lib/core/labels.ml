@@ -18,8 +18,6 @@ let desc_alloc = "desc.alloc"
 let desc_refill = "desc.refill"
 let desc_retire = "desc.retire"
 let desc_push = "desc.push"
-let desc_spill = "desc.spill"
-let desc_steal = "desc.steal"
 let bc_reserve_cas = "bc.reserve_cas"
 let bc_pop_cas = "bc.pop_cas"
 let bc_flush_cas = "bc.flush_cas"
@@ -49,8 +47,6 @@ let all =
     desc_refill;
     desc_retire;
     desc_push;
-    desc_spill;
-    desc_steal;
     bc_reserve_cas;
     bc_pop_cas;
     bc_flush_cas;
@@ -76,8 +72,6 @@ let census_sites =
     ("anchor.free", [ free_cas; bc_flush_cas ]);
     ("update_active", [ ua_credits_cas ]);
     ("partial.slot", [ free_put_partial ]);
-    ("desc.spill", [ desc_spill ]);
-    ("desc.steal", [ desc_steal ]);
     ("pub.push", [ pub_push ]);
     ("pub.claim", [ pub_claim ]);
   ]

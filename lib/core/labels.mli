@@ -69,7 +69,9 @@ val red_slot_cas : string
 (** RemoveEmptyDesc: before the CAS clearing the heap's Partial slot. *)
 
 val desc_alloc : string
-(** DescAlloc: before the freelist pop CAS. *)
+(** DescAlloc: before the hazard freelist's pop CAS. (The tagged and
+    reuse pools' windows are {!Mm_lockfree.Lf_labels.tis_pop_cas} and
+    [tis_push_cas], inside [Tagged_id_stack].) *)
 
 val desc_refill : string
 (** DescAlloc: freelist empty, before the CAS installing a fresh batch
@@ -82,16 +84,6 @@ val desc_push : string
 (** Descriptor freelist push: inside the push CAS loop (Fig. 7
     DescRetire; reached via hazard-pointer reclamation on the default
     pool). *)
-
-val desc_spill : string
-(** Reuse pool ({!Desc_pool} with [Alloc_config.Reuse], DESIGN.md §17):
-    before the tagged-stack CAS spilling a retired descriptor from an
-    overfull per-thread LIFO onto the shared stack. *)
-
-val desc_steal : string
-(** Reuse pool: before the tag-bumping tagged-stack CAS stealing a
-    descriptor from the shared spill stack when the per-thread LIFO is
-    empty. *)
 
 val bc_reserve_cas : string
 (** Block-cache refill: before the CAS reserving a {e batch} of credits

@@ -101,8 +101,7 @@ let create rt (cfg : Cfg.t) =
       ?scan_threshold:
         (if cfg.desc_scan_threshold > 0 then Some cfg.desc_scan_threshold
          else None)
-      ~on_spill_retry:(stripe "desc.spill")
-      ~on_steal_retry:(stripe "desc.steal") ()
+      ()
   in
   let nclasses = Sc.count classes in
   let heaps =

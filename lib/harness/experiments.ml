@@ -211,52 +211,34 @@ let figure_runtime ~cpus ~threads =
 let figure ~id ~title ~expectation ~workload mode seed =
   let threads = threads_list mode in
   let real_cpus = Real_rt.num_cpus () in
-  if figure_runtime ~cpus:real_cpus ~threads = `Real then begin
-    let base = real_point "libc" workload ~threads:1 in
-    let rows =
-      List.map
-        (fun t ->
-          ( string_of_int t,
-            List.map
-              (fun name ->
-                let m = real_point name workload ~threads:t in
-                Metrics.speedup m ~baseline:base)
-              allocators ))
-        threads
-    in
-    {
-      id;
-      title = Printf.sprintf "%s (real, %d CPUs)" title real_cpus;
-      runtime = "real";
-      expectation;
-      lines =
-        Render.series ~col_title:"allocator" ~cols:allocators ~row_title:"t"
-          ~rows;
-    }
-  end
-  else begin
-    let base = sim_point ~seed "libc" workload ~threads:1 in
-    let rows =
-      List.map
-        (fun t ->
-          ( string_of_int t,
-            List.map
-              (fun name ->
-                let m = sim_point ~seed name workload ~threads:t in
-                Metrics.speedup m ~baseline:base)
-              allocators ))
-        threads
-    in
-    {
-      id;
-      title = Printf.sprintf "%s (simulated, %d CPUs)" title Traced.sim_cpus;
-      runtime = "simulated";
-      expectation;
-      lines =
-        Render.series ~col_title:"allocator" ~cols:allocators ~row_title:"t"
-          ~rows;
-    }
-  end
+  let point, runtime, cpus =
+    match figure_runtime ~cpus:real_cpus ~threads with
+    | `Real -> ((fun name -> real_point name workload), "real", real_cpus)
+    | `Simulated ->
+        ((fun name -> sim_point ~seed name workload), "simulated",
+         Traced.sim_cpus)
+  in
+  let base = point "libc" ~threads:1 in
+  let rows =
+    List.map
+      (fun t ->
+        ( string_of_int t,
+          List.map
+            (fun name ->
+              let m = point name ~threads:t in
+              Metrics.speedup m ~baseline:base)
+            allocators ))
+      threads
+  in
+  {
+    id;
+    title = Printf.sprintf "%s (%s, %d CPUs)" title runtime cpus;
+    runtime;
+    expectation;
+    lines =
+      Render.series ~col_title:"allocator" ~cols:allocators ~row_title:"t"
+        ~rows;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Table 1 and §4.2.1 latency. *)
@@ -508,19 +490,16 @@ let ablation_desc mode seed =
 (* DESIGN.md §17: what does descriptor reclamation cost, and what does
    reuse-in-place eliminate? Same one-heap 16-thread shape as
    contention-sites, traced, one row per reclamation variant. The
-   hazard scans and the freelist CAS windows come from the obs layer;
-   the spill/steal retry rates are the allocator's own striped census
-   (the two agree — tested in test_obs). *)
+   hazard scans and the freelist CAS windows come from the obs layer. *)
 let ablation_reclaim mode seed =
   let wl inst ~threads =
     W.Threadtest.run inst ~threads (threadtest_params mode)
   in
-  (* The shared-freelist hand-off windows of the retiring variants:
-     Fig. 7 pop/refill/push for the hazard pool, plus the tagged pool's
-     internal Tis CASes (its pops/pushes are the freelist hand-off);
-     reuse-in-place has none of them. The tagged descriptor pool is the
-     only default-label Tis instance, so the tis.* labels are
-     unambiguous here. *)
+  (* The shared-freelist hand-off windows: Fig. 7 pop/refill/push for
+     the hazard pool, plus the tagged stack's CASes, which the tagged
+     pool crosses on every hand-off and the reuse pool only when a
+     thread's front is full or empty. The descriptor pool is the only
+     Tis instance, so the tis.* labels are unambiguous here. *)
   let freelist_windows =
     Mm_core.Labels.[ desc_alloc; desc_refill; desc_push ]
     @ Mm_lockfree.Lf_labels.[ tis_push_cas; tis_pop_cas ]
@@ -544,16 +523,12 @@ let ablation_reclaim mode seed =
         let freelist_cas =
           Mm_obs.Agg.retries agg ~labels:freelist_windows
         in
-        let retry site =
-          Option.value (List.assoc_opt site c.Traced.retry_counts) ~default:0
-        in
         [
           vname;
           Render.fmt_throughput c.Traced.metric.Metrics.throughput;
           string_of_int hp;
           per1k hp ops;
           string_of_int freelist_cas;
-          string_of_int (retry "desc.spill" + retry "desc.steal");
         ])
       [
         ("hazard pointers (paper)", "new");
@@ -572,15 +547,15 @@ let ablation_reclaim mode seed =
       "Retiring variants pay a reclamation tax: hazard pointers scan the \
        retirement list (hp.scan events) and both retiring variants CAS \
        through the shared freelist on every descriptor hand-off. \
-       Reuse-in-place records ZERO hp.scans and no freelist windows at \
-       all — its only shared traffic is the rare spill/steal residue — \
-       at the cost of never returning descriptor slots.";
+       Reuse-in-place records ZERO hp.scans and no freelist CAS \
+       failures — a thread reaches the shared stack only when its front \
+       is full or empty — at the cost of never returning descriptor \
+       slots.";
     lines =
       Render.table
         ~header:
           [
-            "variant"; "throughput"; "hp.scan"; "scan/1k";
-            "freelist CAS fail"; "spill+steal retries";
+            "variant"; "throughput"; "hp.scan"; "scan/1k"; "freelist CAS fail";
           ]
         ~rows;
   }

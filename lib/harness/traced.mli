@@ -43,8 +43,8 @@ val capture :
     (default = [cpus]), tracer installed around the workload body.
     Allocator ["new-reuse"] is the paper allocator over the
     reuse-in-place descriptor pool (DESIGN.md §17), captured with the
-    same typed handle as ["new"] so its striped retry census (incl.
-    [desc.spill]/[desc.steal]) is reported; ["new-tagged"] is likewise
+    same typed handle as ["new"] so its striped retry census is
+    reported; ["new-tagged"] is likewise
     the IBM-tag descriptor-freelist ablation, and ["new-ob"] the
     owner-biased private/public free-list mode (DESIGN.md §19, census
     incl. [pub.push]/[pub.claim]).

@@ -16,8 +16,8 @@ type desc_pool_kind =
   | Reuse
       (** "Reuse, don't Recycle" (Arbel-Raviv & Brown, DESIGN.md §17):
           descriptors are immortal per-slot objects reused in place —
-          a per-thread LIFO of retired descriptors backed by a shared
-          tagged spill stack. No hazard pointers, no retire list, no
+          a per-thread LIFO of retired descriptors in front of the
+          [Tagged] freelist. No hazard pointers, no retire list, no
           [hp.scan]: ABA safety comes from the anchor/IBM tag
           discipline that already guards every descriptor CAS. *)
 

@@ -133,6 +133,12 @@ dune build @sa
 # configuration, so a closure or boxed value creeping back into a CAS
 # loop fails here whatever the host's speed.
 dune runtest
+# Benchmark self-test (perfbench/test_bench.py): same-seed inputs are
+# byte-identical, and a one-second run of every workload, untraced and
+# traced, verifies its outputs and emits exactly the metrics
+# BENCHMARK.json lists, so a census site the allocator drops or adds
+# fails here rather than in a benchmark run.
+python3 perfbench/test_bench.py
 # Executable docs: run every fenced `dune exec` command in README.md,
 # EXPERIMENTS.md and DESIGN.md (scripts/doc_check.sh).
 dune build @doc-check

@@ -115,9 +115,10 @@ let pool_reuses kind () =
 (* ---------------- Reuse-in-place specifics (DESIGN.md §17) -------- *)
 
 let reuse_slot_identity () =
-  (* batch_size 1: the second retire spills, so the two reallocations
-     exercise both return paths — private LIFO and shared-stack steal —
-     and both must hand back the very same immortal slots. *)
+  (* batch_size 1: the second retire goes to the shared stack, so the
+     two reallocations exercise both return paths — the thread's front
+     and the stack's pop — and both must hand back the very same
+     immortal slots. *)
   let tbl = D.create_table () ~capacity:256 in
   let pool = Pool.create () tbl ~kind:Cfg.Reuse ~batch_size:1 () in
   let a = Pool.alloc pool in
@@ -128,7 +129,7 @@ let reuse_slot_identity () =
   let a' = Pool.alloc pool in
   let b' = Pool.alloc pool in
   Alcotest.(check bool) "LIFO returns the same slot" true (a' == a);
-  Alcotest.(check bool) "steal returns the same slot" true (b' == b);
+  Alcotest.(check bool) "stack returns the same slot" true (b' == b);
   Alcotest.(check int) "no slot discarded, none created" live
     (D.live_count tbl);
   Alcotest.(check bool) "table binding stable" true (D.get tbl a.D.id == a)
@@ -167,11 +168,8 @@ let reuse_tag_monotonic () =
 let kill_at_label kind label () =
   (* Kill the first thread to reach [label]: the survivors must finish
      their rounds and the pool must stay usable — the dead thread leaks
-     at most what it held. For the reuse pool's spill/steal labels the
-     kill lands inside the CAS window. For the tagged pool's desc.alloc
-     it lands on the decision point ahead of Tis.pop, which labels no
-     CAS of its own, so "kill fired" is what notices that label's
-     deletion (test_sa.ml's deletion walk names this case). *)
+     at most what it held. The kill lands inside the shared tagged
+     stack's push or pop CAS window. *)
   let killed = ref (-1) in
   let on_label ~tid l =
     if l = label && !killed = -1 then begin
@@ -304,12 +302,14 @@ let cases =
   @ [
       case "reuse slot identity across free->alloc" reuse_slot_identity;
       case "reuse anchor tag monotone across lives" reuse_tag_monotonic;
+      (* spill: a full front's push onto the tagged stack; steal: an
+         empty front's pop from it *)
       case "reuse kill in spill window"
-        (kill_at_label Cfg.Reuse Mm_core.Labels.desc_spill);
+        (kill_at_label Cfg.Reuse Mm_lockfree.Lf_labels.tis_push_cas);
       case "reuse kill in steal window"
-        (kill_at_label Cfg.Reuse Mm_core.Labels.desc_steal);
-      case "tagged kill at alloc label"
-        (kill_at_label Cfg.Tagged Mm_core.Labels.desc_alloc);
+        (kill_at_label Cfg.Reuse Mm_lockfree.Lf_labels.tis_pop_cas);
+      case "tagged kill in pop window"
+        (kill_at_label Cfg.Tagged Mm_lockfree.Lf_labels.tis_pop_cas);
     ]
   @ List.concat_map
       (fun (name, policy) ->

@@ -13,13 +13,13 @@
    The probe runs four phases per thread: the bare allocator (reaching
    every backend label), the block-cache frontend (reaching the batched
    bc.* refill/flush labels, DESIGN.md §13), a reuse-in-place
-   descriptor pool driven directly with batch_size 1 so the spill/steal
-   hand-off labels fire (desc.spill / desc.steal, DESIGN.md §17), and a
-   SHARED owner-biased allocator whose threads hand blocks to their
-   neighbour so remote frees push public lists (pub.push), handoffs
-   and owner refills claim them (pub.claim), and acquirers freeze
-   handed-off superblocks that frees republished (ob.freeze, DESIGN.md
-   §19).
+   descriptor pool driven directly with batch_size 1 so its shared
+   tagged stack's windows fire (tis.push_cas / tis.pop_cas, DESIGN.md
+   §17), and a SHARED owner-biased allocator whose threads hand blocks
+   to their neighbour so remote frees push public lists (pub.push),
+   handoffs and owner refills claim them (pub.claim), and acquirers
+   freeze handed-off superblocks that frees republished (ob.freeze,
+   DESIGN.md §19).
 
    Plus schedule fuzzing: many seeds of a mixed workload with full
    invariant checks. *)
@@ -106,9 +106,9 @@ let probe_ob t mailbox n tid =
   done
 
 (* The reuse-pool phase drives a Reuse descriptor pool directly with
-   batch_size 1: the private LIFO holds one descriptor, so every
-   second retire spills to the shared stack (desc.spill) and a drained
-   LIFO steals a spilled descriptor back (desc.steal). *)
+   batch_size 1: the front holds one descriptor, so every second retire
+   pushes onto the shared tagged stack (tis.push_cas) and a drained
+   front pops one back (tis.pop_cas). *)
 module P = Mm_core_sim.Desc_pool
 
 let probe_reuse pool n =
@@ -117,7 +117,7 @@ let probe_reuse pool n =
     let b = P.alloc pool in
     P.retire pool a;
     P.retire pool b;
-    (* a comes back off the private LIFO; the next alloc must steal *)
+    (* a comes back off the front; the next alloc pops the stack *)
     let c = P.alloc pool in
     let d = P.alloc pool in
     P.retire pool c;
@@ -127,7 +127,7 @@ let probe_reuse pool n =
 (* Three allocators and a reuse pool on one runtime, and a body running
    the plain phase, the cached phase, the reuse-pool phase, then the
    shared owner-biased phase — together they reach every label in
-   L.all. *)
+   [probed]. *)
 let probe_pair rt =
   let t = A.create rt probe_cfg in
   let tc = Bc.create rt cached_cfg in
@@ -143,6 +143,10 @@ let probe_pair rt =
   in
   (t, tc, tob, pool, body)
 
+(* Every allocator label, plus the two windows of the tagged stack
+   behind the reuse pool's fronts. *)
+let probed = L.all @ Mm_lockfree.Lf_labels.[ tis_push_cas; tis_pop_cas ]
+
 let coverage () =
   let hits = Hashtbl.create 32 in
   let on_label ~tid:_ l =
@@ -156,7 +160,7 @@ let coverage () =
     (fun l ->
       if not (Hashtbl.mem hits l) then
         Alcotest.failf "probe workload never reaches label %s" l)
-    L.all;
+    probed;
   A.check_invariants t;
   Bc.check_invariants tc;
   A.check_invariants tob
@@ -325,8 +329,8 @@ let real_runtime_stress () =
 
 let cases =
   [ case "label coverage of probe workload" coverage ]
-  @ List.map (fun l -> case ("pause at " ^ l) (pause_at l)) L.all
-  @ List.map (fun l -> case ("kill at " ^ l) (kill_at l)) L.all
+  @ List.map (fun l -> case ("pause at " ^ l) (pause_at l)) probed
+  @ List.map (fun l -> case ("kill at " ^ l) (kill_at l)) probed
   @ [
       case "schedule fuzz, probe config (x20 seeds)" fuzz_invariants;
       case "schedule fuzz, owner-biased config (x15 seeds)" fuzz_ob_invariants;

@@ -213,15 +213,9 @@ let contains ~sub s =
 (* Deleting any Rt.label line in the lock-free sections must be caught:
    by label-dominance when the label guards a CAS window, including
    through callers' labels, and by label-registry's unused-entry check
-   when the deleted line was the registry entry's only use. Exactly
-   one deletion breaks no labelled window and leaves its entry used
-   elsewhere, so it is caught by neither: the descriptor pool's
-   tagged-variant desc_alloc label, a decision point ahead of Tis.pop,
-   whose own CAS window carries the registry label tis.pop_cas. The
-   runtime case "desc: tagged kill at alloc label" (test_desc.ml)
-   guards that line instead: it fails when no thread reaches desc.alloc
-   in a tagged pool. The walk pins that one line, and checks that both
-   tis labels were deleted and caught.
+   when the deleted line was the registry entry's only use. No
+   deletion may go unnoticed, and the walk checks that both tis labels
+   were deleted and caught.
 
    Each probe re-typechecks only the modified unit against the compiled
    interfaces and re-prepares only that unit; the other units' facts
@@ -272,15 +266,9 @@ let label_deletion_detected () =
   Alcotest.(check bool) "saw many label sites" true (!deletions > 20);
   Alcotest.(check int) "both tis labels deleted" 2 !tis_deletions;
   match !undetected with
-  | [ (file, line) ]
-    when Filename.basename file = "desc_pool.ml"
-         && contains ~sub:"Labels.desc_alloc" line ->
-      ()
+  | [] -> ()
   | l ->
-      Alcotest.failf
-        "expected every deletion but the tagged-variant desc_alloc \
-         (guarded by desc: tagged kill at alloc label) to be detected; \
-         undetected: %s"
+      Alcotest.failf "expected every deletion to be detected; undetected: %s"
         (String.concat "; " (List.map (fun (f, ln) -> f ^ ": " ^ ln) l))
 
 (* The rules of the retired syntactic checker mm-lint, R1-R6, run as
