@@ -15,7 +15,11 @@ type entry = {
   label : string;
   mode : mode;
   round : int;  (** 0 = default schedule, >0 = seeded random schedule *)
-  fired : bool;  (** whether the workload reached the label at all *)
+  fired : bool;
+      (** whether the workload reached the label at all. {!run} probes
+          only the labels a fault-free census run of the round's
+          schedule reaches; an entry that cannot fire is recorded with
+          [fired = false] and [result = Ok ()] without being run. *)
   result : (unit, string) result;
 }
 

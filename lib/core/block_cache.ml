@@ -84,7 +84,7 @@ let usable_size t payload = Lf_alloc.usable_size t.backend payload
 
 (* Entry points resolve [Rt.self] once (a domain-local lookup on the
    real runtime) and work on that thread's row. *)
-let row t tid = Stripes.row t.state tid
+let[@inline] row t tid = Stripes.row t.state tid
 (* [int array], not ['a array]: a polymorphic row would compile every
    access to the generic array primitives (a float-array test per
    load, [caml_modify] per store). [@inline] keeps the ten or so
@@ -97,7 +97,7 @@ let[@inline] len row sc = get row (c_lens + sc)
 let[@inline] set_len row sc n = set row (c_lens + sc) n
 let[@inline] slot t sc i = t.c_stacks + (sc * t.cfg.cache_blocks) + i
 
-let push t row sc p =
+let[@inline] push t row sc p =
   let n = len row sc in
   set row (slot t sc n) p;
   set_len row sc (n + 1)
@@ -182,7 +182,9 @@ let free t payload =
     let row = row t tid in
     add row c_frees 1;
     let st = store t in
-    let word = Store.read_word st (payload - Prefix.prefix_bytes) in
+    let word =
+      Store.read_word_at ~racy:false st (payload - Prefix.prefix_bytes)
+    in
     let base_payload = Store.base_payload payload word in
     let kind =
       Lf_alloc.classify t.backend ~tid ~base_payload

@@ -10,6 +10,7 @@ type t = {
   mutable heap_gid : int;
   mutable sz : int;
   mutable maxcount : int;
+  mutable recip : int;
   mutable priv_head : int;
   mutable priv_count : int;
 }
@@ -66,6 +67,7 @@ let alloc_batch tbl n =
             heap_gid = -1;
             sz = 0;
             maxcount = 0;
+            recip = 0;
             priv_head = 0;
             priv_count = 0;
           }
@@ -79,7 +81,7 @@ let alloc_batch tbl n =
       List.iter (discard tbl) !installed;
       raise e
 
-let get tbl id =
+let[@inline] get tbl id =
   if id < 1 || id >= Array.length tbl.slots then
     invalid_arg "Descriptor.get: id out of range";
   match Rt.Atomic.get tbl.slots.(id) with

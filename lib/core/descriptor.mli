@@ -24,6 +24,10 @@ type t = {
   mutable heap_gid : int;  (** owning processor heap (global index) *)
   mutable sz : int;  (** block size (payload + prefix) *)
   mutable maxcount : int;  (** blocks per superblock *)
+  mutable recip : int;
+      (** the reciprocal of [sz], set with it: [Lf_alloc.block_index]
+          divides a block offset by [sz] with one multiply and one
+          shift *)
   mutable priv_head : int;
       (** owner-biased mode: head block index of the private LIFO.
           Garbage when [priv_count = 0]; read and written only by the

@@ -8,8 +8,9 @@ module Pm = Page_manager
    6 (free). *)
 
 type heap = {
-  gid : int;  (* sc * nheaps + h *)
+  gid : int;  (* sc * nheaps + idx *)
   sc : int;
+  idx : int;  (* processor heap within the class *)
   active : int Rt.atomic;  (* packed Active_word, 0 = NULL *)
   partial : int Rt.atomic;  (* descriptor id, 0 = none *)
       (* Both words are written by every thread of the heap's class and
@@ -23,6 +24,11 @@ type t = {
   classes : Sc.t;
   nheaps_ : int;
   heaps : heap array array;  (* [size class].[processor heap] *)
+  (* The two divisions of the hot path, [tid mod nheaps] and [gid /
+     nheaps, gid mod nheaps], tabulated: [home.(tid)] is thread [tid]'s
+     processor heap and [by_gid.(gid)] the heap of global index [gid]. *)
+  home : int array;
+  by_gid : heap array;
   lists : Partial_list.t array;  (* per size class *)
   table : Descriptor.table;
   pool : Desc_pool.t;
@@ -76,6 +82,18 @@ let name = "new"
    from it, so a smaller store fails its very first malloc. *)
 let min_store_capacity = (Desc_pool.default_batch_size + 2) / 2
 
+(* [block_index] divides a block offset by the block size with one
+   multiply and one shift: [recip = ceil (2^recip_shift / sz)], set per
+   descriptor when its superblock is carved. Writing [off = q sz + r]
+   and [recip sz = 2^recip_shift + e] with [0 <= e < sz], [(off recip)
+   lsr recip_shift] is [q] exactly when [off e < 2^recip_shift]. Offsets
+   inside a superblock are below [sbsize] and classes are at most
+   [sbsize / 8] bytes, so [sbsize <= 2^20] keeps [off e] below [2^20 *
+   2^17]: [create] rejects larger superblocks. *)
+let recip_shift = 37
+let max_sbsize = 1 lsl 20
+let reciprocal sz = ((1 lsl recip_shift) + sz - 1) / sz
+
 let create rt (cfg : Cfg.t) =
   if cfg.store_capacity < min_store_capacity then
     invalid_arg
@@ -84,6 +102,12 @@ let create rt (cfg : Cfg.t) =
           descriptor ids must fit the 2 x store_capacity descriptor table, \
           slot 0 reserved)"
          cfg.store_capacity min_store_capacity Desc_pool.default_batch_size);
+  if cfg.sbsize > max_sbsize then
+    invalid_arg
+      (Printf.sprintf
+         "Lf_alloc.create: sbsize %d is above %d, the largest superblock whose \
+          block offsets the descriptor's reciprocal divides exactly"
+         cfg.sbsize max_sbsize);
   let classes = Sc.make ~sbsize:cfg.sbsize () in
   let nheaps = Cfg.resolve_nheaps cfg ~num_cpus:(Rt.num_cpus rt) in
   let store =
@@ -110,6 +134,7 @@ let create rt (cfg : Cfg.t) =
             {
               gid = (sc * nheaps) + h;
               sc;
+              idx = h;
               active = Rt.Atomic.make_contended rt Active_word.null;
               partial = Rt.Atomic.make_contended rt 0;
             }))
@@ -134,6 +159,8 @@ let create rt (cfg : Cfg.t) =
     classes;
     nheaps_ = nheaps;
     heaps;
+    home = Array.init Rt.max_threads (fun tid -> tid mod nheaps);
+    by_gid = Array.concat (Array.to_list heaps);
     lists;
     table;
     pool;
@@ -143,7 +170,11 @@ let create rt (cfg : Cfg.t) =
     owned = Array.init Rt.max_threads (fun _ -> Array.make nclasses 0);
   }
 
-let count_at t tid c = Stripes.bump t.counts tid c
+(* [@inline] on the per-operation helpers below, as on the word codecs,
+   [Stripes] and [Store]'s accessors: without flambda the compiler
+   inlines only bodies of size 10 or less (DESIGN.md §18). The CAS
+   retry loops stay out of line. *)
+let[@inline] count_at t tid c = Stripes.bump t.counts tid c
 let bump t c = count_at t (Rt.self t.rt) c
 let fail fmt = Format.kasprintf failwith fmt
 let column_total t c = Stripes.total t.counts c
@@ -180,12 +211,17 @@ let nheaps t = t.nheaps_
 let descriptor_table t = t.table
 let desc_pool t = t.pool
 
-let heap_of_gid t gid = t.heaps.(gid / t.nheaps_).(gid mod t.nheaps_)
+let[@inline] heap_of_gid t gid = t.by_gid.(gid)
+let home_heap t ~tid = t.home.(tid)
+
+let heap_coords t gid =
+  let h = heap_of_gid t gid in
+  (h.sc, h.idx)
 
 (* [heap_at] takes the dense thread id from the caller: [Rt.self] is a
    domain-local lookup on the real runtime, so the hot entry points
    resolve it once per operation and thread it through. *)
-let heap_at t sc tid = t.heaps.(sc).(tid mod t.nheaps_)
+let[@inline] heap_at t sc tid = t.heaps.(sc).(t.home.(tid))
 
 (* ------------------------------------------------------------------ *)
 (* Blocks of a superblock. *)
@@ -193,20 +229,24 @@ let heap_at t sc tid = t.heaps.(sc).(tid mod t.nheaps_)
 let clamp_index next = next land Anchor.max_count
 let block_addr (desc : Descriptor.t) idx = desc.sb + (idx * desc.sz)
 
-(* Wild-pointer guard (cheap, one division): [base] must be a block
+(* Wild-pointer guard (cheap, no division): [base] must be a block
    boundary of the descriptor's superblock. Catches frees of interior
    pointers and of addresses never returned by malloc before they can
-   corrupt a free list. Returns the block's index. *)
-let block_index (desc : Descriptor.t) base =
+   corrupt a free list. Returns the block's index. The quotient is exact
+   for every offset inside the superblock (see [recip_shift]); outside
+   it, whatever [idx] comes out, [idx < maxcount] and [idx sz = off]
+   together hold only at a block boundary, so a negative or far offset
+   is rejected too. *)
+let[@inline] block_index (desc : Descriptor.t) base =
   let off = base - desc.sb in
-  let idx = off / desc.sz in
-  if off < 0 || idx >= desc.maxcount || idx * desc.sz <> off then
+  let idx = (off * desc.recip) lsr recip_shift in
+  if idx >= desc.maxcount || idx * desc.sz <> off then
     invalid_arg "Lf_alloc.free: not a block address";
   idx
 
-let finish_block t (desc : Descriptor.t) addr =
+let[@inline] finish_block t (desc : Descriptor.t) addr =
   (* line 21: store the descriptor in the block prefix. *)
-  Store.write_word t.store addr (Prefix.small ~desc_id:desc.id);
+  Store.write_word_at ~racy:false t.store addr (Prefix.small ~desc_id:desc.id);
   addr + Prefix.prefix_bytes
 
 (* ------------------------------------------------------------------ *)
@@ -340,7 +380,7 @@ let rec reserve_active t heap ~want ~label spins =
    in-superblock free list. [anchor_tag = false] (check subsystem's
    planted bug ONLY) omits the bump, reopening exactly the interleaving
    the tag exists to kill; the schedule explorer must find it. *)
-let pop_tag t a = if t.cfg.anchor_tag then Anchor.incr_tag a else a
+let[@inline] pop_tag t a = if t.cfg.anchor_tag then Anchor.incr_tag a else a
 
 (* Second step: pop [n] reserved blocks in one tag-bumping anchor CAS
    (lines 7-18; MallocFromPartial's lines 11-15 with [took_last =
@@ -358,7 +398,7 @@ let rec pop_blocks t (desc : Descriptor.t) ~n ~took_last ~label
     let addr = block_addr desc !idx in
     if i > 0 then dst.(pos + i - 1) <- addr;
     (* [clamp_index] only keeps a racy value representable. *)
-    idx := clamp_index (Store.read_word ~racy:true t.store addr)
+    idx := clamp_index (Store.read_word_at ~racy:true t.store addr)
   done;
   let newanchor = pop_tag t (Anchor.set_avail oldanchor !idx) in
   let count = Anchor.count oldanchor in
@@ -380,7 +420,7 @@ let rec pop_blocks t (desc : Descriptor.t) ~n ~took_last ~label
 
 (* lines 19-20: whoever took the last reservation reinstalls the
    superblock with the credits its pop grabbed. *)
-let settle_active t heap desc ~took_last oldanchor =
+let[@inline] settle_active t heap desc ~took_last oldanchor =
   if took_last then
     let count = Anchor.count oldanchor in
     if count > 0 then update_active t heap desc (Int.min count t.cfg.maxcredits)
@@ -495,6 +535,7 @@ let carve_sb t heap =
   desc.Descriptor.heap_gid <- heap.gid;
   desc.Descriptor.sz <- sz;
   desc.Descriptor.maxcount <- maxcount;
+  desc.Descriptor.recip <- reciprocal sz;
   Store.init_free_list ~limit:t.cfg.sbsize t.store sb ~sz ~maxcount;
   (* line 3 *)
   desc
@@ -577,7 +618,7 @@ let rec anchor_push t (desc : Descriptor.t) ~first_idx ~last ~n ~label spins =
     pub_push t desc ~first_idx ~last ~n Backoff.initial
   else begin
     (* line 8: thread the run onto the available list. *)
-    Store.write_word t.store last (Anchor.avail oldanchor);
+    Store.write_word_at ~racy:false t.store last (Anchor.avail oldanchor);
     (* line 9 *)
     let with_avail = Anchor.set_avail oldanchor first_idx in
     let oldstate = Anchor.state oldanchor in
@@ -633,7 +674,7 @@ and pub_push t (desc : Descriptor.t) ~first_idx ~last ~n spins =
     anchor_push t desc ~first_idx ~last ~n ~label:Labels.free_cas
       Backoff.initial
   else begin
-    Store.write_word t.store last (Pub_word.head oldpub);
+    Store.write_word_at ~racy:false t.store last (Pub_word.head oldpub);
     Rt.fence t.rt;
     Rt.label t.rt Labels.pub_push;
     if
@@ -651,7 +692,7 @@ and pub_push t (desc : Descriptor.t) ~first_idx ~last ~n spins =
    the owning thread. *)
 let priv_pop t (desc : Descriptor.t) =
   let addr = block_addr desc desc.priv_head in
-  desc.priv_head <- clamp_index (Store.read_word t.store addr);
+  desc.priv_head <- clamp_index (Store.read_word_at ~racy:false t.store addr);
   desc.priv_count <- desc.priv_count - 1;
   addr
 
@@ -664,9 +705,9 @@ let ob_push t (desc : Descriptor.t) ~first_idx ~last ~n tid =
      slot of OUR [owned] row can hold its id (ids are unique and the
      row lists exactly what we own), so a stale [heap_gid] can only
      produce a correct "not the owner". *)
-  let sc = desc.heap_gid / t.nheaps_ in
+  let sc = (heap_of_gid t desc.heap_gid).sc in
   if t.owned.(tid).(sc) = desc.id then begin
-    Store.write_word t.store last desc.priv_head;
+    Store.write_word_at ~racy:false t.store last desc.priv_head;
     desc.priv_head <- first_idx;
     desc.priv_count <- desc.priv_count + n
   end
@@ -714,9 +755,7 @@ let rec ob_freeze t (desc : Descriptor.t) spins =
    store and the freeze CAS, as in [malloc_from_partial]: heap_gid is
    read by remote frees that synchronize through this descriptor's
    anchor anyway, the CAS itself orders the store, and a stale heap_gid
-   only ever yields a correct "not the owner" (see [ob_push]). The
-   retry reaches [ob_own] with the previous descriptor's store still
-   unfenced, which is the same store. *)
+   only ever yields a correct "not the owner" (see [ob_push]). *)
 let rec ob_acquire_partial t heap tid =
   match heap_get_partial t heap with
   | None -> None
@@ -877,7 +916,9 @@ let free t payload =
     let tid = Rt.self t.rt in
     count_at t tid c_frees;
     (* lines 2-3, extended with aligned-payload resolution *)
-    let word = Store.read_word t.store (payload - Prefix.prefix_bytes) in
+    let word =
+      Store.read_word_at ~racy:false t.store (payload - Prefix.prefix_bytes)
+    in
     let base_payload = Store.base_payload payload word in
     let prefix = Store.base_prefix t.store ~base_payload word in
     let base = base_payload - Prefix.prefix_bytes in
@@ -912,17 +953,15 @@ let usable_size t payload =
    shared-structure step stays lock-free and every CAS window carries
    its own [bc.*] label. *)
 
-let classify t ~tid ~base_payload prefix =
+let[@inline] classify t ~tid ~base_payload prefix =
   if Prefix.is_large prefix then -1
   else begin
     let desc = Descriptor.get t.table (Prefix.desc_id prefix) in
     (* The wild-pointer guard, applied before the block can enter a
        cache and corrupt a free list much later. *)
     ignore (block_index desc (base_payload - Prefix.prefix_bytes) : int);
-    let gid = desc.Descriptor.heap_gid in
-    let sc = gid / t.nheaps_ in
-    let local = gid - (sc * t.nheaps_) = tid mod t.nheaps_ in
-    (sc lsl 1) lor Bool.to_int local
+    let heap = heap_of_gid t desc.Descriptor.heap_gid in
+    (heap.sc lsl 1) lor Bool.to_int (heap.idx = t.home.(tid))
   end
 
 (* The first block in free-list order goes LAST, on top of the slice
@@ -989,7 +1028,7 @@ let rec push_group t tid (desc : Descriptor.t) (src : int array) ~pos ~n
   if j < n then begin
     if src.(scratch + j) = desc.id then begin
       let base = src.(pos + j) - Prefix.prefix_bytes in
-      Store.write_word t.store last (block_index desc base);
+      Store.write_word_at ~racy:false t.store last (block_index desc base);
       src.(scratch + j) <- 0;
       push_group t tid desc src ~pos ~n ~scratch ~first ~last:base
         ~count:(count + 1) (j + 1)
@@ -1012,7 +1051,7 @@ let rec push_group t tid (desc : Descriptor.t) (src : int array) ~pos ~n
 let flush_from t (src : int array) ~pos ~n ~scratch =
   for i = 0 to n - 1 do
     let base = src.(pos + i) - Prefix.prefix_bytes in
-    let prefix = Store.read_word t.store base in
+    let prefix = Store.read_word_at ~racy:false t.store base in
     if Prefix.is_large prefix then begin
       free_large_block t base prefix;
       src.(scratch + i) <- 0

@@ -80,6 +80,28 @@ val instance : ?name:string -> Mm_runtime.Rt.t -> t -> Mm_mem.Alloc_intf.instanc
 
 val size_classes : t -> Mm_mem.Size_class.t
 val nheaps : t -> int
+
+val home_heap : t -> tid:int -> int
+(** The processor heap thread [tid] allocates from, [tid mod nheaps],
+    read off a table [create] builds so the hot path divides nothing. *)
+
+val heap_coords : t -> int -> int * int
+(** [heap_coords t gid] is the [(size class, processor heap)] of the
+    heap with global index [gid], [(gid / nheaps, gid mod nheaps)],
+    read off the same kind of table. *)
+
+val max_sbsize : int
+(** The largest [sbsize] {!create} accepts (1 MiB): up to it, the
+    per-descriptor reciprocal behind {!block_index} divides every block
+    offset of a superblock exactly. *)
+
+val block_index : Descriptor.t -> int -> int
+(** [block_index desc base] is the index of the block at address [base]
+    in [desc]'s superblock, computed without a division. Raises
+    [Invalid_argument "Lf_alloc.free: not a block address"] unless
+    [base] is the start of one of the superblock's [maxcount] blocks:
+    {!free}'s wild-pointer guard. *)
+
 val descriptor_table : t -> Descriptor.table
 val desc_pool : t -> Desc_pool.t
 

@@ -9,9 +9,9 @@ let pad = 16
 let create ~threads ~columns =
   Array.init threads (fun _ -> Array.make (pad + columns + pad) 0)
 
-let row t tid = t.(tid)
+let[@inline] row t tid = t.(tid)
 
-let bump t tid c =
+let[@inline] bump t tid c =
   let row = t.(tid) in
   row.(pad + c) <- row.(pad + c) + 1
 

@@ -53,11 +53,11 @@ let make ?(sbsize = 16 * 1024) () =
 
 let sbsize t = t.sbsize
 let count t = Array.length t.sizes
-let block_size t i = t.sizes.(i)
+let[@inline] block_size t i = t.sizes.(i)
 let blocks_per_superblock t i = t.sbsize / t.sizes.(i)
 let large_threshold t = t.large_threshold
 
-let class_of_request t n =
+let[@inline] class_of_request t n =
   if n < 0 then invalid_arg "Size_class.class_of_request: negative size";
   if n > t.large_threshold then None
   else t.lookup.((n + 7) / 8)

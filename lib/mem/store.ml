@@ -219,7 +219,7 @@ let note_buddy_grant t ~requested ~granted =
   ignore (Rt.Atomic.fetch_and_add t.pages_requested requested);
   ignore (Rt.Atomic.fetch_and_add t.pages_granted granted)
 
-let region_of t addr =
+let[@inline] region_of t addr =
   let id = Addr.region addr in
   if id <= 0 || id >= t.capacity then None else Rt.Atomic.get t.regions.(id)
 
@@ -249,10 +249,12 @@ let oob_check _t addr off len ~racy ~what =
    access) and skip the cache-line attribution only the simulator
    consumes. [Rt.is_sim] is a constant of the copy being compiled
    (DESIGN.md §18), so each copy keeps one branch of every such test, as
-   in [write_payload_round] below. Callers in other modules reach these
-   bodies by a direct call only because the build is not -opaque. *)
+   in [write_payload_round] below. The [~racy]-labelled entries are
+   [@inline], so a caller in another module compiles the access into
+   its own body; the [?racy] wrappers compile to a call of a separate
+   [*_inner] function, which is never inlined. *)
 
-let read_word ?(racy = false) t addr =
+let[@inline] read_word_at ~racy t addr =
   match region_of t addr with
   | None -> 0
   | Some r ->
@@ -265,7 +267,7 @@ let read_word ?(racy = false) t addr =
         Rt.read_word t.rt r.bytes (r.base + off) ~line:(Addr.line addr)
       else Int64.to_int (Bytes.get_int64_le r.bytes (r.base + off))
 
-let write_word ?(racy = false) t addr v =
+let[@inline] write_word_at ~racy t addr v =
   match region_of t addr with
   | None -> ()
   | Some r ->
@@ -276,17 +278,20 @@ let write_word ?(racy = false) t addr v =
         Rt.write_word t.rt r.bytes (r.base + off) ~line:(Addr.line addr) v
       else Bytes.set_int64_le r.bytes (r.base + off) (Int64.of_int v)
 
+let read_word ?(racy = false) t addr = read_word_at ~racy t addr
+let write_word ?(racy = false) t addr v = write_word_at ~racy t addr v
+
 (* Resolve a payload address against its 8-byte block prefix: follows an
    aligned_alloc offset word down to the block base. [base_payload] and
    [base_prefix] are the two steps, given the word just below the
    payload, for hot paths that must not allocate [resolve]'s tuple. *)
-let base_payload payload word =
+let[@inline] base_payload payload word =
   if Block_prefix.is_offset word then payload - Block_prefix.offset_delta word
   else payload
 
-let base_prefix t ~base_payload word =
+let[@inline] base_prefix t ~base_payload word =
   if Block_prefix.is_offset word then
-    read_word t (base_payload - Block_prefix.prefix_bytes)
+    read_word_at ~racy:false t (base_payload - Block_prefix.prefix_bytes)
   else word
 
 let resolve t payload =
@@ -358,8 +363,8 @@ let instance t ~name ~rt ~malloc ~free ~usable_size ~check =
     malloc;
     free;
     usable_size;
-    read_word = (fun ?racy addr -> read_word ?racy t addr);
-    write_word = (fun ?racy addr v -> write_word ?racy t addr v);
+    read_word = (fun ?(racy = false) addr -> read_word_at ~racy t addr);
+    write_word = (fun ?(racy = false) addr v -> write_word_at ~racy t addr v);
     write_payload_round =
       (fun addr ~len ~times -> write_payload_round t addr ~len ~times);
     space = (fun () -> Space.read t.space);

@@ -129,6 +129,13 @@ val live_regions : t -> int
 val read_word : ?racy:bool -> t -> int -> int
 val write_word : ?racy:bool -> t -> int -> int -> unit
 
+val read_word_at : racy:bool -> t -> int -> int
+val write_word_at : racy:bool -> t -> int -> int -> unit
+(** The same accesses with [~racy] required. These are the entries the
+    allocators' hot paths use: they are [@inline], while the optional
+    argument of {!read_word}/{!write_word} compiles to a wrapper around
+    a separate function that is never inlined (DESIGN.md §18). *)
+
 val resolve : t -> int -> int * int * int
 (** [resolve t payload] follows the 8-byte block prefix below [payload]
     (and, for [Alloc_ops.aligned_alloc] results, its offset word) down

@@ -40,11 +40,13 @@ module Atomic = struct
   let get = Stdlib.Atomic.get
   let set = Stdlib.Atomic.set
 
-  let compare_and_set a expected desired =
+  (* [@inline]: without flambda the compiler inlines only bodies of
+     size 10 or less, and every per-operation helper of the real copy
+     is above that (DESIGN.md §18). The hook test stays here, so with no
+     hook installed a CAS is the primitive plus one load and one branch;
+     [obs_cas] itself is out of line. *)
+  let[@inline] compare_and_set a expected desired =
     let ok = Stdlib.Atomic.compare_and_set a expected desired in
-    (* Hook deref inlined here: [obs_cas] re-checks it, but going through
-       the call just to find no hook installed costs a cross-module call
-       on every CAS of the hot path. *)
     if Obs.compiled then begin
       match !Obs.hook with
       | None -> ()
@@ -76,7 +78,12 @@ let yield () =
 
 let syscall () = ()
 
-let label () l =
+(* Labels and obs sites are inlined into every CAS window of the hot
+   path: the inlined part is the hook tests (a load and a branch each),
+   and the bodies that run only with a tracer or fault injector
+   installed stay out of line, so the inlined code makes no indirect
+   call. *)
+let[@inline never] label_hooked l =
   (if Obs.compiled then
      match !Rt_base.Obs.hook with
      | None -> ()
@@ -85,15 +92,25 @@ let label () l =
   let h = !Rt_base.real_label_hook in
   if h != Rt_base.noop_label then h l
 
-let obs_event () kind name =
+let[@inline] label () l =
+  let traced =
+    Obs.compiled
+    && match !Rt_base.Obs.hook with None -> false | Some _ -> true
+  in
+  if traced || !Rt_base.real_label_hook != Rt_base.noop_label then
+    label_hooked l
+
+let[@inline never] obs_event_hooked f kind name =
+  f
+    ~tid:(Rt_base.obs_tid ~in_sim:false)
+    ~kind ~label:name
+    ~cycle:(Rt_base.obs_cycle ~in_sim:false)
+
+let[@inline] obs_event () kind name =
   if Obs.compiled then
     match !Rt_base.Obs.hook with
     | None -> ()
-    | Some f ->
-        f
-          ~tid:(Rt_base.obs_tid ~in_sim:false)
-          ~kind ~label:name
-          ~cycle:(Rt_base.obs_cycle ~in_sim:false)
+    | Some f -> obs_event_hooked f kind name
 
 let self () = Domain.DLS.get Rt_base.dls_self
 let num_cpus () = Domain.recommended_domain_count ()

@@ -69,7 +69,7 @@ let obs_cycle ~in_sim =
   if in_sim then Sim.now_cycles ()
   else Stdlib.Atomic.fetch_and_add Obs.real_clock 1
 
-let obs_cas ~in_sim ok =
+let[@inline never] obs_cas ~in_sim ok =
   match !Obs.hook with
   | None -> ()
   | Some f ->

@@ -13,6 +13,15 @@
      dominates every iteration (desc_pool.tagged_refill's pushes all
      belong to the caller's one labelled refill).
 
+   Each strong backedge also records the names its loop body binds by
+   matching on the result of a computation ([rebound]), such as the
+   descriptor a retry takes out of a list: the next iteration binds
+   them to a new value, so a fact about the value a name held (a store
+   into it, for S3) does not carry across the edge. A name matched out
+   of a variable or a field, or a parameter of the retried function, is
+   not in the set: the retry may well see the same value again. (Names
+   bound by let are not roots of their own; see [walk_bindings].)
+
    Let-bound values are resolved at construction time (OCaml bindings
    are immutable, and construction follows scope), giving the analyses
    alias-aware values: an ident may name an atomic cell, the result of
@@ -66,7 +75,16 @@ type node = {
   mutable n_succ : (ekind * int) list;
 }
 
-type t = { nodes : node array; entry : int; exits : int list }
+type t = {
+  nodes : node array;
+  entry : int;
+  exits : int list;
+  rebinds : ((int * int) * string list) list;
+      (* strong backedge (src, dst) -> the names its loop body binds *)
+}
+
+let rebound t ~src ~dst =
+  Option.value (List.assoc_opt (src, dst) t.rebinds) ~default:[]
 
 type fn = {
   f_unit : string;  (* unqualified module name, e.g. "Desc_pool" *)
@@ -109,8 +127,11 @@ type ctx = {
   fenv : (string, local_fn) Hashtbl.t;  (* local functions (inlined) *)
   mutable params : (string * string) list;  (* unique name -> source name *)
   mutable param_keys : (akey * string) list;  (* reversed *)
-  mutable active : (string * int) list;  (* rec inlines -> entry node *)
+  mutable active : (string * (int * string list)) list;
+      (* rec inlines -> entry node, [bound] at the entry *)
   mutable depth : int;
+  mutable bound : string list;  (* see [note_bound], reversed *)
+  mutable rebinds : ((int * int) * string list) list;
 }
 
 and local_fn = { lf_expr : expression; lf_uniq : string }
@@ -133,6 +154,24 @@ let fresh_node ctx ev (loc : Location.t) preds =
 
 let connect kind (src : node) (dst : node) =
   src.n_succ <- (kind, dst.n_id) :: src.n_succ
+
+(* A match on the result of a computation inside the function body. *)
+let note_bound : type k. ctx -> k general_pattern -> unit =
+ fun ctx pat ->
+  List.iter
+    (fun id -> ctx.bound <- Ident.unique_name id :: ctx.bound)
+    (pat_bound_idents pat)
+
+(* A strong backedge back to a loop head entered when [bound] was
+   [mark]: it re-binds every name bound since. *)
+let connect_retry ctx ~mark (src : node) (dst : node) =
+  connect Back_strong src dst;
+  let rec since = function
+    | l when l == mark -> []
+    | [] -> []
+    | x :: rest -> x :: since rest
+  in
+  ctx.rebinds <- ((src.n_id, dst.n_id), since ctx.bound) :: ctx.rebinds
 
 (* ------------------------------------------------------------------ *)
 (* Expression utilities. *)
@@ -340,6 +379,9 @@ let rec walk ctx preds e : node list * avalue =
             (match case.c_lhs.pat_desc with
             | Tpat_exception p -> bind_pat ctx Vopaque p
             | _ -> ());
+            (match (strip scrut).exp_desc with
+            | Texp_ident _ | Texp_field _ -> ()
+            | _ -> note_bound ctx case.c_lhs);
             let gpreds =
               match case.c_guard with
               | Some g -> fst (walk ctx spreds g)
@@ -361,9 +403,10 @@ let rec walk ctx preds e : node list * avalue =
       (bpreds @ hexits, bv)
   | Texp_while (cond, body) ->
       let head = fresh_node ctx Enop loc preds in
+      let mark = ctx.bound in
       let cpreds, _ = walk ctx [ head ] cond in
       let bexits, _ = walk ctx cpreds body in
-      List.iter (fun b -> connect Back_strong b head) bexits;
+      List.iter (fun b -> connect_retry ctx ~mark b head) bexits;
       (cpreds, Vopaque)
   | Texp_for (_, _, lo, hi, _, body) ->
       (* a counted loop is a data traversal, not a CAS retry cycle:
@@ -514,11 +557,11 @@ and inline_weak_loop ctx preds lam =
    argument values. Recursive self-calls become strong backedges. *)
 and inline_local ctx preds lf argvals loc =
   match List.assoc_opt lf.lf_uniq ctx.active with
-  | Some entry_id ->
+  | Some (entry_id, mark) ->
       (* recursive call: a retry-loop backedge *)
       let call = fresh_node ctx Enop loc preds in
       let entry = List.find (fun n -> n.n_id = entry_id) ctx.nodes in
-      connect Back_strong call entry;
+      connect_retry ctx ~mark call entry;
       [ call ]
   | None ->
       if ctx.depth > 40 then (
@@ -527,7 +570,7 @@ and inline_local ctx preds lf argvals loc =
       else begin
         ctx.depth <- ctx.depth + 1;
         let entry = fresh_node ctx Enop loc preds in
-        ctx.active <- (lf.lf_uniq, entry.n_id) :: ctx.active;
+        ctx.active <- (lf.lf_uniq, (entry.n_id, ctx.bound)) :: ctx.active;
         let rec apply preds e argvals =
           match ((strip e).exp_desc, argvals) with
           | Texp_function { cases = [ c ]; _ }, v :: rest ->
@@ -726,6 +769,8 @@ let build_function ~unit_name ~file ~name ?self expr =
       param_keys = [];
       active = [];
       depth = 0;
+      bound = [];
+      rebinds = [];
     }
   in
   let entry = fresh_node ctx Enop expr.exp_loc [] in
@@ -734,7 +779,7 @@ let build_function ~unit_name ~file ~name ?self expr =
   (match self with
   | Some uniq ->
       Hashtbl.replace ctx.fenv uniq { lf_expr = expr; lf_uniq = uniq };
-      ctx.active <- [ (uniq, entry.n_id) ]
+      ctx.active <- [ (uniq, (entry.n_id, [])) ]
   | None -> ());
   (* Peel curried parameters. Optional arguments with defaults compile
      to lets interleaved between the function layers
@@ -777,6 +822,7 @@ let build_function ~unit_name ~file ~name ?self expr =
         nodes = arr;
         entry = entry.n_id;
         exits = List.map (fun n -> n.n_id) exits;
+        rebinds = ctx.rebinds;
       };
   }
 

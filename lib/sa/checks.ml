@@ -428,7 +428,10 @@ let demand_fixpoint analysis ~resolve (summaries : ('d, 's) summary array)
    desired value depends on a parameter, reached with [s3_entry] set,
    demands that callers fence their stores into that argument; a
    caller passing a root it wrote is reported at the call, and one
-   passing its own parameter lifts the demand to its callers. *)
+   passing its own parameter lifts the demand to its callers. A strong
+   backedge clears the roots its loop body binds afresh: a retry that
+   takes a new descriptor out of a list does not publish the stores
+   into the previous one. *)
 
 let s3_entry = "<entry>"
 
@@ -445,6 +448,7 @@ let s3_summarize (fn : Cfg.fn) =
   let ins =
     Dataflow.fixpoint cfg ~init:(SS.singleton s3_entry) ~equal:SS.equal
       ~join:SS.union ~transfer:s3_transfer ~edge:(fun _ s -> s)
+      ~rebind:(fun names s -> SS.diff s (SS.of_list names))
   in
   let out = ref [] and init = ref [] in
   Array.iteri

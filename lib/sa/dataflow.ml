@@ -1,10 +1,12 @@
 (* A small forward may-analysis engine over Cfg.t. States form a finite
    join-semilattice supplied by the client; [edge] lets backedges demote
    facts (read freshness, label windows) differently from sequential
-   flow. Returns the in-state of every reachable node ([None] for
-   unreachable ones). *)
+   flow, and [rebind] drops the facts about the names a strong backedge
+   binds afresh ({!Cfg.rebound}). Returns the in-state of every
+   reachable node ([None] for unreachable ones). *)
 
-let fixpoint (cfg : Cfg.t) ~(init : 's) ~(equal : 's -> 's -> bool)
+let fixpoint ?(rebind = fun _ s -> s) (cfg : Cfg.t) ~(init : 's)
+    ~(equal : 's -> 's -> bool)
     ~(join : 's -> 's -> 's) ~(transfer : Cfg.node -> 's -> 's)
     ~(edge : Cfg.ekind -> 's -> 's) : 's option array =
   let n = Array.length cfg.nodes in
@@ -30,6 +32,14 @@ let fixpoint (cfg : Cfg.t) ~(init : 's) ~(equal : 's -> 's -> bool)
           List.iter
             (fun (kind, j) ->
               let contrib = edge kind out in
+              let contrib =
+                match kind with
+                | Cfg.Back_strong -> (
+                    match Cfg.rebound cfg ~src:i ~dst:j with
+                    | [] -> contrib
+                    | names -> rebind names contrib)
+                | Cfg.Seq | Cfg.Back_weak -> contrib
+              in
               let updated =
                 match ins.(j) with
                 | None -> Some contrib

@@ -32,35 +32,78 @@ esac
 # real-domain benchmark's executable, which reaches Lf_alloc through the
 # Make shims, so this also shows that they resolve to the real copy: the
 # Active/anchor/pub steps and the three malloc paths may hold no
-# caml_apply and no indirect call. malloc and free may each keep exactly
-# one indirect call: the stdlib's Domain.DLS.get behind Rt.self, which
-# is not inlined across the stdlib boundary.
+# caml_apply and no indirect call. malloc and free (Lf_alloc's and
+# Block_cache's) may each keep exactly one indirect call: the stdlib's
+# Domain.DLS.get behind Rt.self, which is not inlined across the stdlib
+# boundary.
+# Straight-line gate: the functions an active-hit malloc+free runs
+# (Fig. 4's MallocFromActive, Fig. 6's push, the block cache's hit and
+# free) must also hold no idiv and no call to a per-operation helper
+# that is meant to be inlined: the word codecs, Descriptor.get, Stripes,
+# Size_class, Store's word accessors, Real_rt's label/CAS/obs wrappers
+# and Lf_alloc's own heap_at/block_index/finish_block/classify. Without
+# flambda the compiler inlines only what is marked [@inline] or is of
+# size 10 or less, so an edit that pushes a helper over the limit or
+# drops its attribute brings the call back. The cold hook bodies
+# (label_hooked, obs_event_hooked, Rt_base.obs_cas) are allowed.
 objdump -d --no-show-raw-insn _build/default/perfbench/main.exe | awk '
   /^[0-9a-f]+ <.*>:$/ {
     fn = $2; gsub(/[<>:]/, "", fn)
-    if (fn ~ /^camlMm_core__Lf_alloc\.[a-z_]+_[0-9]+$/) {
-      base = fn; sub(/^camlMm_core__Lf_alloc\./, "", base)
-      sub(/_[0-9]+$/, "", base)
+    if (fn ~ /^camlMm_core__(Lf_alloc|Block_cache)\.[a-z_]+_[0-9]+$/) {
+      base = fn; sub(/^camlMm_core__/, "", base); sub(/_[0-9]+$/, "", base)
       seen[base] = 1
     } else base = ""
     next
   }
-  base != "" && /call.*(\*|caml_apply)/ { indirect[base]++ }
+  base == "" { next }
+  /call.*(\*|caml_apply)/ { indirect[base]++ }
+  /idiv/ { idiv[base]++ }
+  /call/ {
+    callee = $NF; gsub(/[<>]/, "", callee)
+    if (callee ~ /^camlMm_core__(Anchor|Active_word|Pub_word|Descriptor|Stripes)\./ ||
+        callee ~ /^camlMm_mem__Size_class\./ ||
+        callee ~ /^camlMm_mem__Store\.(read|write)_word/ ||
+        callee ~ /^camlMm_runtime__Real_rt\.(label|compare_and_set|obs_event)_[0-9]+$/ ||
+        callee ~ /^camlMm_core__Lf_alloc\.(heap_at|block_index|finish_block|classify)_[0-9]+$/) {
+      sub(/^caml/, "", callee); sub(/_[0-9]+$/, "", callee)
+      helper[base, callee]++
+      helpers[base] = 1
+    }
+  }
   END {
     split("reserve_active pop_blocks anchor_push pub_push " \
           "malloc_from_active malloc_from_partial malloc_from_new_sb", zero)
-    for (i in zero) limit[zero[i]] = 0
-    limit["malloc"] = 1; limit["free"] = 1
+    for (i in zero) limit["Lf_alloc." zero[i]] = 0
+    limit["Lf_alloc.malloc"] = 1; limit["Lf_alloc.free"] = 1
+    limit["Block_cache.malloc"] = 1; limit["Block_cache.free"] = 1
+    split("Lf_alloc.malloc Lf_alloc.free Lf_alloc.malloc_from_active " \
+          "Lf_alloc.reserve_active Lf_alloc.pop_blocks Lf_alloc.anchor_push " \
+          "Block_cache.malloc Block_cache.free", flat)
+    for (i in flat) straight[flat[i]] = 1
     bad = 0
     for (f in limit) {
       if (!(f in seen)) {
-        printf "ci: Lf_alloc.%s not found in perfbench/main.exe\n", f
+        printf "ci: %s not found in perfbench/main.exe\n", f
         bad = 1
       } else if (indirect[f] + 0 > limit[f]) {
-        printf "ci: Lf_alloc.%s makes %d indirect calls (at most %d)\n",
+        printf "ci: %s makes %d indirect calls (at most %d)\n",
           f, indirect[f], limit[f]
         bad = 1
       }
+    }
+    for (f in straight) {
+      if (idiv[f] + 0 > 0) {
+        printf "ci: %s holds %d idiv\n", f, idiv[f]
+        bad = 1
+      }
+      if (f in helpers)
+        for (k in helper) {
+          split(k, part, SUBSEP)
+          if (part[1] == f) {
+            printf "ci: %s calls %s (%d call sites)\n", f, part[2], helper[k]
+            bad = 1
+          }
+        }
     }
     exit bad
   }' >&2

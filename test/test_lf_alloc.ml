@@ -462,6 +462,85 @@ let wild_free_guard () =
   A.free t a;
   A.check_invariants t
 
+(* The wild-pointer guard divides by the block size with a reciprocal
+   set when the superblock is carved. For every class at the smallest,
+   the default and the largest allowed superblock, it must accept
+   exactly the block boundaries of the superblock, with their index,
+   and reject every other offset from one block below the superblock to
+   one block past its end. *)
+let block_guard_every_offset () =
+  List.iter
+    (fun sbsize ->
+      let t = A.create () (Cfg.make ~nheaps:1 ~sbsize ()) in
+      let classes = A.size_classes t in
+      for sc = 0 to Mm_mem.Size_class.count classes - 1 do
+        let sz = Mm_mem.Size_class.block_size classes sc in
+        let p = A.malloc t (sz - Mm_mem.Block_prefix.prefix_bytes) in
+        let desc =
+          D.get (A.descriptor_table t)
+            (Mm_mem.Block_prefix.desc_id
+               (Store.read_word (A.store t) (p - 8)))
+        in
+        Alcotest.(check int) "block size" sz desc.D.sz;
+        let wrong = ref 0 and first_wrong = ref None in
+        for off = -sz to sbsize + sz - 1 do
+          let want =
+            if off >= 0 && off mod sz = 0 && off / sz < desc.D.maxcount then
+              Some (off / sz)
+            else None
+          in
+          let got =
+            match A.block_index desc (desc.D.sb + off) with
+            | idx -> Some idx
+            | exception Invalid_argument msg
+              when msg = "Lf_alloc.free: not a block address" ->
+                None
+          in
+          if got <> want then begin
+            incr wrong;
+            if !first_wrong = None then first_wrong := Some off
+          end
+        done;
+        Alcotest.(check (option int))
+          (Printf.sprintf "sbsize %d, %d-byte class: first wrong offset"
+             sbsize sz)
+          None !first_wrong;
+        A.free t p
+      done;
+      A.check_invariants t)
+    [ 4096; 16 * 1024; A.max_sbsize ]
+
+let sbsize_bound () =
+  let sbsize = 2 * A.max_sbsize in
+  Alcotest.check_raises "sbsize above the bound"
+    (Invalid_argument
+       (Printf.sprintf
+          "Lf_alloc.create: sbsize %d is above %d, the largest superblock \
+           whose block offsets the descriptor's reciprocal divides exactly"
+          sbsize A.max_sbsize))
+    (fun () -> ignore (A.create () (Cfg.make ~nheaps:1 ~sbsize ())))
+
+(* The hot path reads a thread's processor heap and a global heap index's
+   coordinates off tables built in [create]; they must agree with the
+   divisions they replace. *)
+let heap_tables () =
+  List.iter
+    (fun nheaps ->
+      let t = A.create () (Cfg.make ~nheaps ()) in
+      for tid = 0 to Real_rt.max_threads - 1 do
+        Alcotest.(check int)
+          (Printf.sprintf "nheaps %d: home heap of tid %d" nheaps tid)
+          (tid mod nheaps) (A.home_heap t ~tid)
+      done;
+      let nclasses = Mm_mem.Size_class.count (A.size_classes t) in
+      for gid = 0 to (nclasses * nheaps) - 1 do
+        Alcotest.(check (pair int int))
+          (Printf.sprintf "nheaps %d: coordinates of gid %d" nheaps gid)
+          (gid / nheaps, gid mod nheaps)
+          (A.heap_coords t gid)
+      done)
+    [ 1; 2; 3; 7; 16 ]
+
 (* A FULL superblock is in no structure, so a batch that returns all of
    its blocks at once must release it itself: unmap the superblock and
    retire the descriptor, instead of leaving it EMPTY where nothing will
@@ -536,6 +615,9 @@ let cases =
     case "wild free rejected" wild_free_guard;
     case "region-table exhaustion fails cleanly" region_table_exhaustion;
     case "store_capacity bound" store_capacity_bound;
+    case "block guard at every offset" block_guard_every_offset;
+    case "sbsize bound" sbsize_bound;
+    case "home-heap and gid tables" heap_tables;
     case "flush emptying a FULL superblock releases it"
       flush_empties_full_superblock;
     case "multi-kill fuzz (sim x8)" multi_kill_fuzz;
