@@ -32,8 +32,8 @@ let scenario ~alloc_name ~kill_label =
   in
   let body _ =
     for _ = 1 to pairs do
-      let a = I.instance_malloc inst 16 in
-      I.instance_free inst a
+      let a = inst.I.malloc 16 in
+      inst.I.free a
     done
   in
   match Sim.run sim (Array.make threads (fun i -> body i)) with

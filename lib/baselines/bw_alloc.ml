@@ -155,7 +155,9 @@ let free t payload =
   else begin
     let tid = Rt.self t.rt in
     t.frees.(tid) <- t.frees.(tid) + 1;
-    let payload, prefix, _ = Store.resolve t.store payload in
+    let word = Store.read_word t.store (payload - Prefix.prefix_bytes) in
+    let payload = Store.base_payload payload word in
+    let prefix = Store.base_prefix t.store ~base_payload:payload word in
     let base = payload - Prefix.prefix_bytes in
     if Prefix.is_large prefix then Store.free_large t.store base
     else begin
@@ -176,7 +178,9 @@ let free t payload =
   end
 
 let usable_size t payload =
-  let _, prefix, delta = Store.resolve t.store payload in
+  let word = Store.read_word t.store (payload - Prefix.prefix_bytes) in
+  let base_payload = Store.base_payload payload word in
+  let prefix = Store.base_prefix t.store ~base_payload word in
   let base =
     if Prefix.is_large prefix then
       Prefix.large_len prefix - Prefix.prefix_bytes
@@ -187,7 +191,7 @@ let usable_size t payload =
       Sc.block_size t.classes sc - Prefix.prefix_bytes
     end
   in
-  base - delta
+  base - (payload - base_payload)
 
 let op_counts t =
   (Array.fold_left ( + ) 0 t.mallocs, Array.fold_left ( + ) 0 t.frees)

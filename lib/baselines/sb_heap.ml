@@ -99,16 +99,16 @@ let sdesc_of_prefix ctx prefix =
 
 let class_of_request ctx n = Sc.class_of_request ctx.classes n
 
-let resolve_payload ctx payload = Store.resolve ctx.store payload
-
 let usable_size ctx payload =
-  let _, prefix, delta = resolve_payload ctx payload in
+  let word = Store.read_word ctx.store (payload - Prefix.prefix_bytes) in
+  let base_payload = Store.base_payload payload word in
+  let prefix = Store.base_prefix ctx.store ~base_payload word in
   let base =
     if Prefix.is_large prefix then
       Prefix.large_len prefix - Prefix.prefix_bytes
     else (sdesc_of_prefix ctx prefix).Sdesc.sz - Prefix.prefix_bytes
   in
-  base - delta
+  base - (payload - base_payload)
 
 let large_malloc ctx n =
   let len = n + Prefix.prefix_bytes in

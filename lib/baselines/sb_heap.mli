@@ -54,9 +54,6 @@ val class_of_request : ctx -> int -> int option
 val large_malloc : ctx -> int -> int
 val large_free : ctx -> int -> unit
 
-val resolve_payload : ctx -> int -> int * int * int
-(** See {!Mm_mem.Alloc_ops.resolve}: [(payload, prefix, delta)]. *)
-
 val usable_size : ctx -> int -> int
 
 val pop_block : ctx -> heap -> int -> int option

@@ -25,7 +25,6 @@ type t = {
   backend : Lf_alloc.t;
   rt : Rt.t;
   cfg : Cfg.t;
-  enabled : bool;
   nclasses : int;
   state : Stripes.t;  (* one row per thread, columns below *)
   c_remote : int;  (* first slot of the remote buffer *)
@@ -56,6 +55,7 @@ let c_lens = 10
 let name = "new-cached"
 
 let create rt (cfg : Cfg.t) =
+  if not cfg.cache then invalid_arg "Block_cache.create: cfg.cache is false";
   let backend = Lf_alloc.create rt cfg in
   let nclasses = Sc.count (Lf_alloc.size_classes backend) in
   let c_remote = c_lens + nclasses in
@@ -66,7 +66,6 @@ let create rt (cfg : Cfg.t) =
     backend;
     rt;
     cfg;
-    enabled = cfg.cache;
     nclasses;
     state =
       Stripes.create ~threads:Rt.max_threads
@@ -103,44 +102,41 @@ let[@inline] push t row sc p =
   set_len row sc (n + 1)
 
 let malloc t n =
-  if not t.enabled then Lf_alloc.malloc t.backend n
-  else begin
-    if n < 0 then invalid_arg "Lf_alloc.malloc: negative size";
-    let row = row t (Rt.self t.rt) in
-    add row c_mallocs 1;
-    match Sc.class_of_request (Lf_alloc.size_classes t.backend) n with
-    | None -> Lf_alloc.malloc t.backend n
-    | Some sc ->
-        let k = len row sc in
-        if k > 0 then begin
-          (* Hit: pure thread-local pop, zero shared accesses. *)
-          add row c_hits 1;
-          Rt.obs_event t.rt Rt.Obs.Transition "bc.hit";
+  if n < 0 then invalid_arg "Lf_alloc.malloc: negative size";
+  let row = row t (Rt.self t.rt) in
+  add row c_mallocs 1;
+  match Sc.class_of_request (Lf_alloc.size_classes t.backend) n with
+  | None -> Lf_alloc.malloc t.backend n
+  | Some sc ->
+      let k = len row sc in
+      if k > 0 then begin
+        (* Hit: pure thread-local pop, zero shared accesses. *)
+        add row c_hits 1;
+        Rt.obs_event t.rt Rt.Obs.Transition "bc.hit";
+        set_len row sc (k - 1);
+        get row (slot t sc (k - 1))
+      end
+      else begin
+        add row c_misses 1;
+        Rt.obs_event t.rt Rt.Obs.Transition "bc.miss";
+        (* The batch lands in the (empty) stack itself, its first block
+           on top. *)
+        let k =
+          Lf_alloc.refill_into t.backend ~sc ~max:t.cfg.cache_batch row
+            ~pos:(at (slot t sc 0))
+        in
+        if k = 0 then
+          (* No active superblock: the ordinary Fig. 4 slow paths
+             (partial / new superblock) install one. *)
+          Lf_alloc.malloc t.backend n
+        else begin
+          add row c_refills 1;
+          add row c_refilled_blocks k;
+          Rt.obs_event t.rt Rt.Obs.Transition "bc.refill";
           set_len row sc (k - 1);
           get row (slot t sc (k - 1))
         end
-        else begin
-          add row c_misses 1;
-          Rt.obs_event t.rt Rt.Obs.Transition "bc.miss";
-          (* The batch lands in the (empty) stack itself, its first
-             block on top. *)
-          let k =
-            Lf_alloc.refill_into t.backend ~sc ~max:t.cfg.cache_batch row
-              ~pos:(at (slot t sc 0))
-          in
-          if k = 0 then
-            (* No active superblock: the ordinary Fig. 4 slow paths
-               (partial / new superblock) install one. *)
-            Lf_alloc.malloc t.backend n
-          else begin
-            add row c_refills 1;
-            add row c_refilled_blocks k;
-            Rt.obs_event t.rt Rt.Obs.Transition "bc.refill";
-            set_len row sc (k - 1);
-            get row (slot t sc (k - 1))
-          end
-        end
-  end
+      end
 
 let flush_remote t row =
   let n = get row c_remote_len in
@@ -175,16 +171,13 @@ let flush_bottom t row sc k =
     ~scratch:(at t.c_scratch)
 
 let free t payload =
-  if not t.enabled then Lf_alloc.free t.backend payload
-  else if payload = Addr.null then ()
+  if payload = Addr.null then ()
   else begin
     let tid = Rt.self t.rt in
     let row = row t tid in
     add row c_frees 1;
     let st = store t in
-    let word =
-      Store.read_word_at ~racy:false st (payload - Prefix.prefix_bytes)
-    in
+    let word = Store.read_word st (payload - Prefix.prefix_bytes) in
     let base_payload = Store.base_payload payload word in
     let kind =
       Lf_alloc.classify t.backend ~tid ~base_payload
@@ -233,9 +226,7 @@ let stats t : stats =
   }
 
 let op_counts t =
-  if t.enabled then
-    (Stripes.total t.state c_mallocs, Stripes.total t.state c_frees)
-  else Lf_alloc.op_counts t.backend
+  (Stripes.total t.state c_mallocs, Stripes.total t.state c_frees)
 
 let cached_blocks t =
   let n = ref (Stripes.total t.state c_remote_len) in

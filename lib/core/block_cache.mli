@@ -13,9 +13,9 @@
     lock-free, and the frontend adds no retry window beyond the
     labelled batched CASes ([bc.*] in {!Labels}).
 
-    With [cfg.cache = false] (the default) every operation passes
-    straight through to the backend, preserving the verbatim paper
-    allocator bit-for-bit; the harness name ["new-cached"] forces it on.
+    The frontend always caches: the uncached configuration is
+    {!Lf_alloc} itself. The harness name ["new-cached"] sets
+    [cfg.cache], which {!create} requires.
 
     Progress and safety: a thread delayed or killed anywhere loses at
     most the blocks its own cache holds (they leak — they stay allocated
@@ -33,7 +33,8 @@ val name : string
 
 val create : Rt.t -> Mm_mem.Alloc_config.t -> t
 (** A fresh, independent heap (own store, own descriptors). Thread-safe
-    for concurrent [malloc]/[free] once created. *)
+    for concurrent [malloc]/[free] once created. Raises
+    [Invalid_argument] when [cfg.cache] is false. *)
 
 val malloc : t -> int -> int
 (** [malloc t n] allocates a block with at least [n] payload bytes and
@@ -82,8 +83,7 @@ val stats : t -> stats
 
 val op_counts : t -> int * int
 (** Total [(mallocs, frees)] the application issued against this
-    instance (frontend view; falls back to the backend's counters when
-    the cache is disabled). *)
+    instance (frontend view). *)
 
 val cached_blocks : t -> int
 (** Blocks currently parked in all thread caches and remote buffers

@@ -246,7 +246,7 @@ let[@inline] block_index (desc : Descriptor.t) base =
 
 let[@inline] finish_block t (desc : Descriptor.t) addr =
   (* line 21: store the descriptor in the block prefix. *)
-  Store.write_word_at ~racy:false t.store addr (Prefix.small ~desc_id:desc.id);
+  Store.write_word t.store addr (Prefix.small ~desc_id:desc.id);
   addr + Prefix.prefix_bytes
 
 (* ------------------------------------------------------------------ *)
@@ -398,7 +398,7 @@ let rec pop_blocks t (desc : Descriptor.t) ~n ~took_last ~label
     let addr = block_addr desc !idx in
     if i > 0 then dst.(pos + i - 1) <- addr;
     (* [clamp_index] only keeps a racy value representable. *)
-    idx := clamp_index (Store.read_word_at ~racy:true t.store addr)
+    idx := clamp_index (Store.read_word_racy t.store addr)
   done;
   let newanchor = pop_tag t (Anchor.set_avail oldanchor !idx) in
   let count = Anchor.count oldanchor in
@@ -618,7 +618,7 @@ let rec anchor_push t (desc : Descriptor.t) ~first_idx ~last ~n ~label spins =
     pub_push t desc ~first_idx ~last ~n Backoff.initial
   else begin
     (* line 8: thread the run onto the available list. *)
-    Store.write_word_at ~racy:false t.store last (Anchor.avail oldanchor);
+    Store.write_word t.store last (Anchor.avail oldanchor);
     (* line 9 *)
     let with_avail = Anchor.set_avail oldanchor first_idx in
     let oldstate = Anchor.state oldanchor in
@@ -674,7 +674,7 @@ and pub_push t (desc : Descriptor.t) ~first_idx ~last ~n spins =
     anchor_push t desc ~first_idx ~last ~n ~label:Labels.free_cas
       Backoff.initial
   else begin
-    Store.write_word_at ~racy:false t.store last (Pub_word.head oldpub);
+    Store.write_word t.store last (Pub_word.head oldpub);
     Rt.fence t.rt;
     Rt.label t.rt Labels.pub_push;
     if
@@ -692,7 +692,7 @@ and pub_push t (desc : Descriptor.t) ~first_idx ~last ~n spins =
    the owning thread. *)
 let priv_pop t (desc : Descriptor.t) =
   let addr = block_addr desc desc.priv_head in
-  desc.priv_head <- clamp_index (Store.read_word_at ~racy:false t.store addr);
+  desc.priv_head <- clamp_index (Store.read_word t.store addr);
   desc.priv_count <- desc.priv_count - 1;
   addr
 
@@ -707,7 +707,7 @@ let ob_push t (desc : Descriptor.t) ~first_idx ~last ~n tid =
      produce a correct "not the owner". *)
   let sc = (heap_of_gid t desc.heap_gid).sc in
   if t.owned.(tid).(sc) = desc.id then begin
-    Store.write_word_at ~racy:false t.store last desc.priv_head;
+    Store.write_word t.store last desc.priv_head;
     desc.priv_head <- first_idx;
     desc.priv_count <- desc.priv_count + n
   end
@@ -916,9 +916,7 @@ let free t payload =
     let tid = Rt.self t.rt in
     count_at t tid c_frees;
     (* lines 2-3, extended with aligned-payload resolution *)
-    let word =
-      Store.read_word_at ~racy:false t.store (payload - Prefix.prefix_bytes)
-    in
+    let word = Store.read_word t.store (payload - Prefix.prefix_bytes) in
     let base_payload = Store.base_payload payload word in
     let prefix = Store.base_prefix t.store ~base_payload word in
     let base = base_payload - Prefix.prefix_bytes in
@@ -935,7 +933,9 @@ let free t payload =
   end
 
 let usable_size t payload =
-  let _, prefix, delta = Store.resolve t.store payload in
+  let word = Store.read_word t.store (payload - Prefix.prefix_bytes) in
+  let base_payload = Store.base_payload payload word in
+  let prefix = Store.base_prefix t.store ~base_payload word in
   let base_usable =
     if Prefix.is_large prefix then
       Prefix.large_len prefix - Prefix.prefix_bytes
@@ -943,7 +943,7 @@ let usable_size t payload =
       (Descriptor.get t.table (Prefix.desc_id prefix)).Descriptor.sz
       - Prefix.prefix_bytes
   in
-  base_usable - delta
+  base_usable - (payload - base_payload)
 
 (* ------------------------------------------------------------------ *)
 (* Batched refill / flush — the entry points of the per-thread
@@ -1028,7 +1028,7 @@ let rec push_group t tid (desc : Descriptor.t) (src : int array) ~pos ~n
   if j < n then begin
     if src.(scratch + j) = desc.id then begin
       let base = src.(pos + j) - Prefix.prefix_bytes in
-      Store.write_word_at ~racy:false t.store last (block_index desc base);
+      Store.write_word t.store last (block_index desc base);
       src.(scratch + j) <- 0;
       push_group t tid desc src ~pos ~n ~scratch ~first ~last:base
         ~count:(count + 1) (j + 1)
@@ -1051,7 +1051,7 @@ let rec push_group t tid (desc : Descriptor.t) (src : int array) ~pos ~n
 let flush_from t (src : int array) ~pos ~n ~scratch =
   for i = 0 to n - 1 do
     let base = src.(pos + i) - Prefix.prefix_bytes in
-    let prefix = Store.read_word_at ~racy:false t.store base in
+    let prefix = Store.read_word t.store base in
     if Prefix.is_large prefix then begin
       free_large_block t base prefix;
       src.(scratch + i) <- 0

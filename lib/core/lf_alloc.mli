@@ -192,8 +192,9 @@ val flush_batch : t -> int list -> unit
 
 val classify : t -> tid:int -> base_payload:int -> int -> int
 (** [classify t ~tid ~base_payload prefix] reports what kind of block
-    [base_payload] is, given its prefix word (both as [Store.resolve]
-    returns them): [-1] for a large block,
+    [base_payload] is, given its prefix word (both as
+    [Store.base_payload]/[Store.base_prefix] return them): [-1] for a
+    large block,
     else [(sc lsl 1) lor local], where [local] is [1] when the block's
     superblock belongs to thread [tid]'s processor heap. One immediate,
     so a cached free allocates nothing. Applies {!free}'s wild-pointer

@@ -25,66 +25,57 @@ let allocators = Allocators.names
    runtime the experiment uses) and normalized per 1k workload ops.
    This is the denominator the scripts/ci.sh mmap gate guards. *)
 
-type os_census = {
-  census_ops : int;
-  census_mmaps : int;
-  census_munmaps : int;
-  census_sb_allocs : int;
-  census_sb_reuses : int;
-  census_large_mmaps : int;
-  census_large_munmaps : int;
-  census_pages_requested : int;
-  census_pages_granted : int;
-}
+module Os = Mm_mem.Alloc_intf
 
-let zero_census =
+let no_os =
   {
-    census_ops = 0;
-    census_mmaps = 0;
-    census_munmaps = 0;
-    census_sb_allocs = 0;
-    census_sb_reuses = 0;
-    census_large_mmaps = 0;
-    census_large_munmaps = 0;
-    census_pages_requested = 0;
-    census_pages_granted = 0;
+    Os.mmap_calls = 0;
+    munmap_calls = 0;
+    sb_allocs = 0;
+    sb_frees = 0;
+    sb_reuses = 0;
+    large_mmaps = 0;
+    large_munmaps = 0;
+    pages_requested = 0;
+    pages_granted = 0;
   }
 
-let census = ref zero_census
+(* The workload ops and the summed [os_stats] of the data points counted
+   so far. *)
+let census_ops = ref 0
+let census_os = ref no_os
 
 let note_census name (m : Metrics.t) =
   if name = "new" then begin
-    let os = m.Metrics.os in
-    let c = !census in
-    census :=
+    let (a : Os.os_stats) = !census_os and b = m.Metrics.os in
+    census_ops := !census_ops + m.Metrics.ops;
+    census_os :=
       {
-        census_ops = c.census_ops + m.Metrics.ops;
-        census_mmaps = c.census_mmaps + os.Mm_mem.Store.mmap_calls;
-        census_munmaps = c.census_munmaps + os.Mm_mem.Store.munmap_calls;
-        census_sb_allocs = c.census_sb_allocs + os.Mm_mem.Store.sb_allocs;
-        census_sb_reuses = c.census_sb_reuses + os.Mm_mem.Store.sb_reuses;
-        census_large_mmaps =
-          c.census_large_mmaps + os.Mm_mem.Store.large_mmaps;
-        census_large_munmaps =
-          c.census_large_munmaps + os.Mm_mem.Store.large_munmaps;
-        census_pages_requested =
-          c.census_pages_requested + os.Mm_mem.Store.pages_requested;
-        census_pages_granted =
-          c.census_pages_granted + os.Mm_mem.Store.pages_granted;
+        mmap_calls = a.mmap_calls + b.mmap_calls;
+        munmap_calls = a.munmap_calls + b.munmap_calls;
+        sb_allocs = a.sb_allocs + b.sb_allocs;
+        sb_frees = a.sb_frees + b.sb_frees;
+        sb_reuses = a.sb_reuses + b.sb_reuses;
+        large_mmaps = a.large_mmaps + b.large_mmaps;
+        large_munmaps = a.large_munmaps + b.large_munmaps;
+        pages_requested = a.pages_requested + b.pages_requested;
+        pages_granted = a.pages_granted + b.pages_granted;
       }
   end
 
-let census_pairs c =
+(* The JSON [os] object, keyed as in the BENCH_*.json records, which
+   have no [sb_frees]. *)
+let census_pairs ops (os : Os.os_stats) =
   [
-    ("ops", c.census_ops);
-    ("mmap_calls", c.census_mmaps);
-    ("munmap_calls", c.census_munmaps);
-    ("sb_allocs", c.census_sb_allocs);
-    ("sb_reuses", c.census_sb_reuses);
-    ("large_mmaps", c.census_large_mmaps);
-    ("large_munmaps", c.census_large_munmaps);
-    ("pages_requested", c.census_pages_requested);
-    ("pages_granted", c.census_pages_granted);
+    ("ops", ops);
+    ("mmap_calls", os.mmap_calls);
+    ("munmap_calls", os.munmap_calls);
+    ("sb_allocs", os.sb_allocs);
+    ("sb_reuses", os.sb_reuses);
+    ("large_mmaps", os.large_mmaps);
+    ("large_munmaps", os.large_munmaps);
+    ("pages_requested", os.pages_requested);
+    ("pages_granted", os.pages_granted);
   ]
 
 let per1k n ops =
@@ -94,16 +85,16 @@ let per1k n ops =
 (* Internal fragmentation of buddy-served requests: the share of granted
    pages the power-of-two rounding wasted. "-" when nothing went through
    the buddy (page manager off, or no large/new-superblock traffic). *)
-let frag_pct c =
-  if c.census_pages_granted = 0 then "-"
+let frag_pct (os : Os.os_stats) =
+  if os.pages_granted = 0 then "-"
   else
     Printf.sprintf "%.1f%%"
       (100.0
-      *. float_of_int (c.census_pages_granted - c.census_pages_requested)
-      /. float_of_int c.census_pages_granted)
+      *. float_of_int (os.pages_granted - os.pages_requested)
+      /. float_of_int os.pages_granted)
 
-let census_line ~runtime c =
-  if c.census_ops = 0 then
+let census_line ~runtime ops (os : Os.os_stats) =
+  if ops = 0 then
     Printf.sprintf
       "os census (new, %s runtime): no data points were counted in this \
        experiment"
@@ -113,14 +104,9 @@ let census_line ~runtime c =
       "os census (new, %s runtime, per 1k ops over %d): mmap %s, munmap %s, \
        sb_allocs %s, sb_reuses %s, large_mmap %s, large_munmap %s, buddy \
        frag %s"
-      runtime c.census_ops
-      (per1k c.census_mmaps c.census_ops)
-      (per1k c.census_munmaps c.census_ops)
-      (per1k c.census_sb_allocs c.census_ops)
-      (per1k c.census_sb_reuses c.census_ops)
-      (per1k c.census_large_mmaps c.census_ops)
-      (per1k c.census_large_munmaps c.census_ops)
-      (frag_pct c)
+      runtime ops (per1k os.mmap_calls ops) (per1k os.munmap_calls ops)
+      (per1k os.sb_allocs ops) (per1k os.sb_reuses ops)
+      (per1k os.large_mmaps ops) (per1k os.large_munmaps ops) (frag_pct os)
 
 (* One simulated data point: fresh machine, fresh heap. *)
 let sim_point ?(cpus = Traced.sim_cpus) ?(cfg = Cfg.default) ~seed name
@@ -793,14 +779,7 @@ let ablation_pages mode seed =
           (fun (cname, cfg) ->
             let m = sim_point ~cfg ~seed "new" wl ~threads:8 in
             let os = m.Metrics.os in
-            let frag =
-              frag_pct
-                {
-                  zero_census with
-                  census_pages_requested = os.Mm_mem.Store.pages_requested;
-                  census_pages_granted = os.Mm_mem.Store.pages_granted;
-                }
-            in
+            let frag = frag_pct os in
             [
               wname; cname;
               Render.fmt_throughput m.Metrics.throughput;
@@ -956,8 +935,8 @@ let tail_latency mode seed =
         let body tid =
           for i = 0 to pairs - 1 do
             let t0 = Sim.now_cycles () in
-            let a = Mm_mem.Alloc_intf.instance_malloc inst 8 in
-            Mm_mem.Alloc_intf.instance_free inst a;
+            let a = inst.Mm_mem.Alloc_intf.malloc 8 in
+            inst.Mm_mem.Alloc_intf.free a;
             samples.((tid * pairs) + i) <- Sim.now_cycles () - t0
           done
         in
@@ -1072,8 +1051,8 @@ let kill mode seed =
     let inst = Allocators.make name rt (Cfg.make ~nheaps:1 ()) in
     let body _ =
       for _ = 1 to pairs do
-        let a = Mm_mem.Alloc_intf.instance_malloc inst 8 in
-        Mm_mem.Alloc_intf.instance_free inst a
+        let a = inst.Mm_mem.Alloc_intf.malloc 8 in
+        inst.Mm_mem.Alloc_intf.free a
       done
     in
     match Sim.run sim (Array.make threads (fun i -> body i)) with
@@ -1196,15 +1175,17 @@ let ids = List.map fst experiments
 (* Reset the census, run the experiment, append the census line to its
    table and keep the raw counters beside it. *)
 let with_census f mode seed =
-  census := zero_census;
+  census_ops := 0;
+  census_os := no_os;
   let (t : table) = f mode seed in
   {
     id = t.id;
     title = t.title;
     runtime = t.runtime;
     expectation = t.expectation;
-    lines = t.lines @ [ census_line ~runtime:t.runtime !census ];
-    os = census_pairs !census;
+    lines =
+      t.lines @ [ census_line ~runtime:t.runtime !census_ops !census_os ];
+    os = census_pairs !census_ops !census_os;
   }
 
 let run id ~mode ~seed =

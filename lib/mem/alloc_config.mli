@@ -65,9 +65,10 @@ type t = {
           recycling frequent, which the checking subsystem uses to widen
           the ABA surface it explores. *)
   cache : bool;
-      (** enable the per-thread block-cache frontend ({!Mm_core.Block_cache},
-          DESIGN.md §13). [false] (the default) preserves the verbatim paper
-          allocator: every malloc/free goes straight to the Fig. 4/6 paths. *)
+      (** the per-thread block-cache frontend ({!Mm_core.Block_cache},
+          DESIGN.md §13), whose [create] requires [true]. [false] (the
+          default) is the verbatim paper allocator: every malloc/free goes
+          straight to the Fig. 4/6 paths. *)
   cache_blocks : int;
       (** per-thread, per-size-class cache capacity in blocks (>= 1). *)
   cache_batch : int;

@@ -46,25 +46,10 @@ type instance = {
   malloc : int -> int;
   free : int -> unit;
   usable_size : int -> int;
-  read_word : ?racy:bool -> int -> int;
-  write_word : ?racy:bool -> int -> int -> unit;
+  read_word : int -> int;
+  write_word : int -> int -> unit;
   write_payload_round : int -> len:int -> times:int -> unit;
   space : unit -> space_snapshot;
   os_stats : unit -> os_stats;
   check : unit -> unit;  (** validate invariants; requires quiescence *)
 }
-
-let instance_name i = i.name
-let instance_rt i = i.rt
-let instance_malloc i n = i.malloc n
-let instance_free i addr = i.free addr
-let instance_usable i addr = i.usable_size addr
-let instance_read_word ?racy i addr = i.read_word ?racy addr
-let instance_write_word ?racy i addr v = i.write_word ?racy addr v
-
-let instance_write_payload_round i addr ~len ~times =
-  i.write_payload_round addr ~len ~times
-
-let instance_space i = i.space ()
-let instance_os_stats i = i.os_stats ()
-let instance_check i = i.check ()

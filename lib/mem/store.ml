@@ -231,73 +231,65 @@ let live_regions t =
   Array.iter (fun a -> if Rt.Atomic.get a <> None then incr n) t.regions;
   !n
 
-(* A non-racy out-of-bounds word access is a miscomputed address — under
+(* A non-racy out-of-bounds word access is a miscomputed address: under
    simulation (where lib/check drives schedules) fail loudly so the
    explorer pins it; in real mode keep the tolerant unmapped-memory
-   analogue. Dead regions stay tolerant in both modes: the paper's racy
-   reads can legitimately target a region retired between the read of
-   the anchor and the dereference, and [~racy:true] grants the same
-   licence to in-region offsets read under a race. *)
-let oob_check _t addr off len ~racy ~what =
-  if (not racy) && Rt.is_sim then
-    failwith
-      (Printf.sprintf "Store.%s: out-of-bounds offset %d (region len %d) at %d"
-         what off len addr)
+   analogue. Dead regions stay tolerant in both modes, and
+   [read_word_racy] is tolerant everywhere: the paper's racy read can
+   target a block recycled, or a region retired, between the read of
+   the anchor and the dereference. *)
+let[@inline never] oob_fail addr off len ~what =
+  failwith
+    (Printf.sprintf "Store.%s: out-of-bounds offset %d (region len %d) at %d"
+       what off len addr)
 
-(* On the real runtime the word accessors inline the exact body of
-   {!Real_rt.read_word}/[write_word] (a bare little-endian [Bytes]
-   access) and skip the cache-line attribution only the simulator
-   consumes. [Rt.is_sim] is a constant of the copy being compiled
-   (DESIGN.md §18), so each copy keeps one branch of every such test, as
-   in [write_payload_round] below. The [~racy]-labelled entries are
-   [@inline], so a caller in another module compiles the access into
-   its own body; the [?racy] wrappers compile to a call of a separate
-   [*_inner] function, which is never inlined. *)
+(* The access itself is [Rt.read_word]/[Rt.write_word], which charges
+   the cache line under the simulator and is a bare little-endian
+   [Bytes] access on the real runtime. [Rt.is_sim] is a constant of the
+   copy being compiled (DESIGN.md §18), so the real copy drops the
+   [oob_fail] branch. All three are [@inline]: a caller in another
+   module compiles the access into its own body. *)
 
-let[@inline] read_word_at ~racy t addr =
+let[@inline] read_word t addr =
   match region_of t addr with
   | None -> 0
   | Some r ->
       let off = Addr.offset addr in
       if off < 0 || off + 8 > r.len then begin
-        oob_check t addr off r.len ~racy ~what:"read_word";
+        if Rt.is_sim then oob_fail addr off r.len ~what:"read_word";
         0
       end
-      else if Rt.is_sim then
-        Rt.read_word t.rt r.bytes (r.base + off) ~line:(Addr.line addr)
-      else Int64.to_int (Bytes.get_int64_le r.bytes (r.base + off))
+      else Rt.read_word t.rt r.bytes (r.base + off) ~line:(Addr.line addr)
 
-let[@inline] write_word_at ~racy t addr v =
+let[@inline] read_word_racy t addr =
+  match region_of t addr with
+  | None -> 0
+  | Some r ->
+      let off = Addr.offset addr in
+      if off < 0 || off + 8 > r.len then 0
+      else Rt.read_word t.rt r.bytes (r.base + off) ~line:(Addr.line addr)
+
+let[@inline] write_word t addr v =
   match region_of t addr with
   | None -> ()
   | Some r ->
       let off = Addr.offset addr in
-      if off < 0 || off + 8 > r.len then
-        oob_check t addr off r.len ~racy ~what:"write_word"
-      else if Rt.is_sim then
-        Rt.write_word t.rt r.bytes (r.base + off) ~line:(Addr.line addr) v
-      else Bytes.set_int64_le r.bytes (r.base + off) (Int64.of_int v)
+      if off < 0 || off + 8 > r.len then begin
+        if Rt.is_sim then oob_fail addr off r.len ~what:"write_word"
+      end
+      else Rt.write_word t.rt r.bytes (r.base + off) ~line:(Addr.line addr) v
 
-let read_word ?(racy = false) t addr = read_word_at ~racy t addr
-let write_word ?(racy = false) t addr v = write_word_at ~racy t addr v
-
-(* Resolve a payload address against its 8-byte block prefix: follows an
-   aligned_alloc offset word down to the block base. [base_payload] and
-   [base_prefix] are the two steps, given the word just below the
-   payload, for hot paths that must not allocate [resolve]'s tuple. *)
+(* The two steps that follow a payload's 8-byte block prefix down to
+   the block base, given the word just below the payload: an
+   aligned_alloc offset word points further down. *)
 let[@inline] base_payload payload word =
   if Block_prefix.is_offset word then payload - Block_prefix.offset_delta word
   else payload
 
 let[@inline] base_prefix t ~base_payload word =
   if Block_prefix.is_offset word then
-    read_word_at ~racy:false t (base_payload - Block_prefix.prefix_bytes)
+    read_word t (base_payload - Block_prefix.prefix_bytes)
   else word
-
-let resolve t payload =
-  let word = read_word t (payload - Block_prefix.prefix_bytes) in
-  let base = base_payload payload word in
-  (base, base_prefix t ~base_payload:base word, payload - base)
 
 let init_free_list ?limit t addr ~sz ~maxcount =
   match region_of t addr with
@@ -363,8 +355,8 @@ let instance t ~name ~rt ~malloc ~free ~usable_size ~check =
     malloc;
     free;
     usable_size;
-    read_word = (fun ?(racy = false) addr -> read_word_at ~racy t addr);
-    write_word = (fun ?(racy = false) addr v -> write_word_at ~racy t addr v);
+    read_word = (fun addr -> read_word t addr);
+    write_word = (fun addr v -> write_word t addr v);
     write_payload_round =
       (fun addr ~len ~times -> write_payload_round t addr ~len ~times);
     space = (fun () -> Space.read t.space);

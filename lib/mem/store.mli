@@ -119,38 +119,32 @@ val live_regions : t -> int
     Dead-region reads return 0 and writes are dropped — the memory-safe
     analogue of touching unmapped memory. An out-of-bounds {e offset}
     into a live region gets the same tolerant treatment in real mode,
-    but under simulation it raises unless [~racy:true]: a non-racy OOB
-    offset is a miscomputed address, and failing loudly lets the
-    [lib/check] explorer catch it. [~racy:true] marks the paper's
-    deliberate racy dereferences (e.g. reading a free-list link that a
-    concurrent pop may already have recycled, validated afterwards by a
-    tagged CAS), where garbage addresses are expected and harmless. *)
+    but under simulation {!read_word} and {!write_word} raise: a
+    non-racy OOB offset is a miscomputed address, and failing loudly
+    lets the [lib/check] explorer catch it. All three are [@inline], so
+    the allocators' hot paths compile the access into their own bodies
+    (DESIGN.md §18). *)
 
-val read_word : ?racy:bool -> t -> int -> int
-val write_word : ?racy:bool -> t -> int -> int -> unit
+val read_word : t -> int -> int
+val write_word : t -> int -> int -> unit
 
-val read_word_at : racy:bool -> t -> int -> int
-val write_word_at : racy:bool -> t -> int -> int -> unit
-(** The same accesses with [~racy] required. These are the entries the
-    allocators' hot paths use: they are [@inline], while the optional
-    argument of {!read_word}/{!write_word} compiles to a wrapper around
-    a separate function that is never inlined (DESIGN.md §18). *)
-
-val resolve : t -> int -> int * int * int
-(** [resolve t payload] follows the 8-byte block prefix below [payload]
-    (and, for [Alloc_ops.aligned_alloc] results, its offset word) down
-    to the block base: returns [(base_payload, base_prefix, delta)].
-    Allocator [free]/[usable_size] paths use this to accept aligned
-    addresses. *)
+val read_word_racy : t -> int -> int
+(** {!read_word} for the paper's one deliberate racy dereference: Fig. 4
+    reads the link of a block that a concurrent pop may already have
+    recycled, and the tagged anchor CAS then rejects whatever it read.
+    An out-of-bounds offset reads 0 under simulation too. *)
 
 val base_payload : int -> int -> int
 (** [base_payload payload word], with [word] the word just below
-    [payload]: [resolve]'s first component, without a memory access. *)
+    [payload] (the 8-byte block prefix, or an [Alloc_ops.aligned_alloc]
+    offset word): the payload address of the block [payload] lies in,
+    without a memory access. *)
 
 val base_prefix : t -> base_payload:int -> int -> int
-(** [base_prefix t ~base_payload word]: [resolve]'s second component,
-    reading memory only when [word] is an offset word. Together with
-    [base_payload] it is [resolve] minus the tuple. *)
+(** [base_prefix t ~base_payload word]: that block's prefix, reading
+    memory only when [word] is an offset word. Every [free] and
+    [usable_size] takes these two steps, so aligned addresses are
+    accepted without allocating. *)
 
 val init_free_list : ?limit:int -> t -> int -> sz:int -> maxcount:int -> unit
 (** Thread the in-block free list of a fresh superblock: block [i]'s first

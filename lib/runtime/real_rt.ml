@@ -58,9 +58,12 @@ module Atomic = struct
   let incr a = ignore (Stdlib.Atomic.fetch_and_add a 1)
 end
 
-let read_word () bytes off ~line:_ = Int64.to_int (Bytes.get_int64_le bytes off)
+(* [@inline], like [compare_and_set]: the store's word accessors call
+   these, and inlined they are the bare load or store. *)
+let[@inline] read_word () bytes off ~line:_ =
+  Int64.to_int (Bytes.get_int64_le bytes off)
 
-let write_word () bytes off ~line:_ v =
+let[@inline] write_word () bytes off ~line:_ v =
   Bytes.set_int64_le bytes off (Int64.of_int v)
 
 let touch () ~line:_ ~write:_ = ()

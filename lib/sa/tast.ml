@@ -38,11 +38,11 @@ let is_hp_clear fn =
   | _ -> false
 
 (* Plain (non-atomic) stores into block memory: the runtime's word store,
-   the store's two entries for it and the store-layer initializers built
-   on it. *)
+   the store's entry for it and the store-layer initializers built on
+   it. *)
 let is_plain_write fn =
   match List.rev fn with
-  | ("write_word" | "write_word_at") :: _ -> true
+  | "write_word" :: _ -> true
   | name :: "Store" :: _ ->
       String.length name >= 5 && String.sub name 0 5 = "init_"
   | _ -> false

@@ -19,21 +19,21 @@ let quick_active =
 let quick_passive = { quick_active with passive = true }
 
 let run instance ~threads p =
-  let rt = instance_rt instance in
+  let rt = instance.rt in
   (* Passive variant: thread 0 allocates everyone's first block up front;
      each thread frees its handed block before proceeding. *)
   let handed =
     if p.passive then
-      Array.init threads (fun _ -> instance_malloc instance p.size)
+      Array.init threads (fun _ -> instance.malloc p.size)
     else [||]
   in
   let body tid =
-    if p.passive then instance_free instance handed.(tid);
+    if p.passive then instance.free handed.(tid);
     for _ = 1 to p.pairs do
-      let a = instance_malloc instance p.size in
-      instance_write_payload_round instance a ~len:p.size
+      let a = instance.malloc p.size in
+      instance.write_payload_round a ~len:p.size
         ~times:p.writes_per_byte;
-      instance_free instance a
+      instance.free a
     done
   in
   let run = Rt.parallel_run rt (Array.make threads body) in

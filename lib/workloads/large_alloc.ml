@@ -23,7 +23,7 @@ let default =
 let quick = { default with slots = 16; rounds = 2_000 }
 
 let run instance ~threads p =
-  let rt = instance_rt instance in
+  let rt = instance.rt in
   let threshold =
     (* Straddle the superblock/large boundary of the shared class table
        regardless of the instance's sbsize: the default table's largest
@@ -36,7 +36,7 @@ let run instance ~threads p =
     for _ = 1 to p.rounds do
       let i = Prng.int rng p.slots in
       if slots.(i) <> 0 then begin
-        instance_free instance slots.(i);
+        instance.free slots.(i);
         slots.(i) <- 0
       end
       else begin
@@ -46,12 +46,12 @@ let run instance ~threads p =
             Prng.int_in rng (threshold + 1) p.max_size
           else Prng.int_in rng 8 p.small_size
         in
-        let a = instance_malloc instance sz in
-        instance_write_payload_round instance a ~len:(min sz 64) ~times:1;
+        let a = instance.malloc sz in
+        instance.write_payload_round a ~len:(min sz 64) ~times:1;
         slots.(i) <- a
       end
     done;
-    Array.iter (fun a -> if a <> 0 then instance_free instance a) slots
+    Array.iter (fun a -> if a <> 0 then instance.free a) slots
   in
   let run = Rt.parallel_run rt (Array.init threads (fun i _ -> body i)) in
   Metrics.make ~workload:"large-alloc" ~instance ~threads

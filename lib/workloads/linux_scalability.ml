@@ -7,11 +7,11 @@ let default = { pairs = 10_000_000; size = 8 }
 let quick = { pairs = 10_000; size = 8 }
 
 let run instance ~threads p =
-  let rt = instance_rt instance in
+  let rt = instance.rt in
   let body _tid =
     for _ = 1 to p.pairs do
-      let a = instance_malloc instance p.size in
-      instance_free instance a
+      let a = instance.malloc p.size in
+      instance.free a
     done
   in
   let run = Rt.parallel_run rt (Array.make threads body) in

@@ -20,14 +20,14 @@ let make ?obs ~workload ~instance ~threads ~ops ~run () =
   let elapsed = run.Rt.elapsed in
   {
     workload;
-    allocator = instance_name instance;
-    runtime = Rt.name (instance_rt instance);
+    allocator = instance.name;
+    runtime = Rt.name instance.rt;
     threads;
     ops;
     elapsed;
     throughput = (if elapsed > 0.0 then float_of_int ops /. elapsed else 0.0);
-    space = instance_space instance;
-    os = instance_os_stats instance;
+    space = instance.space ();
+    os = instance.os_stats ();
     sim = (match run.Rt.sim_result with
           | Some r -> Some r.Sim.counters
           | None -> None);

@@ -66,7 +66,7 @@ module Run (R : Runtime_intf.S) (Msq : QUEUE with type rt := R.t) = struct
       (* Histograms over the database for the task's indexes. *)
       let acc = ref 0 in
       for w = 0 to task.k - 1 do
-        let word = instance_read_word instance (task.idx_block + (8 * (w / 2))) in
+        let word = instance.read_word (task.idx_block + (8 * (w / 2))) in
         let idx = (if w land 1 = 0 then word land 0xFFFFFFFF else word lsr 32)
                   mod p.db_size in
         acc := !acc + db.(idx);
@@ -75,12 +75,12 @@ module Run (R : Runtime_intf.S) (Msq : QUEUE with type rt := R.t) = struct
       (* Task-local work proportional to the [work] parameter. *)
       R.work rt (p.work * work_scale);
       (* Consumer side: 1 malloc + 4 frees. *)
-      let hist_block = instance_malloc instance 64 in
-      instance_write_word instance hist_block !acc;
-      instance_free instance hist_block;
-      instance_free instance task.idx_block;
-      instance_free instance task.task_block;
-      instance_free instance task.node_block;
+      let hist_block = instance.malloc 64 in
+      instance.write_word hist_block !acc;
+      instance.free hist_block;
+      instance.free task.idx_block;
+      instance.free task.task_block;
+      instance.free task.node_block;
       R.Atomic.incr consumed
     in
     let try_consume () =
@@ -96,17 +96,17 @@ module Run (R : Runtime_intf.S) (Msq : QUEUE with type rt := R.t) = struct
       for _ = 1 to p.tasks do
         let k = Prng.int_in rng p.set_min p.set_max in
         (* Block of matching size recording the indexes (4 bytes each). *)
-        let idx_block = instance_malloc instance (4 * k) in
+        let idx_block = instance.malloc (4 * k) in
         for w = 0 to ((k + 1) / 2) - 1 do
           let lo = Prng.int rng p.db_size in
           let hi = Prng.int rng p.db_size in
-          instance_write_word instance
+          instance.write_word
             (idx_block + (8 * w))
             (lo lor (hi lsl 32))
         done;
-        let task_block = instance_malloc instance 32 in
-        instance_write_word instance task_block k;
-        let node_block = instance_malloc instance 16 in
+        let task_block = instance.malloc 32 in
+        instance.write_word task_block k;
+        let node_block = instance.malloc 16 in
         Msq.enqueue queue { task_block; idx_block; node_block; k };
         let len = R.Atomic.fetch_and_add qlen 1 + 1 in
         (* Help the consumers when the queue grows too long. *)
@@ -145,6 +145,6 @@ module On_sim = Run (Sim_rt) (Mm_lockfree_sim.Ms_queue)
 
 let run instance ~threads p =
   if threads < 1 then invalid_arg "Producer_consumer.run: threads >= 1";
-  match Rt.sim (instance_rt instance) with
+  match Rt.sim instance.rt with
   | None -> On_real.run instance ~threads p ()
   | Some s -> On_sim.run instance ~threads p s

@@ -15,7 +15,7 @@ let default =
 let quick = { default with slots = 32; rounds = 2_000 }
 
 let run instance ~threads p =
-  let rt = instance_rt instance in
+  let rt = instance.rt in
   let body tid =
     let rng = Prng.create (p.seed + (tid * 101)) in
     let slots = Array.make p.slots 0 in
@@ -23,9 +23,9 @@ let run instance ~threads p =
       let i = Prng.int rng p.slots in
       let choice = Prng.int rng 3 in
       if slots.(i) = 0 then
-        slots.(i) <- instance_malloc instance (Prng.int_in rng p.min_size p.max_size)
+        slots.(i) <- instance.malloc (Prng.int_in rng p.min_size p.max_size)
       else if choice = 0 then begin
-        instance_free instance slots.(i);
+        instance.free slots.(i);
         slots.(i) <- 0
       end
       else
@@ -33,7 +33,7 @@ let run instance ~threads p =
           Mm_mem.Alloc_ops.realloc instance slots.(i)
             (Prng.int_in rng p.min_size p.max_size)
     done;
-    Array.iter (fun a -> if a <> 0 then instance_free instance a) slots
+    Array.iter (fun a -> if a <> 0 then instance.free a) slots
   in
   let run = Rt.parallel_run rt (Array.init threads (fun i _ -> body i)) in
   Metrics.make ~workload:"shbench" ~instance ~threads

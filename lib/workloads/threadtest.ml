@@ -7,15 +7,15 @@ let default = { iterations = 100; blocks = 100_000; size = 8 }
 let quick = { iterations = 10; blocks = 500; size = 8 }
 
 let run instance ~threads p =
-  let rt = instance_rt instance in
+  let rt = instance.rt in
   let body _tid =
     let addrs = Array.make p.blocks 0 in
     for _ = 1 to p.iterations do
       for i = 0 to p.blocks - 1 do
-        addrs.(i) <- instance_malloc instance p.size
+        addrs.(i) <- instance.malloc p.size
       done;
       for i = 0 to p.blocks - 1 do
-        instance_free instance addrs.(i)
+        instance.free addrs.(i)
       done
     done
   in

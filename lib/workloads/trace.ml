@@ -125,7 +125,7 @@ let total_bytes t =
     0 t.events
 
 let run instance t =
-  let (Rt.Backend ((module R), rt)) = Rt.backend (instance_rt instance) in
+  let (Rt.Backend ((module R), rt)) = Rt.backend instance.rt in
   (* Published payload addresses, indexed by block id; 0 = not yet
      allocated. Atomics give replay the needed publish/wait semantics. *)
   let table = Array.init t.mallocs (fun _ -> R.Atomic.make rt 0) in
@@ -141,7 +141,7 @@ let run instance t =
       (fun e ->
         match e with
         | Malloc { id; size; _ } ->
-            R.Atomic.set table.(id) (instance_malloc instance size)
+            R.Atomic.set table.(id) (instance.malloc size)
         | Free { id; _ } ->
             (* The allocating thread may not have got there yet. *)
             let rec wait () =
@@ -152,7 +152,7 @@ let run instance t =
               end
               else a
             in
-            instance_free instance (wait ()))
+            instance.free (wait ()))
       per_thread.(tid)
   in
   let run = R.parallel_run rt (Array.init t.threads (fun i _ -> body i)) in

@@ -40,8 +40,10 @@ esac
 # (Fig. 4's MallocFromActive, Fig. 6's push, the block cache's hit and
 # free) must also hold no idiv and no call to a per-operation helper
 # that is meant to be inlined: the word codecs, Descriptor.get, Stripes,
-# Size_class, Store's word accessors, Real_rt's label/CAS/obs wrappers
-# and Lf_alloc's own heap_at/block_index/finish_block/classify. Without
+# Size_class, Store's word accessors (read_word, read_word_racy,
+# write_word) and its prefix steps (base_payload, base_prefix), Real_rt's
+# label/CAS/obs wrappers and word access, and Lf_alloc's own
+# heap_at/block_index/finish_block/classify. Without
 # flambda the compiler inlines only what is marked [@inline] or is of
 # size 10 or less, so an edit that pushes a helper over the limit or
 # drops its attribute brings the call back. The cold hook bodies
@@ -62,8 +64,8 @@ objdump -d --no-show-raw-insn _build/default/perfbench/main.exe | awk '
     callee = $NF; gsub(/[<>]/, "", callee)
     if (callee ~ /^camlMm_core__(Anchor|Active_word|Pub_word|Descriptor|Stripes)\./ ||
         callee ~ /^camlMm_mem__Size_class\./ ||
-        callee ~ /^camlMm_mem__Store\.(read|write)_word/ ||
-        callee ~ /^camlMm_runtime__Real_rt\.(label|compare_and_set|obs_event)_[0-9]+$/ ||
+        callee ~ /^camlMm_mem__Store\.(read_word|write_word|base_p)/ ||
+        callee ~ /^camlMm_runtime__Real_rt\.(label|compare_and_set|obs_event|read_word|write_word)_[0-9]+$/ ||
         callee ~ /^camlMm_core__Lf_alloc\.(heap_at|block_index|finish_block|classify)_[0-9]+$/) {
       sub(/^caml/, "", callee); sub(/_[0-9]+$/, "", callee)
       helper[base, callee]++
@@ -104,6 +106,42 @@ objdump -d --no-show-raw-insn _build/default/perfbench/main.exe | awk '
             bad = 1
           }
         }
+    }
+    exit bad
+  }' >&2
+# The same rule for the Blelloch-Wei yardstick, which perfbench does not
+# link: read off bin/experiments.exe, Bw_alloc.malloc and Bw_alloc.free
+# may make no call to a Store word accessor or prefix step, so neither
+# pays an out-of-line word access or builds a tuple per operation.
+objdump -d --no-show-raw-insn _build/default/bin/experiments.exe | awk '
+  /^[0-9a-f]+ <.*>:$/ {
+    fn = $2; gsub(/[<>:]/, "", fn)
+    base = ""
+    if (fn ~ /^camlMm_baselines__Bw_alloc\.(malloc|free)_[0-9]+$/) {
+      base = fn; sub(/^camlMm_baselines__/, "", base); sub(/_[0-9]+$/, "", base)
+      seen[base] = 1
+    }
+    next
+  }
+  base != "" && /call/ {
+    callee = $NF; gsub(/[<>]/, "", callee)
+    if (callee ~ /^camlMm_mem__Store\.(read_word|write_word|base_p|resolve)/) {
+      sub(/^caml/, "", callee); sub(/_[0-9]+$/, "", callee)
+      calls[base, callee]++
+    }
+  }
+  END {
+    bad = 0
+    split("Bw_alloc.malloc Bw_alloc.free", fns)
+    for (i in fns)
+      if (!(fns[i] in seen)) {
+        printf "ci: %s not found in bin/experiments.exe\n", fns[i]
+        bad = 1
+      }
+    for (k in calls) {
+      split(k, part, SUBSEP)
+      printf "ci: %s calls %s (%d call sites)\n", part[1], part[2], calls[k]
+      bad = 1
     }
     exit bad
   }' >&2

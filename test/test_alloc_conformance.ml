@@ -38,9 +38,9 @@ let with_env ?(cfg = Cfg.make ~nheaps:4 ()) name kind f =
           is_sim = true;
         }
 
-let malloc e = I.instance_malloc e.inst
-let free e = I.instance_free e.inst
-let check e = I.instance_check e.inst
+let malloc e = e.inst.I.malloc
+let free e = e.inst.I.free
+let check e = e.inst.I.check ()
 
 (* ---------------- behaviours ---------------- *)
 
@@ -66,14 +66,14 @@ let malloc_zero e =
 let payload_integrity e =
   let n = 200 in
   let addrs = Array.init n (fun i -> malloc e (8 + (8 * (i mod 30)))) in
-  Array.iteri (fun i a -> I.instance_write_word e.inst a (i * 1_000_003)) addrs;
+  Array.iteri (fun i a -> e.inst.I.write_word a (i * 1_000_003)) addrs;
   (* Free every third block, then re-check the remaining payloads. *)
   Array.iteri (fun i a -> if i mod 3 = 0 then free e a) addrs;
   Array.iteri
     (fun i a ->
       if i mod 3 <> 0 then
         Alcotest.(check int) "payload survives other frees" (i * 1_000_003)
-          (I.instance_read_word e.inst a))
+          (e.inst.I.read_word a))
     addrs;
   Array.iteri (fun i a -> if i mod 3 <> 0 then free e a) addrs;
   check e
@@ -83,7 +83,7 @@ let memory_reused e =
   for _ = 1 to 5_000 do
     free e (malloc e 24)
   done;
-  let s = I.instance_space e.inst in
+  let s = e.inst.I.space () in
   Alcotest.(check bool)
     (Printf.sprintf "peak %d bounded" s.Space.mapped_peak)
     true
@@ -96,18 +96,18 @@ let large_blocks e =
   let addrs = List.map (fun n -> (n, malloc e n)) sizes in
   List.iter
     (fun (n, a) ->
-      I.instance_write_word e.inst a n;
-      I.instance_write_word e.inst (a + n - 8) (n * 2))
+      e.inst.I.write_word a n;
+      e.inst.I.write_word (a + n - 8) (n * 2))
     addrs;
   List.iter
     (fun (n, a) ->
-      Alcotest.(check int) "head word" n (I.instance_read_word e.inst a);
+      Alcotest.(check int) "head word" n (e.inst.I.read_word a);
       Alcotest.(check int) "tail word" (n * 2)
-        (I.instance_read_word e.inst (a + n - 8)))
+        (e.inst.I.read_word (a + n - 8)))
     addrs;
-  let before = (I.instance_os_stats e.inst).Store.munmap_calls in
+  let before = (e.inst.I.os_stats ()).Store.munmap_calls in
   List.iter (fun (_, a) -> free e a) addrs;
-  let after = (I.instance_os_stats e.inst).Store.munmap_calls in
+  let after = (e.inst.I.os_stats ()).Store.munmap_calls in
   Alcotest.(check int) "large blocks munmapped" (before + 4) after;
   check e
 
@@ -156,12 +156,12 @@ let all_classes e =
     List.init (Sc.count sc) (fun c ->
         let n = Sc.block_size sc c - 8 in
         let a = malloc e n in
-        I.instance_write_word e.inst a n;
+        e.inst.I.write_word a n;
         (n, a))
   in
   List.iter
     (fun (n, a) ->
-      Alcotest.(check int) "class payload" n (I.instance_read_word e.inst a))
+      Alcotest.(check int) "class payload" n (e.inst.I.read_word a))
     addrs;
   List.iter (fun (_, a) -> free e a) addrs;
   check e
@@ -171,7 +171,7 @@ let cross_thread_free e =
      frees. *)
   let n = 300 in
   let handoff = Array.make n 0 in
-  let (Rt.Backend ((module R), rt)) = Rt.backend (I.instance_rt e.inst) in
+  let (Rt.Backend ((module R), rt)) = Rt.backend (e.inst.I.rt) in
   let ready = R.Atomic.make rt 0 in
   e.run
     [|
@@ -209,8 +209,8 @@ let concurrent_stress e =
 
 let stats_sane e =
   let a = malloc e 100 in
-  let s = I.instance_space e.inst in
-  let os = I.instance_os_stats e.inst in
+  let s = e.inst.I.space () in
+  let os = e.inst.I.os_stats () in
   Alcotest.(check bool) "mapped positive" true (s.Space.mapped > 0);
   Alcotest.(check bool) "peak >= current" true
     (s.Space.mapped_peak >= s.Space.mapped);

@@ -12,55 +12,55 @@ let usable_at_least name () =
   with_inst name (fun inst ->
       List.iter
         (fun n ->
-          let a = I.instance_malloc inst n in
-          let u = I.instance_usable inst a in
+          let a = inst.I.malloc n in
+          let u = inst.I.usable_size a in
           Alcotest.(check bool)
             (Printf.sprintf "usable %d >= %d" u n)
             true (u >= n);
           (* The whole usable range is writable and readable. *)
-          I.instance_write_word inst (a + ((u / 8 * 8) - 8)) 7;
-          I.instance_free inst a)
+          inst.I.write_word (a + ((u / 8 * 8) - 8)) 7;
+          inst.I.free a)
         [ 0; 1; 8; 100; 2040; 2041; 100_000 ])
 
 let calloc_zeroes name () =
   with_inst name (fun inst ->
       (* Dirty a block, free it, calloc the same class: must be zero. *)
-      let d = I.instance_malloc inst 64 in
+      let d = inst.I.malloc 64 in
       for w = 0 to 7 do
-        I.instance_write_word inst (d + (8 * w)) max_int
+        inst.I.write_word (d + (8 * w)) max_int
       done;
-      I.instance_free inst d;
+      inst.I.free d;
       let a = Ops.calloc inst ~count:8 ~size:8 in
       for w = 0 to 7 do
         Alcotest.(check int) "zeroed" 0
-          (I.instance_read_word inst (a + (8 * w)))
+          (inst.I.read_word (a + (8 * w)))
       done;
-      I.instance_free inst a)
+      inst.I.free a)
 
 let realloc_semantics name () =
   with_inst name (fun inst ->
       (* null -> malloc *)
       let a = Ops.realloc inst 0 16 in
       Alcotest.(check bool) "realloc null allocates" true (a <> 0);
-      I.instance_write_word inst a 11;
-      I.instance_write_word inst (a + 8) 22;
+      inst.I.write_word a 11;
+      inst.I.write_word (a + 8) 22;
       (* shrink: same block *)
       let b = Ops.realloc inst a 8 in
       Alcotest.(check int) "shrink in place" a b;
       (* grow into a different class preserving contents *)
       let c = Ops.realloc inst b 5_000 in
       Alcotest.(check bool) "grow reallocates" true (c <> b);
-      Alcotest.(check int) "word 0 preserved" 11 (I.instance_read_word inst c);
+      Alcotest.(check int) "word 0 preserved" 11 (inst.I.read_word c);
       Alcotest.(check int) "word 1 preserved" 22
-        (I.instance_read_word inst (c + 8));
+        (inst.I.read_word (c + 8));
       Alcotest.(check bool) "grown usable" true
-        (I.instance_usable inst c >= 5_000);
+        (inst.I.usable_size c >= 5_000);
       (* grow a large block further *)
       let d = Ops.realloc inst c 50_000 in
       Alcotest.(check int) "contents survive large growth" 11
-        (I.instance_read_word inst d);
-      I.instance_free inst d;
-      I.instance_check inst)
+        (inst.I.read_word d);
+      inst.I.free d;
+      inst.I.check ())
 
 let aligned_alloc_works name () =
   with_inst name (fun inst ->
@@ -73,17 +73,17 @@ let aligned_alloc_works name () =
                   (Printf.sprintf "aligned to %d" align)
                   0 (a mod align);
                 Alcotest.(check bool) "usable covers request" true
-                  (I.instance_usable inst a >= 16 + (8 * i));
-                I.instance_write_word inst a a;
+                  (inst.I.usable_size a >= 16 + (8 * i));
+                inst.I.write_word a a;
                 a)
           in
           List.iter
             (fun a ->
-              Alcotest.(check int) "payload intact" a (I.instance_read_word inst a);
-              I.instance_free inst a)
+              Alcotest.(check int) "payload intact" a (inst.I.read_word a);
+              inst.I.free a)
             addrs)
         [ 16; 64; 256; 4096 ];
-      I.instance_check inst)
+      inst.I.check ())
 
 let aligned_alloc_validation () =
   with_inst "new" (fun inst ->
@@ -98,14 +98,14 @@ let realloc_concurrent () =
   let inst = instance "new" (Rt.simulated s) in
   let body tid =
     let rng = Prng.create (tid + 5) in
-    let a = ref (I.instance_malloc inst 8) in
+    let a = ref (inst.I.malloc 8) in
     for _ = 1 to 200 do
       a := Ops.realloc inst !a (Prng.int_in rng 1 600)
     done;
-    I.instance_free inst !a
+    inst.I.free !a
   in
   ignore (Sim.run s (Array.init 4 (fun i _ -> body i)));
-  I.instance_check inst
+  inst.I.check ()
 
 let cases =
   List.concat_map

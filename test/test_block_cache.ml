@@ -5,8 +5,8 @@
    What is verified here:
    - batch accounting: hits/misses/refills/flushes relate to the
      operation stream exactly as the design says;
-   - the disabled frontend is a bit-identical passthrough — same seeded
-     simulation, same address trace as the bare allocator;
+   - [create] rejects a config without [cache]: the frontend always
+     caches, and the uncached configuration is the bare allocator;
    - remote frees never enter a local cache; they are buffered and
      pushed back in batches of [cache_batch];
    - the explorer's address-exclusivity oracle holds with the cache on;
@@ -84,45 +84,10 @@ let batch_accounting () =
   in
   ignore (Sim.run s [| body |])
 
-(* The same seeded simulation through the bare allocator and through a
-   cache-disabled frontend must produce the same address trace: the
-   default configuration is the verbatim paper allocator. *)
-let trace_workload mk =
-  let s = sim ~cpus:4 ~seed:7 () in
-  let rt = s in
-  let malloc, free = mk rt in
-  let logs = Array.init 4 (fun _ -> ref []) in
-  let body tid =
-    let rng = Prng.create (tid + 5) in
-    let live = Queue.create () in
-    for _ = 1 to 60 do
-      if Queue.length live > 0 && Prng.int rng 3 = 0 then
-        free (Queue.pop live)
-      else begin
-        let a = malloc (Prng.int_in rng 1 200) in
-        logs.(tid) := a :: !(logs.(tid));
-        Queue.push a live
-      end
-    done;
-    Queue.iter free live
-  in
-  ignore (Sim.run s (Array.init 4 (fun i _ -> body i)));
-  Array.to_list (Array.map (fun r -> List.rev !r) logs)
-
-let disabled_is_passthrough () =
-  let cfg = Cfg.make ~nheaps:2 () in
-  let bare =
-    trace_workload (fun rt ->
-        let t = A.create rt cfg in
-        (A.malloc t, A.free t))
-  in
-  let fronted =
-    trace_workload (fun rt ->
-        let t = Bc.create rt cfg in
-        (Bc.malloc t, Bc.free t))
-  in
-  Alcotest.(check (list (list int)))
-    "cache:false trace is bit-identical to the bare allocator" bare fronted
+let create_needs_cache () =
+  Alcotest.check_raises "cache:false rejected"
+    (Invalid_argument "Block_cache.create: cfg.cache is false") (fun () ->
+      ignore (Bc.create (sim ~cpus:1 ()) (Cfg.make ())))
 
 (* Remote frees: with two processor heaps, thread 1 freeing thread 0's
    blocks must route them through the remote buffer (never its local
@@ -426,7 +391,7 @@ let census_order_and_obs_agreement () =
 let cases =
   [
     case "batched refill/flush accounting" batch_accounting;
-    case "cache:false is a bit-identical passthrough" disabled_is_passthrough;
+    case "create rejects cache:false" create_needs_cache;
     case "remote frees flushed in exact batches" remote_free_batching;
     case "explorer: exclusivity with cache enabled" explorer_exclusivity;
     case "free/malloc are flush/refill of one (both modes)"

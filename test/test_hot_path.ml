@@ -6,7 +6,7 @@
    What is verified here:
    - minor-heap words per operation stay <= 0.5 on Real_rt, one domain,
      after a warm-up, for a threadtest-style batch of 8-byte blocks and
-     a larson-style mix, for "new", "new-ob" and "new-cached" — the
+     a larson-style mix, for "new", "new-ob", "new-cached" and "bw" — the
      cache on streams that only hit, on a batch that refills and
      overflows, and on remote frees that flush the remote buffer;
    - a contended atomic is a block of at least 16 words on Real_rt and
@@ -19,10 +19,12 @@ open Mm_runtime
 module Cfg = Mm_mem.Alloc_config
 module Lf = Mm_core.Lf_alloc
 module Bc = Mm_core.Block_cache
+module Bw = Mm_baselines.Bw_alloc
 open Util
 
 let ops = 10_000
 let max_words_per_op = 0.5
+let base = Cfg.make ~nheaps:1 ()
 
 (* Words the minor heap received while [f] ran, per operation.
    [Gc.minor_words] boxes its float result, a few words counted in. *)
@@ -71,11 +73,22 @@ let measure what loop =
   loop ();
   check_words what (words_per_op ~nops:(2 * ops) loop)
 
+let shapes name ~batch ~malloc ~free =
+  measure (name ^ " threadtest") (threadtest ~malloc ~free ~batch);
+  measure (name ^ " larson") (larson ~malloc ~free ~slots:512)
+
 let plain_no_alloc cfg name () =
   let t = Lf.create () cfg in
-  let malloc = Lf.malloc t and free = Lf.free t in
-  measure (name ^ " threadtest") (threadtest ~malloc ~free ~batch:1000);
-  measure (name ^ " larson") (larson ~malloc ~free ~slots:512)
+  shapes name ~batch:1000 ~malloc:(Lf.malloc t) ~free:(Lf.free t)
+
+(* The Blelloch-Wei yardstick (PAPERS.md) on the same shapes: its free
+   follows the block prefix in the two steps Lf_alloc.free takes, with
+   no tuple. Its batch hand-offs still allocate a Treiber-stack node
+   and a closure per 16 blocks: 0.48 words/op on 100-block batches,
+   0.496 on 1000-block ones, hence the smaller batch. *)
+let bw_no_alloc () =
+  let t = Bw.create () base in
+  shapes "bw" ~batch:100 ~malloc:(Bw.malloc t) ~free:(Bw.free t)
 
 (* Cache hits first: a stream with no miss and no flush. [batch] is
    below the per-class cache depth, and the larson mix stays within one
@@ -156,8 +169,6 @@ let cached_no_alloc () =
     (s1.Bc.flushes - s0.Bc.flushes);
   check_words what w
 
-let base = Cfg.make ~nheaps:1 ()
-
 let contended_layout () =
   let a = Real_rt.Atomic.make_contended () 5 in
   let size = Obj.size (Obj.repr a) in
@@ -197,6 +208,7 @@ let cases =
       (plain_no_alloc { base with Cfg.free_lists = `Owner_biased } "new-ob");
     case "new-cached: no minor words per cache hit, miss or flush"
       cached_no_alloc;
+    case "bw: no minor words per op" bw_no_alloc;
     case "make_contended: padded block, plain-atomic semantics"
       contended_layout;
     case "make_contended: two domains' fetch_and_add" contended_two_domains;

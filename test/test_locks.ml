@@ -107,11 +107,11 @@ let mcs_baseline_allocators () =
   in
   let body tid =
     let rng = Prng.create tid in
-    let addrs = Array.init 200 (fun _ -> Mm_mem.Alloc_intf.instance_malloc inst (Prng.int_in rng 8 100)) in
-    Array.iter (Mm_mem.Alloc_intf.instance_free inst) addrs
+    let addrs = Array.init 200 (fun _ -> inst.Mm_mem.Alloc_intf.malloc (Prng.int_in rng 8 100)) in
+    Array.iter inst.Mm_mem.Alloc_intf.free addrs
   in
   ignore (Sim.run s (Array.init 4 (fun i _ -> body i)));
-  Mm_mem.Alloc_intf.instance_check inst
+  inst.Mm_mem.Alloc_intf.check ()
 
 let ticket_fairness () =
   (* Ticket locks grant in FIFO order: with two threads alternating,

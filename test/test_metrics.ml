@@ -15,9 +15,9 @@ let mk ~ops f =
 
 let burst inst =
   let addrs =
-    Array.init 100 (fun _ -> Mm_mem.Alloc_intf.instance_malloc inst 64)
+    Array.init 100 (fun _ -> inst.Mm_mem.Alloc_intf.malloc 64)
   in
-  Array.iter (Mm_mem.Alloc_intf.instance_free inst) addrs
+  Array.iter inst.Mm_mem.Alloc_intf.free addrs
 
 let make_and_pp () =
   let m = mk ~ops:200 burst in

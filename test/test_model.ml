@@ -27,7 +27,7 @@ let run_ops name ops =
   let live = ref [] in
   let stamp = ref 0 in
   let add addr =
-    let u = I.instance_usable inst addr in
+    let u = inst.I.usable_size addr in
     (* Non-overlap with every live block. *)
     List.iter
       (fun (a, u', _) ->
@@ -35,13 +35,13 @@ let run_ops name ops =
           Alcotest.failf "%s: block %#x+%d overlaps %#x+%d" name addr u a u')
       !live;
     incr stamp;
-    I.instance_write_word inst addr !stamp;
+    inst.I.write_word addr !stamp;
     live := (addr, u, !stamp) :: !live
   in
   List.iter
     (fun op ->
       match op with
-      | Malloc n -> add (I.instance_malloc inst n)
+      | Malloc n -> add (inst.I.malloc n)
       | Free i -> (
           match !live with
           | [] -> ()
@@ -49,9 +49,9 @@ let run_ops name ops =
               let k = i mod List.length l in
               let a, _, st = List.nth l k in
               Alcotest.(check int) "stamp intact before free" st
-                (I.instance_read_word inst a);
+                (inst.I.read_word a);
               live := List.filteri (fun j _ -> j <> k) l;
-              I.instance_free inst a)
+              inst.I.free a)
       | Realloc (i, n) -> (
           match !live with
           | [] -> ()
@@ -60,10 +60,10 @@ let run_ops name ops =
               let a, _, st = List.nth l k in
               live := List.filteri (fun j _ -> j <> k) l;
               let a' = Ops.realloc inst a n in
-              let u' = I.instance_usable inst a' in
+              let u' = inst.I.usable_size a' in
               Alcotest.(check bool) "realloc grew enough" true (u' >= n);
               Alcotest.(check int) "stamp survives realloc" st
-                (I.instance_read_word inst a');
+                (inst.I.read_word a');
               List.iter
                 (fun (b, ub, _) ->
                   if overlaps (a', u') (b, ub) then
@@ -74,10 +74,10 @@ let run_ops name ops =
   (* Final stamps all intact, then drain and check invariants. *)
   List.iter
     (fun (a, _, st) ->
-      Alcotest.(check int) "final stamp" st (I.instance_read_word inst a);
-      I.instance_free inst a)
+      Alcotest.(check int) "final stamp" st (inst.I.read_word a);
+      inst.I.free a)
     !live;
-  I.instance_check inst
+  inst.I.check ()
 
 let model_case name =
   qcheck ~count:25 ("model sequence vs " ^ name)

@@ -66,14 +66,14 @@ let replay_all_allocators () =
       Alcotest.(check int) "all events replayed"
         (Array.length trace.Tr.events)
         m.Mm_workloads.Metrics.ops;
-      I.instance_check inst)
+      inst.I.check ())
     all_allocators
 
 let replay_real_runtime () =
   let trace = Tr.generate ~seed:11 ~threads:4 ~ops:1_500 () in
   let inst = instance "new" Rt.real in
   ignore (Tr.run inst trace);
-  I.instance_check inst
+  inst.I.check ()
 
 let cross_thread_waits () =
   (* With a 100% cross-thread trace the replay exercises the
@@ -84,7 +84,7 @@ let cross_thread_waits () =
   let s = sim ~cpus:4 () in
   let inst = instance "new" (Rt.simulated s) in
   ignore (Tr.run inst trace);
-  I.instance_check inst
+  inst.I.check ()
 
 let cases =
   [

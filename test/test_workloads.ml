@@ -26,7 +26,7 @@ let linux_scalability () =
       { W.Linux_scalability.pairs = 500; size = 8 }
   in
   check_metrics m ~workload:"linux-scalability" ~ops:1500;
-  I.instance_check inst
+  inst.I.check ()
 
 let threadtest () =
   let inst = sim_instance "new" in
@@ -35,7 +35,7 @@ let threadtest () =
       { W.Threadtest.iterations = 3; blocks = 200; size = 8 }
   in
   check_metrics m ~workload:"threadtest" ~ops:1200;
-  I.instance_check inst
+  inst.I.check ()
 
 let false_sharing_both () =
   List.iter
@@ -49,7 +49,7 @@ let false_sharing_both () =
       check_metrics m
         ~workload:(if passive then "passive-false" else "active-false")
         ~ops:300;
-      I.instance_check inst)
+      inst.I.check ())
     [ false; true ]
 
 let larson () =
@@ -62,22 +62,22 @@ let larson () =
   check_metrics m ~workload:"larson" ~ops:900;
   (* Larson drains its slots afterwards: heap must be quiescent and
      consistent, and mallocs == frees. *)
-  I.instance_check inst;
-  ignore (I.instance_name inst : string)
+  inst.I.check ();
+  ignore (inst.I.name : string)
 
 let producer_consumer_counts () =
   let inst = sim_instance ~cpus:8 "new" in
   let p = { W.Producer_consumer.quick with W.Producer_consumer.tasks = 150 } in
   let m = W.Producer_consumer.run inst ~threads:4 p in
   check_metrics m ~workload:"producer-consumer" ~ops:150;
-  I.instance_check inst
+  inst.I.check ()
 
 let producer_consumer_single_thread () =
   let inst = sim_instance "new" in
   let p = { W.Producer_consumer.quick with W.Producer_consumer.tasks = 60 } in
   let m = W.Producer_consumer.run inst ~threads:1 p in
   check_metrics m ~workload:"producer-consumer" ~ops:60;
-  I.instance_check inst
+  inst.I.check ()
 
 let pc_no_leaks () =
   (* Every task's four blocks are freed: for the lock-free allocator,
@@ -129,7 +129,7 @@ let real_runtime_workloads () =
   ignore
     (W.Producer_consumer.run inst ~threads:2
        { W.Producer_consumer.quick with W.Producer_consumer.tasks = 100 });
-  I.instance_check inst
+  inst.I.check ()
 
 let shbench_all_allocators () =
   List.iter
@@ -140,7 +140,7 @@ let shbench_all_allocators () =
           { W.Shbench.quick with W.Shbench.rounds = 300 }
       in
       Alcotest.(check int) "ops" 1200 m.W.Metrics.ops;
-      I.instance_check inst)
+      inst.I.check ())
     all_allocators
 
 let all_allocators_complete () =
@@ -150,7 +150,7 @@ let all_allocators_complete () =
       ignore
         (W.Larson.run inst ~threads:4
            { W.Larson.quick with W.Larson.rounds = 200 });
-      I.instance_check inst)
+      inst.I.check ())
     all_allocators
 
 let cases =

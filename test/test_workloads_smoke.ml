@@ -22,7 +22,7 @@ let run_all () =
         W.Producer_consumer.run inst ~threads:4 W.Producer_consumer.quick
       in
       Format.printf "%a@." W.Metrics.pp m3;
-      Mm_mem.Alloc_intf.instance_check inst)
+      inst.Mm_mem.Alloc_intf.check ())
     Mm_harness.Allocators.names
 
 let cases = [ Alcotest.test_case "workloads x allocators (sim)" `Quick run_all ]
