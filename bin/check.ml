@@ -21,14 +21,17 @@ module S = Mm_check.Schedule
 module E = Mm_check.Explore
 module M = Mm_check.Monitor
 
-let find_target name =
+(* Run [k] on the named target; an unknown name is a usage error. *)
+let with_target name k =
   match T.find name with
-  | Some t -> Ok t
+  | Some t -> k t
   | None ->
-      Error
-        (Printf.sprintf "unknown target %s (see `check list')" name)
+      Printf.eprintf "unknown target %s (see `check list')\n" name;
+      1
 
-let resolve_threads target = function 0 -> target.T.default_threads | n -> n
+(* The labels a target lists that its exploration never stopped at. *)
+let missed target (r : E.report) =
+  List.filter (fun l -> not (List.mem l r.E.reached)) target.T.labels
 
 let print_report target threads (r : E.report) =
   Printf.printf "target %s, %d threads: %d execution%s, %d decision points%s\n"
@@ -36,6 +39,10 @@ let print_report target threads (r : E.report) =
     (if r.E.executions = 1 then "" else "s")
     r.E.decision_points
     (if r.E.complete then ", complete" else "");
+  Printf.printf "reached:   %s\n" (String.concat " " r.E.reached);
+  (match missed target r with
+  | [] -> ()
+  | ls -> Printf.printf "missed:    %s\n" (String.concat " " ls));
   match r.E.finding with
   | None ->
       if r.E.complete then print_endline "no violations"
@@ -58,19 +65,15 @@ let target_arg =
 
 let threads_arg =
   Arg.(
-    value & opt int 0
-    & info [ "threads" ] ~docv:"N"
-        ~doc:"Thread count (default: the target's own default).")
+    value & opt int 2 & info [ "threads" ] ~docv:"N" ~doc:"Thread count.")
 
 let list_cmd =
   let doc = "List the checkable targets." in
   let run () =
     List.iter
       (fun t ->
-        Printf.printf "%-16s %d threads, %2d labels  %s\n" t.T.name
-          t.T.default_threads
-          (List.length t.T.labels)
-          t.T.doc)
+        Printf.printf "%-21s %2d labels  %s\n" t.T.name
+          (List.length t.T.labels) t.T.doc)
       T.all;
     0
   in
@@ -112,18 +115,13 @@ let explore_cmd =
     Arg.(value & opt int 1 & info [ "seed" ] ~docv:"N" ~doc:"PCT: seed.")
   in
   let run target threads bound budget pct runs depth seed =
-    match find_target target with
-    | Error e ->
-        prerr_endline e;
-        1
-    | Ok t ->
-        let threads = resolve_threads t threads in
-        let r =
-          if pct then E.pct t ~threads ~depth ~runs ~seed
-          else E.exhaustive t ~threads ~bound ~budget
-        in
-        print_report t threads r;
-        if r.E.finding = None then 0 else 2
+    with_target target @@ fun t ->
+    let r =
+      if pct then E.pct t ~threads ~depth ~runs ~seed
+      else E.exhaustive t ~threads ~bound ~budget
+    in
+    print_report t threads r;
+    if r.E.finding = None then 0 else 2
   in
   Cmd.v (Cmd.info "explore" ~doc)
     Term.(
@@ -141,26 +139,20 @@ let replay_cmd =
                 schedule.")
   in
   let run target threads schedule =
-    match find_target target with
-    | Error e ->
+    with_target target @@ fun t ->
+    match S.of_string schedule with
+    | exception Invalid_argument e ->
         prerr_endline e;
         1
-    | Ok t -> (
-        match S.of_string schedule with
-        | exception Invalid_argument e ->
-            prerr_endline e;
-            1
-        | sched -> (
-            let threads = resolve_threads t threads in
-            let tr = E.replay t ~threads sched in
-            match tr.E.outcome with
-            | Ok () ->
-                Printf.printf "ok (%d decision points)\n"
-                  (Array.length tr.E.points);
-                0
-            | Error e ->
-                Printf.printf "VIOLATION: %s\n" e;
-                2))
+    | sched -> (
+        let tr = E.replay t ~threads sched in
+        match tr.E.outcome with
+        | Ok () ->
+            Printf.printf "ok (%d decision points)\n" (Array.length tr.E.points);
+            0
+        | Error e ->
+            Printf.printf "VIOLATION: %s\n" e;
+            2)
   in
   Cmd.v (Cmd.info "replay" ~doc)
     Term.(const run $ target_arg $ threads_arg $ schedule)
@@ -186,36 +178,26 @@ let monitor_cmd =
                 random ones.")
   in
   let run target threads modes rounds =
-    match find_target target with
-    | Error e ->
-        prerr_endline e;
-        1
-    | Ok t ->
-        let threads = resolve_threads t threads in
-        let r = M.run t ~threads ~modes ~rounds in
-        let fired, silent =
-          List.partition (fun e -> e.M.fired) r.M.entries
-        in
-        List.iter
-          (fun (e : M.entry) ->
-            match e.M.result with
-            | Ok () -> ()
-            | Error msg ->
-                Printf.printf "FAIL %s %s round %d: %s\n" e.M.label
-                  (M.mode_name e.M.mode) e.M.round msg)
-          fired;
-        let unreached =
-          List.sort_uniq compare (List.map (fun e -> e.M.label) silent)
-        in
-        List.iter
-          (fun l ->
-            if not (List.exists (fun e -> e.M.label = l) fired) then
-              Printf.printf "note: label %s not reached by this workload\n" l)
-          unreached;
-        Printf.printf "%d probes, %d fired, %s\n" (List.length r.M.entries)
-          (List.length fired)
-          (if r.M.ok then "all clean" else "FAILURES");
-        if r.M.ok then 0 else 2
+    with_target target @@ fun t ->
+    let r = M.run t ~threads ~modes ~rounds in
+    let fired = List.filter (fun e -> e.M.fired) r.M.entries in
+    List.iter
+      (fun (e : M.entry) ->
+        match e.M.result with
+        | Ok () -> ()
+        | Error msg ->
+            Printf.printf "FAIL %s %s round %d: %s\n" e.M.label
+              (M.mode_name e.M.mode) e.M.round msg)
+      fired;
+    List.iter
+      (fun l ->
+        if not (List.exists (fun e -> e.M.label = l) fired) then
+          Printf.printf "note: label %s not reached in these rounds\n" l)
+      t.T.labels;
+    Printf.printf "%d probes, %d fired, %s\n" (List.length r.M.entries)
+      (List.length fired)
+      (if r.M.ok then "all clean" else "FAILURES");
+    if r.M.ok then 0 else 2
   in
   Cmd.v (Cmd.info "monitor" ~doc)
     Term.(const run $ target_arg $ threads_arg $ mode $ rounds)
@@ -223,19 +205,24 @@ let monitor_cmd =
 let quick_cmd =
   let doc =
     "CI gate: the planted bug must be found, minimized and replayable; \
-     the real allocator must survive the same exploration and the \
-     kill/stall monitor."
+     every other target must survive the same exploration and the \
+     kill/stall monitor, and reach every label it lists."
   in
   let run () =
     let fail fmt = Printf.ksprintf (fun s -> prerr_endline s; raise Exit) fmt in
+    let covered t r =
+      match missed t r with
+      | [] -> ()
+      | ls -> fail "%s: listed labels unreached: %s" t.T.name (String.concat " " ls)
+    in
     try
       (* 1. The planted ABA bug: bounded-exhaustive exploration must
          find it, and the minimized schedule must still reproduce it.
          (The bug needs 3 preemptions: the victim parked at its pop CAS,
          plus two switches arranging the anchor back to its snapshot.) *)
-      let notag = Option.get (T.find "lf_alloc_notag") in
-      let threads = notag.T.default_threads in
+      let notag = T.lf_alloc_notag and threads = 2 in
       let r = E.exhaustive notag ~threads ~bound:3 ~budget:20_000 in
+      covered notag r;
       (match r.E.finding with
       | None -> fail "planted bug not found in %d executions" r.E.executions
       | Some f ->
@@ -250,15 +237,16 @@ let quick_cmd =
             r.E.executions
             (S.to_string f.E.minimized)
             f.E.error);
-      (* 2. The real allocator and each extension under the same
-         exhaustive budget and the kill/stall monitor at every label
-         (lf_alloc also under 10k PCT samples). No double-served block,
-         page extent or descriptor: batched refill/flush (cached),
-         push/claim/freeze across ownership handoffs (owner_biased),
-         concurrent split/coalesce (buddy), reused slots with monotone
-         tags (desc_pool_reuse). A thread killed in any window must only
-         leak what it held. *)
-      let step (name, pct) =
+      (* 2. Every other target under the same exhaustive budget and the
+         kill/stall monitor at every label (lf_alloc also under 10k PCT
+         samples). No double-served block, page extent, descriptor or
+         id: batched refill/flush (cached), push/claim/freeze across
+         ownership handoffs (owner_biased), MallocFromPartial against
+         frees to PARTIAL and EMPTY (partial), concurrent split/coalesce
+         (buddy), reused slots with monotone tags (desc_pool_reuse). A
+         thread killed in any window must only leak what it held. Each
+         exploration must reach every label its target lists. *)
+      let step (name, bound, pct) =
         let t = Option.get (T.find name) in
         let clean what (r : E.report) =
           match r.E.finding with
@@ -267,8 +255,9 @@ let quick_cmd =
                 (S.to_string f.E.minimized)
           | None -> r.E.executions
         in
-        let r = E.exhaustive t ~threads ~bound:3 ~budget:20_000 in
+        let r = E.exhaustive t ~threads ~bound ~budget:20_000 in
         let executions = clean "exhaustive" r in
+        covered t r;
         let pct_note =
           if not pct then ""
           else
@@ -293,13 +282,11 @@ let quick_cmd =
           pct_note (List.length m.M.entries)
       in
       List.iter step
-        [
-          ("lf_alloc", true);
-          ("lf_alloc_cached", false);
-          ("lf_alloc_owner_biased", false);
-          ("buddy", false);
-          ("desc_pool_reuse", false);
-        ];
+        [ ("lf_alloc", 3, true); ("lf_alloc_cached", 3, false);
+          ("lf_alloc_owner_biased", 3, false); ("lf_alloc_partial", 2, false);
+          ("buddy", 3, false); ("ms_queue", 3, false); ("desc_pool", 3, false);
+          ("desc_pool_reuse", 3, false); ("treiber_stack", 3, false);
+          ("tagged_id_stack", 3, false) ];
       0
     with Exit -> 2
   in

@@ -21,6 +21,7 @@ type report = {
   decision_points : int;
   complete : bool;
   finding : finding option;
+  reached : string list;
 }
 
 (* The default policy the deviation representation is relative to: keep
@@ -31,8 +32,8 @@ let default_choice (sp : Sim.sched_point) =
   if List.mem sp.Sim.sp_current sp.Sim.sp_runnable then sp.Sim.sp_current
   else List.hd sp.Sim.sp_runnable
 
-let run_strategy (target : Target.t) ~threads ?on_label ?quiescent_checks
-    strategy =
+let run_strategy (target : Target.t) ~threads ?on_label ?notify_done
+    ?quiescent_checks strategy =
   let points = ref [] in
   let idx = ref 0 in
   let sched sp =
@@ -51,7 +52,10 @@ let run_strategy (target : Target.t) ~threads ?on_label ?quiescent_checks
     incr idx;
     chosen
   in
-  let outcome = target.Target.run ~threads ?on_label ?quiescent_checks ~sched () in
+  let outcome =
+    Target.run target ~threads ?on_label ?notify_done ?quiescent_checks ~sched
+      ()
+  in
   { points = Array.of_list (List.rev !points); outcome }
 
 let replay target ~threads schedule =
@@ -68,6 +72,14 @@ let schedule_of_trace tr =
         s := Schedule.add !s ~at:i ~tid:p.pt_chosen)
     tr.points;
   !s
+
+(* The labels a run stopped at, gathered across an exploration's runs. *)
+let reach seen tr =
+  Array.iter
+    (fun p -> Option.iter (fun l -> Hashtbl.replace seen l ()) p.pt_label)
+    tr.points
+
+let sorted seen = List.sort compare (List.of_seq (Hashtbl.to_seq_keys seen))
 
 (* Greedy ddmin: repeatedly drop any single deviation whose removal
    preserves the failure, until none can be dropped. Counterexamples here
@@ -110,6 +122,7 @@ let exhaustive target ~threads ~bound ~budget =
   let truncated = ref false in
   let dpoints = ref 0 in
   let finding = ref None in
+  let seen = Hashtbl.create 32 in
   (try
      while not (Queue.is_empty q) do
        let s, preempts = Queue.pop q in
@@ -119,6 +132,7 @@ let exhaustive target ~threads ~bound ~budget =
        end;
        incr executions;
        let tr = replay target ~threads s in
+       reach seen tr;
        if !executions = 1 then dpoints := Array.length tr.points;
        match tr.outcome with
        | Error e ->
@@ -149,6 +163,7 @@ let exhaustive target ~threads ~bound ~budget =
     decision_points = !dpoints;
     complete = !finding = None && not !truncated;
     finding = !finding;
+    reached = sorted seen;
   }
 
 (* PCT (Burckhardt et al., ASPLOS 2010): random thread priorities plus
@@ -161,6 +176,8 @@ let pct target ~threads ~depth ~runs ~seed =
   if depth < 1 then invalid_arg "Explore.pct: depth must be >= 1";
   let base = replay target ~threads Schedule.empty in
   let k = max 1 (Array.length base.points) in
+  let seen = Hashtbl.create 32 in
+  reach seen base;
   match base.outcome with
   | Error e ->
       {
@@ -168,6 +185,7 @@ let pct target ~threads ~depth ~runs ~seed =
         decision_points = k;
         complete = false;
         finding = found target ~threads Schedule.empty e;
+        reached = sorted seen;
       }
   | Ok () ->
       let executions = ref 1 in
@@ -197,6 +215,7 @@ let pct target ~threads ~depth ~runs ~seed =
              best_of sp.Sim.sp_runnable
            in
            let tr = run_strategy target ~threads strategy in
+           reach seen tr;
            incr executions;
            match tr.outcome with
            | Error e ->
@@ -211,4 +230,5 @@ let pct target ~threads ~depth ~runs ~seed =
         decision_points = k;
         complete = !finding = None;
         finding = !finding;
+        reached = sorted seen;
       }

@@ -33,6 +33,9 @@ type report = {
           all runs executed. [false] whenever a finding stopped the
           search or the budget truncated it — never silently. *)
   finding : finding option;  (** first violation, if any *)
+  reached : string list;
+      (** every label some execution stopped at, sorted: what a target's
+          [labels] is checked against *)
 }
 
 val default_choice : Mm_runtime.Sim.sched_point -> int
@@ -43,6 +46,7 @@ val run_strategy :
   Target.t ->
   threads:int ->
   ?on_label:(tid:int -> string -> Mm_runtime.Sim.action) ->
+  ?notify_done:(int -> unit) ->
   ?quiescent_checks:bool ->
   (Mm_runtime.Sim.sched_point -> int -> int) ->
   trace

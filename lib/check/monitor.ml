@@ -16,14 +16,9 @@ let mode_name = function Kill -> "kill" | Stall -> "stall"
 
 let run_with target ~threads ~on_label ~notify_done ~quiescent_checks
     strategy =
-  let idx = ref 0 in
-  let sched sp =
-    let c = strategy sp !idx in
-    incr idx;
-    if List.mem c sp.Sim.sp_runnable then c else Explore.default_choice sp
-  in
-  target.Target.run ~threads ~on_label ~notify_done ~quiescent_checks
-    ~sched ()
+  (Explore.run_strategy target ~threads ~on_label ~notify_done
+     ~quiescent_checks strategy)
+    .Explore.outcome
 
 (* Round 0 uses the default schedule; later rounds a seeded uniformly
    random one, a fresh generator per run. *)

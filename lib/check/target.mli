@@ -1,36 +1,68 @@
 (** Checkable systems under test.
 
-    A target bundles a structure, a small oracle-instrumented workload
-    over it, and the instrumentation labels at which its schedules
-    branch. [run] builds a {e fresh} simulator in controlled mode and
-    executes the workload under the given strategy, so a (target,
-    threads, decisions) triple determines the run completely — the
-    explorer's replay guarantee. *)
+    A target is a name, the instrumentation labels its exploration
+    reaches, and a subject: a per-thread body over a structure with its
+    oracles, plus a quiescent check. {!run} owns everything else — a
+    {e fresh} controlled-mode simulator, spawning, and the mapping of
+    oracle violations, deadlock, livelock and invariant failures to a
+    verdict — so a (target, threads, decisions) triple determines the
+    run completely: the explorer's replay guarantee. *)
+
+type subject = {
+  body : int -> unit;  (** one thread's workload, given its tid *)
+  quiescent : unit -> unit;
+      (** end-of-run invariant/conservation checks; raise [Failure] or
+          {!Oracle.Violation} *)
+}
 
 type t = {
   name : string;
   doc : string;
-  default_threads : int;
   labels : string list;
-      (** instrumentation points relevant to this target (for the
-          lock-freedom monitor) *)
-  run :
-    threads:int ->
-    ?on_label:(tid:int -> string -> Mm_runtime.Sim.action) ->
-    ?notify_done:(int -> unit) ->
-    ?quiescent_checks:bool ->
-    sched:(Mm_runtime.Sim.sched_point -> int) ->
-    unit ->
-    (unit, string) result;
-      (** [Error] carries an oracle violation, invariant failure,
-          deadlock or livelock diagnostic. [on_label] injects faults (it
-          applies before the strategy is consulted); [notify_done tid]
-          is called as each thread body completes, which is how the
-          monitor expresses "stall until every other thread is done";
-          [quiescent_checks] (default true) runs the end-of-run
-          invariant/conservation checks — disable for kill runs, after
-          which quiescent invariants legitimately do not hold. *)
+      (** exactly the labels the target's bounded-exhaustive exploration
+          in [check quick] reaches, which the quick gate asserts; the
+          lock-freedom monitor probes each of them *)
+  subject : Mm_runtime.Sim.t -> threads:int -> subject;
+      (** builds the structure on the given simulator *)
 }
+
+val run :
+  t ->
+  threads:int ->
+  ?on_label:(tid:int -> string -> Mm_runtime.Sim.action) ->
+  ?notify_done:(int -> unit) ->
+  ?quiescent_checks:bool ->
+  sched:(Mm_runtime.Sim.sched_point -> int) ->
+  unit ->
+  (unit, string) result
+(** [Error] carries an oracle violation, invariant failure, deadlock or
+    livelock diagnostic. [on_label] injects faults (it applies before
+    the strategy is consulted); [notify_done tid] is called as each
+    thread body completes, which is how the monitor expresses "stall
+    until every other thread is done"; [quiescent_checks] (default
+    true) runs the subject's quiescent check — disable for kill runs,
+    after which quiescent invariants legitimately do not hold. *)
+
+type alloc_body =
+  threads:int -> malloc:(unit -> int) -> free:(int -> unit) -> int -> unit
+(** A per-thread allocator workload over oracle-wrapped [malloc]/[free]
+    of one fixed request size. *)
+
+val allocator :
+  (Mm_runtime.Sim.t -> Mm_mem.Alloc_intf.instance) ->
+  size:int ->
+  alloc_body ->
+  Mm_runtime.Sim.t ->
+  threads:int ->
+  subject
+(** The subject of every allocator target: the instance's [malloc] and
+    [free] under the address-exclusivity oracle, and its [check] as the
+    quiescent check. *)
+
+val alloc_cfg : Mm_mem.Alloc_config.t
+(** The heap of [lf_alloc], [lf_alloc_notag] and [lf_alloc_partial]:
+    one processor heap, 4096-byte superblocks, maxcredits 2, descriptor
+    scan threshold 1, 128 store slots. *)
 
 val lf_alloc : t
 (** The paper's allocator (tagged anchors): one shared processor heap,
@@ -38,8 +70,9 @@ val lf_alloc : t
     thread under the address-exclusivity oracle. Expected clean. *)
 
 val lf_alloc_notag : t
-(** Same workload with {!Mm_mem.Alloc_config.t.anchor_tag} off — the
-    deliberately planted ABA bug the explorer must find. *)
+(** Same workload over a copy of [Lf_alloc] compiled against an [Anchor]
+    whose [incr_tag] is the identity — the deliberately planted ABA bug
+    the explorer must find. *)
 
 val lf_alloc_cached : t
 (** The same oracle workload through the block-cache frontend
@@ -48,24 +81,26 @@ val lf_alloc_cached : t
     a killed thread leak but are never double-allocated. *)
 
 val lf_alloc_owner_biased : t
-(** The oracle workload with owner-biased private/public free lists on
-    ({!Mm_mem.Alloc_config.t.free_lists} = [`Owner_biased], DESIGN.md
-    §19) and eight-block superblocks: nine mallocs per thread hand the
-    first superblock off and acquire or carve another, two frees push
-    onto the handed-off superblock's anchor while the neighbour may be
-    acquiring it (labels [pub.claim] / [ob.freeze] against [free.cas]),
-    and a mailed block comes back as a remote free ([free.cas] or
-    [pub.push]). Expected clean: a thread killed mid-acquire leaks its
-    superblock, never double-serves a block. *)
+(** Owner-biased free lists (DESIGN.md §19) with eight-block
+    superblocks: ownership handoffs ([pub.claim], [ob.freeze]) race
+    frees and a mailed remote free ([free.cas], [pub.push]). Expected
+    clean: a thread killed mid-acquire leaks its superblock. *)
+
+val lf_alloc_partial : t
+(** MallocFromPartial (Fig. 4): {!partial} on the [lf_alloc] heap, so
+    superblocks go FULL→PARTIAL, come back through a heap's [Partial]
+    slot or the partial list, and drain to EMPTY. Expected clean. *)
+
+val partial : alloc_body
+(** [lf_alloc_partial]'s per-thread workload over 504-byte requests
+    (eight blocks per superblock): 8 mallocs, free the first, one more
+    malloc, free the rest. *)
 
 val buddy : t
-(** The page manager's span reservoir + lock-free buddy
-    ([Mm_pages.Page_manager], 4-page spans) driven directly: each
-    thread's 1+2+1-page pattern forces splits, exact fits, coalescing
-    and a racing second span reservation, under per-page address
-    exclusivity (no two live grants may overlap in any page). Expected
-    clean: a thread killed mid-claim strands its extent, never hands it
-    out twice. *)
+(** The page manager's span reservoir + lock-free buddy driven
+    directly, under per-page address exclusivity. Expected clean: a
+    thread killed mid-claim strands its extent, never hands it out
+    twice. *)
 
 val ms_queue : t
 val desc_pool : t

@@ -376,12 +376,6 @@ let rec reserve_active t heap ~want ~label spins =
     end
   end
 
-(* The paper's pop CAS bumps the anchor tag to defeat ABA on the
-   in-superblock free list. [anchor_tag = false] (check subsystem's
-   planted bug ONLY) omits the bump, reopening exactly the interleaving
-   the tag exists to kill; the schedule explorer must find it. *)
-let[@inline] pop_tag t a = if t.cfg.anchor_tag then Anchor.incr_tag a else a
-
 (* Second step: pop [n] reserved blocks in one tag-bumping anchor CAS
    (lines 7-18; MallocFromPartial's lines 11-15 with [took_last =
    false]). Each link read may return garbage when racing — line 10's
@@ -400,7 +394,7 @@ let rec pop_blocks t (desc : Descriptor.t) ~n ~took_last ~label
     (* [clamp_index] only keeps a racy value representable. *)
     idx := clamp_index (Store.read_word_racy t.store addr)
   done;
-  let newanchor = pop_tag t (Anchor.set_avail oldanchor !idx) in
+  let newanchor = Anchor.incr_tag (Anchor.set_avail oldanchor !idx) in
   let count = Anchor.count oldanchor in
   let newanchor =
     if not took_last then newanchor
@@ -1187,19 +1181,20 @@ let check_invariants t =
       let id = d.Descriptor.id in
       match Anchor.state a with
       | Anchor.Empty -> (
-          (* Retired or awaiting removal: it may linger only in a size
-             class partial list. *)
+          (* Retired or awaiting removal: it may linger only in a
+             partial structure, a size class's list or a heap's Partial
+             slot. The slot case arises when the free that emptied it
+             missed the slot (red.slot_cas) before a FULL->PARTIAL free
+             put it there; the next MallocFromPartial to take it retires
+             it (Fig. 4 lines 5-6). *)
           let pubw = Rt.Atomic.get d.Descriptor.pub in
           if Pub_word.owned pubw || Pub_word.count pubw > 0 then
             fail "EMPTY desc %d with a live pub word %a" id Pub_word.pp pubw;
           match Hashtbl.find_opt refs id with
           | None -> ()
           | Some src ->
-              if
-                not
-                  (String.length src > 11
-                  && String.sub src 0 11 = "PartialList")
-              then fail "EMPTY desc %d referenced from %s" id src)
+              if not (String.starts_with ~prefix:"Partial" src) then
+                fail "EMPTY desc %d referenced from %s" id src)
       | st ->
           if d.Descriptor.sb = Addr.null then
             fail "desc %d in state %s without superblock" id

@@ -13,7 +13,6 @@ type t = {
   store_capacity : int;
   lock_kind : lock_kind;
   arena_limit : int;
-  anchor_tag : bool;
   desc_scan_threshold : int;
   cache : bool;
   cache_blocks : int;
@@ -34,7 +33,6 @@ let default =
     store_capacity = 65536;
     lock_kind = Tas_backoff;
     arena_limit = 64;
-    anchor_tag = true;
     desc_scan_threshold = 0;
     cache = false;
     cache_blocks = 64;
@@ -50,7 +48,6 @@ let make ?(nheaps = default.nheaps) ?(sbsize = default.sbsize)
     ?(desc_pool = default.desc_pool) ?(hyperblocks = default.hyperblocks)
     ?(store_capacity = default.store_capacity)
     ?(lock_kind = default.lock_kind) ?(arena_limit = default.arena_limit)
-    ?(anchor_tag = default.anchor_tag)
     ?(desc_scan_threshold = default.desc_scan_threshold)
     ?(cache = default.cache) ?(cache_blocks = default.cache_blocks)
     ?(cache_batch = default.cache_batch)
@@ -78,7 +75,6 @@ let make ?(nheaps = default.nheaps) ?(sbsize = default.sbsize)
     store_capacity;
     lock_kind;
     arena_limit;
-    anchor_tag;
     desc_scan_threshold;
     cache;
     cache_blocks;

@@ -53,12 +53,6 @@ type t = {
   lock_kind : lock_kind;  (** lock used by the lock-based baselines *)
   arena_limit : int;  (** Ptmalloc baseline: max arenas (paper observes it
                           creating more arenas than threads) *)
-  anchor_tag : bool;
-      (** include the ABA tag in anchor pop CASes (the paper's design).
-          [false] is a {e deliberately broken} variant kept ONLY as the
-          planted bug for [lib/check]'s schedule explorer — it must find
-          the descriptor-recycling/ABA interleaving this opens up. Never
-          disable it elsewhere. *)
   desc_scan_threshold : int;
       (** hazard-pointer scan threshold for the descriptor pool; 0 means
           the hazard-pointer default. Small values make descriptor
@@ -105,7 +99,6 @@ val make :
   ?store_capacity:int ->
   ?lock_kind:lock_kind ->
   ?arena_limit:int ->
-  ?anchor_tag:bool ->
   ?desc_scan_threshold:int ->
   ?cache:bool ->
   ?cache_blocks:int ->

@@ -9,6 +9,11 @@ module T = Mm_check.Target
 module E = Mm_check.Explore
 module M = Mm_check.Monitor
 module O = Mm_check.Oracle
+module As = Mm_core_sim.Lf_alloc
+module Descr = Mm_core_sim.Descriptor
+module Anchor = Mm_core.Anchor
+module Sc = Mm_mem.Size_class
+open Mm_runtime
 open Util
 
 let target name =
@@ -146,24 +151,113 @@ let building_blocks_clean () =
       | Some f -> Alcotest.failf "%s: %s" name f.E.error)
     [ "ms_queue"; "desc_pool"; "treiber_stack"; "tagged_id_stack" ]
 
-(* Every label declared in the registries is exercised by some target
-   (so the kill/stall monitor can reach it), no registry entry is
-   duplicated, and targets only name registered labels. mm-sa checks
-   the registries statically (check label-registry); this is the runtime
-   side of the same contract, against what `check list` enumerates. *)
-let registries_match_targets () =
+(* Every registered label is reached by some target's exploration (so
+   the kill/stall monitor can probe it), each target reaches every label
+   it lists, and no registry entry is duplicated. mm-sa checks the
+   registries statically (check label-registry); this is the runtime
+   side of the same contract. *)
+let never_reached =
+  (* The MS queue has no label between its link CAS and its tail swing,
+     so the controlled explorer can never preempt there and never sees
+     a lagging tail. *)
+  Mm_lockfree.Lf_labels.[ msq_enq_swing; msq_deq_help ]
+
+let registries_reached () =
   let registered =
     Mm_core.Labels.all @ Mm_lockfree.Lf_labels.all @ Mm_pages.Pg_labels.all
   in
   let sorted = List.sort_uniq compare registered in
   Alcotest.(check int) "no duplicate registry entries"
     (List.length registered) (List.length sorted);
-  let enumerated =
-    List.sort_uniq compare
-      (List.concat_map (fun t -> t.T.labels) T.all)
+  let reached =
+    List.concat_map
+      (fun t ->
+        let r = E.exhaustive t ~threads:2 ~bound:2 ~budget:6_000 in
+        List.iter
+          (fun l ->
+            if not (List.mem l r.E.reached) then
+              Alcotest.failf "%s lists %s but never reaches it" t.T.name l)
+          t.T.labels;
+        r.E.reached)
+      T.all
   in
-  Alcotest.(check (list string)) "targets enumerate the registries"
-    sorted enumerated
+  Alcotest.(check (list string)) "explorations reach the registries"
+    (List.filter (fun l -> not (List.mem l never_reached)) sorted)
+    (List.sort_uniq compare reached)
+
+(* Fig. 4 lets an EMPTY descriptor linger in a heap's Partial slot. On
+   this schedule of lf_alloc_partial, thread 1's free moves a superblock
+   FULL->PARTIAL and is preempted before heap_put_partial; thread 0
+   frees the superblock's other blocks, and its red.slot_cas misses the
+   slot, so the descriptor is not retired; thread 1 then puts the EMPTY
+   descriptor in the slot. The first MallocFromPartial on that heap
+   takes it, finds it EMPTY and retires it (Fig. 4 lines 5-6). *)
+let empty_descriptor_in_partial_slot () =
+  let heap = ref None and labels = ref [] in
+  let instance s =
+    let a = As.create s T.alloc_cfg in
+    heap := Some (s, a);
+    As.instance (Rt.simulated s) a
+  in
+  let target =
+    {
+      T.lf_alloc_partial with
+      T.subject = T.allocator instance ~size:504 T.partial;
+    }
+  in
+  let schedule = S.of_string "30:1,65:0" in
+  let on_label ~tid:_ l =
+    labels := l :: !labels;
+    Sim.Continue
+  in
+  let tr =
+    E.run_strategy target ~threads:2 ~on_label (fun sp idx ->
+        Option.value (S.find schedule idx) ~default:(E.default_choice sp))
+  in
+  Alcotest.(check (result unit string)) "quiescent checks pass" (Ok ())
+    tr.E.outcome;
+  let s, a = Option.get !heap in
+  let sc = Option.get (Sc.class_of_request (As.size_classes a) 504) in
+  let d =
+    match As.heap_partial_desc a ~sc ~heap:0 with
+    | Some d -> d
+    | None -> Alcotest.fail "no descriptor lingers in the Partial slot"
+  in
+  Alcotest.(check string) "the lingering descriptor is EMPTY" "EMPTY"
+    (Anchor.state_to_string
+       (Anchor.state (Sim_rt.Atomic.get d.Descr.anchor)));
+  let refs_d = function
+    | Some (x : Descr.t) -> x.Descr.id = d.Descr.id
+    | None -> false
+  in
+  (* The heap's active superblock, all eight blocks free, serves the
+     next eight mallocs; the ninth goes to MallocFromPartial. *)
+  let mallocs = ref 0 in
+  ignore
+    (Sim.run s
+       [|
+         (fun _ ->
+           while
+             refs_d (As.heap_partial_desc a ~sc ~heap:0) && !mallocs < 16
+           do
+             labels := [];
+             ignore (As.malloc a 504);
+             incr mallocs
+           done);
+       |]);
+  Alcotest.(check int) "mallocs until the slot is taken" 9 !mallocs;
+  List.iter
+    (fun l ->
+      Alcotest.(check bool) ("the last malloc passed " ^ l) true
+        (List.mem l !labels))
+    Mm_core.Labels.[ hgp_slot_cas; mp_got_partial; desc_retire ];
+  Alcotest.(check bool) "no longer in the slot" false
+    (refs_d (As.heap_partial_desc a ~sc ~heap:0));
+  Alcotest.(check bool) "not in the partial list" false
+    (List.exists
+       (fun x -> refs_d (Some x))
+       (Mm_core_sim.Partial_list.to_list (As.partial_list a ~sc)));
+  As.check_invariants a
 
 let monitor_lock_freedom () =
   let t = target "lf_alloc" in
@@ -191,6 +285,8 @@ let cases =
     case "real allocator survives exploration" real_allocator_clean;
     case "queue, pool and stacks survive exploration"
       building_blocks_clean;
-    case "label registries match check targets" registries_match_targets;
+    case "label registries match check targets" registries_reached;
+    case "an EMPTY descriptor in a Partial slot is retired by the next malloc"
+      empty_descriptor_in_partial_slot;
     case "kill/stall monitor: survivors complete" monitor_lock_freedom;
   ]

@@ -59,14 +59,7 @@ let ring_cap = 4
 
 let ring_target =
   let open Mm_check in
-  let run ~threads ?on_label ?notify_done ?quiescent_checks:_ ~sched () =
-    let cpus = max threads 1 in
-    let s =
-      match on_label with
-      | Some on_label ->
-          Sim.create ~cpus ~max_cycles:1_000_000_000 ~on_label ~sched ()
-      | None -> Sim.create ~cpus ~max_cycles:1_000_000_000 ~sched ()
-    in
+  let subject s ~threads:_ =
     let ring = Obs.Ring.create ~tid:0 ~capacity:ring_cap in
     let check_snapshot () =
       let snap = Obs.Ring.snapshot ring in
@@ -91,27 +84,18 @@ let ring_target =
           check_snapshot ()
         done
     in
-    let wrap tid _ =
-      body tid;
-      match notify_done with Some f -> f tid | None -> ()
-    in
-    try
-      ignore (Sim.run s (Array.init threads (fun tid -> wrap tid)));
+    let quiescent () =
       check_snapshot ();
       if Obs.Ring.length ring + Obs.Ring.dropped ring <> ring_writes then
-        Error "record calls not accounted as published + dropped"
-      else Ok ()
-    with
-    | Failure msg -> Error ("invariant: " ^ msg)
-    | Sim.Deadlock msg -> Error ("deadlock: " ^ msg)
-    | Sim.Progress_timeout msg -> Error ("livelock: " ^ msg)
+        failwith "record calls not accounted as published + dropped"
+    in
+    { Target.body; quiescent }
   in
   {
     Target.name = "obs_ring";
     doc = "single-writer event ring vs concurrent snapshot";
-    default_threads = 2;
     labels = [ "obs.write"; "obs.read" ];
-    run;
+    subject;
   }
 
 let snapshot_under_explorer () =
