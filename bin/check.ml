@@ -175,7 +175,9 @@ let monitor_cmd =
       value & opt int 3
       & info [ "rounds" ] ~docv:"R"
           ~doc:"Schedules per (label, mode): the default one plus R-1 \
-                random ones.")
+                random ones. A label none of them reaches is probed on \
+                the first schedule of a bound-3 exhaustive search that \
+                reaches it.")
   in
   let run target threads modes rounds =
     with_target target @@ fun t ->
@@ -186,13 +188,16 @@ let monitor_cmd =
         match e.M.result with
         | Ok () -> ()
         | Error msg ->
-            Printf.printf "FAIL %s %s round %d: %s\n" e.M.label
-              (M.mode_name e.M.mode) e.M.round msg)
+            Printf.printf "FAIL %s %s %s: %s\n" e.M.label
+              (M.mode_name e.M.mode) (M.source_name e.M.source) msg)
       fired;
     List.iter
       (fun l ->
         if not (List.exists (fun e -> e.M.label = l) fired) then
-          Printf.printf "note: label %s not reached in these rounds\n" l)
+          Printf.printf
+            "note: label %s not reached in these rounds nor by the \
+             bound-3 search\n"
+            l)
       t.T.labels;
     Printf.printf "%d probes, %d fired, %s\n" (List.length r.M.entries)
       (List.length fired)
@@ -270,8 +275,8 @@ let quick_cmd =
             (fun (e : M.entry) ->
               match e.M.result with
               | Error msg when e.M.fired ->
-                  Printf.eprintf "monitor %s %s round %d: %s\n" e.M.label
-                    (M.mode_name e.M.mode) e.M.round msg
+                  Printf.eprintf "monitor %s %s %s: %s\n" e.M.label
+                    (M.mode_name e.M.mode) (M.source_name e.M.source) msg
               | _ -> ())
             m.M.entries;
           fail "%s lock-freedom monitor failed" name

@@ -57,6 +57,16 @@ let create rt kind =
     contended = Array.make Rt.max_threads 0;
   }
 
+(* The lock of a flat table's dead-slot record (DESIGN.md §18): never
+   taken, so its flag takes no fresh line. *)
+let placeholder rt =
+  {
+    rt;
+    impl = Tas { flag = Rt.Atomic.make rt ~line:0 0 };
+    acq = [||];
+    contended = [||];
+  }
+
 (* Fault-injection point: a thread paused or killed here is a lock
    holder — the scenario lock-freedom is immune to and locks are not. *)
 

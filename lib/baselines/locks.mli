@@ -25,6 +25,11 @@ val holder_label : string
 type t
 
 val create : Rt.t -> Mm_mem.Alloc_config.lock_kind -> t
+
+val placeholder : Rt.t -> t
+(** A lock that is never taken and consumes no synthetic line: what the
+    record of a flat table's dead slot holds (DESIGN.md §18). *)
+
 val acquire : t -> unit
 val try_acquire : t -> bool
 val release : t -> unit

@@ -18,13 +18,18 @@ type t = {
   ctx : Sb_heap.ctx;
   lock_kind : Cfg.lock_kind;
   arena_limit : int;
-  arenas : Sb_heap.heap option Rt.atomic array;
+  arenas : Sb_heap.heap array;  (* flat (DESIGN.md §18) *)
+  arena_lines : int array;
   n_arenas : int Rt.atomic;
   last_arena : int array;  (* per-thread preferred arena index *)
   list_lock : Locks.t;  (* guards arena creation *)
 }
 
 let name = "ptmalloc"
+
+let set_arena t i h =
+  Rt.touch_slot (Sb_heap.rt t.ctx) t.arena_lines i ~write:true;
+  t.arenas.(i) <- h
 
 (* dlmalloc-derived bookkeeping: lighter than stock libc. *)
 let op_overhead = 80
@@ -36,7 +41,8 @@ let create rt (cfg : Cfg.t) =
       ctx;
       lock_kind = cfg.lock_kind;
       arena_limit = cfg.arena_limit;
-      arenas = Array.init 256 (fun _ -> Rt.Atomic.make rt None);
+      arenas = Array.make 256 (Sb_heap.dead_heap ctx);
+      arena_lines = Rt.slot_lines 256;
       n_arenas = Rt.Atomic.make rt 0;
       last_arena = Array.make Rt.max_threads 0;
       list_lock = Locks.create rt Cfg.Tas_backoff;
@@ -44,7 +50,7 @@ let create rt (cfg : Cfg.t) =
   in
   (* The main arena always exists. *)
   let main = Sb_heap.create_heap ctx ~lock_kind:cfg.lock_kind in
-  Rt.Atomic.set t.arenas.(0) (Some main);
+  set_arena t 0 main;
   Rt.Atomic.set t.n_arenas 1;
   t
 
@@ -53,9 +59,11 @@ let store t = Sb_heap.store t.ctx
 let arena_count t = Rt.Atomic.get t.n_arenas
 
 let arena t i =
-  match Rt.Atomic.get t.arenas.(i) with
-  | Some h -> h
-  | None -> invalid_arg "Ptmalloc_alloc: bad arena index"
+  Rt.touch_slot (rt t) t.arena_lines i ~write:false;
+  let h = t.arenas.(i) in
+  if h == Sb_heap.dead_heap t.ctx then
+    invalid_arg "Ptmalloc_alloc: bad arena index";
+  h
 
 (* Find an arena we can lock: last-used first, then sweep, then grow the
    list, finally block on the preferred one. Returns with the arena's
@@ -83,7 +91,7 @@ let acquire_arena t =
           (* All arenas busy: create a new one. *)
           let h = Sb_heap.create_heap t.ctx ~lock_kind:t.lock_kind in
           let idx = Rt.Atomic.get t.n_arenas in
-          Rt.Atomic.set t.arenas.(idx) (Some h);
+          set_arena t idx h;
           Rt.Atomic.set t.n_arenas (idx + 1);
           Locks.release t.list_lock;
           Locks.acquire (Sb_heap.heap_lock h);

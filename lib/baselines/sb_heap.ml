@@ -25,10 +25,16 @@ type ctx = {
   store : Store.t;
   classes : Sc.t;
   op_overhead : int;
-  slots : Sdesc.t option Rt.atomic array;
+  (* Flat id→record tables (DESIGN.md §18): an unused slot holds the
+     dead record, and under simulation each access charges its line. *)
+  slots : Sdesc.t array;
+  slot_lines : int array;
+  dead_sdesc : Sdesc.t;
   next_id : int Rt.atomic;
   free_ids : int Ts.t;
-  heap_slots : heap option Rt.atomic array;  (* uid -> heap registry *)
+  heap_slots : heap array;  (* uid -> heap registry *)
+  heap_lines : int array;
+  dead_heap : heap;
   heap_count : int Rt.atomic;
 }
 
@@ -42,6 +48,29 @@ and heap = {
 }
 
 let create_ctx rt (cfg : Cfg.t) ~op_overhead =
+  let dead_sdesc =
+    {
+      Sdesc.id = 0;
+      lock = Locks.placeholder rt;
+      line = 0;
+      sb = Addr.null;
+      sz = 0;
+      maxcount = 0;
+      avail = 0;
+      count = 0;
+      owner = -1;
+      sc = 0;
+    }
+  and dead_heap =
+    {
+      uid = -1;
+      hlock = Locks.placeholder rt;
+      hline = 0;
+      partial = [||];
+      h_free_blocks = 0;
+      h_total_blocks = 0;
+    }
+  in
   {
     rt;
     store =
@@ -49,15 +78,27 @@ let create_ctx rt (cfg : Cfg.t) ~op_overhead =
         ~hyperblocks:cfg.hyperblocks ();
     classes = Sc.make ~sbsize:cfg.sbsize ();
     op_overhead;
-    slots =
-      Array.init (2 * cfg.store_capacity) (fun _ -> Rt.Atomic.make rt None);
+    slots = Array.make (2 * cfg.store_capacity) dead_sdesc;
+    slot_lines = Rt.slot_lines (2 * cfg.store_capacity);
+    dead_sdesc;
     next_id = Rt.Atomic.make rt 1;
     free_ids = Ts.create rt;
-    heap_slots = Array.init 256 (fun _ -> Rt.Atomic.make rt None);
+    heap_slots = Array.make 256 dead_heap;
+    heap_lines = Rt.slot_lines 256;
+    dead_heap;
     heap_count = Rt.Atomic.make rt 0;
   }
 
+let set_sdesc ctx id d =
+  Rt.touch_slot ctx.rt ctx.slot_lines id ~write:true;
+  ctx.slots.(id) <- d
+
+let sdesc ctx id =
+  Rt.touch_slot ctx.rt ctx.slot_lines id ~write:false;
+  ctx.slots.(id)
+
 let rt ctx = ctx.rt
+let dead_heap ctx = ctx.dead_heap
 let store ctx = ctx.store
 let classes ctx = ctx.classes
 let charge_overhead ctx = Rt.work ctx.rt ctx.op_overhead
@@ -76,7 +117,8 @@ let create_heap ctx ~lock_kind =
       h_total_blocks = 0;
     }
   in
-  Rt.Atomic.set ctx.heap_slots.(uid) (Some heap);
+  Rt.touch_slot ctx.rt ctx.heap_lines uid ~write:true;
+  ctx.heap_slots.(uid) <- heap;
   heap
 
 let heap_uid h = h.uid
@@ -85,17 +127,19 @@ let heap_lock h = h.hlock
 let heap_of_uid ctx uid =
   if uid < 0 || uid >= Array.length ctx.heap_slots then
     invalid_arg "Sb_heap.heap_of_uid: unknown heap";
-  match Rt.Atomic.get ctx.heap_slots.(uid) with
-  | Some h -> h
-  | None -> invalid_arg "Sb_heap.heap_of_uid: unknown heap"
+  Rt.touch_slot ctx.rt ctx.heap_lines uid ~write:false;
+  let h = ctx.heap_slots.(uid) in
+  if h == ctx.dead_heap then invalid_arg "Sb_heap.heap_of_uid: unknown heap";
+  h
 
 let sdesc_of_prefix ctx prefix =
   let id = Prefix.desc_id prefix in
   if id < 1 || id >= Array.length ctx.slots then
     invalid_arg "Sb_heap: corrupt block prefix";
-  match Rt.Atomic.get ctx.slots.(id) with
-  | Some d -> d
-  | None -> invalid_arg "Sb_heap: block prefix names a dead descriptor"
+  let d = sdesc ctx id in
+  if d == ctx.dead_sdesc then
+    invalid_arg "Sb_heap: block prefix names a dead descriptor";
+  d
 
 let class_of_request ctx n = Sc.class_of_request ctx.classes n
 
@@ -149,7 +193,7 @@ let new_superblock ctx heap sc =
       sc;
     }
   in
-  Rt.Atomic.set ctx.slots.(d.Sdesc.id) (Some d);
+  set_sdesc ctx d.Sdesc.id d;
   heap.partial.(sc) := d :: !(heap.partial.(sc));
   heap.h_free_blocks <- heap.h_free_blocks + maxcount;
   heap.h_total_blocks <- heap.h_total_blocks + maxcount;
@@ -164,7 +208,7 @@ let release_superblock ctx heap (d : Sdesc.t) =
   heap.h_free_blocks <- heap.h_free_blocks - d.Sdesc.count;
   heap.h_total_blocks <- heap.h_total_blocks - d.Sdesc.maxcount;
   Store.free_superblock ctx.store d.Sdesc.sb;
-  Rt.Atomic.set ctx.slots.(d.Sdesc.id) None;
+  set_sdesc ctx d.Sdesc.id ctx.dead_sdesc;
   Ts.push ctx.free_ids d.Sdesc.id
 
 let detach_superblock _ctx heap (d : Sdesc.t) =
@@ -249,42 +293,42 @@ let fail fmt = Format.kasprintf failwith fmt
 let check_heap_invariants ctx heap =
   let free = ref 0 and total = ref 0 in
   (* Superblocks fully allocated are not on any list; find every
-     superblock owned by this heap through the descriptor table. *)
-  Array.iter
-    (fun slot ->
-      match Rt.Atomic.get slot with
-      | Some d when d.Sdesc.owner = heap.uid ->
-          free := !free + d.Sdesc.count;
-          total := !total + d.Sdesc.maxcount;
-          let on_list = List.memq d !(heap.partial.(d.Sdesc.sc)) in
-          if d.Sdesc.count > 0 && not on_list then
-            fail "sdesc %d has free blocks but is not listed" d.Sdesc.id;
-          if d.Sdesc.count = 0 && on_list then
-            fail "sdesc %d is full but still listed" d.Sdesc.id;
-          let seen = Array.make d.Sdesc.maxcount false in
-          let idx = ref d.Sdesc.avail in
-          for step = 1 to d.Sdesc.count do
-            if !idx < 0 || !idx >= d.Sdesc.maxcount then
-              fail "sdesc %d: bad free index %d at step %d" d.Sdesc.id !idx
-                step;
-            if seen.(!idx) then
-              fail "sdesc %d: free list cycles at %d" d.Sdesc.id !idx;
-            seen.(!idx) <- true;
-            idx :=
-              Store.read_word ctx.store (d.Sdesc.sb + (!idx * d.Sdesc.sz))
-          done;
-          for i = 0 to d.Sdesc.maxcount - 1 do
-            if not seen.(i) then begin
-              let p =
-                Store.read_word ctx.store (d.Sdesc.sb + (i * d.Sdesc.sz))
-              in
-              if Prefix.is_large p || Prefix.desc_id p <> d.Sdesc.id then
-                fail "sdesc %d: allocated block %d prefix corrupt" d.Sdesc.id
-                  i
-            end
-          done
-      | _ -> ())
-    ctx.slots;
+     superblock owned by this heap through the descriptor table (the
+     dead record's owner is -1, never a heap's uid). *)
+  for id = 0 to Array.length ctx.slots - 1 do
+    let d = sdesc ctx id in
+    if d.Sdesc.owner = heap.uid then begin
+      free := !free + d.Sdesc.count;
+      total := !total + d.Sdesc.maxcount;
+      let on_list = List.memq d !(heap.partial.(d.Sdesc.sc)) in
+      if d.Sdesc.count > 0 && not on_list then
+        fail "sdesc %d has free blocks but is not listed" d.Sdesc.id;
+      if d.Sdesc.count = 0 && on_list then
+        fail "sdesc %d is full but still listed" d.Sdesc.id;
+      let seen = Array.make d.Sdesc.maxcount false in
+      let idx = ref d.Sdesc.avail in
+      for step = 1 to d.Sdesc.count do
+        if !idx < 0 || !idx >= d.Sdesc.maxcount then
+          fail "sdesc %d: bad free index %d at step %d" d.Sdesc.id !idx
+            step;
+        if seen.(!idx) then
+          fail "sdesc %d: free list cycles at %d" d.Sdesc.id !idx;
+        seen.(!idx) <- true;
+        idx :=
+          Store.read_word ctx.store (d.Sdesc.sb + (!idx * d.Sdesc.sz))
+      done;
+      for i = 0 to d.Sdesc.maxcount - 1 do
+        if not seen.(i) then begin
+          let p =
+            Store.read_word ctx.store (d.Sdesc.sb + (i * d.Sdesc.sz))
+          in
+          if Prefix.is_large p || Prefix.desc_id p <> d.Sdesc.id then
+            fail "sdesc %d: allocated block %d prefix corrupt" d.Sdesc.id
+              i
+        end
+      done
+    end
+  done;
   if !free <> heap.h_free_blocks then
     fail "heap %d: free_blocks=%d but descriptors sum to %d" heap.uid
       heap.h_free_blocks !free;

@@ -48,6 +48,11 @@ val create_heap : ctx -> lock_kind:Mm_mem.Alloc_config.lock_kind -> heap
 val heap_uid : heap -> int
 val heap_lock : heap -> Locks.t
 val heap_of_uid : ctx -> int -> heap
+
+val dead_heap : ctx -> heap
+(** The record an unused slot of a heap table holds (DESIGN.md §18):
+    never locked, owns nothing. *)
+
 val sdesc_of_prefix : ctx -> int -> Sdesc.t
 
 val class_of_request : ctx -> int -> int option

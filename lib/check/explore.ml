@@ -58,11 +58,13 @@ let run_strategy (target : Target.t) ~threads ?on_label ?notify_done
   in
   { points = Array.of_list (List.rev !points); outcome }
 
+let follow schedule (sp : Sim.sched_point) idx =
+  match Schedule.find schedule idx with
+  | Some tid when List.mem tid sp.Sim.sp_runnable -> tid
+  | _ -> default_choice sp
+
 let replay target ~threads schedule =
-  run_strategy target ~threads (fun sp idx ->
-      match Schedule.find schedule idx with
-      | Some tid when List.mem tid sp.Sim.sp_runnable -> tid
-      | _ -> default_choice sp)
+  run_strategy target ~threads (follow schedule)
 
 let schedule_of_trace tr =
   let s = ref Schedule.empty in
@@ -114,15 +116,16 @@ let preemptive p ~tid =
 (* Iterative-deepening-free bounded exhaustive search, enumerated BFS so
    simpler schedules run first. Children of a schedule branch only at
    decision points strictly after its last deviation: every deviation set
-   is generated exactly once, from the schedule holding its prefix. *)
-let exhaustive target ~threads ~bound ~budget =
+   is generated exactly once, from the schedule holding its prefix.
+   [visit s tr] sees each run and answers whether to stop; a failing run
+   is not expanded. Returns the executions, the default run's length and
+   whether the budget cut the search short. *)
+let bfs target ~threads ~bound ~budget ~visit =
   let q = Queue.create () in
   Queue.push (Schedule.empty, 0) q;
   let executions = ref 0 in
   let truncated = ref false in
   let dpoints = ref 0 in
-  let finding = ref None in
-  let seen = Hashtbl.create 32 in
   (try
      while not (Queue.is_empty q) do
        let s, preempts = Queue.pop q in
@@ -132,39 +135,65 @@ let exhaustive target ~threads ~bound ~budget =
        end;
        incr executions;
        let tr = replay target ~threads s in
-       reach seen tr;
        if !executions = 1 then dpoints := Array.length tr.points;
-       match tr.outcome with
-       | Error e ->
-           finding := found target ~threads s e;
-           raise Exit
-       | Ok () ->
-           for i = Schedule.last_at s + 1 to Array.length tr.points - 1 do
-             let p = tr.points.(i) in
-             List.iter
-               (fun tid ->
-                 if tid <> p.pt_chosen then
-                   let pre =
-                     preempts + (if preemptive p ~tid then 1 else 0)
-                   in
-                   if pre <= bound then begin
-                     (* Cap the frontier too, so a huge schedule space
-                        cannot exhaust memory before the budget trips. *)
-                     if Queue.length q + !executions < budget then
-                       Queue.push (Schedule.add s ~at:i ~tid, pre) q
-                     else truncated := true
-                   end)
-               p.pt_runnable
-           done
+       if visit s tr then raise Exit;
+       if Result.is_ok tr.outcome then
+         for i = Schedule.last_at s + 1 to Array.length tr.points - 1 do
+           let p = tr.points.(i) in
+           List.iter
+             (fun tid ->
+               if tid <> p.pt_chosen then
+                 let pre = preempts + if preemptive p ~tid then 1 else 0 in
+                 if pre <= bound then begin
+                   (* Cap the frontier too, so a huge schedule space
+                      cannot exhaust memory before the budget trips. *)
+                   if Queue.length q + !executions < budget then
+                     Queue.push (Schedule.add s ~at:i ~tid, pre) q
+                   else truncated := true
+                 end)
+             p.pt_runnable
+         done
      done
    with Exit -> ());
+  (!executions, !dpoints, !truncated)
+
+let exhaustive target ~threads ~bound ~budget =
+  let finding = ref None in
+  let seen = Hashtbl.create 32 in
+  let executions, decision_points, truncated =
+    bfs target ~threads ~bound ~budget ~visit:(fun s tr ->
+        reach seen tr;
+        match tr.outcome with
+        | Error e ->
+            finding := found target ~threads s e;
+            true
+        | Ok () -> false)
+  in
   {
-    executions = !executions;
-    decision_points = !dpoints;
-    complete = !finding = None && not !truncated;
+    executions;
+    decision_points;
+    complete = !finding = None && not truncated;
     finding = !finding;
     reached = sorted seen;
   }
+
+let witnesses target ~threads ~bound ~budget labels =
+  let first = Hashtbl.create 8 in
+  let missing () = List.exists (fun l -> not (Hashtbl.mem first l)) labels in
+  if labels <> [] then
+    ignore
+      (bfs target ~threads ~bound ~budget ~visit:(fun s tr ->
+           Array.iter
+             (fun p ->
+               match p.pt_label with
+               | Some l when List.mem l labels && not (Hashtbl.mem first l) ->
+                   Hashtbl.add first l s
+               | _ -> ())
+             tr.points;
+           not (missing ())));
+  List.filter_map
+    (fun l -> Option.map (fun s -> (l, s)) (Hashtbl.find_opt first l))
+    labels
 
 (* PCT (Burckhardt et al., ASPLOS 2010): random thread priorities plus
    [depth - 1] random priority-demotion points; always run the

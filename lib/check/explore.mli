@@ -54,8 +54,13 @@ val run_strategy :
     index); a strategy answer that is not runnable falls back to the
     default policy. The returned trace records every decision point. *)
 
+val follow : Schedule.t -> Mm_runtime.Sim.sched_point -> int -> int
+(** The strategy that replays a schedule: its deviation at each decision
+    point where it has a runnable one, the default policy elsewhere. *)
+
 val replay : Target.t -> threads:int -> Schedule.t -> trace
-(** Deterministically re-execute a schedule. *)
+(** Deterministically re-execute a schedule ([run_strategy] of
+    {!follow}). *)
 
 val schedule_of_trace : trace -> Schedule.t
 (** The trace's choices re-expressed as deviations from the default
@@ -69,6 +74,18 @@ val exhaustive :
   Target.t -> threads:int -> bound:int -> budget:int -> report
 (** BFS over deviation sets with at most [bound] preemptive deviations,
     stopping at the first violation or after [budget] executions. *)
+
+val witnesses :
+  Target.t ->
+  threads:int ->
+  bound:int ->
+  budget:int ->
+  string list ->
+  (string * Schedule.t) list
+(** For each listed label some run reaches, the first schedule of
+    {!exhaustive}'s enumeration whose run stops at it. The search stops
+    as soon as every listed label has one, or at the budget; a label
+    without a witness is left out. *)
 
 val pct :
   Target.t -> threads:int -> depth:int -> runs:int -> seed:int -> report

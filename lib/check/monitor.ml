@@ -1,11 +1,12 @@
 open Mm_runtime
 
 type mode = Kill | Stall
+type source = Round of int | Witness of Schedule.t
 
 type entry = {
   label : string;
   mode : mode;
-  round : int;
+  source : source;
   fired : bool;
   result : (unit, string) result;
 }
@@ -14,6 +15,10 @@ type report = { entries : entry list; ok : bool }
 
 let mode_name = function Kill -> "kill" | Stall -> "stall"
 
+let source_name = function
+  | Round r -> Printf.sprintf "round %d" r
+  | Witness s -> Printf.sprintf "schedule \"%s\"" (Schedule.to_string s)
+
 let run_with target ~threads ~on_label ~notify_done ~quiescent_checks
     strategy =
   (Explore.run_strategy target ~threads ~on_label ~notify_done
@@ -21,14 +26,17 @@ let run_with target ~threads ~on_label ~notify_done ~quiescent_checks
     .Explore.outcome
 
 (* Round 0 uses the default schedule; later rounds a seeded uniformly
-   random one, a fresh generator per run. *)
-let strategy ~round =
-  let rng = Prng.create ((round * 6361) + 1) in
-  fun (sp : Sim.sched_point) _idx ->
-    if round = 0 then Explore.default_choice sp
-    else
-      List.nth sp.Sim.sp_runnable
-        (Prng.int rng (List.length sp.Sim.sp_runnable))
+   random one, a fresh generator per run. A witness replays its
+   schedule. *)
+let strategy = function
+  | Witness s -> Explore.follow s
+  | Round round ->
+      let rng = Prng.create ((round * 6361) + 1) in
+      fun (sp : Sim.sched_point) _idx ->
+        if round = 0 then Explore.default_choice sp
+        else
+          List.nth sp.Sim.sp_runnable
+            (Prng.int rng (List.length sp.Sim.sp_runnable))
 
 (* One run: the first thread to reach [label] is killed, or stalled
    until every other thread has completed its whole workload (the
@@ -37,7 +45,7 @@ let strategy ~round =
    survivors never finish, falsifies it). Varying the round's schedule
    leaves the victim's partial state behind under varied
    interleavings. *)
-let probe (target : Target.t) ~threads ~label ~mode ~round =
+let probe (target : Target.t) ~threads ~label ~mode ~source =
   let fired = ref false in
   let victim = ref (-1) in
   let finished = Array.make threads false in
@@ -61,9 +69,9 @@ let probe (target : Target.t) ~threads ~label ~mode ~round =
   let notify_done tid = finished.(tid) <- true in
   let result =
     run_with target ~threads ~on_label ~notify_done
-      ~quiescent_checks:(mode <> Kill) (strategy ~round)
+      ~quiescent_checks:(mode <> Kill) (strategy source)
   in
-  { label; mode; round; fired = !fired; result }
+  { label; mode; source; fired = !fired; result }
 
 (* The labels round [round] reaches: one run of the round's schedule
    with no fault injected. A probe's [on_label] answers [Continue] until
@@ -79,25 +87,48 @@ let census (target : Target.t) ~threads ~round =
   in
   ignore
     (run_with target ~threads ~on_label ~notify_done:ignore
-       ~quiescent_checks:true (strategy ~round)
+       ~quiescent_checks:true (strategy (Round round))
       : (unit, string) result);
   Hashtbl.mem seen
 
+(* A label no round reaches is probed on the first schedule of a
+   bounded-exhaustive search that reaches it, at the bound and budget of
+   [check quick]'s explorations; the search stops once every such label
+   has one. Up to the fault the probe runs that schedule, so it fires. *)
+let witness_bound = 3
+let witness_budget = 20_000
+
 let run (target : Target.t) ~threads ~modes ~rounds =
   let reached = Array.init rounds (fun round -> census target ~threads ~round) in
+  let missed =
+    List.filter
+      (fun l -> not (Array.exists (fun r -> r l) reached))
+      target.Target.labels
+  in
+  let witness =
+    Explore.witnesses target ~threads ~bound:witness_bound
+      ~budget:witness_budget missed
+  in
   let entries = ref [] in
   List.iter
     (fun label ->
       List.iter
         (fun mode ->
           for round = 0 to rounds - 1 do
+            let source = Round round in
             let e =
               if reached.(round) label then
-                probe target ~threads ~label ~mode ~round
-              else { label; mode; round; fired = false; result = Ok () }
+                probe target ~threads ~label ~mode ~source
+              else { label; mode; source; fired = false; result = Ok () }
             in
             entries := e :: !entries
-          done)
+          done;
+          Option.iter
+            (fun s ->
+              entries :=
+                probe target ~threads ~label ~mode ~source:(Witness s)
+                :: !entries)
+            (List.assoc_opt label witness))
         modes)
     target.Target.labels;
   let entries = List.rev !entries in

@@ -11,15 +11,25 @@
 
 type mode = Kill | Stall
 
+(** The schedule a probe runs. *)
+type source =
+  | Round of int  (** 0 = default schedule, >0 = seeded random schedule *)
+  | Witness of Schedule.t
+      (** for a label no round reaches: the first schedule of a
+          bounded-exhaustive search (bound 3, as [check quick]) that
+          reaches it ({!Explore.witnesses}) *)
+
 type entry = {
   label : string;
   mode : mode;
-  round : int;  (** 0 = default schedule, >0 = seeded random schedule *)
+  source : source;
   fired : bool;
       (** whether the workload reached the label at all. {!run} probes
           only the labels a fault-free census run of the round's
           schedule reaches; an entry that cannot fire is recorded with
-          [fired = false] and [result = Ok ()] without being run. *)
+          [fired = false] and [result = Ok ()] without being run. A
+          label no round reaches gets one more probe per mode, on its
+          witness schedule, which fires. *)
   result : (unit, string) result;
 }
 
@@ -30,12 +40,15 @@ type report = {
 
 val mode_name : mode -> string
 
+val source_name : source -> string
+(** ["round N"] or ["schedule \"at:tid,...\""]. *)
+
 val probe :
   Target.t ->
   threads:int ->
   label:string ->
   mode:mode ->
-  round:int ->
+  source:source ->
   entry
 
 val run : Target.t -> threads:int -> modes:mode list -> rounds:int -> report

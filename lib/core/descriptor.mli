@@ -40,6 +40,13 @@ type t = {
     (Fig. 4 line 12). *)
 
 type table
+(** A flat table (DESIGN.md §18): a plain [t array], so on real
+    domains {!get} is one array load. An unused slot holds a dead
+    sentinel descriptor; a slot is written before its id is published
+    (by the anchor or Active CAS, or a freelist push), which OCaml 5
+    orders for any reader that got the id through that atomic. Under
+    simulation each slot access charges one atomic step on the slot's
+    own line, as an atomic per slot did. *)
 
 val create_table : Rt.t -> capacity:int -> table
 

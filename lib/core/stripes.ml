@@ -9,7 +9,9 @@ let pad = 16
 let create ~threads ~columns =
   Array.init threads (fun _ -> Array.make (pad + columns + pad) 0)
 
-let[@inline] row t tid = t.(tid)
+(* [(t : t)]: inferred, [t] would be ['a array], and the load a
+   generic one with a float-array test. *)
+let[@inline] row (t : t) tid = t.(tid)
 
 let[@inline] bump t tid c =
   let row = t.(tid) in

@@ -4,6 +4,10 @@
    recycled superblock never pays an eager full-superblock fill. *)
 type region = { bytes : Bytes.t; base : int; len : int; mutable clean : bool }
 
+(* What an unmapped slot of the region table holds: every access to it
+   fails the bounds test ([len] 0), so it reads 0 and drops writes. *)
+let dead = { bytes = Bytes.empty; base = 0; len = 0; clean = false }
+
 type os_stats = Alloc_intf.os_stats = {
   mmap_calls : int;
   munmap_calls : int;
@@ -24,7 +28,8 @@ module Ts = Treiber_stack
 type t = {
   rt : Rt.t;
   capacity : int;
-  regions : region option Rt.atomic array;
+  regions : region array;  (* id -> region, [dead] when unmapped *)
+  lines : int array;  (* the slots' lines under simulation *)
   next_id : int Rt.atomic;
   free_ids : int Ts.t;  (* recycled region ids (large blocks) *)
   sb_pool : int Ts.t;  (* recycled superblock region ids, bytes kept *)
@@ -49,7 +54,8 @@ let create rt ?(capacity = 65536) ?(sbsize = 16 * 1024) ?(hyperblocks = false)
   {
     rt;
     capacity;
-    regions = Array.init capacity (fun _ -> Rt.Atomic.make rt None);
+    regions = Array.make capacity dead;
+    lines = Rt.slot_lines capacity;
     next_id = Rt.Atomic.make rt 1 (* region 0 reserved: Addr.null *);
     free_ids = Ts.create rt;
     sb_pool = Ts.create rt;
@@ -94,7 +100,19 @@ let fresh_id t =
         failwith "Store: region table exhausted (raise ~capacity)";
       id
 
-let install t id region = Rt.Atomic.set t.regions.(id) (Some region)
+(* The region table is flat (DESIGN.md §18): a plain [region array],
+   so the real copy finds a region with one load. A slot is written
+   before its id is published (by the Treiber stacks' CAS or by
+   returning the address), and a racy reader sees an old, new or dead
+   region, each safe to read. Under simulation each access charges the
+   atomic step the slot's atomic used to. [id] is in range. *)
+let[@inline] slot t id =
+  Rt.touch_slot t.rt t.lines id ~write:false;
+  Array.unsafe_get t.regions id
+
+let set_slot t id r =
+  Rt.touch_slot t.rt t.lines id ~write:true;
+  t.regions.(id) <- r
 
 (* One simulated mmap of [len] bytes; [slices] regions are carved out of
    it (1 for large blocks / plain superblocks, [sbs_per_hyper] for
@@ -116,7 +134,7 @@ let mmap t ~len ~slices ~slice_len ~site ?(clean = true) () =
   match
     List.init slices (fun i ->
         let id = fresh_id t in
-        install t id { bytes; base = i * slice_len; len = slice_len; clean };
+        set_slot t id { bytes; base = i * slice_len; len = slice_len; clean };
         installed := id :: !installed;
         id)
   with
@@ -124,7 +142,7 @@ let mmap t ~len ~slices ~slice_len ~site ?(clean = true) () =
   | exception (Failure _ as e) ->
       List.iter
         (fun id ->
-          Rt.Atomic.set t.regions.(id) None;
+          set_slot t id dead;
           Ts.push t.free_ids id)
         !installed;
       Space.add_mapped t.space (-round_pages len);
@@ -171,9 +189,11 @@ let free_superblock t addr =
     Rt.Atomic.incr t.munmap_calls;
     Space.add_mapped t.space (-t.sbsize)
   end;
-  (match Rt.Atomic.get t.regions.(Addr.region addr) with
-  | Some r -> r.clean <- false
-  | None -> ());
+  let r = slot t (Addr.region addr) in
+  if r != dead then r.clean <- false;
+  (* mm-sa: allow write-before-publish: no fence between the [clean]
+     store and the push: the pool's Treiber CAS orders it, and the
+     popper reads [clean] (in [init_free_list]) only after its pop. *)
   Ts.push t.sb_pool (Addr.region addr)
 
 let alloc_large t ~len =
@@ -187,14 +207,13 @@ let unmap_region t addr ~what =
   if Addr.offset addr <> 0 then
     invalid_arg (Printf.sprintf "Store.%s: not a region base" what);
   let id = Addr.region addr in
-  match Rt.Atomic.get t.regions.(id) with
-  | None -> invalid_arg (Printf.sprintf "Store.%s: dead region" what)
-  | Some r ->
-      Rt.syscall t.rt;
-      Rt.Atomic.incr t.munmap_calls;
-      Space.add_mapped t.space (-round_pages r.len);
-      Rt.Atomic.set t.regions.(id) None;
-      Ts.push t.free_ids id
+  let r = slot t id in
+  if r == dead then invalid_arg (Printf.sprintf "Store.%s: dead region" what);
+  Rt.syscall t.rt;
+  Rt.Atomic.incr t.munmap_calls;
+  Space.add_mapped t.space (-round_pages r.len);
+  set_slot t id dead;
+  Ts.push t.free_ids id
 
 let free_large t addr =
   Rt.Atomic.incr t.large_munmaps;
@@ -221,14 +240,15 @@ let note_buddy_grant t ~requested ~granted =
 
 let[@inline] region_of t addr =
   let id = Addr.region addr in
-  if id <= 0 || id >= t.capacity then None else Rt.Atomic.get t.regions.(id)
+  if id <= 0 || id >= t.capacity then dead else slot t id
 
-let region_len t addr =
-  match region_of t addr with None -> 0 | Some r -> r.len
+let region_len t addr = (region_of t addr).len
 
 let live_regions t =
   let n = ref 0 in
-  Array.iter (fun a -> if Rt.Atomic.get a <> None then incr n) t.regions;
+  for id = 0 to t.capacity - 1 do
+    if slot t id != dead then incr n
+  done;
   !n
 
 (* A non-racy out-of-bounds word access is a miscomputed address: under
@@ -245,39 +265,35 @@ let[@inline never] oob_fail addr off len ~what =
 
 (* The access itself is [Rt.read_word]/[Rt.write_word], which charges
    the cache line under the simulator and is a bare little-endian
-   [Bytes] access on the real runtime. [Rt.is_sim] is a constant of the
-   copy being compiled (DESIGN.md §18), so the real copy drops the
-   [oob_fail] branch. All three are [@inline]: a caller in another
-   module compiles the access into its own body. *)
+   [Bytes] access on the real runtime. A dead region fails the one
+   bounds test ([Addr.offset] is never negative), so the real copy
+   tests nothing else; [Rt.is_sim] is a constant of the copy being
+   compiled (DESIGN.md §18), so it also drops the [oob_fail] branch.
+   All three are [@inline]: a caller in another module compiles the
+   access into its own body. *)
 
 let[@inline] read_word t addr =
-  match region_of t addr with
-  | None -> 0
-  | Some r ->
-      let off = Addr.offset addr in
-      if off < 0 || off + 8 > r.len then begin
-        if Rt.is_sim then oob_fail addr off r.len ~what:"read_word";
-        0
-      end
-      else Rt.read_word t.rt r.bytes (r.base + off) ~line:(Addr.line addr)
+  let r = region_of t addr in
+  let off = Addr.offset addr in
+  if off + 8 > r.len then begin
+    if Rt.is_sim && r != dead then oob_fail addr off r.len ~what:"read_word";
+    0
+  end
+  else Rt.read_word t.rt r.bytes (r.base + off) ~line:(Addr.line addr)
 
 let[@inline] read_word_racy t addr =
-  match region_of t addr with
-  | None -> 0
-  | Some r ->
-      let off = Addr.offset addr in
-      if off < 0 || off + 8 > r.len then 0
-      else Rt.read_word t.rt r.bytes (r.base + off) ~line:(Addr.line addr)
+  let r = region_of t addr in
+  let off = Addr.offset addr in
+  if off + 8 > r.len then 0
+  else Rt.read_word t.rt r.bytes (r.base + off) ~line:(Addr.line addr)
 
 let[@inline] write_word t addr v =
-  match region_of t addr with
-  | None -> ()
-  | Some r ->
-      let off = Addr.offset addr in
-      if off < 0 || off + 8 > r.len then begin
-        if Rt.is_sim then oob_fail addr off r.len ~what:"write_word"
-      end
-      else Rt.write_word t.rt r.bytes (r.base + off) ~line:(Addr.line addr) v
+  let r = region_of t addr in
+  let off = Addr.offset addr in
+  if off + 8 > r.len then begin
+    if Rt.is_sim && r != dead then oob_fail addr off r.len ~what:"write_word"
+  end
+  else Rt.write_word t.rt r.bytes (r.base + off) ~line:(Addr.line addr) v
 
 (* The two steps that follow a payload's 8-byte block prefix down to
    the block base, given the word just below the payload: an
@@ -292,61 +308,59 @@ let[@inline] base_prefix t ~base_payload word =
   else word
 
 let init_free_list ?limit t addr ~sz ~maxcount =
-  match region_of t addr with
-  | None -> invalid_arg "Store.init_free_list: dead region"
-  | Some r ->
-      let off = Addr.offset addr in
-      if off + (sz * maxcount) > r.len then
-        invalid_arg "Store.init_free_list: out of bounds";
-      (* [limit] confines the lazy re-zeroing to the superblock's own
-         extent — a superblock carved out of a span must not touch its
-         neighbours' bytes. Without it the whole region is restored
-         (whole-region superblocks, where the two are the same thing). *)
-      let hi = match limit with None -> r.len | Some l -> Int.min r.len (off + l) in
-      if not r.clean then begin
-        (* Recycled bytes: restore the zero state lazily, skipping the
-           link words rewritten just below. One pass over the block
-           bodies plus the tail the blocks don't cover. *)
-        for i = 0 to maxcount - 1 do
-          Bytes.fill r.bytes (r.base + off + (i * sz) + 8) (sz - 8) '\000'
-        done;
-        let covered = off + (sz * maxcount) in
-        if covered < hi then
-          Bytes.fill r.bytes (r.base + covered) (hi - covered) '\000';
-        if limit = None && off > 0 then Bytes.fill r.bytes r.base off '\000'
-      end;
-      r.clean <- false;
-      for i = 0 to maxcount - 1 do
-        Bytes.set_int64_le r.bytes (r.base + off + (i * sz)) (Int64.of_int (i + 1))
-      done;
-      (* The superblock is private until published; charge the traffic as
-         one cold streaming write. *)
-      Rt.touch_batch t.rt ~line:(Addr.line addr) ~write:true ~count:maxcount
+  let r = region_of t addr in
+  if r == dead then invalid_arg "Store.init_free_list: dead region";
+  let off = Addr.offset addr in
+  if off + (sz * maxcount) > r.len then
+    invalid_arg "Store.init_free_list: out of bounds";
+  (* [limit] confines the lazy re-zeroing to the superblock's own
+     extent — a superblock carved out of a span must not touch its
+     neighbours' bytes. Without it the whole region is restored
+     (whole-region superblocks, where the two are the same thing). *)
+  let hi = match limit with None -> r.len | Some l -> Int.min r.len (off + l) in
+  if not r.clean then begin
+    (* Recycled bytes: restore the zero state lazily, skipping the
+       link words rewritten just below. One pass over the block
+       bodies plus the tail the blocks don't cover. *)
+    for i = 0 to maxcount - 1 do
+      Bytes.fill r.bytes (r.base + off + (i * sz) + 8) (sz - 8) '\000'
+    done;
+    let covered = off + (sz * maxcount) in
+    if covered < hi then
+      Bytes.fill r.bytes (r.base + covered) (hi - covered) '\000';
+    if limit = None && off > 0 then Bytes.fill r.bytes r.base off '\000'
+  end;
+  r.clean <- false;
+  for i = 0 to maxcount - 1 do
+    Bytes.set_int64_le r.bytes (r.base + off + (i * sz)) (Int64.of_int (i + 1))
+  done;
+  (* The superblock is private until published; charge the traffic as
+     one cold streaming write. *)
+  Rt.touch_batch t.rt ~line:(Addr.line addr) ~write:true ~count:maxcount
 
+(* A dead region's [len] is 0, so it takes no write. *)
 let write_payload_round t addr ~len ~times =
-  match region_of t addr with
-  | None -> ()
-  | Some r -> (
-      let off = Addr.offset addr in
-      let len = Int.min len (Int.max 0 (r.len - off)) in
-      if len > 0 then
-        if not Rt.is_sim then
-          for _ = 1 to times do
-            Bytes.unsafe_fill r.bytes (r.base + off) len 'w'
-          done
-        else begin
-          (* Split into a few batches so concurrent writers to a shared
-             line still ping-pong in the cache model. *)
-          let total = len * times in
-          let chunks = Int.min 8 (Int.max 1 times) in
-          let per = Int.max 1 (total / chunks) in
-          let remaining = ref total in
-          while !remaining > 0 do
-            let n = Int.min per !remaining in
-            Rt.touch_batch t.rt ~line:(Addr.line addr) ~write:true ~count:n;
-            remaining := !remaining - n
-          done
-        end)
+  let r = region_of t addr in
+  let off = Addr.offset addr in
+  let len = Int.min len (Int.max 0 (r.len - off)) in
+  if len > 0 then
+    if not Rt.is_sim then
+      for _ = 1 to times do
+        Bytes.unsafe_fill r.bytes (r.base + off) len 'w'
+      done
+    else begin
+      (* Split into a few batches so concurrent writers to a shared
+         line still ping-pong in the cache model. *)
+      let total = len * times in
+      let chunks = Int.min 8 (Int.max 1 times) in
+      let per = Int.max 1 (total / chunks) in
+      let remaining = ref total in
+      while !remaining > 0 do
+        let n = Int.min per !remaining in
+        Rt.touch_batch t.rt ~line:(Addr.line addr) ~write:true ~count:n;
+        remaining := !remaining - n
+      done
+    end
 
 let instance t ~name ~rt ~malloc ~free ~usable_size ~check =
   {

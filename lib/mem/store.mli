@@ -8,11 +8,17 @@
     substrate, so OS-call and space statistics are directly comparable.
 
     Concurrency: region allocation uses a lock-free id counter plus
-    lock-free recycling stacks; region slots are published through atomics.
-    Reading through a stale address (a block freed and its region reused —
-    possible only for code outside the allocator's safety argument)
-    returns harmless garbage, never a crash, mirroring real address-space
-    reuse.
+    lock-free recycling stacks. The id→region table is a plain array
+    (DESIGN.md §18): a slot is written before its id is published by a
+    recycling stack's CAS or by returning the address, and OCaml 5
+    orders that write for any reader that got the id through the
+    atomic; an unmapped slot holds a shared dead region. Under
+    simulation each slot access still charges one atomic step on the
+    slot's own line. Reading through a stale address (a block freed and
+    its region reused — the paper's racy link read, or code outside the
+    allocator's safety argument) sees the old, the new or the dead
+    region and returns harmless garbage or 0, never a crash, mirroring
+    real address-space reuse.
 
     Superblock recycling and hyperblocks (paper §3.2.5): with
     [hyperblocks:false], every superblock allocation/free is a simulated

@@ -58,6 +58,10 @@ module Atomic = struct
   let incr a = ignore (Stdlib.Atomic.fetch_and_add a 1)
 end
 
+(* A flat table's slot is a plain array cell here: nothing to charge. *)
+let slot_lines _ = [||]
+let[@inline] touch_slot () _ _ ~write:_ = ()
+
 (* [@inline], like [compare_and_set]: the store's word accessors call
    these, and inlined they are the bare load or store. *)
 let[@inline] read_word () bytes off ~line:_ =

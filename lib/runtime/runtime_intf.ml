@@ -72,6 +72,18 @@ module type S = sig
     val incr : int atomic -> unit
   end
 
+  val slot_lines : int -> int array
+  (** The synthetic lines of a flat id→record table of [n] slots
+      (DESIGN.md §18), one [fresh_line] each in index order: the lines
+      the slots' atomics took when the table was an atomic per slot.
+      Empty on the real backend, which charges nothing. *)
+
+  val touch_slot : t -> int array -> int -> write:bool -> unit
+  (** [touch_slot t lines id ~write]: charge the atomic access that
+      slot [id]'s plain load or store stands for, on [lines.(id)]. Call
+      it just before the access, where the atomic would have been
+      charged. A no-op on the real backend. *)
+
   val read_word : t -> Bytes.t -> int -> line:int -> int
   val write_word : t -> Bytes.t -> int -> line:int -> int -> unit
   val touch : t -> line:int -> write:bool -> unit

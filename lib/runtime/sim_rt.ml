@@ -49,6 +49,13 @@ module Atomic = struct
   let incr r = ignore (fetch_and_add r 1)
 end
 
+(* A flat table's slot costs what its atomic did: the same line, in the
+   same [fresh_line] order, and one atomic step per access. *)
+let slot_lines n = Array.init n (fun _ -> Rt_base.fresh_line ())
+
+let touch_slot _s lines id ~write =
+  if Sim.in_sim () then Sim.step_atomic ~line:lines.(id) ~write
+
 let read_word _s bytes off ~line =
   if Sim.in_sim () then Sim.step_mem ~line ~write:false;
   Int64.to_int (Bytes.get_int64_le bytes off)

@@ -47,7 +47,12 @@ esac
 # flambda the compiler inlines only what is marked [@inline] or is of
 # size 10 or less, so an edit that pushes a helper over the limit or
 # drops its attribute brings the call back. The cold hook bodies
-# (label_hooked, obs_event_hooked, Rt_base.obs_cas) are allowed.
+# (label_hooked, obs_event_hooked, Rt_base.obs_cas) are allowed. Nor
+# may they hold a Double_array_tag test (`and $0xff` then `cmp $0xfe`):
+# the generic array load an element of unknown type compiles to, which
+# a flat id->record table of concrete type (DESIGN.md §18) avoids.
+# caml_call_gc is not gated: the poll points of `let rec` retry loops
+# call it legitimately.
 objdump -d --no-show-raw-insn _build/default/perfbench/main.exe | awk '
   /^[0-9a-f]+ <.*>:$/ {
     fn = $2; gsub(/[<>:]/, "", fn)
@@ -60,6 +65,7 @@ objdump -d --no-show-raw-insn _build/default/perfbench/main.exe | awk '
   base == "" { next }
   /call.*(\*|caml_apply)/ { indirect[base]++ }
   /idiv/ { idiv[base]++ }
+  /cmp +\$0xfe,/ && prev ~ /and +\$0xff,/ { tagtest[base]++ }
   /call/ {
     callee = $NF; gsub(/[<>]/, "", callee)
     if (callee ~ /^camlMm_core__(Anchor|Active_word|Pub_word|Descriptor|Stripes)\./ ||
@@ -72,6 +78,7 @@ objdump -d --no-show-raw-insn _build/default/perfbench/main.exe | awk '
       helpers[base] = 1
     }
   }
+  { prev = $0 }
   END {
     split("reserve_active pop_blocks anchor_push pub_push " \
           "malloc_from_active malloc_from_partial malloc_from_new_sb", zero)
@@ -96,6 +103,10 @@ objdump -d --no-show-raw-insn _build/default/perfbench/main.exe | awk '
     for (f in straight) {
       if (idiv[f] + 0 > 0) {
         printf "ci: %s holds %d idiv\n", f, idiv[f]
+        bad = 1
+      }
+      if (tagtest[f] + 0 > 0) {
+        printf "ci: %s holds %d Double_array_tag tests\n", f, tagtest[f]
         bad = 1
       }
       if (f in helpers)

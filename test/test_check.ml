@@ -269,9 +269,24 @@ let monitor_lock_freedom () =
       match e.M.result with
       | Ok () -> ()
       | Error msg ->
-          Alcotest.failf "%s under %s (round %d): %s" e.M.label
-            (M.mode_name e.M.mode) e.M.round msg)
+          Alcotest.failf "%s under %s (%s): %s" e.M.label
+            (M.mode_name e.M.mode) (M.source_name e.M.source) msg)
     fired
+
+(* A label the census rounds miss is probed on a witness schedule from
+   the explorer, so every label a target lists gets a fired probe. *)
+let monitor_covers_labels () =
+  List.iter
+    (fun name ->
+      let t = target name in
+      let r = M.run t ~threads:2 ~modes:[ M.Kill ] ~rounds:2 in
+      Alcotest.(check bool) (name ^ " clean") true r.M.ok;
+      List.iter
+        (fun l ->
+          if not (List.exists (fun e -> e.M.fired && e.M.label = l) r.M.entries)
+          then Alcotest.failf "%s: no probe fired at %s" name l)
+        t.T.labels)
+    [ "lf_alloc"; "lf_alloc_owner_biased" ]
 
 let cases =
   [
@@ -289,4 +304,5 @@ let cases =
     case "an EMPTY descriptor in a Partial slot is retired by the next malloc"
       empty_descriptor_in_partial_slot;
     case "kill/stall monitor: survivors complete" monitor_lock_freedom;
+    case "monitor probes every listed label" monitor_covers_labels;
   ]

@@ -49,6 +49,54 @@ let table_bounds () =
     | _ -> false
     | exception Failure _ -> true)
 
+(* The table is flat (DESIGN.md §18): a discarded id's slot holds the
+   dead sentinel, which [get] refuses and [live_count] skips, on both
+   runtimes. *)
+module Dead_slots (T : sig
+  type table
+  type t
+
+  val alloc_batch : table -> int -> t list
+  val discard : table -> t -> unit
+  val get : table -> int -> t
+  val live_count : table -> int
+  val id : t -> int
+end) =
+struct
+  let run tbl =
+    Alcotest.(check int) "none live" 0 (T.live_count tbl);
+    match T.alloc_batch tbl 3 with
+    | [ a; b; c ] ->
+        T.discard tbl b;
+        Alcotest.(check int) "discarded slot not live" 2 (T.live_count tbl);
+        Alcotest.check_raises "get of a discarded id"
+          (Invalid_argument "Descriptor.get: dead id") (fun () ->
+            ignore (T.get tbl (T.id b)));
+        Alcotest.(check bool) "neighbours still resolve" true
+          (T.get tbl (T.id a) == a && T.get tbl (T.id c) == c)
+    | _ -> Alcotest.fail "batch of 3"
+end
+
+module Dead_r = Dead_slots (struct
+  include D
+
+  let id d = d.D.id
+end)
+
+module Dead_s = Dead_slots (struct
+  include D_s
+
+  let id d = d.D_s.id
+end)
+
+let table_dead_slots_real () = Dead_r.run (D.create_table () ~capacity:16)
+
+let table_dead_slots_sim () =
+  let s = sim ~cpus:1 () in
+  ignore
+    (Sim.run s
+       [| (fun _ -> Dead_s.run (D_s.create_table s ~capacity:16)) |])
+
 (* ---------------- Desc pool ---------------- *)
 
 let pool_kinds =
@@ -290,6 +338,8 @@ let cases =
     case "table basics" table_basics;
     case "table discard recycles ids" table_discard_recycles;
     case "table bounds" table_bounds;
+    case "table dead slots (real)" table_dead_slots_real;
+    case "table dead slots (sim)" table_dead_slots_sim;
   ]
   @ List.concat_map
       (fun (name, kind) ->

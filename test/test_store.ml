@@ -113,6 +113,88 @@ let sim_bounds_assert () =
              (Store_s.read_word st sb));
        |])
 
+(* The region table is flat (DESIGN.md §18): a released region's slot
+   holds the dead sentinel, which must read 0, drop writes, refuse a
+   second release and not count as live, on both runtimes. *)
+module Dead_slots (S : sig
+  type t
+
+  val alloc_large : t -> len:int -> int
+  val free_large : t -> int -> unit
+  val read_word : t -> int -> int
+  val read_word_racy : t -> int -> int
+  val write_word : t -> int -> int -> unit
+  val live_regions : t -> int
+end) =
+struct
+  let run st =
+    Alcotest.(check int) "none live" 0 (S.live_regions st);
+    let keep = S.alloc_large st ~len:64 in
+    let a = S.alloc_large st ~len:64 in
+    S.write_word st keep 11;
+    S.write_word st (a + 8) 5;
+    Alcotest.(check int) "two live" 2 (S.live_regions st);
+    S.free_large st a;
+    Alcotest.(check int) "released slot not live" 1 (S.live_regions st);
+    Alcotest.(check int) "read_word of a released region" 0
+      (S.read_word st (a + 8));
+    Alcotest.(check int) "read_word_racy of a released region" 0
+      (S.read_word_racy st (a + 8));
+    S.write_word st (a + 8) 7;
+    Alcotest.(check int) "write to a released region dropped" 0
+      (S.read_word st (a + 8));
+    Alcotest.(check int) "live neighbour untouched" 11 (S.read_word st keep);
+    Alcotest.check_raises "second free_large"
+      (Invalid_argument "Store.free_large: dead region") (fun () ->
+        S.free_large st a);
+    Alcotest.(check int) "still one live" 1 (S.live_regions st)
+end
+
+module Dead_r = Dead_slots (Store)
+module Dead_s = Dead_slots (Store_s)
+
+let dead_slots_real () = Dead_r.run (fresh ())
+
+let dead_slots_sim () =
+  let s = sim ~cpus:1 () in
+  ignore
+    (Sim.run s
+       [| (fun _ -> Dead_s.run (Store_s.create s ~capacity:4096 ())) |])
+
+(* Two domains: one recycles region ids as fast as it can (alloc_large,
+   stamp, publish, free_large), the other dereferences whatever address
+   was published last, racily, as Fig. 4's link read does. The slot it
+   loads holds an old, a new or the dead region: every read is 0 or a
+   stamp, and nothing raises. *)
+let recycled_region_race () =
+  let st = fresh () in
+  let rounds = 20_000 in
+  let published = Atomic.make 0 and finished = Atomic.make false in
+  let bad = Atomic.make 0 in
+  let writer _ =
+    for i = 1 to rounds do
+      let len = 16 + (8 * (i mod 64)) in
+      let a = Store.alloc_large st ~len in
+      let at = a + len - 8 in
+      Store.write_word st at i;
+      Atomic.set published at;
+      Store.free_large st a
+    done;
+    Atomic.set finished true
+  in
+  let reader _ =
+    while not (Atomic.get finished) do
+      let at = Atomic.get published in
+      if at <> 0 then begin
+        let v = Store.read_word_racy st at in
+        if v < 0 || v > rounds then Atomic.incr bad
+      end
+    done
+  in
+  ignore (Rt.parallel_run Rt.real [| writer; reader |]);
+  Alcotest.(check int) "every racy read is 0 or a stamp" 0 (Atomic.get bad);
+  Alcotest.(check int) "ids recycled, none leaked" 0 (Store.live_regions st)
+
 let init_free_list () =
   let st = fresh () in
   let sb = Store.alloc_superblock st in
@@ -231,6 +313,10 @@ let cases =
     case "hyperblock batching" hyperblocks_batch;
     case "space peaks" space_peaks;
     case "live region count" live_regions_count;
+    case "dead slots (real)" dead_slots_real;
+    case "dead slots (sim)" dead_slots_sim;
+    case "racy reads across recycled region ids (2 domains)"
+      recycled_region_race;
     case "concurrent region alloc (sim x5 seeds)" concurrent_region_alloc;
     case "argument validation" validation;
     case "payload round writes (real)" payload_round_real;
