@@ -46,18 +46,14 @@ let () =
   Printf.printf "4 domains: %d mallocs / %d frees in %.3fs\n" mallocs frees
     r.Rt.elapsed;
 
-  (* The rest of the C API surface: calloc / realloc / aligned_alloc,
-     over the runtime-erased instance packaging of the same heap. *)
+  (* The rest of the C API surface: calloc / realloc, over the
+     runtime-erased instance packaging of the same heap. *)
   let inst = A.instance Rt.real heap in
   let z = Mm_mem.Alloc_ops.calloc inst ~count:16 ~size:8 in
   assert (Store.read_word store z = 0);
   let z = Mm_mem.Alloc_ops.realloc inst z 4_096 in
-  let al = Mm_mem.Alloc_ops.aligned_alloc inst ~align:256 100 in
-  Printf.printf "realloc'd block has %d usable bytes; aligned block @%#x\n"
-    (A.usable_size heap z) al;
-  assert (al mod 256 = 0);
+  Printf.printf "realloc'd block has %d usable bytes\n" (A.usable_size heap z);
   A.free heap z;
-  A.free heap al;
 
   (* The heap is quiescent again: its structural invariants must hold. *)
   A.check_invariants heap;

@@ -155,10 +155,8 @@ let free t payload =
   else begin
     let tid = Rt.self t.rt in
     t.frees.(tid) <- t.frees.(tid) + 1;
-    let word = Store.read_word t.store (payload - Prefix.prefix_bytes) in
-    let payload = Store.base_payload payload word in
-    let prefix = Store.base_prefix t.store ~base_payload:payload word in
     let base = payload - Prefix.prefix_bytes in
+    let prefix = Store.read_word t.store base in
     if Prefix.is_large prefix then Store.free_large t.store base
     else begin
       let sc = Prefix.desc_id prefix - 1 in
@@ -178,20 +176,14 @@ let free t payload =
   end
 
 let usable_size t payload =
-  let word = Store.read_word t.store (payload - Prefix.prefix_bytes) in
-  let base_payload = Store.base_payload payload word in
-  let prefix = Store.base_prefix t.store ~base_payload word in
-  let base =
-    if Prefix.is_large prefix then
-      Prefix.large_len prefix - Prefix.prefix_bytes
-    else begin
-      let sc = Prefix.desc_id prefix - 1 in
-      if sc < 0 || sc >= t.nclasses then
-        invalid_arg "Bw_alloc.usable_size: corrupt block prefix";
-      Sc.block_size t.classes sc - Prefix.prefix_bytes
-    end
-  in
-  base - (payload - base_payload)
+  let prefix = Store.read_word t.store (payload - Prefix.prefix_bytes) in
+  if Prefix.is_large prefix then Prefix.large_len prefix - Prefix.prefix_bytes
+  else begin
+    let sc = Prefix.desc_id prefix - 1 in
+    if sc < 0 || sc >= t.nclasses then
+      invalid_arg "Bw_alloc.usable_size: corrupt block prefix";
+    Sc.block_size t.classes sc - Prefix.prefix_bytes
+  end
 
 let op_counts t =
   (Array.fold_left ( + ) 0 t.mallocs, Array.fold_left ( + ) 0 t.frees)

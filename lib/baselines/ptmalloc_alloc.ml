@@ -129,11 +129,8 @@ let free t payload =
   if payload = Addr.null then ()
   else begin
     Sb_heap.charge_overhead t.ctx;
-    let st = Sb_heap.store t.ctx in
-    let word = Store.read_word st (payload - Prefix.prefix_bytes) in
-    let payload = Store.base_payload payload word in
-    let prefix = Store.base_prefix st ~base_payload:payload word in
     let base = payload - Prefix.prefix_bytes in
+    let prefix = Store.read_word (Sb_heap.store t.ctx) base in
     if Prefix.is_large prefix then Sb_heap.large_free t.ctx base
     else begin
       let d = Sb_heap.sdesc_of_prefix t.ctx prefix in

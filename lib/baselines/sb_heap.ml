@@ -144,15 +144,10 @@ let sdesc_of_prefix ctx prefix =
 let class_of_request ctx n = Sc.class_of_request ctx.classes n
 
 let usable_size ctx payload =
-  let word = Store.read_word ctx.store (payload - Prefix.prefix_bytes) in
-  let base_payload = Store.base_payload payload word in
-  let prefix = Store.base_prefix ctx.store ~base_payload word in
-  let base =
-    if Prefix.is_large prefix then
-      Prefix.large_len prefix - Prefix.prefix_bytes
-    else (sdesc_of_prefix ctx prefix).Sdesc.sz - Prefix.prefix_bytes
-  in
-  base - (payload - base_payload)
+  let prefix = Store.read_word ctx.store (payload - Prefix.prefix_bytes) in
+  (if Prefix.is_large prefix then Prefix.large_len prefix
+   else (sdesc_of_prefix ctx prefix).Sdesc.sz)
+  - Prefix.prefix_bytes
 
 let large_malloc ctx n =
   let len = n + Prefix.prefix_bytes in

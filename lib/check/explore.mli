@@ -62,10 +62,6 @@ val replay : Target.t -> threads:int -> Schedule.t -> trace
 (** Deterministically re-execute a schedule ([run_strategy] of
     {!follow}). *)
 
-val schedule_of_trace : trace -> Schedule.t
-(** The trace's choices re-expressed as deviations from the default
-    policy — how PCT runs become replayable schedules. *)
-
 val shrink : Target.t -> threads:int -> Schedule.t -> Schedule.t
 (** Greedy ddmin on the deviation list (replays candidates; returns the
     input unchanged if it does not fail). *)

@@ -176,12 +176,9 @@ let free t payload =
     let tid = Rt.self t.rt in
     let row = row t tid in
     add row c_frees 1;
-    let st = store t in
-    let word = Store.read_word st (payload - Prefix.prefix_bytes) in
-    let base_payload = Store.base_payload payload word in
     let kind =
-      Lf_alloc.classify t.backend ~tid ~base_payload
-        (Store.base_prefix st ~base_payload word)
+      Lf_alloc.classify t.backend ~tid ~payload
+        (Store.read_word (store t) (payload - Prefix.prefix_bytes))
     in
     if kind < 0 then Lf_alloc.free t.backend payload
     else begin
@@ -190,7 +187,7 @@ let free t payload =
         (* Overflow eviction. *)
         if len row sc = t.cfg.cache_blocks then
           flush_bottom t row sc t.cfg.cache_batch;
-        push t row sc base_payload
+        push t row sc payload
       end
       else begin
         (* Remote block: never cache another heap's blocks (they would
@@ -198,7 +195,7 @@ let free t payload =
            paper's heap affinity); buffer and push back in batches. *)
         add row c_remote_frees 1;
         let n = get row c_remote_len in
-        set row (t.c_remote + n) base_payload;
+        set row (t.c_remote + n) payload;
         set row c_remote_len (n + 1);
         if n + 1 = t.cfg.cache_batch then flush_remote t row
       end

@@ -49,8 +49,8 @@ val free : t -> int -> unit
     C. *)
 
 val usable_size : t -> int -> int
-(** Payload bytes actually available at an address returned by [malloc]
-    (or [Alloc_ops.aligned_alloc]); at least the requested size. *)
+(** Payload bytes actually available at an address returned by
+    [malloc]; at least the requested size. *)
 
 val store : t -> Store.t
 val rt : t -> Rt.t

@@ -909,11 +909,9 @@ let free t payload =
   else begin
     let tid = Rt.self t.rt in
     count_at t tid c_frees;
-    (* lines 2-3, extended with aligned-payload resolution *)
-    let word = Store.read_word t.store (payload - Prefix.prefix_bytes) in
-    let base_payload = Store.base_payload payload word in
-    let prefix = Store.base_prefix t.store ~base_payload word in
-    let base = base_payload - Prefix.prefix_bytes in
+    (* lines 2-3 *)
+    let base = payload - Prefix.prefix_bytes in
+    let prefix = Store.read_word t.store base in
     if Prefix.is_large prefix then free_large_block t base prefix
       (* lines 4-5 *)
     else begin
@@ -927,17 +925,10 @@ let free t payload =
   end
 
 let usable_size t payload =
-  let word = Store.read_word t.store (payload - Prefix.prefix_bytes) in
-  let base_payload = Store.base_payload payload word in
-  let prefix = Store.base_prefix t.store ~base_payload word in
-  let base_usable =
-    if Prefix.is_large prefix then
-      Prefix.large_len prefix - Prefix.prefix_bytes
-    else
-      (Descriptor.get t.table (Prefix.desc_id prefix)).Descriptor.sz
-      - Prefix.prefix_bytes
-  in
-  base_usable - (payload - base_payload)
+  let prefix = Store.read_word t.store (payload - Prefix.prefix_bytes) in
+  (if Prefix.is_large prefix then Prefix.large_len prefix
+   else (Descriptor.get t.table (Prefix.desc_id prefix)).Descriptor.sz)
+  - Prefix.prefix_bytes
 
 (* ------------------------------------------------------------------ *)
 (* Batched refill / flush — the entry points of the per-thread
@@ -947,13 +938,13 @@ let usable_size t payload =
    shared-structure step stays lock-free and every CAS window carries
    its own [bc.*] label. *)
 
-let[@inline] classify t ~tid ~base_payload prefix =
+let[@inline] classify t ~tid ~payload prefix =
   if Prefix.is_large prefix then -1
   else begin
     let desc = Descriptor.get t.table (Prefix.desc_id prefix) in
     (* The wild-pointer guard, applied before the block can enter a
        cache and corrupt a free list much later. *)
-    ignore (block_index desc (base_payload - Prefix.prefix_bytes) : int);
+    ignore (block_index desc (payload - Prefix.prefix_bytes) : int);
     let heap = heap_of_gid t desc.Descriptor.heap_gid in
     (heap.sc lsl 1) lor Bool.to_int (heap.idx = t.home.(tid))
   end

@@ -60,8 +60,8 @@ val free : t -> int -> unit
     words. *)
 
 val usable_size : t -> int -> int
-(** Payload bytes actually available at an address returned by [malloc]
-    (or [Alloc_ops.aligned_alloc]); at least the requested size. *)
+(** Payload bytes actually available at an address returned by
+    [malloc]; at least the requested size. *)
 
 val store : t -> Store.t
 val rt : t -> Rt.t
@@ -190,11 +190,10 @@ val flush_from : t -> int array -> pos:int -> n:int -> scratch:int -> unit
 val flush_batch : t -> int list -> unit
 (** {!flush_from} over a list of payloads. *)
 
-val classify : t -> tid:int -> base_payload:int -> int -> int
-(** [classify t ~tid ~base_payload prefix] reports what kind of block
-    [base_payload] is, given its prefix word (both as
-    [Store.base_payload]/[Store.base_prefix] return them): [-1] for a
-    large block,
+val classify : t -> tid:int -> payload:int -> int -> int
+(** [classify t ~tid ~payload prefix] reports what kind of block
+    [payload] is, given its prefix word (the word at
+    [payload - Block_prefix.prefix_bytes]): [-1] for a large block,
     else [(sc lsl 1) lor local], where [local] is [1] when the block's
     superblock belongs to thread [tid]'s processor heap. One immediate,
     so a cached free allocates nothing. Applies {!free}'s wild-pointer

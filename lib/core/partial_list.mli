@@ -15,7 +15,12 @@
     PARTIAL (or displaced them from a heap's Partial slot), so a
     descriptor is in at most one structure at a time. *)
 
-type t
+type t = private
+  | Fifo of Descriptor.t Ms_queue.t
+  | Lifo of Descriptor.t Treiber_stack.t
+(** Visible (but private) so that an array of lists is known to hold
+    boxed values: [lists.(sc)] then compiles to a plain load, with no
+    float-array check. *)
 
 val create : Rt.t -> Mm_mem.Alloc_config.partial_policy -> t
 

@@ -13,7 +13,6 @@
     [addr lsr 6] models 64-byte lines, and lines of distinct regions never
     collide. The null address is [0] (region 0 is reserved). *)
 
-val offset_bits : int
 val max_offset : int
 val max_region : int
 

@@ -1,6 +1,6 @@
 type partial_policy = Fifo | Lifo
 type desc_pool_kind = Hazard | Tagged | Reuse
-type lock_kind = Tas_backoff | Ticket | Mcs | Pthread_like
+type lock_kind = Tas_backoff | Ticket | Pthread_like
 type free_lists = [ `Anchor | `Owner_biased ]
 
 type t = {

@@ -24,7 +24,6 @@ type desc_pool_kind =
 type lock_kind =
   | Tas_backoff  (** "lightweight" test-and-set lock of §4 *)
   | Ticket  (** FIFO-fair ticket lock *)
-  | Mcs  (** Mellor-Crummey–Scott queue lock: FIFO, local spinning *)
   | Pthread_like  (** models a heavier kernel-assisted mutex *)
 
 type free_lists =

@@ -1,4 +1,4 @@
-(* Derived allocation operations (calloc / realloc / aligned_alloc),
+(* Derived allocation operations (calloc / realloc),
    built generically on any allocator instance. *)
 
 open Alloc_intf
@@ -27,27 +27,5 @@ let realloc inst addr n =
       done;
       inst.free addr;
       fresh
-    end
-  end
-
-let is_pow2 n = n > 0 && n land (n - 1) = 0
-
-let aligned_alloc inst ~align n =
-  if not (is_pow2 align) then
-    invalid_arg "Alloc_ops.aligned_alloc: alignment must be a power of two";
-  if n < 0 then invalid_arg "Alloc_ops.aligned_alloc: negative size";
-  if align <= 8 then inst.malloc n
-  else begin
-    (* Payloads are 8-aligned; over-allocate so an aligned position with
-       [n] bytes of room always exists, and leave space for the offset
-       word below it. *)
-    let raw = inst.malloc (n + align) in
-    let aligned = (raw + align - 1) / align * align in
-    if aligned = raw then raw
-    else begin
-      inst.write_word
-        (aligned - Block_prefix.prefix_bytes)
-        (Block_prefix.offset ~delta:(aligned - raw));
-      aligned
     end
   end

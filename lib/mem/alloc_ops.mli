@@ -1,12 +1,6 @@
 (** Derived allocation operations — the rest of the familiar C API
-    (calloc / realloc / aligned_alloc), built generically on top of any
-    {!Alloc_intf.instance}.
-
-    Aligned allocation over-allocates and advances the payload to the
-    requested alignment, recording the distance in an {e offset prefix}
-    word just below the advanced payload ({!Block_prefix}); [free] and
-    [usable_size] in every allocator resolve such payloads back to the
-    underlying block first. *)
+    (calloc / realloc), built generically on top of any
+    {!Alloc_intf.instance}. *)
 
 val calloc : Alloc_intf.instance -> count:int -> size:int -> int
 (** Allocate [count * size] bytes, zero-filled. *)
@@ -17,8 +11,3 @@ val realloc : Alloc_intf.instance -> int -> int -> int
     [realloc inst Addr.null n] behaves like malloc; growing allocates,
     copies word-wise and frees the old block; shrinking within the
     block's usable size returns [addr] unchanged. *)
-
-val aligned_alloc : Alloc_intf.instance -> align:int -> int -> int
-(** [aligned_alloc inst ~align n] returns a payload address that is a
-    multiple of [align] (a power of two) with at least [n] usable bytes.
-    The result is freed with the ordinary [free]. *)

@@ -295,18 +295,6 @@ let[@inline] write_word t addr v =
   end
   else Rt.write_word t.rt r.bytes (r.base + off) ~line:(Addr.line addr) v
 
-(* The two steps that follow a payload's 8-byte block prefix down to
-   the block base, given the word just below the payload: an
-   aligned_alloc offset word points further down. *)
-let[@inline] base_payload payload word =
-  if Block_prefix.is_offset word then payload - Block_prefix.offset_delta word
-  else payload
-
-let[@inline] base_prefix t ~base_payload word =
-  if Block_prefix.is_offset word then
-    read_word t (base_payload - Block_prefix.prefix_bytes)
-  else word
-
 let init_free_list ?limit t addr ~sz ~maxcount =
   let r = region_of t addr in
   if r == dead then invalid_arg "Store.init_free_list: dead region";

@@ -140,18 +140,6 @@ val read_word_racy : t -> int -> int
     recycled, and the tagged anchor CAS then rejects whatever it read.
     An out-of-bounds offset reads 0 under simulation too. *)
 
-val base_payload : int -> int -> int
-(** [base_payload payload word], with [word] the word just below
-    [payload] (the 8-byte block prefix, or an [Alloc_ops.aligned_alloc]
-    offset word): the payload address of the block [payload] lies in,
-    without a memory access. *)
-
-val base_prefix : t -> base_payload:int -> int -> int
-(** [base_prefix t ~base_payload word]: that block's prefix, reading
-    memory only when [word] is an offset word. Every [free] and
-    [usable_size] takes these two steps, so aligned addresses are
-    accepted without allocating. *)
-
 val init_free_list : ?limit:int -> t -> int -> sz:int -> maxcount:int -> unit
 (** Thread the in-block free list of a fresh superblock: block [i]'s first
     word is set to [i + 1] ("organize blocks in a linked list starting

@@ -12,9 +12,6 @@ val install : t -> unit
 (** Route [Rt.Obs] events into this tracer's rings (replaces any
     previously installed hook). *)
 
-val uninstall : unit -> unit
-(** Remove the hook; recording stops, collected data stays. *)
-
 val ring : t -> int -> Ring.t
 
 val events : t -> Event.t list

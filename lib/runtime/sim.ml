@@ -153,7 +153,6 @@ let current_thread () =
   | None -> failwith "Sim: not inside a simulation"
 
 let self_tid () = (current_thread ()).tid
-let self_cpu () = (current_thread ()).cpu
 let now_cycles () =
   let st = current () in
   st.clock.((current_thread ()).cpu)
@@ -516,8 +515,6 @@ let run st bodies =
      cur := None;
      raise e);
   finish ()
-
-let unblocked_survivors (_ : result) = ()
 
 (* ------------------------------------------------------------------ *)
 (* Step entry points used by Rt. *)

@@ -108,9 +108,6 @@ val run : t -> (int -> unit) array -> result
     body must not call [run]. The instance can be reused for further runs;
     clocks and counters restart from zero. *)
 
-val unblocked_survivors : result -> unit
-(** No-op helper kept for documentation symmetry; results carry all data. *)
-
 (** {2 Hooks used by [Sim_rt] — not for direct use by application code} *)
 
 val in_sim : unit -> bool
@@ -120,7 +117,6 @@ val current : unit -> t
 (** The instance owning the calling thread. Raises if [not (in_sim ())]. *)
 
 val self_tid : unit -> int
-val self_cpu : unit -> int
 val now_cycles : unit -> int
 
 val step_atomic : line:int -> write:bool -> unit

@@ -8,15 +8,8 @@ type params = {
   passive : bool;
 }
 
-let default_active =
-  { pairs = 10_000; size = 8; writes_per_byte = 1_000; passive = false }
-
-let default_passive = { default_active with passive = true }
-
 let quick_active =
   { pairs = 300; size = 8; writes_per_byte = 100; passive = false }
-
-let quick_passive = { quick_active with passive = true }
 
 let run instance ~threads p =
   let rt = instance.rt in

@@ -23,10 +23,7 @@ type params = {
   passive : bool;
 }
 
-val default_active : params
-val default_passive : params
 val quick_active : params
-val quick_passive : params
 
 val run :
   Mm_mem.Alloc_intf.instance -> threads:int -> params -> Metrics.t

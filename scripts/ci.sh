@@ -41,18 +41,18 @@ esac
 # free) must also hold no idiv and no call to a per-operation helper
 # that is meant to be inlined: the word codecs, Descriptor.get, Stripes,
 # Size_class, Store's word accessors (read_word, read_word_racy,
-# write_word) and its prefix steps (base_payload, base_prefix), Real_rt's
-# label/CAS/obs wrappers and word access, and Lf_alloc's own
-# heap_at/block_index/finish_block/classify. Without
+# write_word), Real_rt's label/CAS/obs wrappers and word access, and
+# Lf_alloc's own heap_at/block_index/finish_block/classify. Without
 # flambda the compiler inlines only what is marked [@inline] or is of
 # size 10 or less, so an edit that pushes a helper over the limit or
 # drops its attribute brings the call back. The cold hook bodies
-# (label_hooked, obs_event_hooked, Rt_base.obs_cas) are allowed. Nor
-# may they hold a Double_array_tag test (`and $0xff` then `cmp $0xfe`):
-# the generic array load an element of unknown type compiles to, which
-# a flat id->record table of concrete type (DESIGN.md §18) avoids.
+# (label_hooked, obs_event_hooked, Rt_base.obs_cas) are allowed.
 # caml_call_gc is not gated: the poll points of `let rec` retry loops
-# call it legitimately.
+# call it legitimately. No function of Lf_alloc or Block_cache may
+# hold a Double_array_tag test (`and $0xff` then `cmp $0xfe`): the
+# generic array load an element of unknown type compiles to, which the
+# flat id->record tables of DESIGN.md §18 and the visible
+# Partial_list.t (behind MallocFromPartial and free-to-PARTIAL) avoid.
 objdump -d --no-show-raw-insn _build/default/perfbench/main.exe | awk '
   /^[0-9a-f]+ <.*>:$/ {
     fn = $2; gsub(/[<>:]/, "", fn)
@@ -70,7 +70,7 @@ objdump -d --no-show-raw-insn _build/default/perfbench/main.exe | awk '
     callee = $NF; gsub(/[<>]/, "", callee)
     if (callee ~ /^camlMm_core__(Anchor|Active_word|Pub_word|Descriptor|Stripes)\./ ||
         callee ~ /^camlMm_mem__Size_class\./ ||
-        callee ~ /^camlMm_mem__Store\.(read_word|write_word|base_p)/ ||
+        callee ~ /^camlMm_mem__Store\.(read_word|write_word)/ ||
         callee ~ /^camlMm_runtime__Real_rt\.(label|compare_and_set|obs_event|read_word|write_word)_[0-9]+$/ ||
         callee ~ /^camlMm_core__Lf_alloc\.(heap_at|block_index|finish_block|classify)_[0-9]+$/) {
       sub(/^caml/, "", callee); sub(/_[0-9]+$/, "", callee)
@@ -100,13 +100,13 @@ objdump -d --no-show-raw-insn _build/default/perfbench/main.exe | awk '
         bad = 1
       }
     }
+    for (f in tagtest) {
+      printf "ci: %s holds %d Double_array_tag tests\n", f, tagtest[f]
+      bad = 1
+    }
     for (f in straight) {
       if (idiv[f] + 0 > 0) {
         printf "ci: %s holds %d idiv\n", f, idiv[f]
-        bad = 1
-      }
-      if (tagtest[f] + 0 > 0) {
-        printf "ci: %s holds %d Double_array_tag tests\n", f, tagtest[f]
         bad = 1
       }
       if (f in helpers)
@@ -122,8 +122,8 @@ objdump -d --no-show-raw-insn _build/default/perfbench/main.exe | awk '
   }' >&2
 # The same rule for the Blelloch-Wei yardstick, which perfbench does not
 # link: read off bin/experiments.exe, Bw_alloc.malloc and Bw_alloc.free
-# may make no call to a Store word accessor or prefix step, so neither
-# pays an out-of-line word access or builds a tuple per operation.
+# may make no call to a Store word accessor, so neither pays an
+# out-of-line word access per operation.
 objdump -d --no-show-raw-insn _build/default/bin/experiments.exe | awk '
   /^[0-9a-f]+ <.*>:$/ {
     fn = $2; gsub(/[<>:]/, "", fn)
@@ -136,7 +136,7 @@ objdump -d --no-show-raw-insn _build/default/bin/experiments.exe | awk '
   }
   base != "" && /call/ {
     callee = $NF; gsub(/[<>]/, "", callee)
-    if (callee ~ /^camlMm_mem__Store\.(read_word|write_word|base_p|resolve)/) {
+    if (callee ~ /^camlMm_mem__Store\.(read_word|write_word)/) {
       sub(/^caml/, "", callee); sub(/_[0-9]+$/, "", callee)
       calls[base, callee]++
     }

@@ -1,5 +1,5 @@
-(* Derived operations (calloc / realloc / aligned_alloc / usable_size)
-   across all four allocators. *)
+(* Derived operations (calloc / realloc / usable_size)
+   across every registered allocator. *)
 
 open Mm_runtime
 module I = Mm_mem.Alloc_intf
@@ -62,36 +62,6 @@ let realloc_semantics name () =
       inst.I.free d;
       inst.I.check ())
 
-let aligned_alloc_works name () =
-  with_inst name (fun inst ->
-      List.iter
-        (fun align ->
-          let addrs =
-            List.init 20 (fun i ->
-                let a = Ops.aligned_alloc inst ~align (16 + (8 * i)) in
-                Alcotest.(check int)
-                  (Printf.sprintf "aligned to %d" align)
-                  0 (a mod align);
-                Alcotest.(check bool) "usable covers request" true
-                  (inst.I.usable_size a >= 16 + (8 * i));
-                inst.I.write_word a a;
-                a)
-          in
-          List.iter
-            (fun a ->
-              Alcotest.(check int) "payload intact" a (inst.I.read_word a);
-              inst.I.free a)
-            addrs)
-        [ 16; 64; 256; 4096 ];
-      inst.I.check ())
-
-let aligned_alloc_validation () =
-  with_inst "new" (fun inst ->
-      Alcotest.(check bool) "non-power-of-two rejected" true
-        (match Ops.aligned_alloc inst ~align:24 8 with
-        | _ -> false
-        | exception Invalid_argument _ -> true))
-
 let realloc_concurrent () =
   (* realloc churn from several simulated threads. *)
   let s = sim ~cpus:4 () in
@@ -114,10 +84,6 @@ let cases =
         case (name ^ "/usable_size") (usable_at_least name);
         case (name ^ "/calloc zeroes") (calloc_zeroes name);
         case (name ^ "/realloc") (realloc_semantics name);
-        case (name ^ "/aligned_alloc") (aligned_alloc_works name);
       ])
     all_allocators
-  @ [
-      case "aligned_alloc validation" aligned_alloc_validation;
-      case "realloc concurrent" realloc_concurrent;
-    ]
+  @ [ case "realloc concurrent" realloc_concurrent ]

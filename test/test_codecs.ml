@@ -51,20 +51,13 @@ let prefix_large =
   qcheck "large prefix roundtrip" QCheck2.Gen.(int_range 1 (1 lsl 40))
     (fun len ->
       let w = Prefix.large ~total_len:len in
-      Prefix.is_large w && (not (Prefix.is_offset w)) && Prefix.large_len w = len)
-
-let prefix_offset =
-  qcheck "offset prefix roundtrip" QCheck2.Gen.(int_range 1 (1 lsl 20))
-    (fun delta ->
-      let w = Prefix.offset ~delta in
-      Prefix.is_offset w && (not (Prefix.is_large w))
-      && Prefix.offset_delta w = delta)
+      Prefix.is_large w && Prefix.large_len w = len)
 
 let prefix_kinds_disjoint =
   qcheck "prefix kinds disjoint" QCheck2.Gen.(int_range 1 (1 lsl 20))
     (fun v ->
-      let s = Prefix.small ~desc_id:v in
-      (not (Prefix.is_large s)) && not (Prefix.is_offset s))
+      Prefix.is_large (Prefix.large ~total_len:v)
+      <> Prefix.is_large (Prefix.small ~desc_id:v))
 
 (* ---------------- Anchor ---------------- *)
 
@@ -212,7 +205,6 @@ let cases =
     case "addr bounds" addr_bounds;
     prefix_small;
     prefix_large;
-    prefix_offset;
     prefix_kinds_disjoint;
     anchor_roundtrip;
     anchor_setters;

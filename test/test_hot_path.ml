@@ -82,8 +82,7 @@ let plain_no_alloc cfg name () =
   shapes name ~batch:1000 ~malloc:(Lf.malloc t) ~free:(Lf.free t)
 
 (* The Blelloch-Wei yardstick (PAPERS.md) on the same shapes: its free
-   follows the block prefix in the two steps Lf_alloc.free takes, with
-   no tuple. Its batch hand-offs still allocate a Treiber-stack node
+   reads the one block prefix, as Lf_alloc.free does. Its batch hand-offs still allocate a Treiber-stack node
    and a closure per 16 blocks: 0.48 words/op on 100-block batches,
    0.496 on 1000-block ones, hence the smaller batch. *)
 let bw_no_alloc () =

@@ -100,6 +100,43 @@ let credits_bounds () =
   A.free t a;
   A.check_invariants t
 
+(* The same guard behind the block cache and the owner-biased lists, on
+   both runtimes. [free] reads the one word below the address it is
+   given, so a payload + 16 whose word below holds the block's own
+   prefix, zero, or any other small-kind word must still be rejected
+   before it reaches a cache row or a free list. *)
+let wild_free_guard_frontend name ~sim:on_sim () =
+  let module I = Mm_mem.Alloc_intf in
+  let body inst () =
+    let p = inst.I.malloc 64 in
+    let own = inst.I.read_word (p - Mm_mem.Block_prefix.prefix_bytes) in
+    List.iter
+      (fun w ->
+        inst.I.write_word (p + 8) w;
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: payload + 16 over word %#x rejected" name w)
+          true
+          (match inst.I.free (p + 16) with
+          | () -> false
+          | exception Invalid_argument _ -> true))
+      [ own; 0; (16 lsl 2) lor 2 ];
+    inst.I.free p
+  in
+  let inst =
+    if on_sim then begin
+      let s = sim ~cpus:1 () in
+      let inst = instance name (Rt.simulated s) in
+      ignore (Sim.run s [| (fun _ -> body inst ()) |]);
+      inst
+    end
+    else begin
+      let inst = instance name Rt.real in
+      body inst ();
+      inst
+    end
+  in
+  inst.I.check ()
+
 let maxcredits_one () =
   (* The degenerate credits configuration exercises UpdateActive on
      every allocation. *)
@@ -451,16 +488,49 @@ let store_capacity_bound () =
   A.free t (A.malloc t 8);
   A.check_invariants t
 
-let wild_free_guard () =
-  let t = A.create () small_cfg in
-  let a = A.malloc t 8 in
-  (* Interior pointer: not a block boundary. *)
-  Alcotest.(check bool) "interior pointer rejected" true
-    (match A.free t (a + 4) with
-    | _ -> false
-    | exception Invalid_argument _ -> true);
-  A.free t a;
-  A.check_invariants t
+(* free reads the one word below the address it is given, so an
+   address inside a small block must be rejected by the wild-pointer
+   guard whatever small-kind word that is: here payload + 4, and
+   payload + 16 over the block's own prefix, zero, and a word with the
+   low bits 2. Checked
+   on the plain allocator, behind the block cache and on the
+   owner-biased lists, before the address can reach a cache row or a
+   free list. *)
+let wild_free_guard name ~sim:on_sim () =
+  let module I = Mm_mem.Alloc_intf in
+  let body inst () =
+    let p = inst.I.malloc 64 in
+    let rejected what addr =
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %s rejected" name what)
+        true
+        (match inst.I.free addr with
+        | () -> false
+        | exception Invalid_argument _ -> true)
+    in
+    rejected "payload + 4" (p + 4);
+    let own = inst.I.read_word (p - Mm_mem.Block_prefix.prefix_bytes) in
+    List.iter
+      (fun w ->
+        inst.I.write_word (p + 8) w;
+        rejected (Printf.sprintf "payload + 16 over word %#x" w) (p + 16))
+      [ own; 0; (16 lsl 2) lor 2 ];
+    inst.I.free p
+  in
+  let inst =
+    if on_sim then begin
+      let s = sim ~cpus:1 () in
+      let inst = instance name (Rt.simulated s) in
+      ignore (Sim.run s [| (fun _ -> body inst ()) |]);
+      inst
+    end
+    else begin
+      let inst = instance name Rt.real in
+      body inst ();
+      inst
+    end
+  in
+  inst.I.check ()
 
 (* The wild-pointer guard divides by the block size with a reciprocal
    set when the superblock is carved. For every class at the smallest,
@@ -612,7 +682,14 @@ let multi_kill_fuzz () =
 let cases =
   [
     case "superblock state machine" fill_superblock;
-    case "wild free rejected" wild_free_guard;
+    case "wild free rejected" (wild_free_guard "new" ~sim:false);
+    case "wild free rejected: new-cached (real)"
+      (wild_free_guard "new-cached" ~sim:false);
+    case "wild free rejected: new-cached (sim)"
+      (wild_free_guard "new-cached" ~sim:true);
+    case "wild free rejected: new-ob (real)"
+      (wild_free_guard "new-ob" ~sim:false);
+    case "wild free rejected: new-ob (sim)" (wild_free_guard "new-ob" ~sim:true);
     case "region-table exhaustion fails cleanly" region_table_exhaustion;
     case "store_capacity bound" store_capacity_bound;
     case "block guard at every offset" block_guard_every_offset;

@@ -12,7 +12,6 @@ let kinds =
   [
     ("tas", Cfg.Tas_backoff);
     ("ticket", Cfg.Ticket);
-    ("mcs", Cfg.Mcs);
     ("pthread", Cfg.Pthread_like);
   ]
 
@@ -83,27 +82,11 @@ let contention_counted () =
   Alcotest.(check bool) "contention observed" true
     (Locks_s.contended_acquisitions lock > 0)
 
-let mcs_fifo_fairness () =
-  (* MCS grants in queue order too. *)
-  let s = sim ~cpus:2 () in
-  let lock = Locks_s.create s Cfg.Mcs in
-  let seq = ref [] in
-  let body tid =
-    for _ = 1 to 50 do
-      Locks_s.acquire lock;
-      seq := tid :: !seq;
-      Sim_rt.work s 100;
-      Locks_s.release lock
-    done
-  in
-  ignore (Sim.run s (Array.init 2 (fun i _ -> body i)));
-  Alcotest.(check int) "all acquisitions" 100 (List.length !seq)
-
-let mcs_baseline_allocators () =
-  (* The baseline allocators run correctly with MCS locks. *)
+let ticket_baseline_allocator () =
+  (* The baseline allocators run correctly with ticket locks. *)
   let s = sim ~cpus:4 () in
   let inst =
-    instance ~cfg:(Cfg.make ~lock_kind:Cfg.Mcs ()) "hoard" (Rt.simulated s)
+    instance ~cfg:(Cfg.make ~lock_kind:Cfg.Ticket ()) "hoard" (Rt.simulated s)
   in
   let body tid =
     let rng = Prng.create tid in
@@ -182,8 +165,7 @@ let cases =
   @ [
       case "contention counted" contention_counted;
       case "ticket fairness" ticket_fairness;
-      case "mcs fifo completion" mcs_fifo_fairness;
-      case "mcs-locked baseline allocator" mcs_baseline_allocators;
+      case "ticket-locked baseline allocator" ticket_baseline_allocator;
       case "holder label" holder_label_emitted;
       case "preempted holder progress" preempted_holder_progress;
     ]
