@@ -176,11 +176,9 @@ let free t payload =
     let tid = Rt.self t.rt in
     let row = row t tid in
     add row c_frees 1;
-    let kind =
-      Lf_alloc.classify t.backend ~tid ~payload
-        (Store.read_word (store t) (payload - Prefix.prefix_bytes))
-    in
-    if kind < 0 then Lf_alloc.free t.backend payload
+    let prefix = Store.read_word (store t) (payload - Prefix.prefix_bytes) in
+    let kind = Lf_alloc.classify t.backend ~tid ~payload prefix in
+    if kind < 0 then Lf_alloc.free_large t.backend ~tid ~payload prefix
     else begin
       let sc = kind lsr 1 in
       if kind land 1 = 1 then begin

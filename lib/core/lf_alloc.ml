@@ -15,6 +15,10 @@ type heap = {
   partial : int Rt.atomic;  (* descriptor id, 0 = none *)
       (* Both words are written by every thread of the heap's class and
          sit on cache lines of their own (Rt.Atomic.make_contended). *)
+  list : Partial_list.t;
+      (* The list behind the Partial slot: the size class's one list,
+         shared by its whole row, under `Anchor (Fig. 4); the heap's own
+         under `Owner_biased (DESIGN.md §19). *)
 }
 
 type t = {
@@ -29,7 +33,6 @@ type t = {
      processor heap and [by_gid.(gid)] the heap of global index [gid]. *)
   home : int array;
   by_gid : heap array;
-  lists : Partial_list.t array;  (* per size class *)
   table : Descriptor.table;
   pool : Desc_pool.t;
   pm : Pm.t option;  (* span reservoir + buddy backend, DESIGN.md §15 *)
@@ -128,8 +131,11 @@ let create rt (cfg : Cfg.t) =
       ()
   in
   let nclasses = Sc.count classes in
+  let ob = cfg.free_lists = `Owner_biased in
+  let new_list () = Partial_list.create rt cfg.partial_policy in
   let heaps =
     Array.init nclasses (fun sc ->
+        let class_list = new_list () in
         Array.init nheaps (fun h ->
             {
               gid = (sc * nheaps) + h;
@@ -137,10 +143,8 @@ let create rt (cfg : Cfg.t) =
               idx = h;
               active = Rt.Atomic.make_contended rt Active_word.null;
               partial = Rt.Atomic.make_contended rt 0;
+              list = (if ob && h > 0 then new_list () else class_list);
             }))
-  in
-  let lists =
-    Array.init nclasses (fun _ -> Partial_list.create rt cfg.partial_policy)
   in
   let pm =
     if cfg.page_manager then
@@ -161,12 +165,11 @@ let create rt (cfg : Cfg.t) =
     heaps;
     home = Array.init Rt.max_threads (fun tid -> tid mod nheaps);
     by_gid = Array.concat (Array.to_list heaps);
-    lists;
     table;
     pool;
     pm;
     counts;
-    ob = cfg.free_lists = `Owner_biased;
+    ob;
     owned = Array.init Rt.max_threads (fun _ -> Array.make nclasses 0);
   }
 
@@ -266,15 +269,37 @@ let rec swap_partial t heap id spins =
     swap_partial t heap id (Backoff.spin t.rt spins)
   end
 
+(* A republished superblock goes back to the heap its [heap_gid]
+   names: into its slot, and whatever the slot held onto its list. *)
 let heap_put_partial t desc =
   let heap = heap_of_gid t desc.Descriptor.heap_gid in
   let prev = swap_partial t heap desc.Descriptor.id Backoff.initial in
-  if prev <> 0 then
-    Partial_list.put t.lists.(heap.sc) (Descriptor.get t.table prev)
+  if prev <> 0 then Partial_list.put heap.list (Descriptor.get t.table prev)
 
+let[@inline] next_in (row : heap array) i =
+  if i + 1 = Array.length row then 0 else i + 1
+
+(* The owner-biased HeapGetPartial's last resort: the other heaps'
+   lists of the class, from [row.(i)] round to [row.(stop)], the
+   caller's own (DESIGN.md §19). *)
+let rec steal_partial (row : heap array) i ~stop =
+  if i = stop then None
+  else
+    match Partial_list.get row.(i).list with
+    | None -> steal_partial row (next_in row i) ~stop
+    | got -> got
+
+(* The slot, then the heap's list; under owner bias the heap's list is
+   its own, so the sibling heaps' lists come last, before a new
+   superblock is carved. *)
 let rec heap_get_partial t heap =
   let id = Rt.Atomic.get heap.partial in
-  if id = 0 then Partial_list.get t.lists.(heap.sc)
+  if id = 0 then
+    match Partial_list.get heap.list with
+    | None when t.ob ->
+        let row = t.heaps.(heap.sc) in
+        steal_partial row (next_in row heap.idx) ~stop:heap.idx
+    | got -> got
   else begin
     Rt.label t.rt Labels.hgp_slot_cas;
     if Rt.Atomic.compare_and_set heap.partial id 0 then
@@ -296,9 +321,7 @@ let remove_empty_desc t heap desc =
     then Desc_pool.retire t.pool desc
     else heap_put_partial t desc
   end
-  else
-    Partial_list.remove_empty t.lists.(heap.sc)
-      ~retire:(Desc_pool.retire t.pool)
+  else Partial_list.remove_empty heap.list ~retire:(Desc_pool.retire t.pool)
 
 (* Release a superblock that just went EMPTY from [oldstate] (Fig. 6
    lines 19-21): unmap it, then retire the descriptor. A PARTIAL
@@ -684,7 +707,7 @@ and pub_push t (desc : Descriptor.t) ~first_idx ~last ~n spins =
 (* Private-LIFO pop; caller guarantees [priv_count > 0]. The link
    reads are non-racy: a private block is free and reachable only by
    the owning thread. *)
-let priv_pop t (desc : Descriptor.t) =
+let[@inline] priv_pop t (desc : Descriptor.t) =
   let addr = block_addr desc desc.priv_head in
   desc.priv_head <- clamp_index (Store.read_word t.store addr);
   desc.priv_count <- desc.priv_count - 1;
@@ -904,6 +927,10 @@ let malloc t n =
       if t.ob then malloc_ob t sc tid
       else (* line 1 *) malloc_small t (heap_at t sc tid)
 
+let free_large t ~tid ~payload prefix =
+  count_at t tid c_frees;
+  free_large_block t (payload - Prefix.prefix_bytes) prefix
+
 let free t payload =
   if payload = Addr.null then ()
   else begin
@@ -1072,7 +1099,12 @@ let heap_partial_desc t ~sc ~heap =
   let id = Rt.Atomic.get t.heaps.(sc).(heap).partial in
   if id = 0 then None else Some (Descriptor.get t.table id)
 
-let partial_list t ~sc = t.lists.(sc)
+let partial_list t ~sc ~heap = t.heaps.(sc).(heap).list
+
+(* The heaps of a class's row whose lists are distinct: every heap under
+   owner bias, the first alone under `Anchor, where the row shares one
+   list. *)
+let list_heads t row = if t.ob then row else Array.sub row 0 1
 
 let pp_heap_summary fmt t =
   Format.fprintf fmt "lock-free heap: %d size classes x %d processor heaps@,"
@@ -1112,7 +1144,9 @@ let pp_heap_summary fmt t =
             "  class %2d (%4dB): %3d superblocks, %3d active, %3d partial \
              slots, %5d listed, %6d unreserved free blocks@,"
             sc (Sc.block_size t.classes sc) sbs actives slots
-            (Partial_list.length t.lists.(sc))
+            (Array.fold_left
+               (fun n h -> n + Partial_list.length h.list)
+               0 (list_heads t row))
             free)
     t.heaps;
   let m, f = op_counts t in
@@ -1146,13 +1180,26 @@ let check_invariants t =
             (Printf.sprintf "Partial[%d][%d]" sc h))
         row)
     t.heaps;
+  (* A listed descriptor names the heap that listed it: its own under
+     owner bias, one of the class under `Anchor. *)
   Array.iteri
-    (fun sc list ->
-      List.iter
-        (fun d ->
-          add_ref d.Descriptor.id (Printf.sprintf "PartialList[%d]" sc))
-        (Partial_list.to_list list))
-    t.lists;
+    (fun sc row ->
+      Array.iter
+        (fun h ->
+          let src =
+            if t.ob then Printf.sprintf "PartialList[%d][%d]" sc h.idx
+            else Printf.sprintf "PartialList[%d]" sc
+          in
+          List.iter
+            (fun d ->
+              add_ref d.Descriptor.id src;
+              let owner = heap_of_gid t d.Descriptor.heap_gid in
+              if owner.sc <> sc || (t.ob && owner != h) then
+                fail "desc %d in %s has heap_gid %d" d.Descriptor.id src
+                  d.Descriptor.heap_gid)
+            (Partial_list.to_list h.list))
+        (list_heads t row))
+    t.heaps;
   (* Owner-biased mode: each thread's owned slots reference the
      superblock it holds privately (always empty under `Anchor). *)
   let owned_ids = Hashtbl.create 8 in

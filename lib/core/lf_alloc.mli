@@ -24,9 +24,12 @@
     the owner reclaims the whole public list in one CAS ([pub.claim]).
     While a superblock is owned its anchor is frozen at FULL(0,0) and
     written only by the owner, so the anchor state machine, partial
-    structures and EMPTY/FULL transitions are shared verbatim with the paper's mode — ownership handoff simply re-anchors
-    the superblock. Under the default [`Anchor] configuration every path
-    is bit-identical to the paper's figures.
+    structures and EMPTY/FULL transitions are shared verbatim with the
+    paper's mode — ownership handoff simply re-anchors the superblock.
+    Each processor heap keeps its own partial list in that mode, so a
+    republished superblock goes back to the heap that held it. Under
+    the default [`Anchor] configuration every path is bit-identical to
+    the paper's figures.
 
     Progress: no operation ever blocks on another thread. A thread delayed
     or killed at any {!Labels} point leaves the heap in a state from which
@@ -116,7 +119,13 @@ val heap_active_desc : t -> sc:int -> heap:int -> (Descriptor.t * int) option
     credits, if any (quiescent snapshot). *)
 
 val heap_partial_desc : t -> sc:int -> heap:int -> Descriptor.t option
-val partial_list : t -> sc:int -> Partial_list.t
+val partial_list : t -> sc:int -> heap:int -> Partial_list.t
+(** The partial list behind processor heap [heap]'s Partial slot in
+    size class [sc]. Under [`Anchor] every heap of a class shares one
+    list, Fig. 4's [ListGetPartial(sc)], whatever [heap] is given;
+    under [`Owner_biased] each heap has its own, and a heap whose slot
+    and list are empty takes from its siblings' lists before carving a
+    new superblock (DESIGN.md §19). *)
 
 val op_counts : t -> int * int
 (** Total [(mallocs, frees)] served (striped counters; quiescent). *)
@@ -189,6 +198,12 @@ val flush_from : t -> int array -> pos:int -> n:int -> scratch:int -> unit
 
 val flush_batch : t -> int list -> unit
 (** {!flush_from} over a list of payloads. *)
+
+val free_large : t -> tid:int -> payload:int -> int -> unit
+(** [free_large t ~tid ~payload prefix] is {!free} of a large block
+    for a caller that has already read its prefix word and knows its
+    thread id: the block cache's free, which read both for {!classify}.
+    Counts toward {!op_counts} as {!free} does. *)
 
 val classify : t -> tid:int -> payload:int -> int -> int
 (** [classify t ~tid ~payload prefix] reports what kind of block

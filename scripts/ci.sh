@@ -31,18 +31,20 @@ esac
 # sibling or lower-layer module on the hot path is direct. Read off the
 # real-domain benchmark's executable, which reaches Lf_alloc through the
 # Make shims, so this also shows that they resolve to the real copy: the
-# Active/anchor/pub steps and the three malloc paths may hold no
+# Active/anchor/pub steps, the three malloc paths and HeapGetPartial
+# with its owner-biased walk of the sibling heaps' lists may hold no
 # caml_apply and no indirect call. malloc and free (Lf_alloc's and
 # Block_cache's) may each keep exactly one indirect call: the stdlib's
 # Domain.DLS.get behind Rt.self, which is not inlined across the stdlib
 # boundary.
 # Straight-line gate: the functions an active-hit malloc+free runs
 # (Fig. 4's MallocFromActive, Fig. 6's push, the block cache's hit and
-# free) must also hold no idiv and no call to a per-operation helper
+# free, the owner-biased private pop and push) must also hold no idiv
+# and no call to a per-operation helper
 # that is meant to be inlined: the word codecs, Descriptor.get, Stripes,
 # Size_class, Store's word accessors (read_word, read_word_racy,
 # write_word), Real_rt's label/CAS/obs wrappers and word access, and
-# Lf_alloc's own heap_at/block_index/finish_block/classify. Without
+# Lf_alloc's own heap_at/block_index/finish_block/classify/priv_pop. Without
 # flambda the compiler inlines only what is marked [@inline] or is of
 # size 10 or less, so an edit that pushes a helper over the limit or
 # drops its attribute brings the call back. The cold hook bodies
@@ -72,7 +74,7 @@ objdump -d --no-show-raw-insn _build/default/perfbench/main.exe | awk '
         callee ~ /^camlMm_mem__Size_class\./ ||
         callee ~ /^camlMm_mem__Store\.(read_word|write_word)/ ||
         callee ~ /^camlMm_runtime__Real_rt\.(label|compare_and_set|obs_event|read_word|write_word)_[0-9]+$/ ||
-        callee ~ /^camlMm_core__Lf_alloc\.(heap_at|block_index|finish_block|classify)_[0-9]+$/) {
+        callee ~ /^camlMm_core__Lf_alloc\.(heap_at|block_index|finish_block|classify|priv_pop)_[0-9]+$/) {
       sub(/^caml/, "", callee); sub(/_[0-9]+$/, "", callee)
       helper[base, callee]++
       helpers[base] = 1
@@ -81,12 +83,14 @@ objdump -d --no-show-raw-insn _build/default/perfbench/main.exe | awk '
   { prev = $0 }
   END {
     split("reserve_active pop_blocks anchor_push pub_push " \
-          "malloc_from_active malloc_from_partial malloc_from_new_sb", zero)
+          "malloc_from_active malloc_from_partial malloc_from_new_sb " \
+          "heap_get_partial steal_partial", zero)
     for (i in zero) limit["Lf_alloc." zero[i]] = 0
     limit["Lf_alloc.malloc"] = 1; limit["Lf_alloc.free"] = 1
     limit["Block_cache.malloc"] = 1; limit["Block_cache.free"] = 1
     split("Lf_alloc.malloc Lf_alloc.free Lf_alloc.malloc_from_active " \
           "Lf_alloc.reserve_active Lf_alloc.pop_blocks Lf_alloc.anchor_push " \
+          "Lf_alloc.malloc_ob Lf_alloc.ob_push " \
           "Block_cache.malloc Block_cache.free", flat)
     for (i in flat) straight[flat[i]] = 1
     bad = 0

@@ -388,9 +388,37 @@ let census_order_and_obs_agreement () =
         (Traced.core_retry_counts agg))
     [ "new"; "new-cached"; "new-ob" ]
 
+(* A large block freed through the cache goes to the backend with the
+   prefix [classify] read: each layer counts one malloc and one free,
+   the block is unmapped, and the heap checks out, on both runtimes. *)
+let large_free_through_cache () =
+  let cfg = Cfg.make ~nheaps:1 ~cache:true () in
+  let n = cfg.Cfg.sbsize in
+  let check what ~cache ~backend ~large_munmaps =
+    Alcotest.(check (pair int int)) (what ^ ": cache op_counts") (1, 1) cache;
+    Alcotest.(check (pair int int))
+      (what ^ ": backend op_counts") (1, 1) backend;
+    Alcotest.(check int) (what ^ ": large block unmapped") 1 large_munmaps
+  in
+  let module R = Mm_core.Block_cache in
+  let t = R.create () cfg in
+  R.free t (R.malloc t n);
+  check "real" ~cache:(R.op_counts t)
+    ~backend:(Mm_core.Lf_alloc.op_counts (R.backend t))
+    ~large_munmaps:(Mm_mem.Store.os_stats (R.store t)).Store.large_munmaps;
+  R.check_invariants t;
+  let s = sim ~cpus:1 () in
+  let t = Bc.create s cfg in
+  ignore (Sim.run s [| (fun _ -> Bc.free t (Bc.malloc t n)) |]);
+  check "sim" ~cache:(Bc.op_counts t) ~backend:(A.op_counts (Bc.backend t))
+    ~large_munmaps:(Store.os_stats (Bc.store t)).Store.large_munmaps;
+  Bc.check_invariants t
+
 let cases =
   [
     case "batched refill/flush accounting" batch_accounting;
+    case "large free through the cache: counted once, both runtimes"
+      large_free_through_cache;
     case "create rejects cache:false" create_needs_cache;
     case "remote frees flushed in exact batches" remote_free_batching;
     case "explorer: exclusivity with cache enabled" explorer_exclusivity;

@@ -256,7 +256,7 @@ let empty_descriptor_in_partial_slot () =
   Alcotest.(check bool) "not in the partial list" false
     (List.exists
        (fun x -> refs_d (Some x))
-       (Mm_core_sim.Partial_list.to_list (As.partial_list a ~sc)));
+       (Mm_core_sim.Partial_list.to_list (As.partial_list a ~sc ~heap:0)));
   As.check_invariants a
 
 let monitor_lock_freedom () =

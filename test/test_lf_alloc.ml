@@ -48,7 +48,7 @@ let fill_superblock () =
   | None ->
       (* It may instead be in the size-class list if the slot was taken. *)
       Alcotest.(check bool) "in partial structures" true
-        (List.memq d (Pl.to_list (A.partial_list t ~sc:0))));
+        (List.memq d (Pl.to_list (A.partial_list t ~sc:0 ~heap:0))));
   A.check_invariants t;
   (* Freeing everything else empties the superblock and returns it. *)
   let munmaps_before = (Store.os_stats (A.store t)).Store.munmap_calls in
@@ -99,43 +99,6 @@ let credits_bounds () =
   | None -> Alcotest.fail "expected an active superblock");
   A.free t a;
   A.check_invariants t
-
-(* The same guard behind the block cache and the owner-biased lists, on
-   both runtimes. [free] reads the one word below the address it is
-   given, so a payload + 16 whose word below holds the block's own
-   prefix, zero, or any other small-kind word must still be rejected
-   before it reaches a cache row or a free list. *)
-let wild_free_guard_frontend name ~sim:on_sim () =
-  let module I = Mm_mem.Alloc_intf in
-  let body inst () =
-    let p = inst.I.malloc 64 in
-    let own = inst.I.read_word (p - Mm_mem.Block_prefix.prefix_bytes) in
-    List.iter
-      (fun w ->
-        inst.I.write_word (p + 8) w;
-        Alcotest.(check bool)
-          (Printf.sprintf "%s: payload + 16 over word %#x rejected" name w)
-          true
-          (match inst.I.free (p + 16) with
-          | () -> false
-          | exception Invalid_argument _ -> true))
-      [ own; 0; (16 lsl 2) lor 2 ];
-    inst.I.free p
-  in
-  let inst =
-    if on_sim then begin
-      let s = sim ~cpus:1 () in
-      let inst = instance name (Rt.simulated s) in
-      ignore (Sim.run s [| (fun _ -> body inst ()) |]);
-      inst
-    end
-    else begin
-      let inst = instance name Rt.real in
-      body inst ();
-      inst
-    end
-  in
-  inst.I.check ()
 
 let maxcredits_one () =
   (* The degenerate credits configuration exercises UpdateActive on

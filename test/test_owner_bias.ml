@@ -19,10 +19,15 @@
      census under "new-ob", including the new pub.push/pub.claim rows
      (the same proof test_obs.ml gives for "new");
 
-   - owner-biased correctness under load: a shared one-heap allocator
-     with cross-thread frees passes the full invariant checker
-     (private/public list walks, owned-slot cross-references) and
-     conservation, across several seeds;
+   - owner-biased correctness under load: a shared allocator with
+     cross-thread frees, at one processor heap and at two, passes the
+     full invariant checker (private/public list walks, owned-slot
+     cross-references) and conservation, across several seeds, and
+     so does a larson-shaped run on two real domains at two heaps;
+
+   - heap-local partial lists: a heap reacquires the superblocks it
+     republished before any other heap's, and takes a sibling's only
+     once its own slot and list are empty, without carving;
 
    - a free into a handed-off superblock is the paper's Fig. 6 free:
      one anchor CAS (free.cas) that makes the superblock PARTIAL and
@@ -31,6 +36,7 @@
 open Mm_runtime
 module A = Mm_core_sim.Lf_alloc
 module D = Mm_core_sim.Descriptor
+module Store = Mm_mem_sim.Store
 module Anchor = Mm_core.Anchor
 module L = Mm_core.Labels
 module Pg = Mm_pages.Pg_labels
@@ -106,10 +112,13 @@ let ob_counters_match_census () =
 
 let ob_cfg = Cfg.make ~nheaps:1 ~sbsize:4096 ~free_lists:`Owner_biased ()
 
-let ob_invariants_under_load () =
+(* Two processor heaps: thread [tid] allocates from heap [tid mod 2]. *)
+let ob2_cfg = Cfg.make ~nheaps:2 ~sbsize:4096 ~free_lists:`Owner_biased ()
+
+let ob_invariants_under_load cfg () =
   for seed = 1 to 8 do
     let s = sim ~cpus:4 ~seed ~max_cycles:50_000_000_000 () in
-    let t = A.create s ob_cfg in
+    let t = A.create s cfg in
     (* Per-thread slot churn plus a neighbour handoff slot: every
        round passes one block to the next thread, which frees it
        remotely (single-producer/single-consumer plain cells, as in
@@ -208,13 +217,129 @@ let handed_off_free_is_one_anchor_cas () =
       Alcotest.(check int) "anchor count" 1 (Anchor.count a);
       A.check_invariants t
 
+(* Thread [i] allocates from heap [i]. Each thread hands off full
+   superblocks; then each republishes its own with one free each, heap
+   1 first: heap 1 then holds E in its slot and D on its list, heap 0 C
+   in its slot and A, B on its list. Heap 0 reacquires C, then A, its own,
+   while D sits on heap 1's list (one class-wide FIFO, listed D first,
+   would have handed heap 0 D). Heap 1 takes E, then D, and only then
+   heap 0's B. No superblock is carved meanwhile. *)
+let heap_local_partial_lists () =
+  let s = sim ~cpus:2 () in
+  let t = A.create s ob2_cfg in
+  let classes = A.size_classes t in
+  let sc = Option.get (Mm_mem.Size_class.class_of_request classes 8) in
+  let per_sb = Mm_mem.Size_class.blocks_per_superblock classes sc in
+  let on tid f =
+    ignore (Sim.run s (Array.init 2 (fun i _ -> if i = tid then f ())))
+  in
+  let mallocs tid k =
+    let ps = ref [||] in
+    on tid (fun () -> ps := Array.init k (fun _ -> A.malloc t 8));
+    !ps
+  in
+  (* The superblock of a live block, read off its prefix. *)
+  let sb_of p =
+    let prefix =
+      Store.read_word (A.store t) (p - Mm_mem.Block_prefix.prefix_bytes)
+    in
+    (D.get (A.descriptor_table t) (Mm_mem.Block_prefix.desc_id prefix)).D.sb
+  in
+  (* [k] superblocks handed off full (one more is owned): the first
+     block of each, and their bases. *)
+  let hand_off tid k =
+    let ps = mallocs tid ((k * per_sb) + 1) in
+    let firsts = List.init k (fun j -> ps.(j * per_sb)) in
+    (firsts, List.map sb_of firsts)
+  in
+  let republish tid firsts = on tid (fun () -> List.iter (A.free t) firsts) in
+  let slot heap =
+    Option.map (fun d -> d.D.sb) (A.heap_partial_desc t ~sc ~heap)
+  in
+  let listed heap =
+    List.map
+      (fun d -> d.D.sb)
+      (Mm_core_sim.Partial_list.to_list (A.partial_list t ~sc ~heap))
+  in
+  let sbs = Alcotest.(list int) and sb_slot = Alcotest.(option int) in
+  let firsts1, sbs1 = hand_off 1 2 in
+  let firsts0, sbs0 = hand_off 0 3 in
+  republish 1 firsts1;
+  republish 0 firsts0;
+  let d, e = match sbs1 with [ d; e ] -> (d, e) | _ -> assert false in
+  let a, b, c = match sbs0 with [ a; b; c ] -> (a, b, c) | _ -> assert false in
+  Alcotest.check sb_slot "heap 1 slot" (Some e) (slot 1);
+  Alcotest.check sbs "heap 1 list" [ d ] (listed 1);
+  Alcotest.check sb_slot "heap 0 slot" (Some c) (slot 0);
+  Alcotest.check sbs "heap 0 list" [ a; b ] (listed 0);
+  let carved () = (Store.os_stats (A.store t)).Store.sb_allocs in
+  let carved0 = carved () in
+  (* Each thread's owned superblock has [per_sb - 1] blocks left; every
+     malloc after those hands the current one off and acquires. *)
+  let got tid k = Array.sub (mallocs tid (per_sb - 1 + k)) (per_sb - 1) k in
+  Alcotest.check sbs "heap 0 reacquires its own slot, then its own list"
+    [ c; a ]
+    (List.map sb_of (Array.to_list (got 0 2)));
+  Alcotest.check sbs "heap 1's list untouched" [ d ] (listed 1);
+  Alcotest.check sbs "heap 1: own slot, own list, then heap 0's list"
+    [ e; d; b ]
+    (List.map sb_of (Array.to_list (got 1 3)));
+  Alcotest.check sbs "heap 0's list drained" [] (listed 0);
+  Alcotest.(check int) "no superblock carved" carved0 (carved ());
+  A.check_invariants t
+
+(* Larson's shape on two real domains at two processor heaps: each
+   domain replaces random slots of its own with blocks of 16-80 bytes,
+   and hands every eighth new block to the other domain through a
+   one-cell mailbox, so frees cross heaps too. After the join the main
+   domain frees what is left; the heap must check out and every malloc
+   must have its free. *)
+let two_domain_larson () =
+  let module R = Mm_core.Lf_alloc in
+  let t = R.create () ob2_cfg in
+  let slots = 256 and steps = 40_000 in
+  let mailbox = Array.init 2 (fun _ -> Atomic.make 0) in
+  let live = Array.init 2 (fun _ -> Array.make slots 0) in
+  let body me _ =
+    let rng = Prng.create (me + 1) in
+    let mine = live.(me) in
+    for i = 0 to slots - 1 do
+      mine.(i) <- R.malloc t (Prng.int_in rng 16 80)
+    done;
+    for step = 1 to steps do
+      let i = Prng.int rng slots in
+      R.free t mine.(i);
+      mine.(i) <- R.malloc t (Prng.int_in rng 16 80);
+      if step land 7 = 0 && Atomic.compare_and_set mailbox.(1 - me) 0 mine.(i)
+      then mine.(i) <- R.malloc t (Prng.int_in rng 16 80);
+      let incoming = Atomic.exchange mailbox.(me) 0 in
+      if incoming <> 0 then R.free t incoming
+    done
+  in
+  ignore (Real_rt.parallel_run () [| body 0; body 1 |]);
+  Array.iter (Array.iter (R.free t)) live;
+  Array.iter
+    (fun box ->
+      let p = Atomic.exchange box 0 in
+      if p <> 0 then R.free t p)
+    mailbox;
+  R.check_invariants t;
+  let m, f = R.op_counts t in
+  Alcotest.(check int) "every malloc freed" m f
+
 let cases =
   [
     case "anchor mode bit-identical to the goldens" anchor_mode_bit_identical;
     case "census registries partition the label sets" registry_complete;
     case "new-ob obs census == striped census" ob_counters_match_census;
     case "owner-biased invariants + conservation (x8 seeds)"
-      ob_invariants_under_load;
+      (ob_invariants_under_load ob_cfg);
+    case "owner-biased invariants at two heaps (x8 seeds)"
+      (ob_invariants_under_load ob2_cfg);
+    case "heap-local partial lists: own first, siblings last, no carve"
+      heap_local_partial_lists;
+    case "two real domains, larson-shaped, two heaps: invariants"
+      two_domain_larson;
     case "free into a handed-off superblock is one anchor CAS"
       handed_off_free_is_one_anchor_cas;
   ]
