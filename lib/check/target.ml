@@ -146,15 +146,18 @@ let lf_alloc_cached =
 
 (* Owner-biased free lists (DESIGN.md §19) with eight-block superblocks
    (504-byte requests take the largest small class of a 4096-byte
-   superblock). Eight mallocs exhaust a thread's first superblock X; the
-   ninth hands X off (pub.claim) and acquires the neighbour's X' if it
-   is already partial (pub.claim own + ob.freeze) or carves a fresh one.
-   The thread then frees two blocks of X — FULL->PARTIAL republishes X,
-   and the second push races the neighbour acquiring X — and finally
-   the block its neighbour mailed it, a remote free into X' (anchor
-   push, or pub.push once X' is owned again). The mailbox is written
-   and drained between simulation points, never waited on, so killed
-   threads just leak their slice. *)
+   superblock) and a one-block LIFO of kept frees. Eight mallocs
+   exhaust a thread's first superblock X; the ninth hands X off
+   (pub.claim) and acquires the neighbour's X' if it is already partial
+   (pub.claim own + ob.freeze) or carves a fresh one. The thread then
+   frees three blocks of X: the LIFO keeps the first, so the second
+   overflows to X's anchor — FULL->PARTIAL republishes X — and the
+   third's push races the neighbour acquiring X. One more malloc pops
+   the kept block and its free keeps it again, and finally the block
+   its neighbour mailed it meets the full LIFO: a remote free into X'
+   (anchor push, or pub.push once X' is owned again). The mailbox is
+   written and drained between simulation points, never waited on, so
+   killed threads just leak their slice. *)
 let owner_biased ~threads ~malloc ~free =
   let mailbox = Array.make (max threads 1) 0 in
   fun tid ->
@@ -163,12 +166,17 @@ let owner_biased ~threads ~malloc ~free =
     let y = malloc () in
     free xs.(1);
     free xs.(2);
+    free xs.(3);
     free y;
+    free (malloc ());
     let incoming = mailbox.(tid) in
     if incoming <> 0 then begin
       mailbox.(tid) <- 0;
       free incoming
     end
+
+let owner_biased_cfg =
+  small_cfg ~free_lists:`Owner_biased ~cache_blocks:1 ~cache_batch:1 ()
 
 let lf_alloc_owner_biased =
   {
@@ -178,10 +186,7 @@ let lf_alloc_owner_biased =
       Labels.
         [ hgp_slot_cas; free_cas; free_put_partial; desc_alloc; desc_refill;
           pub_push; pub_claim; ob_freeze ];
-    subject =
-      allocator
-        (lf (small_cfg ~free_lists:`Owner_biased ()))
-        ~size:504 owner_biased;
+    subject = allocator (lf owner_biased_cfg) ~size:504 owner_biased;
   }
 
 (* MallocFromPartial (Fig. 4): eight 504-byte mallocs fill a superblock,

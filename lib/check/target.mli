@@ -83,8 +83,18 @@ val lf_alloc_cached : t
 val lf_alloc_owner_biased : t
 (** Owner-biased free lists (DESIGN.md §19) with eight-block
     superblocks: ownership handoffs ([pub.claim], [ob.freeze]) race
-    frees and a mailed remote free ([free.cas], [pub.push]). Expected
-    clean: a thread killed mid-acquire leaks its superblock. *)
+    frees and a mailed remote free ([free.cas], [pub.push]); each
+    thread's one-block LIFO keeps a free, hands it back to a malloc and
+    overflows. Expected clean: a thread killed mid-acquire leaks its
+    superblock. *)
+
+val owner_biased : alloc_body
+(** [lf_alloc_owner_biased]'s per-thread workload over 504-byte
+    requests. *)
+
+val owner_biased_cfg : Mm_mem.Alloc_config.t
+(** [lf_alloc_owner_biased]'s heap: {!alloc_cfg}'s, owner-biased, with
+    a one-block LIFO ([cache_blocks = 1]). *)
 
 val lf_alloc_partial : t
 (** MallocFromPartial (Fig. 4): {!partial} on the [lf_alloc] heap, so

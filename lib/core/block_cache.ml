@@ -56,6 +56,10 @@ let name = "new-cached"
 
 let create rt (cfg : Cfg.t) =
   if not cfg.cache then invalid_arg "Block_cache.create: cfg.cache is false";
+  if cfg.free_lists = `Owner_biased then
+    invalid_arg
+      "Block_cache.create: owner-biased free lists carry their own \
+       thread-local layer";
   let backend = Lf_alloc.create rt cfg in
   let nclasses = Sc.count (Lf_alloc.size_classes backend) in
   let c_remote = c_lens + nclasses in

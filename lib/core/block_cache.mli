@@ -15,7 +15,10 @@
 
     The frontend always caches: the uncached configuration is
     {!Lf_alloc} itself. The harness name ["new-cached"] sets
-    [cfg.cache], which {!create} requires.
+    [cfg.cache], which {!create} requires. It is the [`Anchor]-mode
+    thread-local layer: owner-biased free lists carry their own
+    (a LIFO of kept blocks beside the owned superblocks, DESIGN.md
+    §19), and {!create} rejects them.
 
     Progress and safety: a thread delayed or killed anywhere loses at
     most the blocks its own cache holds (they leak — they stay allocated
@@ -34,7 +37,8 @@ val name : string
 val create : Rt.t -> Mm_mem.Alloc_config.t -> t
 (** A fresh, independent heap (own store, own descriptors). Thread-safe
     for concurrent [malloc]/[free] once created. Raises
-    [Invalid_argument] when [cfg.cache] is false. *)
+    [Invalid_argument] when [cfg.cache] is false or [cfg.free_lists] is
+    [`Owner_biased]. *)
 
 val malloc : t -> int -> int
 (** [malloc t n] allocates a block with at least [n] payload bytes and

@@ -43,13 +43,17 @@ type t = {
          discussion of overlapping read-modify-write segments — and
          the last two columns count mallocs and frees. *)
   (* Owner-biased free lists (DESIGN.md §19): [ob] caches the mode
-     test off the config; [owned.(tid).(sc)] is the id of the
-     superblock thread [tid] currently owns for size class [sc] (0 =
-     none). Each slot is written only by thread [tid] itself, so the
-     ownership test in [free] reads its own always-coherent entry
-     rather than a possibly stale cross-thread descriptor field. *)
+     test off the config. [rows] holds one padded row per thread; for
+     size class [sc], from cell [sc * stride]: the id of the superblock
+     the thread owns (0 = none), the length of its LIFO of kept
+     blocks, then the LIFO's [keep] payload slots ([cache_blocks]).
+     Only thread [tid] writes its row, so the ownership test in [free]
+     reads its own always-coherent cell rather than a possibly stale
+     cross-thread descriptor field. Under `Anchor the rows are empty. *)
   ob : bool;
-  owned : int array array;
+  rows : Stripes.t;
+  stride : int;
+  keep : int;
 }
 
 (* The contention-site row set is the label registry's census grouping
@@ -170,7 +174,11 @@ let create rt (cfg : Cfg.t) =
     pm;
     counts;
     ob;
-    owned = Array.init Rt.max_threads (fun _ -> Array.make nclasses 0);
+    rows =
+      Stripes.create ~threads:Rt.max_threads
+        ~columns:(if ob then nclasses * (cfg.cache_blocks + 2) else 0);
+    stride = cfg.cache_blocks + 2;
+    keep = cfg.cache_blocks;
   }
 
 (* [@inline] on the per-operation helpers below, as on the word codecs,
@@ -704,31 +712,62 @@ and pub_push t (desc : Descriptor.t) ~first_idx ~last ~n spins =
     end
   end
 
-(* Private-LIFO pop; caller guarantees [priv_count > 0]. The link
-   reads are non-racy: a private block is free and reachable only by
-   the owning thread. *)
+(* The thread's row and the first cell of size class [sc] in it: the
+   owned id at [c], the LIFO's length at [c + 1], its slots from
+   [c + 2]. *)
+let[@inline] ob_row t tid = Stripes.row t.rows tid
+let[@inline] ob_col t sc = Stripes.pad + (sc * t.stride)
+
+(* The kept-block LIFO: [n] is its length, read by the caller. A kept
+   block's prefix is intact, so a pop hands its payload straight back. *)
+let[@inline] lifo_pop (row : int array) c n =
+  row.(c + 1) <- n - 1;
+  row.(c + 1 + n)
+
+let[@inline] lifo_push (row : int array) c n payload =
+  row.(c + 2 + n) <- payload;
+  row.(c + 1) <- n + 1
+
+(* Private-LIFO pop and push, the owner's alone: a private block is
+   free and reachable only by the owning thread, so the link reads are
+   non-racy and nothing is a CAS or a fence. The pop's caller
+   guarantees [priv_count > 0]. *)
 let[@inline] priv_pop t (desc : Descriptor.t) =
   let addr = block_addr desc desc.priv_head in
   desc.priv_head <- clamp_index (Store.read_word t.store addr);
   desc.priv_count <- desc.priv_count - 1;
   addr
 
-(* The owner-biased push of a pre-chained run. The owner pushes onto
-   its private list with plain writes — no CAS, no fence; any other
-   thread goes through [pub_push]. *)
-let ob_push t (desc : Descriptor.t) ~first_idx ~last ~n tid =
-  (* [sc] is trustworthy only combined with the ownership test: if we
-     own the descriptor we wrote [heap_gid] ourselves; if we don't, no
-     slot of OUR [owned] row can hold its id (ids are unique and the
-     row lists exactly what we own), so a stale [heap_gid] can only
-     produce a correct "not the owner". *)
-  let sc = (heap_of_gid t desc.heap_gid).sc in
-  if t.owned.(tid).(sc) = desc.id then begin
-    Store.write_word t.store last desc.priv_head;
-    desc.priv_head <- first_idx;
-    desc.priv_count <- desc.priv_count + n
+let[@inline] priv_push t (desc : Descriptor.t) ~first_idx ~base =
+  Store.write_word t.store base desc.priv_head;
+  desc.priv_head <- first_idx;
+  desc.priv_count <- desc.priv_count + 1
+
+(* The owner-biased free of one small block, three ways: a block of
+   the superblock the caller owns goes to its private list; any other
+   block of the caller's home heap is kept on the class's LIFO while
+   it has room, for the caller's next malloc of the class; everything
+   else goes straight to its superblock, through [pub_push] (one
+   [pub.push] CAS, or Fig. 6's anchor CAS when the superblock is
+   unowned).
+
+   [sc] is trustworthy: the block is allocated, so its descriptor is
+   not recycled and every [heap_gid] it can hold names a heap of its
+   class. The ownership test reads only the caller's own row: if we
+   own the descriptor we wrote [heap_gid] ourselves; if we don't, our
+   row cannot hold its id (ids are unique and the row lists exactly
+   what we own). The home test may read a [heap_gid] a sibling heap
+   is rewriting; a stale answer only keeps or passes on a block it
+   would not have, and either is safe. *)
+let free_ob t tid (desc : Descriptor.t) ~first_idx ~base payload =
+  let heap = heap_of_gid t desc.heap_gid in
+  let row = ob_row t tid and c = ob_col t heap.sc in
+  if row.(c) = desc.id then priv_push t desc ~first_idx ~base
+  else begin
+    let n = row.(c + 1) in
+    if n < t.keep && heap.idx = t.home.(tid) then lifo_push row c n payload
+    else pub_push t desc ~first_idx ~last:base ~n:1 Backoff.initial
   end
-  else pub_push t desc ~first_idx ~last ~n Backoff.initial
 
 (* Set the owned bit of a descriptor just taken out of a partial
    structure. Its pub word is unowned and empty: only an acquirer owns
@@ -772,8 +811,8 @@ let rec ob_freeze t (desc : Descriptor.t) spins =
    store and the freeze CAS, as in [malloc_from_partial]: heap_gid is
    read by remote frees that synchronize through this descriptor's
    anchor anyway, the CAS itself orders the store, and a stale heap_gid
-   only ever yields a correct "not the owner" (see [ob_push]). *)
-let rec ob_acquire_partial t heap tid =
+   only ever yields a correct "not the owner" (see [free_ob]). *)
+let rec ob_acquire_partial t heap (row : int array) c =
   match heap_get_partial t heap with
   | None -> None
   | Some desc ->
@@ -787,13 +826,13 @@ let rec ob_acquire_partial t heap tid =
         Rt.Atomic.set desc.Descriptor.pub
           (Pub_word.unowned_empty (Rt.Atomic.get desc.Descriptor.pub));
         Desc_pool.retire t.pool desc;
-        ob_acquire_partial t heap tid
+        ob_acquire_partial t heap row c
       end
       else begin
         (* The frozen chain goes private. *)
         desc.Descriptor.priv_head <- Anchor.avail a;
         desc.Descriptor.priv_count <- Anchor.count a;
-        t.owned.(tid).(heap.sc) <- desc.Descriptor.id;
+        row.(c) <- desc.Descriptor.id;
         Rt.obs_event t.rt Rt.Obs.Transition "sb.partial->owned";
         Some desc
       end
@@ -802,7 +841,7 @@ let rec ob_acquire_partial t heap tid =
    from block 0) becomes the private list. Ownership is per-thread, so
    there is no install race to lose and both words are plain sets
    (tags continue the descriptor's own sequence, as everywhere). *)
-let ob_acquire_new t heap tid =
+let ob_acquire_new t heap (row : int array) c =
   let desc = carve_sb t heap in
   let a0 = Rt.Atomic.get desc.Descriptor.anchor in
   desc.Descriptor.priv_head <- 0;
@@ -812,7 +851,7 @@ let ob_acquire_new t heap tid =
        ~tag:(Anchor.tag a0 + 1));
   Rt.Atomic.set desc.Descriptor.pub
     (Pub_word.owned_empty (Rt.Atomic.get desc.Descriptor.pub));
-  t.owned.(tid).(heap.sc) <- desc.Descriptor.id;
+  row.(c) <- desc.Descriptor.id;
   Rt.obs_event t.rt Rt.Obs.Transition "sb.new->owned";
   desc
 
@@ -823,7 +862,7 @@ let ob_acquire_new t heap tid =
    Fig. 6 and the FULL->PARTIAL one republishes it — and go acquire a
    superblock with blocks. Returns [true] when the private list was
    refilled. *)
-let rec ob_owner_refill t (desc : Descriptor.t) heap tid =
+let rec ob_owner_refill t (desc : Descriptor.t) (row : int array) c =
   let oldpub = Rt.Atomic.get desc.Descriptor.pub in
   if Pub_word.count oldpub > 0 then begin
     Rt.label t.rt Labels.pub_claim;
@@ -837,7 +876,7 @@ let rec ob_owner_refill t (desc : Descriptor.t) heap tid =
     end
     else begin
       bump t c_pub_claim;
-      ob_owner_refill t desc heap tid
+      ob_owner_refill t desc row c
     end
   end
   else begin
@@ -846,7 +885,7 @@ let rec ob_owner_refill t (desc : Descriptor.t) heap tid =
       Rt.Atomic.compare_and_set desc.Descriptor.pub oldpub
         (Pub_word.unowned_empty oldpub)
     then begin
-      t.owned.(tid).(heap.sc) <- 0;
+      row.(c) <- 0;
       Rt.obs_event t.rt Rt.Obs.Transition "sb.owned->handoff";
       false
     end
@@ -854,27 +893,29 @@ let rec ob_owner_refill t (desc : Descriptor.t) heap tid =
       (* A push landed between the read and the CAS: keep owning and
          claim it on the next round. *)
       bump t c_pub_claim;
-      ob_owner_refill t desc heap tid
+      ob_owner_refill t desc row c
     end
   end
 
-let rec malloc_ob t sc tid =
-  let id = t.owned.(tid).(sc) in
+(* The owner's malloc once the class's LIFO is empty: a private pop,
+   else a claim of the public list or a handoff, else an acquisition. *)
+let rec malloc_ob t (row : int array) c sc tid =
+  let id = row.(c) in
   if id <> 0 then begin
     let desc = Descriptor.get t.table id in
     if desc.Descriptor.priv_count > 0 then
       finish_block t desc (priv_pop t desc)
     else begin
-      ignore (ob_owner_refill t desc (heap_at t sc tid) tid : bool);
-      malloc_ob t sc tid
+      ignore (ob_owner_refill t desc row c : bool);
+      malloc_ob t row c sc tid
     end
   end
   else begin
     let heap = heap_at t sc tid in
     let desc =
-      match ob_acquire_partial t heap tid with
+      match ob_acquire_partial t heap row c with
       | Some d -> d
-      | None -> ob_acquire_new t heap tid
+      | None -> ob_acquire_new t heap row c
     in
     (* PARTIAL anchors have count > 0 and new superblocks maxcount
        blocks, so the fresh private list is never empty here. *)
@@ -924,7 +965,12 @@ let malloc t n =
   match Sc.class_of_request t.classes n with
   | None -> malloc_large t n (* lines 2-3 *)
   | Some sc ->
-      if t.ob then malloc_ob t sc tid
+      if t.ob then begin
+        (* The LIFO of kept blocks first, then the owner's paths. *)
+        let row = ob_row t tid and c = ob_col t sc in
+        let n = row.(c + 1) in
+        if n > 0 then lifo_pop row c n else malloc_ob t row c sc tid
+      end
       else (* line 1 *) malloc_small t (heap_at t sc tid)
 
 let free_large t ~tid ~payload prefix =
@@ -944,11 +990,44 @@ let free t payload =
     else begin
       let desc = Descriptor.get t.table (Prefix.desc_id prefix) in
       let first_idx = block_index desc base in
-      if t.ob then ob_push t desc ~first_idx ~last:base ~n:1 tid
+      if t.ob then free_ob t tid desc ~first_idx ~base payload
       else
         anchor_push t desc ~first_idx ~last:base ~n:1 ~label:Labels.free_cas
           Backoff.initial
     end
+  end
+
+(* Empty the calling thread's LIFOs: each kept block leaves the row
+   before it goes on, as [free_ob] passes a block on, so a thread
+   killed meanwhile holds none of them twice. *)
+let flush_current t =
+  if t.ob then begin
+    let row = ob_row t (Rt.self t.rt) in
+    for sc = 0 to Sc.count t.classes - 1 do
+      let c = ob_col t sc in
+      let n = row.(c + 1) in
+      row.(c + 1) <- 0;
+      for i = 0 to n - 1 do
+        let base = row.(c + 2 + i) - Prefix.prefix_bytes in
+        let desc =
+          Descriptor.get t.table (Prefix.desc_id (Store.read_word t.store base))
+        in
+        let first_idx = block_index desc base in
+        if row.(c) = desc.id then priv_push t desc ~first_idx ~base
+        else pub_push t desc ~first_idx ~last:base ~n:1 Backoff.initial
+      done
+    done
+  end
+
+let kept_blocks t ~tid =
+  if not t.ob then 0
+  else begin
+    let row = ob_row t tid in
+    let n = ref 0 in
+    for sc = 0 to Sc.count t.classes - 1 do
+      n := !n + row.(ob_col t sc + 1)
+    done;
+    !n
   end
 
 let usable_size t payload =
@@ -963,7 +1042,10 @@ let usable_size t payload =
    paper's figures: they run Fig. 4's reservation + pop and Fig. 6's
    push above for up to [cache_batch] blocks at once, so every
    shared-structure step stays lock-free and every CAS window carries
-   its own [bc.*] label. *)
+   its own [bc.*] label. Owner-biased heaps carry their own
+   thread-local layer and no block cache: there the refill finds no
+   Active word and takes nothing, and the flush pushes each group as
+   [anchor_push] does, onto the public list of an owned superblock. *)
 
 let[@inline] classify t ~tid ~payload prefix =
   if Prefix.is_large prefix then -1
@@ -981,48 +1063,26 @@ let[@inline] classify t ~tid ~payload prefix =
    as [malloc] writes them one at a time. *)
 let refill_into t ~sc ~max:want (dst : int array) ~pos =
   if want < 1 then invalid_arg "Lf_alloc.refill_into: max must be >= 1";
-  let tid = Rt.self t.rt in
-  if t.ob then begin
-    (* Up to [want] private blocks. An empty (or absent) private list
-       returns 0 and the cache falls back to [malloc], whose owner
-       paths run the refill/handoff logic — cheap either way. *)
-    let id = t.owned.(tid).(sc) in
-    if id = 0 then 0
-    else begin
-      let desc = Descriptor.get t.table id in
-      let take = Int.min want desc.Descriptor.priv_count in
-      if take > 0 then begin
-        dst.(pos + take - 1) <- finish_block t desc (priv_pop t desc);
-        for i = pos to pos + take - 2 do
-          dst.(i) <- finish_block t desc (priv_pop t desc)
-        done
-      end;
-      take
-    end
-  end
+  let heap = heap_at t sc (Rt.self t.rt) in
+  let oldactive =
+    reserve_active t heap ~want ~label:Labels.bc_reserve_cas Backoff.initial
+  in
+  if Active_word.is_null oldactive then 0
   else begin
-    let heap = heap_at t sc tid in
-    let oldactive =
-      reserve_active t heap ~want ~label:Labels.bc_reserve_cas
+    let desc = Descriptor.get t.table (Active_word.desc_id oldactive) in
+    let take = Int.min want (Active_word.credits oldactive + 1) in
+    let took_last = take = Active_word.credits oldactive + 1 in
+    let oldanchor =
+      pop_blocks t desc ~n:take ~took_last ~label:Labels.bc_pop_cas dst ~pos
         Backoff.initial
     in
-    if Active_word.is_null oldactive then 0
-    else begin
-      let desc = Descriptor.get t.table (Active_word.desc_id oldactive) in
-      let take = Int.min want (Active_word.credits oldactive + 1) in
-      let took_last = take = Active_word.credits oldactive + 1 in
-      let oldanchor =
-        pop_blocks t desc ~n:take ~took_last ~label:Labels.bc_pop_cas dst
-          ~pos Backoff.initial
-      in
-      settle_active t heap desc ~took_last oldanchor;
-      dst.(pos + take - 1) <-
-        finish_block t desc (block_addr desc (Anchor.avail oldanchor));
-      for i = pos to pos + take - 2 do
-        dst.(i) <- finish_block t desc dst.(i)
-      done;
-      take
-    end
+    settle_active t heap desc ~took_last oldanchor;
+    dst.(pos + take - 1) <-
+      finish_block t desc (block_addr desc (Anchor.avail oldanchor));
+    for i = pos to pos + take - 2 do
+      dst.(i) <- finish_block t desc dst.(i)
+    done;
+    take
   end
 
 let refill_batch t ~sc ~max:want =
@@ -1035,25 +1095,22 @@ let refill_batch t ~sc ~max:want =
    line 8, once per block), clearing their scratch ids, then push the
    whole run [first] -> ... -> last with one CAS; the push links the
    tail. *)
-let rec push_group t tid (desc : Descriptor.t) (src : int array) ~pos ~n
+let rec push_group t (desc : Descriptor.t) (src : int array) ~pos ~n
     ~scratch ~first ~last ~count j =
   if j < n then begin
     if src.(scratch + j) = desc.id then begin
       let base = src.(pos + j) - Prefix.prefix_bytes in
       Store.write_word t.store last (block_index desc base);
       src.(scratch + j) <- 0;
-      push_group t tid desc src ~pos ~n ~scratch ~first ~last:base
+      push_group t desc src ~pos ~n ~scratch ~first ~last:base
         ~count:(count + 1) (j + 1)
     end
     else
-      push_group t tid desc src ~pos ~n ~scratch ~first ~last ~count (j + 1)
+      push_group t desc src ~pos ~n ~scratch ~first ~last ~count (j + 1)
   end
   else begin
-    let first_idx = block_index desc first in
-    if t.ob then ob_push t desc ~first_idx ~last ~n:count tid
-    else
-      anchor_push t desc ~first_idx ~last ~n:count ~label:Labels.bc_flush_cas
-        Backoff.initial
+    anchor_push t desc ~first_idx:(block_index desc first) ~last ~n:count
+      ~label:Labels.bc_flush_cas Backoff.initial
   end
 
 (* Pass one reads each prefix once: a large block goes back on the
@@ -1070,12 +1127,11 @@ let flush_from t (src : int array) ~pos ~n ~scratch =
     end
     else src.(scratch + i) <- Prefix.desc_id prefix
   done;
-  let tid = Rt.self t.rt in
   for i = 0 to n - 1 do
     let id = src.(scratch + i) in
     if id <> 0 then begin
       let first = src.(pos + i) - Prefix.prefix_bytes in
-      push_group t tid (Descriptor.get t.table id) src ~pos ~n ~scratch
+      push_group t (Descriptor.get t.table id) src ~pos ~n ~scratch
         ~first ~last:first ~count:1 (i + 1)
     end
   done
@@ -1200,19 +1256,39 @@ let check_invariants t =
             (Partial_list.to_list h.list))
         (list_heads t row))
     t.heaps;
-  (* Owner-biased mode: each thread's owned slots reference the
-     superblock it holds privately (always empty under `Anchor). *)
-  let owned_ids = Hashtbl.create 8 in
-  Array.iteri
-    (fun tid row ->
-      Array.iteri
-        (fun sc id ->
-          if id <> 0 then begin
-            add_ref id (Printf.sprintf "Owned[%d][%d]" tid sc);
-            Hashtbl.replace owned_ids id (tid, sc)
-          end)
-        row)
-    t.owned;
+  (* Owner-biased mode: each thread's row references the superblock it
+     owns per class, and its LIFOs hold distinct small blocks of their
+     class, allocated as far as their superblocks know, so on none of
+     the free lists walked below. Both are empty under `Anchor. *)
+  let owned_ids = Hashtbl.create 8 and kept = Hashtbl.create 8 in
+  if t.ob then
+    for tid = 0 to Rt.max_threads - 1 do
+      let row = ob_row t tid in
+      for sc = 0 to Sc.count t.classes - 1 do
+        let c = ob_col t sc in
+        let id = row.(c) in
+        if id <> 0 then begin
+          add_ref id (Printf.sprintf "Owned[%d][%d]" tid sc);
+          Hashtbl.replace owned_ids id ()
+        end;
+        let n = row.(c + 1) in
+        if n < 0 || n > t.keep then
+          fail "thread %d class %d: LIFO length %d out of [0, %d]" tid sc n
+            t.keep;
+        for i = 0 to n - 1 do
+          let base = row.(c + 2 + i) - Prefix.prefix_bytes in
+          if Hashtbl.mem kept base then
+            fail "block %d kept twice (thread %d, class %d)" base tid sc;
+          Hashtbl.add kept base ();
+          let prefix = Store.read_word t.store base in
+          if
+            Prefix.is_large prefix
+            || (Descriptor.get t.table (Prefix.desc_id prefix)).Descriptor.sz
+               <> Sc.block_size t.classes sc
+          then fail "thread %d class %d keeps block %d of another size" tid sc base
+        done
+      done
+    done;
   (* 2. Per-descriptor structural checks. *)
   Descriptor.fold_live t.table ~init:() ~f:(fun () d ->
       let a = Rt.Atomic.get d.Descriptor.anchor in
@@ -1297,9 +1373,10 @@ let check_invariants t =
               if seen.(!idx) then
                 fail "desc %d: %s revisits block %d" id what !idx;
               seen.(!idx) <- true;
-              idx :=
-                Store.read_word t.store
-                  (d.Descriptor.sb + (!idx * d.Descriptor.sz))
+              let addr = d.Descriptor.sb + (!idx * d.Descriptor.sz) in
+              if Hashtbl.mem kept addr then
+                fail "desc %d: kept block %d on the %s" id !idx what;
+              idx := Store.read_word t.store addr
             done
           in
           walk "free-list" (Anchor.avail a) free_n;

@@ -27,9 +27,14 @@
     structures and EMPTY/FULL transitions are shared verbatim with the
     paper's mode — ownership handoff simply re-anchors the superblock.
     Each processor heap keeps its own partial list in that mode, so a
-    republished superblock goes back to the heap that held it. Under
-    the default [`Anchor] configuration every path is bit-identical to
-    the paper's figures.
+    republished superblock goes back to the heap that held it. The same
+    per-thread row that names the owned superblocks holds, per size
+    class, a bounded LIFO ([cache_blocks] slots) of the thread's own
+    recent frees into its home heap's other superblocks, which its next
+    mallocs of the class pop first; a free that finds the LIFO full, and
+    any free of another heap's block, goes straight to its superblock.
+    Under the default [`Anchor] configuration every path is
+    bit-identical to the paper's figures.
 
     Progress: no operation ever blocks on another thread. A thread delayed
     or killed at any {!Labels} point leaves the heap in a state from which
@@ -49,8 +54,8 @@ val malloc : t -> int -> int
 (** [malloc t n] allocates a block with at least [n] payload bytes and
     returns its payload address (never [Addr.null]; raises
     [Invalid_argument] on negative [n], [Failure] on substrate
-    exhaustion). [malloc t 0] returns a valid unique block. From an
-    active (or owned) superblock it hands out the block
+    exhaustion). [malloc t 0] returns a valid unique block. Under
+    [`Anchor], from an active superblock it hands out the block
     [refill_batch ~max:1] would, leaving the same words. *)
 
 val free : t -> int -> unit
@@ -58,9 +63,22 @@ val free : t -> int -> unit
     an address not obtained from [malloc] (or freeing twice) is a
     programming error with undefined (but memory-safe) behaviour, as in
     C; an address that is not a block boundary raises
-    [Invalid_argument]. A small block's free is the size-one case of
-    {!flush_batch}: [free t p] and [flush_batch t [p]] leave the same
-    words. *)
+    [Invalid_argument]. Under [`Anchor] a small block's free is the
+    size-one case of {!flush_batch}: [free t p] and [flush_batch t [p]]
+    leave the same words. *)
+
+val flush_current : t -> unit
+(** Under [`Owner_biased], pass every block the {e calling} thread's
+    LIFOs keep on to its superblock, as {!free} would with a full LIFO
+    (the owner's own blocks to its private list); a no-op under
+    [`Anchor]. Tests use it to reach a state where no thread keeps
+    anything; callable only from a thread that owns its dense id
+    (inside a run, or quiescently from the host), as
+    {!Block_cache.flush_current}. *)
+
+val kept_blocks : t -> tid:int -> int
+(** Blocks thread [tid]'s LIFOs keep, over all size classes; 0 under
+    [`Anchor]. Exact when called by thread [tid] itself or quiescently. *)
 
 val usable_size : t -> int -> int
 (** Payload bytes actually available at an address returned by
@@ -152,9 +170,10 @@ val retry_counts : t -> (string * int) list
     CAS serves many blocks, in the same Active/Anchor protocol — the
     very code {!malloc} and {!free} run for one block. They compose
     with concurrent Fig. 4/6 operations and remain lock-free. Their CAS
-    windows carry the [bc.*] labels. In the owner-biased mode the
-    refill pops the caller's private list and the flush pushes each
-    group as {!free} pushes one block. The array core
+    windows carry the [bc.*] labels. An owner-biased heap has no block
+    cache: there the refill takes nothing (no heap ever has an Active
+    word) and the flush pushes each group onto its anchor, or onto the
+    public list of an owned superblock. The array core
     ({!refill_into}, {!flush_from}) works on a slice of the caller's
     array and allocates nothing; the list forms wrap it. *)
 
@@ -163,10 +182,8 @@ val refill_into : t -> sc:int -> max:int -> int array -> pos:int -> int
     size class [sc] from the calling thread's heap in ONE CAS on the
     Active word (taking the word's remaining credits, at most [max]),
     then pops the whole batch off the superblock free list in one
-    tag-bumping anchor CAS. In the owner-biased mode it pops up to
-    [max] blocks off the caller's private list instead. Returns the
-    number [k] of blocks taken, [0] when the heap has no active
-    superblock (or the caller no private blocks): the caller falls
+    tag-bumping anchor CAS. Returns the number [k] of blocks taken,
+    [0] when the heap has no active superblock: the caller falls
     back to {!malloc}, which runs the ordinary MallocFromPartial /
     MallocFromNewSB paths and installs a new Active word.
 

@@ -606,7 +606,8 @@ let ablation_ownerbias mode seed =
     expectation =
       "Owner-local frees become plain private-list writes, remote frees \
        into owned superblocks one pub.push each and frees into \
-       handed-off ones one anchor CAS each, so the combined \
+       handed-off ones kept for the freeing thread's next mallocs or, \
+       past its LIFO's bound, one anchor CAS each, so the combined \
        anchor.pop+anchor.free failed-CAS rate collapses (>=10x) while \
        throughput holds or improves; the residual retries stay far below \
        the anchor traffic they replace. The block cache (new-cached) \

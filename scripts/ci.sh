@@ -31,23 +31,27 @@ esac
 # sibling or lower-layer module on the hot path is direct. Read off the
 # real-domain benchmark's executable, which reaches Lf_alloc through the
 # Make shims, so this also shows that they resolve to the real copy: the
-# Active/anchor/pub steps, the three malloc paths and HeapGetPartial
-# with its owner-biased walk of the sibling heaps' lists may hold no
-# caml_apply and no indirect call. malloc and free (Lf_alloc's and
+# Active/anchor/pub steps, the three malloc paths, HeapGetPartial
+# with its owner-biased walk of the sibling heaps' lists and the
+# owner-biased free may hold no caml_apply and no indirect call. malloc and free (Lf_alloc's and
 # Block_cache's) may each keep exactly one indirect call: the stdlib's
 # Domain.DLS.get behind Rt.self, which is not inlined across the stdlib
 # boundary.
 # Straight-line gate: the functions an active-hit malloc+free runs
 # (Fig. 4's MallocFromActive, Fig. 6's push, the block cache's hit and
-# free, the owner-biased private pop and push) must also hold no idiv
-# and no call to a per-operation helper
-# that is meant to be inlined: the word codecs, Descriptor.get, Stripes,
+# free, the owner-biased LIFO pop in malloc, the owner's private pop and
+# the owner-biased free with its private and LIFO pushes) must also
+# hold no idiv and no call to a per-operation helper that is meant to
+# be inlined: the word codecs, Descriptor.get, Stripes,
 # Size_class, Store's word accessors (read_word, read_word_racy,
 # write_word), Real_rt's label/CAS/obs wrappers and word access, and
-# Lf_alloc's own heap_at/block_index/finish_block/classify/priv_pop. Without
+# Lf_alloc's own heap_at/block_index/finish_block/classify, its
+# owner-biased row access ob_row/ob_col and the LIFO and private
+# pops and pushes (lifo_pop/lifo_push/priv_pop/priv_push). Without
 # flambda the compiler inlines only what is marked [@inline] or is of
 # size 10 or less, so an edit that pushes a helper over the limit or
-# drops its attribute brings the call back. The cold hook bodies
+# drops its attribute brings the call back; a helper in tail position
+# comes back as a jmp, which counts as a call. The cold hook bodies
 # (label_hooked, obs_event_hooked, Rt_base.obs_cas) are allowed.
 # caml_call_gc is not gated: the poll points of `let rec` retry loops
 # call it legitimately. No function of Lf_alloc or Block_cache may
@@ -68,13 +72,13 @@ objdump -d --no-show-raw-insn _build/default/perfbench/main.exe | awk '
   /call.*(\*|caml_apply)/ { indirect[base]++ }
   /idiv/ { idiv[base]++ }
   /cmp +\$0xfe,/ && prev ~ /and +\$0xff,/ { tagtest[base]++ }
-  /call/ {
+  /call|jmp/ {
     callee = $NF; gsub(/[<>]/, "", callee)
     if (callee ~ /^camlMm_core__(Anchor|Active_word|Pub_word|Descriptor|Stripes)\./ ||
         callee ~ /^camlMm_mem__Size_class\./ ||
         callee ~ /^camlMm_mem__Store\.(read_word|write_word)/ ||
         callee ~ /^camlMm_runtime__Real_rt\.(label|compare_and_set|obs_event|read_word|write_word)_[0-9]+$/ ||
-        callee ~ /^camlMm_core__Lf_alloc\.(heap_at|block_index|finish_block|classify|priv_pop)_[0-9]+$/) {
+        callee ~ /^camlMm_core__Lf_alloc\.(heap_at|block_index|finish_block|classify|ob_row|ob_col|lifo_pop|lifo_push|priv_pop|priv_push)_[0-9]+$/) {
       sub(/^caml/, "", callee); sub(/_[0-9]+$/, "", callee)
       helper[base, callee]++
       helpers[base] = 1
@@ -84,13 +88,13 @@ objdump -d --no-show-raw-insn _build/default/perfbench/main.exe | awk '
   END {
     split("reserve_active pop_blocks anchor_push pub_push " \
           "malloc_from_active malloc_from_partial malloc_from_new_sb " \
-          "heap_get_partial steal_partial", zero)
+          "heap_get_partial steal_partial free_ob", zero)
     for (i in zero) limit["Lf_alloc." zero[i]] = 0
     limit["Lf_alloc.malloc"] = 1; limit["Lf_alloc.free"] = 1
     limit["Block_cache.malloc"] = 1; limit["Block_cache.free"] = 1
     split("Lf_alloc.malloc Lf_alloc.free Lf_alloc.malloc_from_active " \
           "Lf_alloc.reserve_active Lf_alloc.pop_blocks Lf_alloc.anchor_push " \
-          "Lf_alloc.malloc_ob Lf_alloc.ob_push " \
+          "Lf_alloc.malloc_ob Lf_alloc.free_ob " \
           "Block_cache.malloc Block_cache.free", flat)
     for (i in flat) straight[flat[i]] = 1
     bad = 0

@@ -6,7 +6,8 @@
    - batch accounting: hits/misses/refills/flushes relate to the
      operation stream exactly as the design says;
    - [create] rejects a config without [cache]: the frontend always
-     caches, and the uncached configuration is the bare allocator;
+     caches, and the uncached configuration is the bare allocator; it
+     rejects owner-biased free lists, which carry their own layer;
    - remote frees never enter a local cache; they are buffered and
      pushed back in batches of [cache_batch];
    - the explorer's address-exclusivity oracle holds with the cache on;
@@ -14,8 +15,8 @@
      blocks but never lets them be allocated twice;
    - the single-block paths are the size-one case of the batched ones:
      [free p] and [flush_batch [p]], [malloc] and [refill_batch ~max:1]
-     leave the same words behind, in both free-list modes, and the
-     retry census keeps its site order and its agreement with obs. *)
+     leave the same words behind, and the retry census keeps its site
+     order and its agreement with obs. *)
 
 open Mm_runtime
 module A = Mm_core_sim.Lf_alloc
@@ -88,6 +89,15 @@ let create_needs_cache () =
   Alcotest.check_raises "cache:false rejected"
     (Invalid_argument "Block_cache.create: cfg.cache is false") (fun () ->
       ignore (Bc.create (sim ~cpus:1 ()) (Cfg.make ())))
+
+let create_rejects_owner_bias () =
+  Alcotest.check_raises "owner-biased free lists rejected"
+    (Invalid_argument
+       "Block_cache.create: owner-biased free lists carry their own \
+        thread-local layer") (fun () ->
+      ignore
+        (Bc.create (sim ~cpus:1 ())
+           (Cfg.make ~cache:true ~free_lists:`Owner_biased ())))
 
 (* Remote frees: with two processor heaps, thread 1 freeing thread 0's
    blocks must route them through the remote buffer (never its local
@@ -230,14 +240,14 @@ let heap_words t =
 (* The same heap every time for a given seed: thread 0 mallocs enough
    8-byte blocks to fill its first superblock and start a second, then
    frees a seeded subset of the second superblock's. Returns the sim, the
-   heap and the blocks still held: the first superblock's (FULL, or
-   handed off by its owner) then the second's (active, or owned). *)
-let seeded_heap ~free_lists ~seed =
+   heap and the blocks still held: the first superblock's (FULL) then
+   the second's (active). *)
+let seeded_heap ~seed =
   let s = sim ~cpus:2 ~seed () in
   (* maxcredits 4: across the seeds the heap ends with every credit
      count 0..3, so refill ~max:1 also takes the last reservation. *)
   let t =
-    A.create s (Cfg.make ~nheaps:1 ~sbsize:4096 ~maxcredits:4 ~free_lists ())
+    A.create s (Cfg.make ~nheaps:1 ~sbsize:4096 ~maxcredits:4 ())
   in
   let per_sb =
     Mm_mem.Size_class.blocks_per_superblock (A.size_classes t)
@@ -265,108 +275,94 @@ let run_as s tid f =
   Option.get !r
 
 let size_one_is_batch_of_one () =
-  List.iter
-    (fun free_lists ->
-      let mode =
-        match free_lists with `Anchor -> "anchor" | `Owner_biased -> "ob"
-      in
-      for seed = 1 to 4 do
-        let fresh () = seeded_heap ~free_lists ~seed in
-        let _, _, per_sb, held = fresh () in
-        let rng = Prng.create (100 + seed) in
-        (* A first-superblock block freed by its allocating thread, then
-           second-superblock blocks freed by it and by the other
-           thread. *)
-        List.iter
-          (fun (what, tid, p) ->
-            let s1, t1, _, _ = fresh () and s2, t2, _, _ = fresh () in
-            run_as s1 tid (fun () -> A.free t1 p);
-            run_as s2 tid (fun () -> A.flush_batch t2 [ p ]);
-            if heap_words t1 <> heap_words t2 then
-              Alcotest.failf "%s seed %d: free and flush_batch [p] of %s differ"
-                mode seed what;
-            A.check_invariants t1)
-          [
-            ("a first-superblock block", 0, held.(Prng.int rng per_sb));
-            ( "a local second-superblock block",
-              0,
-              held.(per_sb + Prng.int rng (Array.length held - per_sb)) );
-            ( "a remote second-superblock block",
-              1,
-              held.(per_sb + Prng.int rng (Array.length held - per_sb)) );
-          ];
+  for seed = 1 to 4 do
+    let fresh () = seeded_heap ~seed in
+    let _, _, per_sb, held = fresh () in
+    let rng = Prng.create (100 + seed) in
+    (* A first-superblock block freed by its allocating thread, then
+       second-superblock blocks freed by it and by the other
+       thread. *)
+    List.iter
+      (fun (what, tid, p) ->
         let s1, t1, _, _ = fresh () and s2, t2, _, _ = fresh () in
-        let sc =
-          Option.get
-            (Mm_mem.Size_class.class_of_request (A.size_classes t2) 8)
-        in
-        let p1 = run_as s1 0 (fun () -> A.malloc t1 8) in
-        let p2 = run_as s2 0 (fun () -> A.refill_batch t2 ~sc ~max:1) in
-        Alcotest.(check (list int))
-          (Printf.sprintf "%s seed %d: malloc = refill_batch ~max:1" mode seed)
-          [ p1 ] p2;
+        run_as s1 tid (fun () -> A.free t1 p);
+        run_as s2 tid (fun () -> A.flush_batch t2 [ p ]);
         if heap_words t1 <> heap_words t2 then
-          Alcotest.failf "%s seed %d: malloc and refill_batch ~max:1 differ"
-            mode seed
-      done)
-    [ `Anchor; `Owner_biased ]
+          Alcotest.failf "seed %d: free and flush_batch [p] of %s differ"
+            seed what;
+        A.check_invariants t1)
+      [
+        ("a first-superblock block", 0, held.(Prng.int rng per_sb));
+        ( "a local second-superblock block",
+          0,
+          held.(per_sb + Prng.int rng (Array.length held - per_sb)) );
+        ( "a remote second-superblock block",
+          1,
+          held.(per_sb + Prng.int rng (Array.length held - per_sb)) );
+      ];
+    let s1, t1, _, _ = fresh () and s2, t2, _, _ = fresh () in
+    let sc =
+      Option.get
+        (Mm_mem.Size_class.class_of_request (A.size_classes t2) 8)
+    in
+    let p1 = run_as s1 0 (fun () -> A.malloc t1 8) in
+    let p2 = run_as s2 0 (fun () -> A.refill_batch t2 ~sc ~max:1) in
+    Alcotest.(check (list int))
+      (Printf.sprintf "seed %d: malloc = refill_batch ~max:1" seed)
+      [ p1 ] p2;
+    if heap_words t1 <> heap_words t2 then
+      Alcotest.failf "seed %d: malloc and refill_batch ~max:1 differ" seed
+  done
 
 (* A batch interleaving two superblocks' blocks with a large block is
    one flush per superblock, in first-seen order and in-batch block
    order, and the large block goes straight back to the store. *)
 let interleaved_groups_flush_as_separate_batches () =
-  List.iter
-    (fun free_lists ->
-      let mode =
-        match free_lists with `Anchor -> "anchor" | `Owner_biased -> "ob"
-      in
-      for seed = 1 to 4 do
-        let fresh () =
-          let s, t, per_sb, held = seeded_heap ~free_lists ~seed in
-          let large = run_as s 0 (fun () -> A.malloc t 5000) in
-          (s, t, per_sb, held, large)
-        in
-        let s1, t1, per_sb, held, l = fresh () and s2, t2, _, _, _ = fresh () in
-        let a i = held.(i) and b i = held.(per_sb + i) in
-        let large_munmaps t = (Store.os_stats (A.store t)).large_munmaps in
-        let before = large_munmaps t1 in
-        (* A's descriptor, read while a3's prefix still names it. *)
-        let store = A.store t1 in
-        let d =
-          D.get (A.descriptor_table t1)
-            (Mm_mem.Block_prefix.desc_id (Store.read_word store (a 3 - Mm_mem.Block_prefix.prefix_bytes)))
-        in
-        let index p = (p - Mm_mem.Block_prefix.prefix_bytes - d.D.sb) / d.D.sz in
-        let rec walk idx k =
-          if k = 0 then []
-          else
-            idx
-            :: walk
-                 (Store.read_word store (d.D.sb + (idx * d.D.sz))
-                 land Anchor.max_count)
-                 (k - 1)
-        in
-        run_as s1 0 (fun () ->
-            A.flush_batch t1 [ a 3; b 2; a 0; l; b 0; a 5 ]);
-        run_as s2 0 (fun () ->
-            A.flush_batch t2 [ a 3; a 0; a 5 ];
-            A.flush_batch t2 [ b 2; b 0 ]);
-        if heap_words t1 <> heap_words t2 then
-          Alcotest.failf
-            "%s seed %d: interleaved flush differs from one flush per \
-             superblock"
-            mode seed;
-        (* One chained run per superblock: A's list starts a3, a0, a5. *)
-        Alcotest.(check (list int))
-          (Printf.sprintf "%s seed %d: A's run in batch order" mode seed)
-          [ index (a 3); index (a 0); index (a 5) ]
-          (walk (Anchor.avail (Sim_rt.Atomic.get d.D.anchor)) 3);
-        Alcotest.(check int)
-          (Printf.sprintf "%s seed %d: large block returned" mode seed)
-          (before + 1) (large_munmaps t1);
-        A.check_invariants t1
-      done)
-    [ `Anchor; `Owner_biased ]
+  for seed = 1 to 4 do
+    let fresh () =
+      let s, t, per_sb, held = seeded_heap ~seed in
+      let large = run_as s 0 (fun () -> A.malloc t 5000) in
+      (s, t, per_sb, held, large)
+    in
+    let s1, t1, per_sb, held, l = fresh () and s2, t2, _, _, _ = fresh () in
+    let a i = held.(i) and b i = held.(per_sb + i) in
+    let large_munmaps t = (Store.os_stats (A.store t)).large_munmaps in
+    let before = large_munmaps t1 in
+    (* A's descriptor, read while a3's prefix still names it. *)
+    let store = A.store t1 in
+    let d =
+      D.get (A.descriptor_table t1)
+        (Mm_mem.Block_prefix.desc_id (Store.read_word store (a 3 - Mm_mem.Block_prefix.prefix_bytes)))
+    in
+    let index p = (p - Mm_mem.Block_prefix.prefix_bytes - d.D.sb) / d.D.sz in
+    let rec walk idx k =
+      if k = 0 then []
+      else
+        idx
+        :: walk
+             (Store.read_word store (d.D.sb + (idx * d.D.sz))
+             land Anchor.max_count)
+             (k - 1)
+    in
+    run_as s1 0 (fun () ->
+        A.flush_batch t1 [ a 3; b 2; a 0; l; b 0; a 5 ]);
+    run_as s2 0 (fun () ->
+        A.flush_batch t2 [ a 3; a 0; a 5 ];
+        A.flush_batch t2 [ b 2; b 0 ]);
+    if heap_words t1 <> heap_words t2 then
+      Alcotest.failf
+        "seed %d: interleaved flush differs from one flush per superblock"
+        seed;
+    (* One chained run per superblock: A's list starts a3, a0, a5. *)
+    Alcotest.(check (list int))
+      (Printf.sprintf "seed %d: A's run in batch order" seed)
+      [ index (a 3); index (a 0); index (a 5) ]
+      (walk (Anchor.avail (Sim_rt.Atomic.get d.D.anchor)) 3);
+    Alcotest.(check int)
+      (Printf.sprintf "seed %d: large block returned" seed)
+      (before + 1) (large_munmaps t1);
+    A.check_invariants t1
+  done
 
 let census_order_and_obs_agreement () =
   Alcotest.(check (list string))
@@ -420,11 +416,11 @@ let cases =
     case "large free through the cache: counted once, both runtimes"
       large_free_through_cache;
     case "create rejects cache:false" create_needs_cache;
+    case "create rejects owner-biased free lists" create_rejects_owner_bias;
     case "remote frees flushed in exact batches" remote_free_batching;
     case "explorer: exclusivity with cache enabled" explorer_exclusivity;
-    case "free/malloc are flush/refill of one (both modes)"
-      size_one_is_batch_of_one;
-    case "interleaved multi-superblock flush (both modes)"
+    case "free/malloc are flush/refill of one block" size_one_is_batch_of_one;
+    case "interleaved multi-superblock flushes, one per superblock"
       interleaved_groups_flush_as_separate_batches;
     case "retry census: site order, obs agreement"
       census_order_and_obs_agreement;

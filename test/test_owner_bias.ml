@@ -1,6 +1,6 @@
 (* Owner-biased private/public superblock free lists (DESIGN.md §19).
 
-   Four regressions:
+   Regressions:
 
    - default-mode bit-identity: with [free_lists] explicitly [`Anchor]
      the allocator must replay the SAME golden sim-trace checksums as
@@ -23,15 +23,24 @@
      cross-thread frees, at one processor heap and at two, passes the
      full invariant checker (private/public list walks, owned-slot
      cross-references) and conservation, across several seeds, and
-     so does a larson-shaped run on two real domains at two heaps;
+     so does a larson-shaped run on two real domains at two heaps,
+     after which every block is free again;
 
    - heap-local partial lists: a heap reacquires the superblocks it
      republished before any other heap's, and takes a sibling's only
      once its own slot and list are empty, without carving;
 
-   - a free into a handed-off superblock is the paper's Fig. 6 free:
-     one anchor CAS (free.cas) that makes the superblock PARTIAL and
-     republishes it, and no public-list traffic at all. *)
+   - a free into a handed-off superblock past a full LIFO is the
+     paper's Fig. 6 free: one anchor CAS (free.cas) that makes the
+     superblock PARTIAL and republishes it, and no public-list traffic
+     at all;
+
+   - kept blocks: a thread's free into its home heap's other
+     superblocks is kept and handed back by its next malloc of the
+     class, the (cache_blocks + 1)-th goes to its superblock, another
+     heap's block is never kept, the invariant checker passes with
+     blocks kept, and the lf_alloc_owner_biased check target's workload
+     takes both a LIFO hit and an overflow. *)
 
 open Mm_runtime
 module A = Mm_core_sim.Lf_alloc
@@ -171,10 +180,11 @@ let ob_invariants_under_load cfg () =
 
 (* One thread mallocs a whole superblock plus one block: the extra
    malloc finds the private list and the public list empty and hands
-   the first superblock off. Freeing one of its blocks must then take
-   exactly the labelled windows of Fig. 6's free — the anchor CAS and
-   the FULL->PARTIAL republish — and leave the superblock PARTIAL in
-   the heap's partial slot with that one block on its anchor. *)
+   the first superblock off. Its LIFO then keeps [cache_blocks] of the
+   superblock's blocks, and the next free of one must take exactly the
+   labelled windows of Fig. 6's free — the anchor CAS and the
+   FULL->PARTIAL republish — and leave the superblock PARTIAL in the
+   heap's partial slot with that one block on its anchor. *)
 let handed_off_free_is_one_anchor_cas () =
   let recording = ref false and seen = ref [] in
   let on_label ~tid:_ l =
@@ -193,6 +203,9 @@ let handed_off_free_is_one_anchor_cas () =
          (fun _ ->
            first := Array.init per_sb (fun _ -> A.malloc t 8);
            ignore (A.malloc t 8 : int);
+           for i = 1 to ob_cfg.Cfg.cache_blocks do
+             A.free t !first.(i)
+           done;
            recording := true;
            A.free t !first.(0);
            recording := false);
@@ -245,10 +258,17 @@ let heap_local_partial_lists () =
     in
     (D.get (A.descriptor_table t) (Mm_mem.Block_prefix.desc_id prefix)).D.sb
   in
-  (* [k] superblocks handed off full (one more is owned): the first
-     block of each, and their bases. *)
+  (* [k] superblocks handed off full, the first block of each and their
+     bases. One more is handed off and [keep] of its blocks freed, which
+     fills the thread's LIFO, so the frees that republish go to the
+     anchor; one more is owned. *)
+  let keep = ob2_cfg.Cfg.cache_blocks in
   let hand_off tid k =
-    let ps = mallocs tid ((k * per_sb) + 1) in
+    let ps = mallocs tid (((k + 1) * per_sb) + 1) in
+    on tid (fun () ->
+        for j = 0 to keep - 1 do
+          A.free t ps.((k * per_sb) + j)
+        done);
     let firsts = List.init k (fun j -> ps.(j * per_sb)) in
     (firsts, List.map sb_of firsts)
   in
@@ -274,9 +294,13 @@ let heap_local_partial_lists () =
   Alcotest.check sbs "heap 0 list" [ a; b ] (listed 0);
   let carved () = (Store.os_stats (A.store t)).Store.sb_allocs in
   let carved0 = carved () in
-  (* Each thread's owned superblock has [per_sb - 1] blocks left; every
-     malloc after those hands the current one off and acquires. *)
-  let got tid k = Array.sub (mallocs tid (per_sb - 1 + k)) (per_sb - 1) k in
+  (* Each thread's LIFO holds [keep] blocks and its owned superblock
+     [per_sb - 1]; every malloc after those hands the current one off
+     and acquires. *)
+  let got tid k =
+    let skip = keep + per_sb - 1 in
+    Array.sub (mallocs tid (skip + k)) skip k
+  in
   Alcotest.check sbs "heap 0 reacquires its own slot, then its own list"
     [ c; a ]
     (List.map sb_of (Array.to_list (got 0 2)));
@@ -288,12 +312,153 @@ let heap_local_partial_lists () =
   Alcotest.(check int) "no superblock carved" carved0 (carved ());
   A.check_invariants t
 
+(* A thread's frees into its home heap's superblocks other than the
+   one it owns: thread 0 mallocs a whole superblock [x] plus one block,
+   which hands [x] off. *)
+type handed_off = {
+  s : Sim.t;
+  t : A.t;
+  x : int array;
+  seen : string list ref;
+}
+
+(* Run [f] as thread [tid] (lower ids idle): its result and the labels
+   it passed. *)
+let run_labels h tid f =
+  let r = ref None in
+  h.seen := [];
+  ignore
+    (Sim.run h.s
+       (Array.init (tid + 1) (fun i _ -> if i = tid then r := Some (f ()))));
+  (Option.get !r, List.rev !(h.seen))
+
+let handed_off_heap ?(cfg = ob_cfg) () =
+  let seen = ref [] in
+  let on_label ~tid:_ l =
+    seen := l :: !seen;
+    Sim.Continue
+  in
+  let s = sim ~cpus:2 ~on_label () in
+  let t = A.create s cfg in
+  let classes = A.size_classes t in
+  let sc = Option.get (Mm_mem.Size_class.class_of_request classes 8) in
+  let per_sb = Mm_mem.Size_class.blocks_per_superblock classes sc in
+  let h = { s; t; x = [||]; seen } in
+  let x, _ =
+    run_labels h 0 (fun () ->
+        let x = Array.init per_sb (fun _ -> A.malloc t 8) in
+        ignore (A.malloc t 8 : int);
+        x)
+  in
+  { h with x }
+
+let kept_free_serves_next_malloc () =
+  let h = handed_off_heap () in
+  let t = h.t and x = h.x in
+  let (), labels = run_labels h 0 (fun () -> A.free t x.(5)) in
+  Alcotest.(check (list string)) "a kept free passes no label" [] labels;
+  Alcotest.(check int) "kept" 1 (A.kept_blocks t ~tid:0);
+  let p, labels = run_labels h 0 (fun () -> A.malloc t 8) in
+  Alcotest.(check int) "the next malloc of the class returns it" x.(5) p;
+  Alcotest.(check (list string)) "a LIFO hit passes no label" [] labels;
+  Alcotest.(check int) "nothing kept" 0 (A.kept_blocks t ~tid:0);
+  A.check_invariants t
+
+(* The [(cache_blocks + 1)]-th such free finds the LIFO full and goes
+   to X's anchor, which it makes PARTIAL. *)
+let full_lifo_overflows () =
+  let cfg =
+    Cfg.make ~nheaps:1 ~sbsize:4096 ~free_lists:`Owner_biased ~cache_blocks:3
+      ~cache_batch:1 ()
+  in
+  let h = handed_off_heap ~cfg () in
+  let t = h.t and x = h.x in
+  for i = 1 to 3 do
+    let (), labels = run_labels h 0 (fun () -> A.free t x.(i)) in
+    Alcotest.(check (list string)) (Printf.sprintf "free %d kept" i) [] labels
+  done;
+  let (), labels = run_labels h 0 (fun () -> A.free t x.(4)) in
+  Alcotest.(check bool) "free 4 takes free.cas or pub.push" true
+    (List.mem L.free_cas labels || List.mem L.pub_push labels);
+  Alcotest.(check int) "three kept" 3 (A.kept_blocks t ~tid:0);
+  A.check_invariants t
+
+(* At two heaps, thread 1 frees blocks of heap 0's superblocks, owned
+   (X's successor) or not (X): neither is kept, each goes to its
+   superblock. *)
+let other_heaps_blocks_never_kept () =
+  let h = handed_off_heap ~cfg:ob2_cfg () in
+  let t = h.t and x = h.x in
+  let owned, _ = run_labels h 0 (fun () -> A.malloc t 8) in
+  let (), labels = run_labels h 1 (fun () -> A.free t x.(0)) in
+  Alcotest.(check (list string)) "a handed-off block goes to its anchor"
+    [ L.free_cas; L.free_put_partial ] labels;
+  let (), labels = run_labels h 1 (fun () -> A.free t owned) in
+  Alcotest.(check (list string)) "an owned block goes to its public list"
+    [ L.pub_push ] labels;
+  Alcotest.(check int) "nothing kept" 0 (A.kept_blocks t ~tid:1);
+  A.check_invariants t
+
+(* Kept blocks are allocated as far as their superblocks know:
+   [check_invariants] passes with every LIFO slot of the class full,
+   and after [flush_current] hands them on. *)
+let invariants_with_kept_blocks () =
+  let h = handed_off_heap () in
+  let t = h.t and x = h.x in
+  let keep = ob_cfg.Cfg.cache_blocks in
+  let (), _ =
+    run_labels h 0 (fun () ->
+        for i = 0 to keep - 1 do
+          A.free t x.(i)
+        done)
+  in
+  Alcotest.(check int) "LIFO full" keep (A.kept_blocks t ~tid:0);
+  A.check_invariants t;
+  let (), _ = run_labels h 0 (fun () -> A.flush_current t) in
+  Alcotest.(check int) "flushed" 0 (A.kept_blocks t ~tid:0);
+  A.check_invariants t
+
+(* The check target's workload reaches both sides of the LIFO: run on
+   its heap at two threads, some malloc pops a kept block and some
+   free meets a full LIFO and pushes. *)
+let check_target_takes_lifo_hit_and_overflow () =
+  let module T = Mm_check.Target in
+  let pushed = Array.make 2 false in
+  let on_label ~tid l =
+    if l = L.free_cas || l = L.pub_push then pushed.(tid) <- true;
+    Sim.Continue
+  in
+  let s = sim ~cpus:2 ~on_label () in
+  let t = A.create s T.owner_biased_cfg in
+  let hits = ref 0 and overflows = ref 0 in
+  let malloc () =
+    let tid = Sim.self_tid () in
+    let before = A.kept_blocks t ~tid in
+    let p = A.malloc t 504 in
+    if A.kept_blocks t ~tid < before then incr hits;
+    p
+  in
+  let free p =
+    let tid = Sim.self_tid () in
+    let full = A.kept_blocks t ~tid = T.owner_biased_cfg.Cfg.cache_blocks in
+    pushed.(tid) <- false;
+    A.free t p;
+    if full && pushed.(tid) then incr overflows
+  in
+  let body = T.owner_biased ~threads:2 ~malloc ~free in
+  ignore (Sim.run s (Array.init 2 (fun tid _ -> body tid)));
+  Alcotest.(check bool) "a LIFO hit" true (!hits > 0);
+  Alcotest.(check bool) "a LIFO overflow" true (!overflows > 0);
+  A.check_invariants t
+
 (* Larson's shape on two real domains at two processor heaps: each
    domain replaces random slots of its own with blocks of 16-80 bytes,
    and hands every eighth new block to the other domain through a
    one-cell mailbox, so frees cross heaps too. After the join the main
-   domain frees what is left; the heap must check out and every malloc
-   must have its free. *)
+   domain frees what is left and each thread id flushes its LIFOs; the
+   heap must check out, every malloc must have its free, and every
+   block must be free again: a superblock still mapped is one a thread
+   owns, with all its blocks on its private and public lists. *)
 let two_domain_larson () =
   let module R = Mm_core.Lf_alloc in
   let t = R.create () ob2_cfg in
@@ -323,9 +488,25 @@ let two_domain_larson () =
       let p = Atomic.exchange box 0 in
       if p <> 0 then R.free t p)
     mailbox;
+  let flush _ = R.flush_current t in
+  ignore (Real_rt.parallel_run () [| flush; flush |]);
+  Alcotest.(check (pair int int)) "nothing kept" (0, 0)
+    (R.kept_blocks t ~tid:0, R.kept_blocks t ~tid:1);
   R.check_invariants t;
   let m, f = R.op_counts t in
-  Alcotest.(check int) "every malloc freed" m f
+  Alcotest.(check int) "every malloc freed" m f;
+  let module D = Mm_core.Descriptor in
+  D.fold_live (R.descriptor_table t) ~init:() ~f:(fun () d ->
+      let a = Real_rt.Atomic.get d.D.anchor
+      and pw = Real_rt.Atomic.get d.D.pub in
+      if Anchor.state a <> Anchor.Empty then
+        if
+          not
+            (Mm_core.Pub_word.owned pw
+            && d.D.priv_count + Mm_core.Pub_word.count pw = d.D.maxcount)
+        then
+          Alcotest.failf "desc %d still holds allocated blocks (%s)" d.D.id
+            (Anchor.state_to_string (Anchor.state a)))
 
 let cases =
   [
@@ -342,4 +523,12 @@ let cases =
       two_domain_larson;
     case "free into a handed-off superblock is one anchor CAS"
       handed_off_free_is_one_anchor_cas;
+    case "a kept free serves the next malloc of its class"
+      kept_free_serves_next_malloc;
+    case "a free past cache_blocks kept goes to its superblock"
+      full_lifo_overflows;
+    case "another heap's block is never kept" other_heaps_blocks_never_kept;
+    case "invariants hold while blocks are kept" invariants_with_kept_blocks;
+    case "check target takes a LIFO hit and an overflow"
+      check_target_takes_lifo_hit_and_overflow;
   ]

@@ -27,8 +27,9 @@
      arrays; the move changed no simulated event. The threadtest
      "new-ob" run never leaves its owners' private lists, so the larson
      run of "new-ob" is pinned beside it: its slot handoffs free into
-     owned superblocks (pub.push) and into a handed-off one (free.cas,
-     the FULL->PARTIAL republish and an acquirer's ob.freeze).
+     owned superblocks (pub.push) and, once a thread's LIFO of kept
+     blocks is full, into unowned ones (free.cas, and the FULL->PARTIAL
+     republish of its one handed-off superblock).
 
    The striped-census == obs-census equality half of the equivalence
    claim lives in test_obs.ml (counters-match-census); the real copy's
@@ -167,18 +168,16 @@ let larson_ob_pin =
   [
     ( "new-ob",
       "larson",
-      5387,
+      2467,
       [
-        ("desc.alloc", 156, 53);
-        ("desc.refill", 4, 13);
-        ("free.cas", 2, 5);
+        ("desc.alloc", 158, 72);
+        ("desc.refill", 4, 9);
+        ("free.cas", 124, 0);
         ("free.put_partial", 1, 0);
-        ("hgp.slot_cas", 1, 0);
-        ("ob.freeze", 1, 0);
-        ("pub.claim", 3, 0);
-        ("pub.push", 1918, 245);
-        ("ts.pop_cas", 50, 202);
-        ("ts.push_cas", 832, 1738);
+        ("pub.claim", 1, 0);
+        ("pub.push", 42, 0);
+        ("ts.pop_cas", 80, 201);
+        ("ts.push_cas", 576, 1035);
       ] );
   ]
 
