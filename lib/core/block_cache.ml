@@ -73,7 +73,8 @@ let create rt (cfg : Cfg.t) =
     nclasses;
     state =
       Stripes.create ~threads:Rt.max_threads
-        ~columns:(c_stacks + (nclasses * cfg.cache_blocks));
+        ~columns:(c_stacks + (nclasses * cfg.cache_blocks))
+        ();
     c_remote;
     c_staging;
     c_scratch;
@@ -85,8 +86,8 @@ let rt t = t.rt
 let store t = Lf_alloc.store t.backend
 let usable_size t payload = Lf_alloc.usable_size t.backend payload
 
-(* Entry points resolve [Rt.self] once (a domain-local lookup on the
-   real runtime) and work on that thread's row. *)
+(* Entry points resolve [Rt.self] once and work on that thread's row,
+   allocated on the thread's first operation. *)
 let[@inline] row t tid = Stripes.row t.state tid
 (* [int array], not ['a array]: a polymorphic row would compile every
    access to the generic array primitives (a float-array test per
@@ -254,8 +255,7 @@ let check_invariants t =
     if Prefix.is_large prefix then
       fail "block cache: large block %d cached (thread %d, %s)" p tid where
   in
-  for tid = 0 to Rt.max_threads - 1 do
-    let row = row t tid in
+  Stripes.iter_attached t.state (fun tid row ->
     for sc = 0 to t.nclasses - 1 do
       let len = len row sc in
       if len < 0 || len > t.cfg.cache_blocks then
@@ -284,8 +284,7 @@ let check_invariants t =
     for i = 0 to remote_len - 1 do
       check_block ~tid ~where:"remote buffer"
         (get row (t.c_remote + i))
-    done
-  done;
+    done);
   Lf_alloc.check_invariants t.backend
 
 let instance ?name:(n = name) vrt t =

@@ -96,5 +96,5 @@ val cached_blocks : t -> int
 val flush_current : t -> unit
 (** Flush the {e calling} thread's entire cache (all classes + remote
     buffer) back to the backend. Tests use it to reach a state where the
-    frontend holds nothing; callable only from a thread that owns its
-    dense id (inside a run, or quiescently from the host). *)
+    frontend holds nothing. It works on the calling domain's own id
+    (see {!Lf_alloc}'s thread-identity contract). *)

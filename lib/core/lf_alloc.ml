@@ -28,30 +28,28 @@ type t = {
   classes : Sc.t;
   nheaps_ : int;
   heaps : heap array array;  (* [size class].[processor heap] *)
-  (* The two divisions of the hot path, [tid mod nheaps] and [gid /
-     nheaps, gid mod nheaps], tabulated: [home.(tid)] is thread [tid]'s
-     processor heap and [by_gid.(gid)] the heap of global index [gid]. *)
-  home : int array;
+  (* [gid / nheaps, gid mod nheaps], tabulated: [by_gid.(gid)] is the
+     heap of global index [gid]. *)
   by_gid : heap array;
   table : Descriptor.table;
   pool : Desc_pool.t;
   pm : Pm.t option;  (* span reservoir + buddy backend, DESIGN.md §15 *)
-  counts : Stripes.t;
-      (* Striped counters, one padded row per thread: column [i]
-         counts failed CASes at the [i]th of [retry_sites] —
-         quantifies where interference lands, cf. the paper's §4.2.3
-         discussion of overlapping read-modify-write segments — and
-         the last two columns count mallocs and frees. *)
-  (* Owner-biased free lists (DESIGN.md §19): [ob] caches the mode
-     test off the config. [rows] holds one padded row per thread; for
-     size class [sc], from cell [sc * stride]: the id of the superblock
-     the thread owns (0 = none), the length of its LIFO of kept
-     blocks, then the LIFO's [keep] payload slots ([cache_blocks]).
-     Only thread [tid] writes its row, so the ownership test in [free]
-     reads its own always-coherent cell rather than a possibly stale
-     cross-thread descriptor field. Under `Anchor the rows are empty. *)
-  ob : bool;
   rows : Stripes.t;
+      (* One padded row per thread, allocated on the thread's first
+         operation on the heap and found once per operation (DESIGN.md
+         §19). Column [i] counts failed CASes at the [i]th of
+         [retry_sites] — quantifies where interference lands, cf. the
+         paper's §4.2.3 discussion of overlapping read-modify-write
+         segments — the next two count mallocs and frees, [c_home]
+         holds the thread's processor heap, [tid mod nheaps], so the hot
+         path divides nothing. Under `Owner_biased, from [c_ob + sc *
+         stride] for size class [sc]: the id of the superblock the
+         thread owns (0 = none), the length of its LIFO of kept blocks,
+         then the LIFO's [keep] payload slots ([cache_blocks]). Only
+         thread [tid] writes its row, so the ownership test in [free]
+         reads its own always-coherent cell rather than a possibly stale
+         cross-thread descriptor field. *)
+  ob : bool;  (* the mode test, cached off the config *)
   stride : int;
   keep : int;
 }
@@ -81,6 +79,8 @@ let c_pub_push = column "pub.push"
 let c_pub_claim = column "pub.claim"
 let c_mallocs = List.length retry_sites
 let c_frees = c_mallocs + 1
+let c_home = c_frees + 1
+let c_ob = c_home + 1
 
 let name = "new"
 
@@ -122,10 +122,18 @@ let create rt (cfg : Cfg.t) =
       ~hyperblocks:cfg.hyperblocks ()
   in
   let table = Descriptor.create_table rt ~capacity:(2 * cfg.store_capacity) in
-  let counts = Stripes.create ~threads:Rt.max_threads ~columns:(c_frees + 1) in
+  let nclasses = Sc.count classes in
+  let ob = cfg.free_lists = `Owner_biased in
+  let stride = cfg.cache_blocks + 2 in
+  let rows =
+    Stripes.create ~threads:Rt.max_threads
+      ~columns:(c_ob + if ob then nclasses * stride else 0)
+      ~init:(fun tid row -> row.(Stripes.pad + c_home) <- tid mod nheaps)
+      ()
+  in
   let stripe site =
     let c = column site in
-    fun () -> Stripes.bump counts (Rt.self rt) c
+    fun () -> Stripes.bump rows (Rt.self rt) c
   in
   let pool =
     Desc_pool.create rt table ~kind:cfg.desc_pool
@@ -134,8 +142,6 @@ let create rt (cfg : Cfg.t) =
          else None)
       ()
   in
-  let nclasses = Sc.count classes in
-  let ob = cfg.free_lists = `Owner_biased in
   let new_list () = Partial_list.create rt cfg.partial_policy in
   let heaps =
     Array.init nclasses (fun sc ->
@@ -167,17 +173,13 @@ let create rt (cfg : Cfg.t) =
     classes;
     nheaps_ = nheaps;
     heaps;
-    home = Array.init Rt.max_threads (fun tid -> tid mod nheaps);
     by_gid = Array.concat (Array.to_list heaps);
     table;
     pool;
     pm;
-    counts;
+    rows;
     ob;
-    rows =
-      Stripes.create ~threads:Rt.max_threads
-        ~columns:(if ob then nclasses * (cfg.cache_blocks + 2) else 0);
-    stride = cfg.cache_blocks + 2;
+    stride;
     keep = cfg.cache_blocks;
   }
 
@@ -185,10 +187,16 @@ let create rt (cfg : Cfg.t) =
    [Stripes] and [Store]'s accessors: without flambda the compiler
    inlines only bodies of size 10 or less (DESIGN.md §18). The CAS
    retry loops stay out of line. *)
-let[@inline] count_at t tid c = Stripes.bump t.counts tid c
-let bump t c = count_at t (Rt.self t.rt) c
+let[@inline] row_of t tid = Stripes.row t.rows tid
+
+let[@inline] count (row : int array) c =
+  row.(Stripes.pad + c) <- row.(Stripes.pad + c) + 1
+
+(* The CAS retry loops count their failures off the hot path: only
+   there is the row looked up again. *)
+let bump t c = Stripes.bump t.rows (Rt.self t.rt) c
 let fail fmt = Format.kasprintf failwith fmt
-let column_total t c = Stripes.total t.counts c
+let column_total t c = Stripes.total t.rows c
 let op_counts t = (column_total t c_mallocs, column_total t c_frees)
 
 let retry_counts t =
@@ -223,16 +231,16 @@ let descriptor_table t = t.table
 let desc_pool t = t.pool
 
 let[@inline] heap_of_gid t gid = t.by_gid.(gid)
-let home_heap t ~tid = t.home.(tid)
+let home_heap t ~tid = tid mod t.nheaps_
 
 let heap_coords t gid =
   let h = heap_of_gid t gid in
   (h.sc, h.idx)
 
-(* [heap_at] takes the dense thread id from the caller: [Rt.self] is a
-   domain-local lookup on the real runtime, so the hot entry points
-   resolve it once per operation and thread it through. *)
-let[@inline] heap_at t sc tid = t.heaps.(sc).(t.home.(tid))
+(* The calling thread's processor heap of class [sc], off its row: the
+   hot entry points find the row once per operation and pass it down. *)
+let[@inline] home_of (row : int array) = row.(Stripes.pad + c_home)
+let[@inline] heap_at t sc row = t.heaps.(sc).(home_of row)
 
 (* ------------------------------------------------------------------ *)
 (* Blocks of a superblock. *)
@@ -712,11 +720,9 @@ and pub_push t (desc : Descriptor.t) ~first_idx ~last ~n spins =
     end
   end
 
-(* The thread's row and the first cell of size class [sc] in it: the
-   owned id at [c], the LIFO's length at [c + 1], its slots from
-   [c + 2]. *)
-let[@inline] ob_row t tid = Stripes.row t.rows tid
-let[@inline] ob_col t sc = Stripes.pad + (sc * t.stride)
+(* The first cell of size class [sc] in a thread's row: the owned id
+   at [c], the LIFO's length at [c + 1], its slots from [c + 2]. *)
+let[@inline] ob_col t sc = Stripes.pad + c_ob + (sc * t.stride)
 
 (* The kept-block LIFO: [n] is its length, read by the caller. A kept
    block's prefix is intact, so a pop hands its payload straight back. *)
@@ -759,13 +765,14 @@ let[@inline] priv_push t (desc : Descriptor.t) ~first_idx ~base =
    what we own). The home test may read a [heap_gid] a sibling heap
    is rewriting; a stale answer only keeps or passes on a block it
    would not have, and either is safe. *)
-let free_ob t tid (desc : Descriptor.t) ~first_idx ~base payload =
+let free_ob t (row : int array) (desc : Descriptor.t) ~first_idx ~base payload
+    =
   let heap = heap_of_gid t desc.heap_gid in
-  let row = ob_row t tid and c = ob_col t heap.sc in
+  let c = ob_col t heap.sc in
   if row.(c) = desc.id then priv_push t desc ~first_idx ~base
   else begin
     let n = row.(c + 1) in
-    if n < t.keep && heap.idx = t.home.(tid) then lifo_push row c n payload
+    if n < t.keep && heap.idx = home_of row then lifo_push row c n payload
     else pub_push t desc ~first_idx ~last:base ~n:1 Backoff.initial
   end
 
@@ -899,7 +906,7 @@ let rec ob_owner_refill t (desc : Descriptor.t) (row : int array) c =
 
 (* The owner's malloc once the class's LIFO is empty: a private pop,
    else a claim of the public list or a handoff, else an acquisition. *)
-let rec malloc_ob t (row : int array) c sc tid =
+let rec malloc_ob t (row : int array) c sc =
   let id = row.(c) in
   if id <> 0 then begin
     let desc = Descriptor.get t.table id in
@@ -907,11 +914,11 @@ let rec malloc_ob t (row : int array) c sc tid =
       finish_block t desc (priv_pop t desc)
     else begin
       ignore (ob_owner_refill t desc row c : bool);
-      malloc_ob t row c sc tid
+      malloc_ob t row c sc
     end
   end
   else begin
-    let heap = heap_at t sc tid in
+    let heap = heap_at t sc row in
     let desc =
       match ob_acquire_partial t heap row c with
       | Some d -> d
@@ -960,28 +967,28 @@ let rec malloc_small t heap =
 
 let malloc t n =
   if n < 0 then invalid_arg "Lf_alloc.malloc: negative size";
-  let tid = Rt.self t.rt in
-  count_at t tid c_mallocs;
+  let row = row_of t (Rt.self t.rt) in
+  count row c_mallocs;
   match Sc.class_of_request t.classes n with
   | None -> malloc_large t n (* lines 2-3 *)
   | Some sc ->
       if t.ob then begin
         (* The LIFO of kept blocks first, then the owner's paths. *)
-        let row = ob_row t tid and c = ob_col t sc in
+        let c = ob_col t sc in
         let n = row.(c + 1) in
-        if n > 0 then lifo_pop row c n else malloc_ob t row c sc tid
+        if n > 0 then lifo_pop row c n else malloc_ob t row c sc
       end
-      else (* line 1 *) malloc_small t (heap_at t sc tid)
+      else (* line 1 *) malloc_small t (heap_at t sc row)
 
 let free_large t ~tid ~payload prefix =
-  count_at t tid c_frees;
+  count (row_of t tid) c_frees;
   free_large_block t (payload - Prefix.prefix_bytes) prefix
 
 let free t payload =
   if payload = Addr.null then ()
   else begin
-    let tid = Rt.self t.rt in
-    count_at t tid c_frees;
+    let row = row_of t (Rt.self t.rt) in
+    count row c_frees;
     (* lines 2-3 *)
     let base = payload - Prefix.prefix_bytes in
     let prefix = Store.read_word t.store base in
@@ -990,7 +997,7 @@ let free t payload =
     else begin
       let desc = Descriptor.get t.table (Prefix.desc_id prefix) in
       let first_idx = block_index desc base in
-      if t.ob then free_ob t tid desc ~first_idx ~base payload
+      if t.ob then free_ob t row desc ~first_idx ~base payload
       else
         anchor_push t desc ~first_idx ~last:base ~n:1 ~label:Labels.free_cas
           Backoff.initial
@@ -1002,7 +1009,7 @@ let free t payload =
    killed meanwhile holds none of them twice. *)
 let flush_current t =
   if t.ob then begin
-    let row = ob_row t (Rt.self t.rt) in
+    let row = row_of t (Rt.self t.rt) in
     for sc = 0 to Sc.count t.classes - 1 do
       let c = ob_col t sc in
       let n = row.(c + 1) in
@@ -1020,9 +1027,9 @@ let flush_current t =
   end
 
 let kept_blocks t ~tid =
-  if not t.ob then 0
+  if not (t.ob && Stripes.attached t.rows tid) then 0
   else begin
-    let row = ob_row t tid in
+    let row = row_of t tid in
     let n = ref 0 in
     for sc = 0 to Sc.count t.classes - 1 do
       n := !n + row.(ob_col t sc + 1)
@@ -1055,7 +1062,7 @@ let[@inline] classify t ~tid ~payload prefix =
        cache and corrupt a free list much later. *)
     ignore (block_index desc (payload - Prefix.prefix_bytes) : int);
     let heap = heap_of_gid t desc.Descriptor.heap_gid in
-    (heap.sc lsl 1) lor Bool.to_int (heap.idx = t.home.(tid))
+    (heap.sc lsl 1) lor Bool.to_int (heap.idx = home_of (row_of t tid))
   end
 
 (* The first block in free-list order goes LAST, on top of the slice
@@ -1063,7 +1070,7 @@ let[@inline] classify t ~tid ~payload prefix =
    as [malloc] writes them one at a time. *)
 let refill_into t ~sc ~max:want (dst : int array) ~pos =
   if want < 1 then invalid_arg "Lf_alloc.refill_into: max must be >= 1";
-  let heap = heap_at t sc (Rt.self t.rt) in
+  let heap = heap_at t sc (row_of t (Rt.self t.rt)) in
   let oldactive =
     reserve_active t heap ~want ~label:Labels.bc_reserve_cas Backoff.initial
   in
@@ -1262,8 +1269,7 @@ let check_invariants t =
      the free lists walked below. Both are empty under `Anchor. *)
   let owned_ids = Hashtbl.create 8 and kept = Hashtbl.create 8 in
   if t.ob then
-    for tid = 0 to Rt.max_threads - 1 do
-      let row = ob_row t tid in
+    Stripes.iter_attached t.rows (fun tid row ->
       for sc = 0 to Sc.count t.classes - 1 do
         let c = ob_col t sc in
         let id = row.(c) in
@@ -1287,8 +1293,7 @@ let check_invariants t =
                <> Sc.block_size t.classes sc
           then fail "thread %d class %d keeps block %d of another size" tid sc base
         done
-      done
-    done;
+      done);
   (* 2. Per-descriptor structural checks. *)
   Descriptor.fold_live t.table ~init:() ~f:(fun () d ->
       let a = Rt.Atomic.get d.Descriptor.anchor in

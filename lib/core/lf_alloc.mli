@@ -36,6 +36,19 @@
     Under the default [`Anchor] configuration every path is
     bit-identical to the paper's figures.
 
+    Thread identity: each operation finds the calling thread by
+    [Rt.self] and works on that thread's row of per-thread state (its
+    counters, home heap, owned superblocks and kept blocks), allocated
+    on the thread's first operation on the heap. On the real runtime
+    every live domain holds its own id, however it was started
+    ([Rt.parallel_run], a plain [Domain.spawn], the main domain): its
+    first operation claims the lowest free id, it gives the id back when
+    it terminates, and more than [Rt.max_threads] live domains make that
+    claim raise rather than share an id. A domain that later claims a
+    freed id takes over its rows as the last holder left them, kept
+    blocks and owned superblocks included. Under the simulator the id is
+    the simulated thread's.
+
     Progress: no operation ever blocks on another thread. A thread delayed
     or killed at any {!Labels} point leaves the heap in a state from which
     every other thread completes its own operations (verified by the
@@ -72,8 +85,7 @@ val flush_current : t -> unit
     LIFOs keep on to its superblock, as {!free} would with a full LIFO
     (the owner's own blocks to its private list); a no-op under
     [`Anchor]. Tests use it to reach a state where no thread keeps
-    anything; callable only from a thread that owns its dense id
-    (inside a run, or quiescently from the host), as
+    anything; it works on the calling domain's own id, as
     {!Block_cache.flush_current}. *)
 
 val kept_blocks : t -> tid:int -> int
@@ -103,8 +115,9 @@ val size_classes : t -> Mm_mem.Size_class.t
 val nheaps : t -> int
 
 val home_heap : t -> tid:int -> int
-(** The processor heap thread [tid] allocates from, [tid mod nheaps],
-    read off a table [create] builds so the hot path divides nothing. *)
+(** The processor heap thread [tid] allocates from, [tid mod nheaps].
+    It is written into the thread's row when the row is allocated, so
+    the hot path divides nothing. *)
 
 val heap_coords : t -> int -> int * int
 (** [heap_coords t gid] is the [(size class, processor heap)] of the

@@ -95,7 +95,7 @@ let[@inline never] label_hooked l =
      match !Rt_base.Obs.hook with
      | None -> ()
      | Some _ ->
-         Rt_base.Obs.last_label.(Domain.DLS.get Rt_base.dls_self) <- l);
+         Rt_base.Obs.last_label.(Rt_base.self ()) <- l);
   let h = !Rt_base.real_label_hook in
   if h != Rt_base.noop_label then h l
 
@@ -119,7 +119,9 @@ let[@inline] obs_event () kind name =
     | None -> ()
     | Some f -> obs_event_hooked f kind name
 
-let self () = Domain.DLS.get Rt_base.dls_self
+(* [@inline]: the DLS read is two loads, a compare and a tag test; only
+   a domain's first call leaves the line (DESIGN.md §18). *)
+let[@inline] self () = Rt_base.self ()
 let num_cpus () = Domain.recommended_domain_count ()
 let now () = Unix.gettimeofday ()
 
@@ -131,11 +133,12 @@ let parallel_run () bodies =
       (Printf.sprintf "Rt.parallel_run: %d threads exceeds max_threads=%d" n
          max_threads)
   else begin
+    let parent = self () in
     let t0 = Unix.gettimeofday () in
     let domains =
       Array.init n (fun i ->
           Domain.spawn (fun () ->
-              Domain.DLS.set Rt_base.dls_self i;
+              Rt_base.adopt i ~parent;
               bodies.(i) i))
     in
     let failure = ref None in

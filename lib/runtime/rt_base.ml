@@ -16,10 +16,98 @@ let line_counter = Stdlib.Atomic.make 0
 let fresh_line () = -1 - Stdlib.Atomic.fetch_and_add line_counter 1
 
 (* ------------------------------------------------------------------ *)
-(* Thread identity (declared early: the observability hook below needs
-   it to attribute events on the real runtime). *)
+(* Thread identity on the real runtime (declared early: the
+   observability hook below needs it to attribute events). DESIGN.md
+   §18.
 
-let dls_self : int Domain.DLS.key = Domain.DLS.new_key (fun () -> 0)
+   Each live domain that asks holds its own dense id below
+   [max_threads], claimed from a registry of flags: a domain's first
+   [self] claims the lowest free id by CAS and frees it again when the
+   domain terminates. Past [max_threads] live domains the claim raises
+   rather than sharing an id, since per-thread state indexed by the id
+   is single-owner. *)
+
+let claims = Array.init max_threads (fun _ -> Stdlib.Atomic.make false)
+
+let try_claim id =
+  (not (Stdlib.Atomic.get claims.(id)))
+  && Stdlib.Atomic.compare_and_set claims.(id) false true
+
+let claim_lowest () =
+  let rec go id =
+    if id = max_threads then
+      failwith
+        (Printf.sprintf "Rt.self: more than max_threads=%d live domains"
+           max_threads)
+    else if try_claim id then id
+    else go (id + 1)
+  in
+  go 0
+
+(* The calling domain keeps [id] until it terminates. *)
+let hold id =
+  Domain.at_exit (fun () -> Stdlib.Atomic.set claims.(id) false);
+  id
+
+let dls_self : int Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> hold (claim_lowest ()))
+
+(* Worker [i] of a [parallel_run] called by the domain holding
+   [parent]: it claims id [i], so a run's ids are dense, unless another
+   live domain holds [i] (then the lowest free one). The caller waits
+   in [Domain.join] for the whole run, so the worker of its own index
+   runs under the caller's id, which stays claimed. *)
+let adopt i ~parent =
+  Domain.DLS.set dls_self
+    (if i = parent then i
+     else if try_claim i then hold i
+     else hold (claim_lowest ()))
+
+(* [self] without a call: the stdlib keeps a domain's DLS values in one
+   array, reachable through the [%dls_get] primitive, and a key is the
+   pair of its index in that array and its initialiser. An id is an
+   immediate int there; an unset slot holds the stdlib's boxed
+   placeholder, and a slot past the array's end is unset too. The
+   cells are typed as a boxed record so a read compiles to a plain
+   load (an element of unknown type compiles to the generic load with
+   its float-array test); they are only ever tested with
+   [Obj.is_int]. *)
+type dls_cell = { opaque : unit }
+
+external dls_cells : unit -> dls_cell array = "%dls_get"
+
+let key_index key =
+  let k = Obj.repr key in
+  if Obj.is_block k && Obj.size k = 2 && Obj.is_int (Obj.field k 0) then
+    (Obj.obj (Obj.field k 0) : int)
+  else -1
+
+(* The index [self] reads, checked once at start-up: a probe key set
+   through [Domain.DLS] must read back at its index. If the layout
+   disagrees, [dls_index] is [max_int], past every array, and [self]
+   always takes the slow path. *)
+let dls_index =
+  let probe = Domain.DLS.new_key (fun () -> 0) in
+  let stamp = 0x5e1f in
+  Domain.DLS.set probe stamp;
+  let p = key_index probe and s = key_index dls_self in
+  let cells = dls_cells () in
+  if
+    s >= 0 && p >= 0 && p <> s
+    && p < Array.length cells
+    && Obj.repr (Array.unsafe_get cells p) == Obj.repr stamp
+  then s
+  else max_int
+
+(* The first [self] of a domain: claims its id. *)
+let[@inline never] self_slow () = Domain.DLS.get dls_self
+
+let[@inline] self () =
+  let cells = dls_cells () in
+  if dls_index < Array.length cells then
+    let v = Obj.repr (Array.unsafe_get cells dls_index) in
+    if Obj.is_int v then (Obj.obj v : int) else self_slow ()
+  else self_slow ()
 
 (* ------------------------------------------------------------------ *)
 (* Observability hook (lib/obs).
@@ -62,8 +150,7 @@ module Obs = struct
   let real_clock = Stdlib.Atomic.make 0
 end
 
-let obs_tid ~in_sim =
-  if in_sim then Sim.self_tid () else Domain.DLS.get dls_self
+let obs_tid ~in_sim = if in_sim then Sim.self_tid () else self ()
 
 let obs_cycle ~in_sim =
   if in_sim then Sim.now_cycles ()

@@ -553,8 +553,9 @@ let sbsize_bound () =
           sbsize A.max_sbsize))
     (fun () -> ignore (A.create () (Cfg.make ~nheaps:1 ~sbsize ())))
 
-(* The hot path reads a thread's processor heap and a global heap index's
-   coordinates off tables built in [create]; they must agree with the
+(* The hot path reads a thread's processor heap off its row, written
+   from [home_heap] when the row is allocated, and a global heap index's
+   coordinates off a table built in [create]; both must agree with the
    divisions they replace. *)
 let heap_tables () =
   List.iter
@@ -642,6 +643,86 @@ let multi_kill_fuzz () =
       (!completed + r.Sim.counters.Sim.killed)
   done
 
+(* Domains [Rt.parallel_run] did not start hold ids of their own
+   (DESIGN.md §18): two plain [Domain.spawn] domains and the main domain
+   share one heap at one processor heap, each replacing random slots
+   among 64 stamped 32-byte blocks. A block handed out twice shows as a
+   stamp another domain overwrote; with every domain running as thread
+   0, per-thread LIFOs and block caches were shared and did exactly
+   that. *)
+let plain_domains_share_a_heap name () =
+  let inst =
+    Mm_harness.Allocators.make name Rt.real (Cfg.make ~nheaps:1 ())
+  in
+  let module I = Mm_mem.Alloc_intf in
+  let slots = 64 and steps = 20_000 in
+  let body d () =
+    let rng = Prng.create (d + 1) in
+    let live = Array.make slots 0 and stamp = Array.make slots 0 in
+    let overwritten = ref 0 and next = ref 0 in
+    let fill i =
+      incr next;
+      live.(i) <- inst.I.malloc 32;
+      stamp.(i) <- (d lsl 32) lor !next;
+      inst.I.write_word live.(i) stamp.(i);
+      inst.I.write_word (live.(i) + 24) stamp.(i)
+    in
+    let intact i =
+      inst.I.read_word live.(i) = stamp.(i)
+      && inst.I.read_word (live.(i) + 24) = stamp.(i)
+    in
+    for i = 0 to slots - 1 do
+      fill i
+    done;
+    for _ = 1 to steps do
+      let i = Prng.int rng slots in
+      if not (intact i) then incr overwritten;
+      inst.I.free live.(i);
+      fill i
+    done;
+    for i = 0 to slots - 1 do
+      if not (intact i) then incr overwritten
+    done;
+    (!overwritten, live)
+  in
+  let spawned = List.map (fun d -> Domain.spawn (body d)) [ 1; 2 ] in
+  let mine = body 0 () in
+  let results = mine :: List.map Domain.join spawned in
+  Alcotest.(check int) "stamps overwritten" 0
+    (List.fold_left (fun n (o, _) -> n + o) 0 results);
+  inst.I.check ();
+  List.iter (fun (_, live) -> Array.iter inst.I.free live) results;
+  inst.I.check ()
+
+(* A thread's row is allocated on its first operation on a heap, not by
+   [create]: what [create] allocates under `Owner_biased beyond what it
+   allocates under `Anchor is less than one thread's owner-bias cells,
+   whatever [Rt.max_threads] is. *)
+let create_allocates_no_rows () =
+  let cfg = Cfg.make ~nheaps:1 () in
+  let ob_cfg = { cfg with Cfg.free_lists = `Owner_biased } in
+  let words_of_create cfg =
+    let b0 = Gc.allocated_bytes () in
+    let t = Sys.opaque_identity (A.create () cfg) in
+    let words = (Gc.allocated_bytes () -. b0) /. 8.0 in
+    (words, t)
+  in
+  ignore (words_of_create cfg : float * A.t);
+  let anchor_words, _ = words_of_create cfg in
+  let ob_words, t = words_of_create ob_cfg in
+  let row_cells =
+    Mm_mem.Size_class.count (A.size_classes t) * (cfg.Cfg.cache_blocks + 2)
+  in
+  if ob_words -. anchor_words >= float row_cells then
+    Alcotest.failf
+      "create allocates %.0f words under `Owner_biased, %.0f under `Anchor: \
+       not below one row's %d owner-bias cells"
+      ob_words anchor_words row_cells;
+  A.free t (A.malloc t 24);
+  Alcotest.(check (pair int int)) "the first operation's row counts it"
+    (1, 1) (A.op_counts t);
+  A.check_invariants t
+
 let cases =
   [
     case "superblock state machine" fill_superblock;
@@ -676,4 +757,11 @@ let cases =
     case "config matrix" config_matrix;
     case "uniproc heap under contention (sim x5)" uniproc_concurrent;
     case "introspection" introspection;
+    case "plain domains hold their own ids: new"
+      (plain_domains_share_a_heap "new");
+    case "plain domains hold their own ids: new-ob"
+      (plain_domains_share_a_heap "new-ob");
+    case "plain domains hold their own ids: new-cached"
+      (plain_domains_share_a_heap "new-cached");
+    case "create allocates no per-thread rows" create_allocates_no_rows;
   ]

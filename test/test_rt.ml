@@ -79,6 +79,76 @@ let real_parallel_ids () =
             assert (arg = i))));
   Array.iteri (fun i v -> Alcotest.(check int) "dense id" i v) ids
 
+(* [Real_rt.self] reads the domain's DLS array inline (DESIGN.md §18);
+   it must agree with [Domain.DLS.get], its slow path, wherever it runs,
+   and the ids of domains alive together must be distinct. *)
+let fast_and_slow_self () = (Real_rt.self (), Domain.DLS.get Rt_base.dls_self)
+
+let fast_self_matches_slow_path () =
+  Alcotest.(check bool) "the DLS layout probe passed" true
+    (Rt_base.dls_index < max_int);
+  let agree what (fast, slow) =
+    Alcotest.(check int) (what ^ ": inlined self = DLS.get") slow fast;
+    fast
+  in
+  let main_id = agree "main domain" (fast_and_slow_self ()) in
+  (* Plain domains, each holding its id until all have read theirs. *)
+  let n = 3 in
+  let arrived = Atomic.make 0 in
+  let plain () =
+    let first = fast_and_slow_self () in
+    Atomic.incr arrived;
+    while Atomic.get arrived < n do
+      Domain.cpu_relax ()
+    done;
+    (first, fast_and_slow_self ())
+  in
+  let ids =
+    List.init n (fun _ -> Domain.spawn plain)
+    |> List.map Domain.join
+    |> List.map (fun (first, again) ->
+           let id = agree "plain domain" first in
+           Alcotest.(check int) "plain domain: same id again" id
+             (agree "plain domain, again" again);
+           id)
+  in
+  Alcotest.(check int) "distinct among live domains" (n + 1)
+    (List.length (List.sort_uniq compare (main_id :: ids)));
+  Alcotest.(check bool) "below max_threads" true
+    (List.for_all (fun id -> id >= 0 && id < Rt.max_threads) ids);
+  let k = 4 in
+  let seen = Array.make k (0, 0) in
+  ignore
+    (Real_rt.parallel_run ()
+       (Array.init k (fun i _ -> seen.(i) <- fast_and_slow_self ())));
+  Array.iteri
+    (fun i p -> Alcotest.(check int) "run worker: dense id" i (agree "run worker" p))
+    seen;
+  Alcotest.(check int) "main domain keeps its id" main_id
+    (agree "main domain, after" (fast_and_slow_self ()))
+
+(* A domain claims the lowest free id and gives it back at exit; with
+   every id held the claim raises instead of sharing one. Filled here
+   without starting a domain per id. *)
+let registry_claims () =
+  let main_id = Real_rt.self () in
+  let child () = Real_rt.self () in
+  let a = Domain.join (Domain.spawn child) in
+  let b = Domain.join (Domain.spawn child) in
+  Alcotest.(check int) "an exited domain's id is free again" a b;
+  Alcotest.(check bool) "not the main domain's" true (a <> main_id);
+  let taken =
+    List.filter Rt_base.try_claim (List.init Rt.max_threads Fun.id)
+  in
+  let full =
+    match Rt_base.claim_lowest () with
+    | _ -> false
+    | exception Failure _ -> true
+  in
+  List.iter (fun id -> Atomic.set Rt_base.claims.(id) false) taken;
+  Alcotest.(check bool) "claim past max_threads raises" true full;
+  Alcotest.(check int) "claimable again" a (Domain.join (Domain.spawn child))
+
 let real_parallel_exn () =
   Alcotest.check_raises "exception propagates" Exit (fun () ->
       ignore
@@ -146,6 +216,10 @@ let cases =
   @ [
       case "fresh lines" fresh_lines;
       case "real parallel dense ids" real_parallel_ids;
+      case "inlined self = DLS.get on every kind of domain"
+        fast_self_matches_slow_path;
+      case "id registry: lowest free, released at exit, full raises"
+        registry_claims;
       case "real parallel exception" real_parallel_exn;
       case "too many threads rejected" parallel_too_many;
       case "sim atomics usable outside run" atomics_usable_outside_sim;
